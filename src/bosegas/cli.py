@@ -23,8 +23,9 @@ import yaml
 
 from . import boundary as bnd
 from . import semiclassical as semi
-from .errors import BudgetExceeded, ConfigInvalid, NotConverged
+from .errors import BudgetExceeded, ConfigInvalid, NotConverged, RegionUndefined
 from .expectation import (
+    InteractionContext,
     energy_report,
     pair_correlator_check,
     occupation_ratio_report,
@@ -124,6 +125,8 @@ def load_config(path: str | None) -> dict:
     trial = cfg["trial"]
     _require(int(trial["n"]) >= 0, "trial.n must be >= 0")
     _require(int(trial["m_c"]) >= 1, "trial.m_c must be >= 1")
+    if trial["volume"] is not None:
+        _require(float(trial["volume"]) > 0.0, "trial.volume must be > 0")
     rhos = cfg["sweep"]["rho_values"]
     _require(
         isinstance(rhos, (list, tuple)) and len(rhos) > 0,
@@ -181,7 +184,7 @@ def _solve(cfg: dict):
     return solve_scattering(_potential_from(cfg))
 
 
-def run_scattering(cfg: dict, out: Path, *, refine: bool) -> dict:
+def run_scattering(cfg: dict, out: Path) -> dict:
     solution = _solve(cfg)
     report = solution.report()
     shoot = shooting_scattering_length(_potential_from(cfg))
@@ -192,7 +195,7 @@ def run_scattering(cfg: dict, out: Path, *, refine: bool) -> dict:
     return report
 
 
-def run_lattice(cfg: dict, out: Path, *, refine: bool) -> dict:
+def run_lattice(cfg: dict, out: Path) -> dict:
     sched_cfg = cfg["schedule"]
     try:
         schedule = Schedule(
@@ -217,13 +220,13 @@ def _resolve_toy(cfg: dict) -> ToyCase:
         path = Path(cfg["toy_modes"])
         if not path.exists():
             raise ConfigInvalid(f"toy_modes file {str(path)!r} does not exist")
-        mode_set = load_toy_modes(path, volume=cfg["trial"]["volume"])
+        try:
+            mode_set = load_toy_modes(path, volume=cfg["trial"]["volume"])
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
         if mode_set.volume is None:
             raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
-        potential = _potential_from(cfg)
-        from .expectation import InteractionContext
-
-        ctx = InteractionContext.from_potential(potential, mode_set)
+        ctx = InteractionContext.from_potential(_potential_from(cfg), mode_set)
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
@@ -295,16 +298,20 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     }
 
 
-def run_trial_state(cfg: dict, out: Path, *, refine: bool) -> dict:
+def run_trial_state(cfg: dict, out: Path) -> dict:
     case = _resolve_toy(cfg)
-    battery = _trial_battery(case, budget=int(cfg["budgets"]["closure"]))
+    try:
+        battery = _trial_battery(case, budget=int(cfg["budgets"]["closure"]))
+    except RegionUndefined as exc:
+        # only a mode file can leave lambda unset on a mode the closure fills
+        raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
     trial = battery.pop("trial")
     (out / "closure.txt").write_text(export_closure(trial))
     _write_json(out / "trial_state.json", battery)
     return battery
 
 
-def run_energy_curve(cfg: dict, out: Path, *, refine: bool) -> dict:
+def run_energy_curve(cfg: dict, out: Path) -> dict:
     solution = _solve(cfg)
     g0 = solution.g0
     eta = float(cfg["schedule"]["eta"])
@@ -468,7 +475,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
     }
 
 
-def run_boundary(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
+def run_boundary(cfg: dict, out: Path, *, seed: int) -> dict:
     report = _boundary_battery(cfg, seed)
     _write_json(out / "boundary.json", report)
     return report
@@ -613,7 +620,6 @@ _PIPELINES = {
     "lattice": run_lattice,
     "trial-state": run_trial_state,
     "energy-curve": run_energy_curve,
-    "integrals": run_integrals,
 }
 
 
@@ -643,8 +649,10 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        if args.pipeline == "boundary":
-            run_boundary(cfg, out, refine=args.refine, seed=seed)
+        if args.pipeline == "integrals":
+            run_integrals(cfg, out, refine=args.refine)
+        elif args.pipeline == "boundary":
+            run_boundary(cfg, out, seed=seed)
         elif args.pipeline == "check-all":
             report = run_check_all(cfg, out, refine=args.refine, seed=seed)
             if report["n_violations"]:
@@ -655,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 return 1
         else:
-            _PIPELINES[args.pipeline](cfg, out, refine=args.refine)
+            _PIPELINES[args.pipeline](cfg, out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

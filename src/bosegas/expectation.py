@@ -16,11 +16,16 @@ independent ways:
     occupancy is forced, so the double sum over states collapses.
 
   * brute-force path — the raw sum (1/|L|) sum_{p,q,u} V_u a+_p a+_q
-    a_{p-u} a_{q+u}, enumerated directly and evaluated vectorized over all
-    member states with delta-shift amplitude bookkeeping and an integer
-    radix encoding for target lookup.
+    a_{p-u} a_{q+u}, enumerated directly over ordered (p, q, p-u) triples.
 
-Their agreement (decomposition residual) is the module's own oracle.
+The two paths share one quartic-operator applicator,
+`ClosureSet.apply_quartic`, which maps every member state at once through
+occupancy shifts and a radix-key lookup of the target.  What they keep apart
+are their term lists: the component table of `_component_terms` against the
+raw (p, q, u) triples.  Their agreement (decomposition residual) is the
+module's own oracle; `matrix_element` stays the scalar reference the tests
+hold the applicator to.  Component sums run left to right in (term, state)
+order, so their floating-point results do not depend on the vectorization.
 
 Q_Psi statistics follow the three query forms (plain product moments,
 occupancy probabilities, conditional moments), and P(u,v) gives the
@@ -35,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, ZeroConditionProbability
+from .errors import ZeroConditionProbability
 from .fock import OccupationState, WeightedTrialState, strict_pair_create
 from .lattice import ModeSet, Region
 from .scattering import Potential, fourier_at
@@ -121,23 +126,22 @@ def matrix_element(
     return math.sqrt(amp2)
 
 
-def _weights_and_probs(state: WeightedTrialState):
-    w = state.weights
-    return w, np.abs(w) ** 2
+def _left_sum(values: np.ndarray, start=0.0):
+    """Sum along axis 0 strictly left to right, beginning at `start`.
+
+    Bitwise equal to a Python `total += x` loop, unlike the pairwise np.sum.
+    """
+    head = np.full((1,) + values.shape[1:], start)
+    return np.add.accumulate(np.concatenate((head, values)))[-1]
 
 
 def q_psi(state: WeightedTrialState, momenta: Sequence[int]) -> float:
     """Expectation of the product of occupation numbers at the given modes."""
-    _, probs = _weights_and_probs(state)
-    total = 0.0
-    for i, alpha in enumerate(state.closure):
-        prod = 1.0
-        for u in momenta:
-            prod *= alpha.counts[u]
-            if prod == 0.0:
-                break
-        total += prod * probs[i]
-    return total
+    counts = state.closure.counts_matrix()
+    prod = np.ones(len(counts))
+    for u in momenta:
+        prod *= counts[:, u]
+    return float(_left_sum(prod * state.probabilities()))
 
 
 def _condition_mask(state: WeightedTrialState, pairs) -> np.ndarray:
@@ -150,15 +154,14 @@ def _condition_mask(state: WeightedTrialState, pairs) -> np.ndarray:
 
 def q_psi_occupation(state: WeightedTrialState, pairs: Sequence[tuple]) -> float:
     """Probability that mode u_i holds exactly m_i particles for every pair."""
-    _, probs = _weights_and_probs(state)
-    return float(np.sum(probs[_condition_mask(state, pairs)]))
+    return float(np.sum(state.probabilities()[_condition_mask(state, pairs)]))
 
 
 def q_psi_conditional(
     state: WeightedTrialState, momenta: Sequence[int], pairs: Sequence[tuple]
 ) -> float:
     """Conditional product moment given exact occupancies elsewhere."""
-    _, probs = _weights_and_probs(state)
+    probs = state.probabilities()
     mask = _condition_mask(state, pairs)
     denom = float(np.sum(probs[mask]))
     if denom == 0.0:
@@ -201,12 +204,14 @@ class EnergyReport:
 
 
 def _kinetic(state: WeightedTrialState) -> float:
-    ms = state.mode_set
+    """sum_u |u|^2 Q_Psi(u), each mean occupancy summed state by state."""
+    counts = state.closure.counts_matrix()
+    means = _left_sum(counts * state.probabilities()[:, None])
     total = 0.0
-    for m in ms:
+    for m in state.mode_set:
         mag2 = float(m.p @ m.p)
         if mag2 > 0.0:
-            total += mag2 * q_psi(state, [m.index])
+            total += mag2 * float(means[m.index])
     return total
 
 
@@ -236,30 +241,14 @@ def _sum_quadruples(state: WeightedTrialState, terms) -> complex:
 
     terms is an iterable of (quad, coefficient); the target occupancy per
     source state is unique, so membership lookup replaces the inner sum.
+    Each term's contributions join the running total left to right, so one
+    term's array is the most that is held at once.
     """
-    closure = state.closure
-    ms = state.mode_set
     w = state.weights
     total = 0.0 + 0.0j
     for quad, coeff in terms:
-        u1, u2, u3, u4 = quad
-        for a_i, alpha in enumerate(closure):
-            c = alpha.counts
-            if c[u4] == 0:
-                continue
-            nc = list(c)
-            nc[u4] -= 1
-            if nc[u3] == 0:
-                continue
-            nc[u3] -= 1
-            nc[u2] += 1
-            nc[u1] += 1
-            beta = OccupationState(tuple(nc))
-            b_i = closure.index_of(beta)
-            if b_i is None:
-                continue
-            me = matrix_element(ms, beta, quad, alpha)
-            total += coeff * np.conj(w[b_i]) * w[a_i] * me
+        src, dst, amp = state.closure.apply_quartic(*quad)
+        total = _left_sum(coeff * np.conj(w[dst]) * w[src] * amp, total)
     return total
 
 
@@ -330,34 +319,17 @@ def expect_component(
     return float(val.real)
 
 
-def _radix_encode(counts: np.ndarray):
-    """Per-column mixed-radix packing of occupancy rows into int64 keys."""
-    caps = counts.max(axis=0).astype(np.int64) + 1
-    weights = np.ones(len(caps), dtype=np.int64)
-    acc = 1
-    for j, cap in enumerate(caps):
-        weights[j] = acc
-        nxt = acc * int(cap)
-        if nxt > 2**62:
-            raise BudgetExceeded("occupancy radix exceeds 62-bit capacity")
-        acc = nxt
-    return counts @ weights, weights
-
-
 def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> float:
     """<H> from the raw (p, q, u) interaction sum plus the kinetic term.
 
     Deliberately organized unlike the component path: enumerate ordered
-    (p, q, p-u) mode triples, resolve q+u by conservation, and evaluate the
-    amplitude on every member state at once via occupancy shifts.
+    (p, q, p-u) mode triples, resolve q+u by conservation, and sum each
+    term's elements at once.
     """
     ms = state.mode_set
     closure = state.closure
     vol = ms.volume
     counts = closure.counts_matrix()
-    keys, radix = _radix_encode(counts)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
     w = state.weights
     probs_c = np.conj(w)
 
@@ -372,32 +344,10 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
                 if j4 is None:
                     continue
                 vu = ctx.v_mag(float(np.linalg.norm(pmat[j1] - pmat[j3])))
-                n4 = counts[:, j4]
-                t3 = counts[:, j3] - (1 if j3 == j4 else 0)
-                t2 = counts[:, j2] + 1 - (1 if j2 == j4 else 0) - (1 if j2 == j3 else 0)
-                t1 = (
-                    counts[:, j1]
-                    + 1
-                    + (1 if j1 == j2 else 0)
-                    - (1 if j1 == j4 else 0)
-                    - (1 if j1 == j3 else 0)
-                )
-                prod = n4 * t3 * t2 * t1
-                live = prod > 0
-                if not np.any(live):
+                src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
+                if len(src) == 0:
                     continue
-                amp = np.sqrt(prod[live].astype(float))
-                shift = radix[j1] + radix[j2] - radix[j3] - radix[j4]
-                tgt = keys[live] + shift
-                pos = np.searchsorted(sorted_keys, tgt)
-                pos_ok = pos < len(sorted_keys)
-                pos = np.clip(pos, 0, len(sorted_keys) - 1)
-                found = pos_ok & (sorted_keys[pos] == tgt)
-                if not np.any(found):
-                    continue
-                src = np.nonzero(live)[0][found]
-                dst = order[pos[found]]
-                total += (vu / vol) * np.sum(probs_c[dst] * w[src] * amp[found])
+                total += (vu / vol) * np.sum(probs_c[dst] * w[src] * amp)
 
     kin = 0.0
     probs = np.abs(w) ** 2

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, RegionUndefined
-from .lattice import Mode, ModeSet, Region
+from .lattice import ModeSet, Region
 
 __all__ = [
     "OccupationState",
@@ -169,7 +170,58 @@ class ClosureSet:
         return 0
 
     def counts_matrix(self) -> np.ndarray:
-        return np.array([s.counts for s in self.states], dtype=np.int64)
+        """Occupation counts, one row per member state; built once, read-only."""
+        return self._counts
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        counts = np.array([s.counts for s in self.states], dtype=np.int64)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
+    def _radix(self):
+        """Mixed-radix int64 keys of the member rows, with their sort order.
+
+        Built on first use, so a closure that is never evaluated never pays
+        for it or meets the 62-bit limit.
+        """
+        counts = self._counts
+        caps = counts.max(axis=0) + 1
+        weights = np.ones(len(caps), dtype=np.int64)
+        acc = 1
+        for j, cap in enumerate(caps):
+            weights[j] = acc
+            acc *= int(cap)
+            if acc > 2**62:
+                raise BudgetExceeded("occupancy radix exceeds 62-bit capacity")
+        keys = counts @ weights
+        order = np.argsort(keys)
+        return caps, weights, keys, order, keys[order]
+
+    def apply_quartic(self, j1: int, j2: int, j3: int, j4: int):
+        """a+_{j1} a+_{j2} a_{j3} a_{j4} applied to every member state at once.
+
+        Returns (src, dst, amp): the operator maps member row src[i] onto
+        member row dst[i] with amplitude amp[i], the product of the sqrt(n)
+        factors taken operator by operator.  src is ascending; elements that
+        vanish or leave the closure are dropped.
+        """
+        caps, weights, keys, order, sorted_keys = self._radix
+        counts = self._counts
+        n4 = counts[:, j4]
+        t3 = counts[:, j3] - int(j3 == j4)
+        t2 = counts[:, j2] + (1 - int(j2 == j4) - int(j2 == j3))
+        t1 = counts[:, j1] + (1 + int(j1 == j2) - int(j1 == j4) - int(j1 == j3))
+        prod = n4 * t3 * t2 * t1
+        # the target holds t1 at j1 and at least t2 at j2; an occupancy at or
+        # above its column's cap is no member's, and its key could alias one
+        src = np.flatnonzero((prod > 0) & (t1 < caps[j1]) & (t2 < caps[j2]))
+        tgt = keys[src] + (weights[j1] + weights[j2] - weights[j3] - weights[j4])
+        pos = np.minimum(np.searchsorted(sorted_keys, tgt), len(sorted_keys) - 1)
+        found = sorted_keys[pos] == tgt
+        src = src[found]
+        return src, order[pos[found]], np.sqrt(prod[src].astype(float))
 
     def symmetric_at(self, state: OccupationState, u_idx: int) -> bool:
         j = self.mode_set.neg_index(u_idx)
@@ -346,10 +398,6 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
     norm = math.sqrt(float(np.sum(mags**2)))
     # C_N multiplies the closed form, so log C_N = -(shift + log norm)
     return WeightedTrialState(closure, unnorm / norm, -(shift + math.log(norm)))
-
-
-def _lam_of(ms: ModeSet, lams, idx: int) -> float:
-    return float(lams[idx])
 
 
 def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) -> dict:

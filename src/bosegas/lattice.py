@@ -31,9 +31,8 @@ relative gap shrinks like O(|Lambda|^-1/3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,22 +183,12 @@ def classify(schedule: Schedule, p) -> Region:
 class Dispersion:
     """Region-dependent quadratic-form coefficient lambda.
 
-    w_of supplies w_p for the outer regions; with use_g_variant the P_L
-    branch replaces the limiting coupling g0 by the running g_p = p^2 w_p
-    (requires g_of).
+    g0 is the limiting coupling of the P_L branch; w_of supplies w_p for the
+    outer regions.
     """
 
     g0: float
     w_of: Callable[[float], float]
-    g_of: Callable[[float], float] | None = None
-    use_g_variant: bool = False
-
-    def coupling_at(self, mag: float) -> float:
-        if self.use_g_variant:
-            if self.g_of is None:
-                raise ValueError("use_g_variant requires g_of")
-            return float(self.g_of(mag))
-        return self.g0
 
 
 def lambda_at(dispersion: Dispersion, schedule_rho: float, p, region: Region) -> float:
@@ -208,7 +197,7 @@ def lambda_at(dispersion: Dispersion, schedule_rho: float, p, region: Region) ->
     if region in (Region.P0, Region.GAP):
         raise RegionUndefined(f"lambda undefined on {region.value}")
     if region is Region.PL:
-        h = math.sqrt(1.0 + 4.0 * schedule_rho * dispersion.coupling_at(mag) / mag**2)
+        h = math.sqrt(1.0 + 4.0 * schedule_rho * dispersion.g0 / mag**2)
         return (1.0 - h) / ((1.0 + h) * schedule_rho)
     # P_I, P_H, and truncated tail all use the scattering profile
     return -float(dispersion.w_of(mag))
@@ -358,6 +347,8 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
             labels.append(Region(parts[3]))
             lams.append(float(parts[4]) if len(parts) == 5 else None)
     vol = volume if volume is not None else file_volume
+    if vol is not None and not vol > 0.0:
+        raise ValueError(f"volume must be > 0, got {vol}")
     return ModeSet.toy(momenta, labels, volume=vol, lams=lams)
 
 

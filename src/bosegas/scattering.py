@@ -31,7 +31,7 @@ using the independent small-p limit of g_p = p^2 w_p on the second one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -141,9 +141,6 @@ class Potential:
             w = 0.5 * self.range_cutoff * wt
             out.append((r, w * r * r * self.v_at(r)))
         return out
-
-    def fourier(self, p) -> np.ndarray:
-        return fourier_at(self, p)
 
     def cumulative_kernel(self, x) -> np.ndarray:
         """Q(x) = int_0^x q V_q dq, the pair kernel primitive."""

@@ -29,10 +29,10 @@ case keeps regression continuity with hand-checked numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .expectation import InteractionContext, energy_report
+from .expectation import InteractionContext
 from .fock import WeightedTrialState, generate_M, weight_f
 from .lattice import ModeSet
 
@@ -347,14 +347,3 @@ def toy_by_name(name: str) -> ToyCase:
         if case.name == name:
             return case
     raise KeyError(f"no builtin toy named {name!r}")
-
-
-def run_suite(*, budget: int = 200_000) -> list[dict]:
-    """Energy reports for every builtin case (used by the check pipeline)."""
-    out = []
-    for case in builtin_toy_suite():
-        trial = build_trial(case, budget=budget)
-        rep = energy_report(trial, case.context())
-        row = {"name": case.name, "closure_size": len(trial), **rep.as_dict()}
-        out.append(row)
-    return out

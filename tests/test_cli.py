@@ -144,6 +144,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "unknown_block:\n  x: 1\n",        # unknown key
         "toy: no-such-toy\n",              # unknown builtin toy
         "tolerances:\n  identity: -1\n",   # nonpositive tolerance
+        "trial:\n  volume: 0\n",           # nonpositive volume
         ":\n  - [broken\n",                # YAML syntax error
     ],
 )
@@ -153,6 +154,27 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "0 0 0 P0\n0.75 0 0 XX -0.4\n-0.75 0 0 XX -0.4\n",   # unknown region label
+        "0 0 0 P0\n0.75 zero 0 PI -0.4\n-0.75 0 0 PI -0.4\n",  # non-numeric field
+        "0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n",                # no zero mode
+        "0 0 0 P0\n0.75 0 0 PI -0.4\n0.75 0 0 PI -0.4\n",      # duplicate momentum
+        "0 0 0 P0\n0.75 0 0 PI\n-0.75 0 0 PI\n",                # occupied mode, no lambda
+        "# volume = -20.0\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n",  # bad volume
+    ],
+    ids=["region", "non-numeric", "no-zero-mode", "duplicate", "no-lambda", "volume"],
+)
+def test_bad_mode_files_exit_2(tmp_path, lines, capsys):
+    modes = tmp_path / "modes.txt"
+    modes.write_text("# volume = 20.0\n" + lines)
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial:\n  n: 4\n")
+    code = main(["trial-state", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_unknown_pipeline_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Hamiltonian expectations on trial states: two routes, correlators, moments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,9 +85,21 @@ def test_matrix_element_pair_creation_amplitude():
 
 def test_sum_quadruples_matches_raw_double_sum(toy_trials):
     """The per-target organization of <H> equals the naive double sum
-    state-by-state, quadruple-by-quadruple."""
-    for name in ("soft-coincidence", "soft-two-channel", "line-harmonics"):
-        _, trial = toy_trials[name]
+    state-by-state, quadruple-by-quadruple, for every pattern of coinciding
+    legs and on a closure larger than the toys."""
+    trials = [toy_trials[name][1] for name in ("soft-coincidence", "soft-two-channel", "line-harmonics")]
+    trials.append(build_trial(replace(toy_by_name("line-harmonics"), n=12)))
+    # an empty mode listed before an occupied one: hopping a particle into
+    # it must not be mistaken for a hop into the next mode
+    lams = [None, -0.4, None, -0.4]
+    gap_inside = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (0.05, 0.0, 0.0), (-0.75, 0.0, 0.0)],
+        ["P0", "PI", "Gap", "PI"],
+        volume=20.0,
+        lams=lams,
+    )
+    trials.append(weight_f(generate_M(gap_inside, 4, 2), lams, 20.0))
+    for trial in trials:
         ms = trial.mode_set
         z = ms.zero_index
         nz = ms.nonzero_indices()
@@ -97,6 +110,9 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
             (z, z, nz[0], ms.neg_index(nz[0])),
         ]
         quads += [tuple(rng.choice(len(ms), 4)) for _ in range(6)]
+        for u, v in ((z, nz[0]), (nz[0], z), (nz[0], ms.neg_index(nz[0]))):
+            quads += [(u, u, u, u), (u, u, v, v), (u, v, u, v), (u, v, v, u), (u, u, u, v), (u, v, v, v)]
+        quads += [(u, z, z, v) for u in nz for v in nz]
         for quad in quads:
             organized = _sum_quadruples(trial, [(tuple(int(q) for q in quad), 1.0)])
             raw = 0.0
@@ -108,7 +124,7 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
                     el = matrix_element(ms, beta, quad, alpha)
                     if el != 0.0:
                         raw += np.conj(fb) * trial.weights[a_i] * el
-            assert abs(organized - raw) <= 1e-10 * max(1.0, abs(raw)), (name, quad)
+            assert abs(organized - raw) <= 1e-10 * max(1.0, abs(raw)), (len(trial), quad)
 
 
 # ------------------------------------------------------------ energy routes
