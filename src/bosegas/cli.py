@@ -95,6 +95,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
+def _num(value, where: str, cast=float):
+    """cast(value); a value that does not convert is a config error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}") from exc
+
+
 def load_config(path: str | None) -> dict:
     """Parse, merge with defaults, and validate every numeric domain."""
     raw: dict = {}
@@ -115,38 +123,46 @@ def load_config(path: str | None) -> dict:
     cfg = _merge(DEFAULT_CONFIG, raw)
 
     pot = cfg["potential"]
-    _require(float(pot["amplitude"]) > 0.0, "potential.amplitude must be > 0")
-    _require(float(pot["width"]) > 0.0, "potential.width must be > 0")
+    _require(_num(pot["amplitude"], "potential.amplitude") > 0.0, "potential.amplitude must be > 0")
+    _require(_num(pot["width"], "potential.width") > 0.0, "potential.width must be > 0")
     sched = cfg["schedule"]
-    _require(0.0 < float(sched["rho"]) < 1.0, "schedule.rho must lie in (0, 1)")
-    _require(0.0 < float(sched["eta"]) < 0.5, "schedule.eta must lie in (0, 1/2)")
+    _require(0.0 < _num(sched["rho"], "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
+    _require(0.0 < _num(sched["eta"], "schedule.eta") < 0.5, "schedule.eta must lie in (0, 1/2)")
     if sched["k_c"] is not None:
-        _require(float(sched["k_c"]) > 0.0, "schedule.k_c must be > 0")
+        _require(_num(sched["k_c"], "schedule.k_c") > 0.0, "schedule.k_c must be > 0")
     trial = cfg["trial"]
-    _require(int(trial["n"]) >= 0, "trial.n must be >= 0")
-    _require(int(trial["m_c"]) >= 1, "trial.m_c must be >= 1")
+    _require(_num(trial["n"], "trial.n", int) >= 0, "trial.n must be >= 0")
+    _require(_num(trial["m_c"], "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
     if trial["volume"] is not None:
-        _require(float(trial["volume"]) > 0.0, "trial.volume must be > 0")
+        _require(_num(trial["volume"], "trial.volume") > 0.0, "trial.volume must be > 0")
     rhos = cfg["sweep"]["rho_values"]
     _require(
         isinstance(rhos, (list, tuple)) and len(rhos) > 0,
         "sweep.rho_values must be a nonempty list",
     )
     for r in rhos:
-        _require(0.0 < float(r) < 1.0, "sweep.rho_values entries must lie in (0, 1)")
-    _require(float(cfg["integrals"]["g0"]) > 0.0, "integrals.g0 must be > 0")
+        _require(
+            0.0 < _num(r, "sweep.rho_values entry") < 1.0,
+            "sweep.rho_values entries must lie in (0, 1)",
+        )
+    _require(_num(cfg["integrals"]["g0"], "integrals.g0") > 0.0, "integrals.g0 must be > 0")
     bcfg = cfg["boundary"]
-    _require(float(bcfg["ell"]) > 0.0, "boundary.ell must be > 0")
-    _require(float(bcfg["period"]) > 0.0, "boundary.period must be > 0")
+    ell = _num(bcfg["ell"], "boundary.ell")
+    period = _num(bcfg["period"], "boundary.period")
+    _require(ell > 0.0, "boundary.ell must be > 0")
+    _require(period > 0.0, "boundary.period must be > 0")
+    _require(ell <= period / 2.0, "boundary.ell must not exceed period/2")
+    _require(_num(bcfg["degree"], "boundary.degree", int) >= 1, "boundary.degree must be >= 1")
     _require(
-        float(bcfg["ell"]) <= float(bcfg["period"]) / 2.0,
-        "boundary.ell must not exceed period/2",
+        _num(bcfg["resolution"], "boundary.resolution", int) >= 4,
+        "boundary.resolution must be >= 4",
     )
-    _require(int(bcfg["degree"]) >= 1, "boundary.degree must be >= 1")
-    _require(int(bcfg["resolution"]) >= 4, "boundary.resolution must be >= 4")
     for name, value in cfg["tolerances"].items():
-        _require(float(value) > 0.0, f"tolerances.{name} must be > 0")
-    _require(int(cfg["budgets"]["closure"]) > 0, "budgets.closure must be > 0")
+        _require(_num(value, f"tolerances.{name}") > 0.0, f"tolerances.{name} must be > 0")
+    _require(
+        _num(cfg["budgets"]["closure"], "budgets.closure", int) > 0,
+        "budgets.closure must be > 0",
+    )
     _require(isinstance(cfg["seed"], int), "seed must be an integer")
     return cfg
 

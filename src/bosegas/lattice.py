@@ -23,9 +23,13 @@ with |lambda_p| <= g0 / p^2 and |rho lambda_p| < 1 everywhere they are defined.
 
 Sums (1/|Lambda|) sum_{p in region} F(|p|) are evaluated exactly by counting
 integer lattice points shell by shell (r_3(m) = #{n in Z^3 : |n|^2 = m},
-computed by convolving one-dimensional square counts), and compared against
-the continuum integral (2 pi)^-3 int F d^3k over the same annulus; the
-relative gap shrinks like O(|Lambda|^-1/3).
+computed as one real FFT of r_1 cubed, where r_1 counts the one-dimensional
+squares), and compared against the continuum integral (2 pi)^-3 int F d^3k
+over the same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  The
+cyclic FFT length is n = 3 m_hi + 1 - m_lo for the shells m_lo .. m_hi: the
+linear product r_1 * r_1 * r_1 runs up to 3 m_hi, and the terms past n fold
+back below m_lo, outside the window (see `shell_counts`).  Shell counts stop
+at m = 3e7 (rho of about 5e-9 at the default eta) with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from .errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
 
@@ -423,22 +427,40 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
 _SHELL_BUDGET = 30_000_000
 
 
-def shell_counts(m_max: int) -> np.ndarray:
-    """r_3(m) = #{n in Z^3 : |n|^2 = m} for m = 0 .. m_max.
+def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
+    """r_3(m) = #{n in Z^3 : |n|^2 = m} for m = m_min .. m_max.
 
-    Built by convolving the one-dimensional counts r_1 twice (FFT); the
-    float convolution is rounded back to exact integers, which is safe
-    because every count is far below 2^53.
+    One real FFT of r_1 cubed, r_1(k) = #{n in Z : n^2 = k}.  The linear
+    product r_1 * r_1 * r_1 runs up to 3 m_max, and a cyclic transform of
+    length n folds index k >= n onto k - n; that stays below m_min exactly
+    when n > 3 m_max - m_min, so the length is next_fast_len(3 m_max + 1 -
+    m_min) and the window m_min .. m_max is exact.  A length of 2 m_max, or
+    any shorter length, corrupts it.  The float window is rounded back to
+    integers, and BudgetExceeded is raised when any value lies 0.25 or more
+    from its integer, so FFT roundoff can never change a count unseen.
     """
     if m_max > _SHELL_BUDGET:
         raise BudgetExceeded(f"shell budget: m_max={m_max} > {_SHELL_BUDGET}")
-    r1 = np.zeros(m_max + 1)
-    ks = np.arange(1, int(math.isqrt(m_max)) + 1)
+    if not 0 <= m_min <= m_max:
+        raise ValueError(f"shell window needs 0 <= m_min <= m_max, got {m_min}..{m_max}")
+    n = next_fast_len(3 * m_max + 1 - m_min, real=True)
+    r1 = np.zeros(n)
+    ks = np.arange(1, math.isqrt(m_max) + 1)
     r1[0] = 1.0
     r1[ks * ks] = 2.0
-    r2 = fftconvolve(r1, r1)[: m_max + 1]
-    r3 = fftconvolve(r2, r1)[: m_max + 1]
-    return np.rint(r3).astype(np.int64)
+    # each buffer is dropped once used: the transforms set the peak memory
+    spec = rfft(r1)
+    del r1
+    np.power(spec, 3, out=spec)
+    raw = irfft(spec, n, overwrite_x=True)[m_min : m_max + 1]
+    del spec
+    counts = np.rint(raw)
+    margin = float(np.max(np.abs(raw - counts)))
+    if margin >= 0.25:
+        raise BudgetExceeded(
+            f"shell counts: FFT roundoff {margin:.3g} >= 0.25 at m_max={m_max}; counts not exact"
+        )
+    return counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -476,7 +498,7 @@ def radial_shell_sum(
     m_lo = max(m_lo, 1)
     if m_hi < m_lo:
         raise ValueError("annulus contains no lattice shells")
-    counts = shell_counts(m_hi)[m_lo:]
+    counts = shell_counts(m_hi, m_lo)
     ms = np.arange(m_lo, m_hi + 1)
     occupied = counts > 0
     mags = np.sqrt(ms[occupied].astype(float)) * step

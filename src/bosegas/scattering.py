@@ -309,15 +309,22 @@ def _solve_on_grid(potential, n_grid, p_min, p_max, tol, max_iter):
     delta = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w2lim = p[0] ** 2 * w[0]
-        conv = pref * (kern @ (quad_w * w)) + w2lim * tail
-        w_new = (vp - conv) / p**2
-        delta = float(np.max(p**2 * np.abs(w_new - w)))  # energy-scale stopping
-        w = w_new
-        if delta < tol:
-            converged = True
-            break
+    # a diverging iteration overflows; it stops at its first non-finite update
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            w2lim = p[0] ** 2 * w[0]
+            conv = pref * (kern @ (quad_w * w)) + w2lim * tail
+            w_new = (vp - conv) / p**2
+            delta = float(np.max(p**2 * np.abs(w_new - w)))  # energy-scale stopping
+            if not math.isfinite(delta):
+                raise NotConverged(
+                    f"Born iteration diverged: update not finite after {iterations} sweeps",
+                    last_delta=delta,
+                )
+            w = w_new
+            if delta < tol:
+                converged = True
+                break
     w2lim = p[0] ** 2 * w[0]
     conv = pref * (kern @ (quad_w * w)) + w2lim * tail
     g = vp - conv
@@ -368,9 +375,11 @@ def solve_scattering(
     """Born-iterate the momentum-space scattering equation from w = 0.
 
     Raises NotConverged when `strict` and the sup-norm update of g = p^2 w is
-    still above `tol` after max_iter sweeps.  With grid_check=True the solve
-    repeats on a doubled grid and raises GridTooCoarse if the scattering
-    length moves by more than grid_check_tol (relative).
+    still above `tol` after max_iter sweeps, and, strict or not, at the first
+    sweep whose update is not finite (a diverging iteration).  With
+    grid_check=True the solve repeats on a doubled grid and raises
+    GridTooCoarse if the scattering length moves by more than grid_check_tol
+    (relative).
     """
     scale = potential.length_scale()
     p_min = p_min if p_min is not None else 1e-3 / scale

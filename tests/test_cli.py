@@ -146,6 +146,9 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "tolerances:\n  identity: -1\n",   # nonpositive tolerance
         "trial:\n  volume: 0\n",           # nonpositive volume
         ":\n  - [broken\n",                # YAML syntax error
+        "potential:\n  amplitude: abc\n",  # non-numeric float
+        "sweep:\n  rho_values: [x]\n",     # non-numeric list entry
+        "trial:\n  n: abc\n",              # non-numeric integer
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):

@@ -1,13 +1,18 @@
-"""Every exported name resolves, and so does every function the benchmark traces."""
+"""Every exported name resolves, every function the benchmark traces exists,
+and the CLI imports no more of scipy than it uses."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import bosegas
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "perfbench" / "spans.py"
 
 
 def test_every_module_all_resolves():
@@ -28,3 +33,14 @@ def test_traced_benchmark_functions_exist():
         mod = importlib.import_module(f"bosegas.{module}")
         for name in functions:
             assert callable(getattr(mod, name, None)), f"bosegas.{module}.{name}"
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs over half a second at every start and nothing uses it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, bosegas.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

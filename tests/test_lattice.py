@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bosegas import lattice
 from bosegas.errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
 from bosegas.lattice import (
     Dispersion,
-    Mode,
     ModeSet,
     Region,
     Schedule,
@@ -287,6 +287,62 @@ def test_shell_counts_reference_and_brute_force():
                 if x * x + y * y + z * z <= 60:
                     brute += 1
     assert int(np.sum(counts)) == brute
+
+
+@pytest.mark.parametrize("m_max", [60, 1000, 12_345])
+def test_shell_counts_window_matches_full_range(m_max):
+    full = shell_counts(m_max)
+    for m_min in (0, 1, 2, m_max // 3, (2 * m_max) // 3, m_max - 1, m_max):
+        window = shell_counts(m_max, m_min)
+        assert window.dtype == np.int64
+        assert np.array_equal(window, full[m_min:]), m_min
+
+
+def test_shell_counts_rejects_empty_window():
+    with pytest.raises(ValueError):
+        shell_counts(10, 11)
+    with pytest.raises(ValueError):
+        shell_counts(10, -1)
+
+
+def test_shell_counts_roundoff_guard(monkeypatch):
+    full = shell_counts(60)
+    irfft = lattice.irfft
+
+    def off_by_0_3(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[7] += 0.3
+        return out
+
+    monkeypatch.setattr(lattice, "irfft", off_by_0_3)
+    with pytest.raises(BudgetExceeded, match="0.3"):
+        shell_counts(60, 5)
+    # an error outside the kept window is not looked at
+    assert np.array_equal(shell_counts(60, 8), full[8:])
+
+
+def test_pl_number_density_counts_every_annulus_vector():
+    """n_modes at rho = 1e-6 against a direct integer count over (x, y) columns."""
+    s = Schedule(1e-6)
+    lo2 = (s.p_gap_top / s.spacing) ** 2
+    hi2 = (s.p_low_top / s.spacing) ** 2
+    m_lo, m_hi = math.ceil(lo2), math.floor(hi2)
+    # neither edge sits near an integer, so float rounding cannot move it
+    assert min(m_lo - lo2, lo2 - (m_lo - 1), hi2 - m_hi, m_hi + 1 - hi2) > 1e-3
+
+    def column(bound):
+        # #{z : z^2 <= bound}
+        return 2 * math.isqrt(bound) + 1 if bound >= 0 else 0
+
+    direct = 0
+    r = math.isqrt(m_hi)
+    for x in range(-r, r + 1):
+        for y in range(-r, r + 1):
+            s2 = x * x + y * y
+            if s2 <= m_hi:
+                direct += column(m_hi - s2) - column(m_lo - 1 - s2)
+    assert direct > 0
+    assert pl_number_density_comparison(s, 1.471269533883597)["n_modes"] == direct
 
 
 def test_radial_shell_sum_annulus_bounds():

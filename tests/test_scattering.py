@@ -1,6 +1,7 @@
 """Momentum-space zero-energy scattering solver against closed forms and an ODE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ def test_truncated_iteration_flagged_not_converged(gaussian_potential):
 def test_strict_raises_not_converged(gaussian_potential):
     with pytest.raises(NotConverged):
         solve_scattering(gaussian_potential, max_iter=1)
+
+
+def test_divergent_iteration_raises_without_warnings():
+    # amplitude * width^2 = 8 lies far past the Born radius: the updates overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged, match="not finite after") as info:
+            solve_scattering(Potential.gaussian(2.0, 2.0))
+    assert not math.isfinite(info.value.last_delta)
 
 
 def test_grid_check_raises_on_coarse_grid(gaussian_potential):
