@@ -6,7 +6,8 @@ has a default so all pipelines run without a config file.  Reports are JSON
 (machine summaries, sorted keys) and CSV (plot data, fixed %.12e floats);
 with a fixed seed the bytes are reproducible run to run.
 
-Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure.
+Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure
+or budget exceeded.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def load_config(path: str | None) -> dict:
     _require(_num(pot["width"], "potential.width") > 0.0, "potential.width must be > 0")
     sched = cfg["schedule"]
     _require(0.0 < _num(sched["rho"], "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
-    _require(0.0 < _num(sched["eta"], "schedule.eta") < 0.5, "schedule.eta must lie in (0, 1/2)")
+    _require(0.0 < _num(sched["eta"], "schedule.eta") < 0.25, "schedule.eta must lie in (0, 1/4)")
     if sched["k_c"] is not None:
         _require(_num(sched["k_c"], "schedule.k_c") > 0.0, "schedule.k_c must be > 0")
     trial = cfg["trial"]

@@ -20,16 +20,18 @@ independent ways:
 
 The two paths share one quartic-operator applicator,
 `ClosureSet.apply_quartic`, which maps every member state at once through
-occupancy shifts and a radix-key lookup of the target.  What they keep apart
-are their term lists: the component table of `_component_terms` against the
-raw (p, q, u) triples.  Their agreement (decomposition residual) is the
-module's own oracle; `matrix_element` stays the scalar reference the tests
-hold the applicator to.  Component sums run left to right in (term, state)
-order, so their floating-point results do not depend on the vectorization.
+occupancy shifts and the closure's one member lookup, `ClosureSet.shift`.
+What they keep apart are their term lists: the component table of
+`_component_terms` against the raw (p, q, u) triples.  Their agreement
+(decomposition residual) is the module's own oracle; `matrix_element` stays
+the scalar reference the tests hold the applicator to.  Component sums run
+left to right in (term, state) order, so their floating-point results do not
+depend on the vectorization.
 
 Q_Psi statistics follow the three query forms (plain product moments,
 occupancy probabilities, conditional moments), and P(u,v) gives the
-pair-to-pair correlator in closed form over creation preimages.
+pair-to-pair correlator in closed form over creation preimages, found
+through the same member lookup.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ZeroConditionProbability
-from .fock import OccupationState, WeightedTrialState, strict_pair_create
+from .fock import OccupationState, WeightedTrialState
 from .lattice import ModeSet, Region
 from .scattering import Potential, fourier_at
 
@@ -402,25 +404,18 @@ def p_uv(state: WeightedTrialState, u_idx: int, v_idx: int) -> complex:
         raise ValueError("need distinct nonzero momenta")
     nu = ms.neg_index(u_idx)
     nv = ms.neg_index(v_idx)
-    total = 0.0 + 0.0j
-    for g_i, gamma in enumerate(state.closure):
-        fu = fv = None
-        bu = strict_pair_create(ms, gamma, u_idx)
-        if bu is not None:
-            fu = state.weight_of(bu)
-        if fu is None or fu == 0.0:
-            continue
-        bv = strict_pair_create(ms, gamma, v_idx)
-        if bv is not None:
-            fv = state.weight_of(bv)
-        if fv is None or fv == 0.0:
-            continue
-        c = gamma.counts
-        root = math.sqrt(
-            (c[u_idx] + 1) * (c[nu] + 1) * (c[v_idx] + 1) * (c[nv] + 1)
-        )
-        total += fu * fv * root
-    return total
+    if nu is None or nv is None:
+        return 0.0 + 0.0j  # no strict pair exists at an unpaired momentum
+    closure = state.closure
+    to_u = closure.shift({z: -2, u_idx: 1, nu: 1})
+    to_v = closure.shift({z: -2, v_idx: 1, nv: 1})
+    rows = np.flatnonzero((to_u >= 0) & (to_v >= 0))
+    fu = state.weights[to_u[rows]]
+    fv = state.weights[to_v[rows]]
+    keep = (fu != 0.0) & (fv != 0.0)
+    c = closure.counts_matrix()[rows[keep]] + 1
+    root = np.sqrt((c[:, u_idx] * c[:, nu] * c[:, v_idx] * c[:, nv]).astype(float))
+    return _left_sum(fu[keep] * fv[keep] * root, 0.0 + 0.0j)
 
 
 def pair_correlator_check(state: WeightedTrialState, u_idx: int, v_idx: int) -> dict:

@@ -30,6 +30,7 @@ exhaustive scan.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -66,9 +67,6 @@ class OccupationState:
     @property
     def n(self) -> int:
         return sum(self.counts)
-
-    def occupancy(self, idx: int) -> int:
-        return self.counts[idx]
 
     def sparse_key(self) -> tuple:
         """Canonical (index, count) pairs with zero entries dropped."""
@@ -141,7 +139,9 @@ class ClosureSet:
     ops[i] is None for the root, ("strict", k_idx) or ("soft", u_idx,
     plus_idx, minus_idx) otherwise; parents[i] indexes the state the op was
     applied to.  Insertion order is deterministic (breadth first, candidate
-    ops in index order).
+    ops in index order).  `shift` is the one member lookup: every query of
+    the form "which member is this state with these occupancies moved?" goes
+    through it.
     """
 
     def __init__(self, mode_set: ModeSet, n: int, m_c: int, states, parents, ops):
@@ -151,19 +151,12 @@ class ClosureSet:
         self.states: list[OccupationState] = states
         self.parents: list[int | None] = parents
         self.ops: list[tuple | None] = ops
-        self._index = {s.counts: i for i, s in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __iter__(self) -> Iterable[OccupationState]:
         return iter(self.states)
-
-    def index_of(self, state: OccupationState) -> int | None:
-        return self._index.get(state.counts)
-
-    def __contains__(self, state: OccupationState) -> bool:
-        return state.counts in self._index
 
     @property
     def free_index(self) -> int:
@@ -197,7 +190,27 @@ class ClosureSet:
                 raise BudgetExceeded("occupancy radix exceeds 62-bit capacity")
         keys = counts @ weights
         order = np.argsort(keys)
-        return caps, weights, keys, order, keys[order]
+        return caps.tolist(), weights.tolist(), keys, order, keys[order]
+
+    def shift(self, delta: dict) -> np.ndarray:
+        """Member index of every row with delta[j] added at column j, else -1.
+
+        A column driven below 0 or to its cap leaves the closure: no member
+        holds that count, and the shifted radix key could alias a member's.
+        """
+        caps, weights, keys, order, sorted_keys = self._radix
+        counts = self._counts
+        inside = np.ones(len(counts), dtype=bool)
+        step = 0
+        for j, d in delta.items():
+            if d > 0:
+                inside &= counts[:, j] < caps[j] - d
+            elif d < 0:
+                inside &= counts[:, j] >= -d
+            step += d * weights[j]
+        tgt = keys + step
+        pos = np.minimum(np.searchsorted(sorted_keys, tgt), len(sorted_keys) - 1)
+        return np.where(inside & (sorted_keys[pos] == tgt), order[pos], -1)
 
     def apply_quartic(self, j1: int, j2: int, j3: int, j4: int):
         """a+_{j1} a+_{j2} a_{j3} a_{j4} applied to every member state at once.
@@ -207,30 +220,18 @@ class ClosureSet:
         factors taken operator by operator.  src is ascending; elements that
         vanish or leave the closure are dropped.
         """
-        caps, weights, keys, order, sorted_keys = self._radix
         counts = self._counts
         n4 = counts[:, j4]
         t3 = counts[:, j3] - int(j3 == j4)
         t2 = counts[:, j2] + (1 - int(j2 == j4) - int(j2 == j3))
         t1 = counts[:, j1] + (1 + int(j1 == j2) - int(j1 == j4) - int(j1 == j3))
         prod = n4 * t3 * t2 * t1
-        # the target holds t1 at j1 and at least t2 at j2; an occupancy at or
-        # above its column's cap is no member's, and its key could alias one
-        src = np.flatnonzero((prod > 0) & (t1 < caps[j1]) & (t2 < caps[j2]))
-        tgt = keys[src] + (weights[j1] + weights[j2] - weights[j3] - weights[j4])
-        pos = np.minimum(np.searchsorted(sorted_keys, tgt), len(sorted_keys) - 1)
-        found = sorted_keys[pos] == tgt
-        src = src[found]
-        return src, order[pos[found]], np.sqrt(prod[src].astype(float))
-
-    def symmetric_at(self, state: OccupationState, u_idx: int) -> bool:
-        j = self.mode_set.neg_index(u_idx)
-        return j is not None and state.counts[u_idx] == state.counts[j]
-
-    def occupancy_star(self, state: OccupationState, u_idx: int) -> int:
-        j = self.mode_set.neg_index(u_idx)
-        other = state.counts[j] if j is not None else 0
-        return max(state.counts[u_idx], other)
+        delta = {}
+        for j, d in ((j1, 1), (j2, 1), (j3, -1), (j4, -1)):
+            delta[j] = delta.get(j, 0) + d
+        dst = self.shift(delta)
+        src = np.flatnonzero((prod > 0) & (dst >= 0))
+        return src, dst[src], np.sqrt(prod[src].astype(float))
 
 
 def _soft_product_pairs(mode_set: ModeSet, u_idx: int) -> list:
@@ -346,10 +347,6 @@ class WeightedTrialState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.weights) ** 2
 
-    def weight_of(self, state: OccupationState) -> complex:
-        i = self.closure.index_of(state)
-        return self.weights[i] if i is not None else complex(0.0)
-
 
 def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> WeightedTrialState:
     """Evaluate the closed-form weight on every member state and normalize.
@@ -364,33 +361,36 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
     lam_arr = np.array(
         [math.nan if (v is None) else float(v) for v in lams], dtype=float
     )
-    log_mag = np.empty(len(closure))
+    counts = closure.counts_matrix()
+    a0 = counts[:, z]
+    lgamma = np.array([math.lgamma(c + 1) for c in range(int(a0.max()) + 1)])
+    # terms join each state's log magnitude in one fixed order (condensate,
+    # occupied modes by index, low-mode star factors): it fixes the rounding
+    log_mag = 0.5 * (a0 * math.log(volume) - lgamma[a0])
     i_pow = np.zeros(len(closure), dtype=np.int64)
-    low = [m.index for m in ms if m.region is Region.PL]
-    for s_i, alpha in enumerate(closure):
-        c = alpha.counts
-        lm = 0.5 * (c[z] * math.log(volume) - math.lgamma(c[z] + 1))
-        ip = 0
-        for i, occ in enumerate(c):
-            if i == z or occ == 0:
-                continue
-            lam = lam_arr[i]
-            if not math.isfinite(lam):
-                raise RegionUndefined(
-                    f"state occupies mode {i} where lambda is undefined"
-                )
-            lm += occ * 0.5 * math.log(abs(lam))
-            if lam < 0.0:
-                ip += occ
-        for u in low:
-            star = closure.occupancy_star(alpha, u)
-            if star - c[u] == 1:
-                lam = lam_arr[u]
-                lm += 0.5 * math.log(4.0 * star * abs(lam) / volume)
-                if lam < 0.0:
-                    ip += 1
-        log_mag[s_i] = lm
-        i_pow[s_i] = ip
+    for i in range(len(ms)):
+        occ = counts[:, i]
+        if i == z or not occ.any():
+            continue
+        lam = lam_arr[i]
+        if not math.isfinite(lam):
+            raise RegionUndefined(f"state occupies mode {i} where lambda is undefined")
+        log_mag += occ * 0.5 * math.log(abs(lam))
+        if lam < 0.0:
+            i_pow += occ
+    for u in ms.indices_in(Region.PL):
+        j = ms.neg_index(u)
+        if j is None:
+            continue
+        star = np.maximum(counts[:, u], counts[:, j])
+        hit = np.flatnonzero(star - counts[:, u] == 1)
+        lam = lam_arr[u]
+        by_star = np.zeros(star.max() + 1)
+        for s in np.unique(star[hit]):
+            by_star[s] = 0.5 * math.log(4.0 * int(s) * abs(lam) / volume)
+        log_mag[hit] += by_star[star[hit]]
+        if lam < 0.0:
+            i_pow[hit] += 1
     shift = float(np.max(log_mag))
     mags = np.exp(log_mag - shift)
     phases = 1j ** (i_pow % 4)
@@ -413,6 +413,9 @@ def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) ->
     ms = state.mode_set
     vol = ms.volume
     z = ms.zero_index
+    w = state.weights
+    counts = closure.counts_matrix()
+    a0 = counts[:, z]
     names = (
         "strict_outer",
         "strict_low_symmetric",
@@ -422,71 +425,61 @@ def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) ->
     )
     err = dict.fromkeys(names, 0.0)
     cnt = dict.fromkeys(names, 0)
-    low = [m.index for m in ms if m.region is Region.PL]
-    soft_pairs = {u: _soft_product_pairs(ms, u) for u in low}
 
-    def record(name, expected, s_from, s_to):
-        f_from = state.weights[s_from]
-        f_to = state.weights[s_to]
-        resid = abs(f_to - expected * f_from)
-        scale = max(abs(f_to), abs(f_from), 1e-300)
-        err[name] = max(err[name], resid / scale)
-        cnt[name] += 1
+    def record(name, expected, src, dst):
+        if len(src) == 0:
+            return
+        resid = np.abs(w[dst] - expected * w[src])
+        scale = np.maximum(np.maximum(np.abs(w[dst]), np.abs(w[src])), 1e-300)
+        err[name] = max(err[name], float(np.max(resid / scale)))
+        cnt[name] += len(src)
 
-    for s_i, alpha in enumerate(closure):
-        c = alpha.counts
-        a0 = c[z]
-        for m in ms:
-            k = m.index
-            j = ms.neg_index(k)
-            if k == z or j is None or k > j:
-                continue
-            if m.region not in (Region.PI, Region.PH, Region.PL):
-                continue
-            beta = strict_pair_create(ms, alpha, k)
-            if beta is None:
-                continue
-            t_i = closure.index_of(beta)
-            if t_i is None:
-                continue
-            lam = float(lams[k])
-            base = math.sqrt(a0 * (a0 - 1)) / vol * lam
-            if m.region in (Region.PI, Region.PH):
-                record("strict_outer", base, s_i, t_i)
-            elif c[k] == c[j]:
-                record("strict_low_symmetric", base, s_i, t_i)
-            else:
-                star = closure.occupancy_star(alpha, k)
-                record(
-                    "strict_low_asymmetric",
-                    base * math.sqrt((star + 1) / star),
-                    s_i,
-                    t_i,
-                )
-        if a0 < 1:
+    def targets(delta):
+        dst = closure.shift(delta)
+        src = np.flatnonzero(dst >= 0)
+        return src, dst[src]
+
+    for m in ms:
+        k = m.index
+        j = ms.neg_index(k)
+        if k == z or j is None or k > j:
             continue
-        for u in low:
-            if c[u] < 1:
+        if m.region not in (Region.PI, Region.PH, Region.PL):
+            continue
+        src, dst = targets({z: -2, k: 1, j: 1})
+        if len(src) == 0:
+            continue
+        a = a0[src]
+        base = np.sqrt(a * (a - 1)) / vol * float(lams[k])
+        if m.region is not Region.PL:
+            record("strict_outer", base, src, dst)
+            continue
+        sym = counts[src, k] == counts[src, j]
+        record("strict_low_symmetric", base[sym], src[sym], dst[sym])
+        star = np.maximum(counts[src, k], counts[src, j])[~sym]
+        record(
+            "strict_low_asymmetric",
+            base[~sym] * np.sqrt((star + 1) / star),
+            src[~sym],
+            dst[~sym],
+        )
+
+    for u in ms.indices_in(Region.PL):
+        nu = ms.neg_index(u)
+        for i, j in _soft_product_pairs(ms, u):
+            delta = Counter({z: -1, u: -1})
+            delta.update((i, j))
+            src, dst = targets(delta)
+            if len(src) == 0:
                 continue
-            lam_u = float(lams[u])
-            for i, j in soft_pairs[u]:
-                nc = list(c)
-                nc[z] -= 1
-                nc[u] -= 1
-                nc[i] += 1
-                nc[j] += 1
-                t_i = closure.index_of(OccupationState(tuple(nc)))
-                if t_i is None:
-                    continue
-                root = _sqrt_signed(float(lams[i])) * _sqrt_signed(float(lams[j]))
-                if closure.symmetric_at(alpha, u):
-                    expected = 2.0 * math.sqrt(a0 * c[u]) / vol * root
-                    record("soft_symmetric", expected, s_i, t_i)
-                else:
-                    expected = (
-                        root / (2.0 * lam_u) * math.sqrt(a0 / vol) * math.sqrt(vol / c[u])
-                    )
-                    record("soft_asymmetric", expected, s_i, t_i)
+            a, cu = a0[src], counts[src, u]
+            root = _sqrt_signed(float(lams[i])) * _sqrt_signed(float(lams[j]))
+            sym = counts[src, nu] == cu if nu is not None else np.zeros(len(src), dtype=bool)
+            expected = 2.0 * np.sqrt(a[sym] * cu[sym]) / vol * root
+            record("soft_symmetric", expected, src[sym], dst[sym])
+            a, cu = a[~sym], cu[~sym]
+            expected = root / (2.0 * float(lams[u])) * np.sqrt(a / vol) * np.sqrt(vol / cu)
+            record("soft_asymmetric", expected, src[~sym], dst[~sym])
     return {"max_rel_error": err, "pairs": cnt}
 
 

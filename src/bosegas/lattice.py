@@ -221,8 +221,8 @@ class Mode:
         return float(np.linalg.norm(self.p))
 
 
-def _key(p) -> tuple:
-    return tuple(np.round(np.asarray(p, dtype=float), 9) + 0.0)
+def _key(p, unit: float) -> tuple:
+    return tuple((np.divide(p, unit).round(9) + 0.0).tolist())
 
 
 class ModeSet:
@@ -237,9 +237,11 @@ class ModeSet:
         self.volume = volume if volume is not None else (schedule.volume if schedule else None)
         self.schedule = schedule
         self.source = source
+        # keys count lattice spacings, so they stay distinct at any density
+        self._unit = schedule.spacing if schedule is not None else 1.0
         self._by_key = {}
         for m in self.modes:
-            k = _key(m.p)
+            k = _key(m.p, self._unit)
             if k in self._by_key:
                 raise ValueError(f"duplicate mode momentum {m.p}")
             self._by_key[k] = m.index
@@ -278,13 +280,16 @@ class ModeSet:
         idx = 0
         rng = range(-nmax, nmax + 1)
         kc = schedule.k_c
+        # compare squared lattice norms, so the whole shell on the budget
+        # sphere is kept or dropped together, whatever the rounding of |p|
+        n2_max = (p_budget / step) ** 2
         for nx in rng:
             for ny in rng:
                 for nz in rng:
+                    if nx * nx + ny * ny + nz * nz > n2_max:
+                        continue
                     p = np.array([nx, ny, nz], dtype=float) * step
                     mag = float(np.linalg.norm(p))
-                    if mag > p_budget:
-                        continue
                     region = classify(schedule, mag)
                     if kc is not None and region is Region.PH and mag > kc:
                         region = Region.TRUNCATED
@@ -301,7 +306,7 @@ class ModeSet:
         return iter(self.modes)
 
     def index_of(self, p) -> int | None:
-        return self._by_key.get(_key(p))
+        return self._by_key.get(_key(p, self._unit))
 
     def neg_index(self, i: int) -> int | None:
         return self._neg[i]

@@ -149,6 +149,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "potential:\n  amplitude: abc\n",  # non-numeric float
         "sweep:\n  rho_values: [x]\n",     # non-numeric list entry
         "trial:\n  n: abc\n",              # non-numeric integer
+        "schedule:\n  eta: 0.3\n",         # eta past the region ordering's 1/4
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):

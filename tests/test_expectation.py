@@ -23,7 +23,7 @@ from bosegas.expectation import (
     q_psi_occupation,
     statistics_report,
 )
-from bosegas.fock import free_state, generate_M, weight_f
+from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
 from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, toy_by_name
 
@@ -72,8 +72,6 @@ def test_matrix_element_pair_creation_amplitude():
     ms = case.mode_set
     z = ms.zero_index
     alpha = free_state(ms, 4)
-    from bosegas.fock import strict_pair_create
-
     beta = strict_pair_create(ms, alpha, 1)
     got = matrix_element(ms, beta, (1, 2, z, z), alpha)
     # sqrt(a0 (a0-1) (a(k)+1) (a(-k)+1)) with a0 = 4
@@ -263,6 +261,46 @@ def test_pair_correlator_exact_cases(toy_trials):
                 else:
                     assert math.isfinite(chk["abs_gap"])
     assert checked >= 20  # the suite must actually exercise the exact branch
+
+
+def _p_uv_reference(trial, u, v):
+    """P(u, v) state by state through strict_pair_create and a dict of
+    count tuples."""
+    ms = trial.mode_set
+    index = {alpha.counts: i for i, alpha in enumerate(trial.closure)}
+    nu, nv = ms.neg_index(u), ms.neg_index(v)
+    total = 0.0 + 0.0j
+    for gamma in trial.closure:
+        bu = strict_pair_create(ms, gamma, u)
+        fu = None if bu is None or bu.counts not in index else trial.weights[index[bu.counts]]
+        if fu is None or fu == 0.0:
+            continue
+        bv = strict_pair_create(ms, gamma, v)
+        fv = None if bv is None or bv.counts not in index else trial.weights[index[bv.counts]]
+        if fv is None or fv == 0.0:
+            continue
+        c = gamma.counts
+        total += fu * fv * math.sqrt((c[u] + 1) * (c[nu] + 1) * (c[v] + 1) * (c[nv] + 1))
+    return total
+
+
+def test_p_uv_matches_state_by_state_reference(toy_trials):
+    # every paired (u, v), the high-high pairs with only a reported gap too
+    checked = 0
+    for name, (_, trial) in toy_trials.items():
+        ms = trial.mode_set
+        paired = [
+            i
+            for i in ms.nonzero_indices()
+            if ms.neg_index(i) is not None
+            and ms.modes[i].region in (Region.PL, Region.PI, Region.PH)
+        ]
+        for u in paired:
+            for v in paired:
+                if u != v:
+                    assert p_uv(trial, u, v) == _p_uv_reference(trial, u, v), (name, u, v)
+                    checked += 1
+    assert checked > 0
 
 
 def test_pair_correlator_degenerate_inputs(toy_trials):

@@ -1,13 +1,16 @@
 """Occupation states, pair creations, closure generation, and trial weights."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bosegas.errors import BudgetExceeded, RegionUndefined
 from bosegas.fock import (
+    ClosureSet,
     OccupationState,
+    WeightedTrialState,
     export_closure,
     free_state,
     generate_M,
@@ -16,7 +19,7 @@ from bosegas.fock import (
     weight_f,
     weight_recursion_report,
 )
-from bosegas.lattice import ModeSet
+from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, toy_by_name
 
 _RECURSION_NAMES = (
@@ -182,6 +185,88 @@ def test_closure_minimality_no_orphans(toy_trials):
         assert len(set(keys)) == len(keys)
 
 
+def _creation_deltas(ms):
+    """Every strict creation {0: -2, k: +1, -k: +1} and every soft creation
+    {0: -1, u: -1, i: +1, j: +1} with p_i + p_j = u, both i and j high."""
+    z = ms.zero_index
+    deltas = []
+    for k in ms.nonzero_indices():
+        j = ms.neg_index(k)
+        if j is not None and k < j:
+            deltas.append({z: -2, k: 1, j: 1})
+    high = ms.indices_in(Region.PH)
+    for u in ms.indices_in(Region.PL):
+        for i in high:
+            j = ms.index_of(ms.modes[u].p - ms.modes[i].p)
+            if j is None or j < i or j not in high:
+                continue
+            delta = {z: -1, u: -1, i: 1}
+            delta[j] = delta.get(j, 0) + 1
+            deltas.append(delta)
+    return deltas
+
+
+def _shift_reference(closure, delta):
+    """Member index of each state moved by delta, by count-tuple lookup."""
+    index = {alpha.counts: i for i, alpha in enumerate(closure)}
+    out = []
+    for alpha in closure:
+        moved = list(alpha.counts)
+        for j, d in delta.items():
+            moved[j] += d
+        out.append(index.get(tuple(moved), -1))
+    return np.array(out)
+
+
+def test_shift_matches_count_tuple_lookup(toy_trials):
+    closures = [trial.closure for _, trial in toy_trials.values()]
+    closures.append(build_trial(replace(toy_by_name("soft-coincidence"), n=30)).closure)
+    soft_seen = 0
+    for clo in closures:
+        for delta in _creation_deltas(clo.mode_set):
+            got = clo.shift(delta)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, _shift_reference(clo, delta)), (len(clo), delta)
+            soft_seen += delta[clo.mode_set.zero_index] == -1
+    assert soft_seen > 0
+
+
+def test_shift_out_of_range_never_aliases():
+    # modes 0, +q, an empty gap mode, -q; rows (4,0,0,0), (2,1,0,1), (0,2,0,2)
+    lams = [None, -0.4, None, -0.4]
+    ms = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (0.05, 0.0, 0.0), (-0.75, 0.0, 0.0)],
+        ["P0", "PI", "Gap", "PI"],
+        volume=20.0,
+        lams=lams,
+    )
+    clo = generate_M(ms, 4, 2)
+    assert len(clo) == 3
+    # the gap column's cap is 1, so one particle there shares the radix
+    # weight of -q: moving -q into the gap keys each row onto itself
+    assert np.array_equal(clo.shift({2: 1, 3: -1}), [-1, -1, -1])
+    # five condensate particles out, one into +q: the key of every row again
+    assert np.array_equal(clo.shift({0: -5, 1: 1}), [-1, -1, -1])
+    assert np.array_equal(clo.shift({0: -2, 1: 1, 3: 1}), [1, 2, -1])
+    assert np.array_equal(clo.shift({}), [0, 1, 2])
+
+
+def test_radix_past_62_bits_raises_budget_exceeded():
+    # 32 modes each holding 3 particles: the radix is 4^32 = 2^64
+    ms = ModeSet.toy(
+        [(float(i), 0.0, 0.0) for i in range(-15, 17)],
+        ["P0" if i == 0 else "PH" for i in range(-15, 17)],
+        volume=10.0,
+        lams=[None if i == 0 else -0.1 for i in range(-15, 17)],
+    )
+    clo = ClosureSet(ms, 96, 2, [OccupationState((3,) * 32)], [None], [None])
+    with pytest.raises(BudgetExceeded):
+        clo.shift({ms.zero_index: -2, 1: 1, ms.neg_index(1): 1})
+    trial = WeightedTrialState(clo, np.ones(1, dtype=complex), 0.0)
+    with pytest.raises(BudgetExceeded):
+        weight_recursion_report(trial, [m.lam for m in ms])
+
+
 def test_closure_budget_guard():
     case = toy_by_name("soft-coincidence")
     with pytest.raises(BudgetExceeded):
@@ -219,6 +304,131 @@ def test_weight_requires_lambda_on_occupied_modes():
     clo = generate_M(ms, 4, 2)
     with pytest.raises(RegionUndefined):
         weight_f(clo, [None, None, None], ms.volume)
+
+
+def _weight_f_reference(closure, lams, volume):
+    """The closed-form weights evaluated state by state, term by term."""
+    ms = closure.mode_set
+    z = ms.zero_index
+    lam_arr = np.array([math.nan if v is None else float(v) for v in lams])
+    low = ms.indices_in(Region.PL)
+    log_mag = np.empty(len(closure))
+    i_pow = np.zeros(len(closure), dtype=np.int64)
+    for s_i, alpha in enumerate(closure):
+        c = alpha.counts
+        lm = 0.5 * (c[z] * math.log(volume) - math.lgamma(c[z] + 1))
+        ip = 0
+        for i, occ in enumerate(c):
+            if i == z or occ == 0:
+                continue
+            lam = lam_arr[i]
+            lm += occ * 0.5 * math.log(abs(lam))
+            if lam < 0.0:
+                ip += occ
+        for u in low:
+            j = ms.neg_index(u)
+            star = max(c[u], c[j] if j is not None else 0)
+            if star - c[u] == 1:
+                lam = lam_arr[u]
+                lm += 0.5 * math.log(4.0 * star * abs(lam) / volume)
+                if lam < 0.0:
+                    ip += 1
+        log_mag[s_i] = lm
+        i_pow[s_i] = ip
+    shift = float(np.max(log_mag))
+    mags = np.exp(log_mag - shift)
+    norm = math.sqrt(float(np.sum(mags**2)))
+    return mags * 1j ** (i_pow % 4) / norm, -(shift + math.log(norm))
+
+
+def _recursion_reference(state, lams):
+    """The five recursion checks, state by state through strict_pair_create
+    and a dict of count tuples."""
+    closure = state.closure
+    ms = state.mode_set
+    vol = ms.volume
+    z = ms.zero_index
+    index = {alpha.counts: i for i, alpha in enumerate(closure)}
+    err = dict.fromkeys(_RECURSION_NAMES, 0.0)
+    cnt = dict.fromkeys(_RECURSION_NAMES, 0)
+    low = ms.indices_in(Region.PL)
+    high = ms.indices_in(Region.PH)
+
+    def record(name, expected, s_from, s_to):
+        f_from = state.weights[s_from]
+        f_to = state.weights[s_to]
+        resid = abs(f_to - expected * f_from)
+        scale = max(abs(f_to), abs(f_from), 1e-300)
+        err[name] = max(err[name], resid / scale)
+        cnt[name] += 1
+
+    for s_i, alpha in enumerate(closure):
+        c = alpha.counts
+        a0 = c[z]
+        for m in ms:
+            k = m.index
+            j = ms.neg_index(k)
+            if k == z or j is None or k > j:
+                continue
+            if m.region not in (Region.PI, Region.PH, Region.PL):
+                continue
+            beta = strict_pair_create(ms, alpha, k)
+            t_i = None if beta is None else index.get(beta.counts)
+            if t_i is None:
+                continue
+            base = math.sqrt(a0 * (a0 - 1)) / vol * float(lams[k])
+            if m.region in (Region.PI, Region.PH):
+                record("strict_outer", base, s_i, t_i)
+            elif c[k] == c[j]:
+                record("strict_low_symmetric", base, s_i, t_i)
+            else:
+                star = max(c[k], c[j])
+                record("strict_low_asymmetric", base * math.sqrt((star + 1) / star), s_i, t_i)
+        if a0 < 1:
+            continue
+        for u in low:
+            if c[u] < 1:
+                continue
+            for i in high:
+                j = ms.index_of(ms.modes[u].p - ms.modes[i].p)
+                if j is None or j < i or j not in high:
+                    continue
+                nc = list(c)
+                nc[z] -= 1
+                nc[u] -= 1
+                nc[i] += 1
+                nc[j] += 1
+                t_i = index.get(tuple(nc))
+                if t_i is None:
+                    continue
+                root = _sqrt_signed(float(lams[i])) * _sqrt_signed(float(lams[j]))
+                nu = ms.neg_index(u)
+                if nu is not None and c[u] == c[nu]:
+                    expected = 2.0 * math.sqrt(a0 * c[u]) / vol * root
+                    record("soft_symmetric", expected, s_i, t_i)
+                else:
+                    lam_u = float(lams[u])
+                    expected = root / (2.0 * lam_u) * math.sqrt(a0 / vol) * math.sqrt(vol / c[u])
+                    record("soft_asymmetric", expected, s_i, t_i)
+    return {"max_rel_error": err, "pairs": cnt}
+
+
+def _sqrt_signed(x):
+    return complex(math.sqrt(x)) if x >= 0.0 else complex(0.0, math.sqrt(-x))
+
+
+def test_weights_match_state_by_state_reference(toy_trials):
+    for name, (case, trial) in toy_trials.items():
+        lams = [m.lam for m in case.mode_set]
+        weights, log_c_n = _weight_f_reference(trial.closure, lams, case.mode_set.volume)
+        assert trial.weights.tobytes() == weights.tobytes(), name
+        assert trial.log_c_n == log_c_n, name
+
+
+def test_recursion_report_matches_state_by_state_reference(toy_trials):
+    for name, (_, trial) in toy_trials.items():
+        lams = [m.lam for m in trial.mode_set]
+        assert weight_recursion_report(trial, lams) == _recursion_reference(trial, lams), name
 
 
 def test_recursion_identities_all_toys(toy_trials):

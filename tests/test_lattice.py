@@ -201,6 +201,21 @@ def test_from_schedule_materializes_and_truncates():
     assert all(ms.neg_index(m.index) is not None for m in ms)
 
 
+@pytest.mark.parametrize("rho", [1e-10, 1e-12])
+def test_from_schedule_keys_resolve_at_low_density(rho):
+    # the spacing is ~1e-10 and below, so keys must not round momenta to
+    # absolute decimals, which would merge every mode into the zero mode
+    s = Schedule(rho)
+    ms = ModeSet.from_schedule(s, p_budget=3 * s.spacing)
+    assert len(ms) == 123  # lattice vectors with |n|^2 <= 9
+    assert ms.index_of((0.0, 0.0, 0.0)) == ms.zero_index
+    for m in ms:
+        assert ms.index_of(m.p) == m.index
+        j = ms.neg_index(m.index)
+        assert j is not None and np.array_equal(ms.modes[j].p, -m.p)
+    assert ms.index_of((0.5 * s.spacing, 0.0, 0.0)) is None
+
+
 def test_from_schedule_budget_guard():
     with pytest.raises(BudgetExceeded):
         ModeSet.from_schedule(Schedule(1e-4), p_budget=1.0)
