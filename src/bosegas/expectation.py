@@ -423,13 +423,17 @@ def pair_correlator_check(state: WeightedTrialState, u_idx: int, v_idx: int) -> 
 
     The two agree exactly when either momentum sits at or below the
     intermediate region; for two high momenta only the measured gap is
-    reported.
+    reported.  At an unpaired momentum (no -u or no -v in the mode set) the
+    annihilator has no mode to act on, so both sides are 0.
     """
     ms = state.mode_set
+    closed = p_uv(state, u_idx, v_idx)
     nu = ms.neg_index(u_idx)
     nv = ms.neg_index(v_idx)
-    direct = _sum_quadruples(state, [((u_idx, nu, v_idx, nv), 1.0)])
-    closed = p_uv(state, u_idx, v_idx)
+    if nu is None or nv is None:
+        direct = 0.0 + 0.0j
+    else:
+        direct = _sum_quadruples(state, [((u_idx, nu, v_idx, nv), 1.0)])
     regions = (ms.modes[u_idx].region, ms.modes[v_idx].region)
     exact_case = any(r in (Region.PL, Region.PI) for r in regions)
     return {

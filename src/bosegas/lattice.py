@@ -22,14 +22,16 @@ region carries its own quadratic-form coefficient lambda:
 with |lambda_p| <= g0 / p^2 and |rho lambda_p| < 1 everywhere they are defined.
 
 Sums (1/|Lambda|) sum_{p in region} F(|p|) are evaluated exactly by counting
-integer lattice points shell by shell (r_3(m) = #{n in Z^3 : |n|^2 = m},
-computed as one real FFT of r_1 cubed, where r_1 counts the one-dimensional
-squares), and compared against the continuum integral (2 pi)^-3 int F d^3k
-over the same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  The
-cyclic FFT length is n = 3 m_hi + 1 - m_lo for the shells m_lo .. m_hi: the
-linear product r_1 * r_1 * r_1 runs up to 3 m_hi, and the terms past n fold
-back below m_lo, outside the window (see `shell_counts`).  Shell counts stop
-at m = 3e7 (rho of about 5e-9 at the default eta) with BudgetExceeded.
+integer lattice points shell by shell (r_3(m) = #{n in Z^3 : |n|^2 = m}),
+and compared against the continuum integral (2 pi)^-3 int F d^3k over the
+same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  Since a
+square is 0 or 1 mod 4, r_3 splits by the residue of m mod 4 into four
+convolutions of one-square by two-square tables, each indexed by k = m div 4
+and computed as one real FFT product (see `shell_counts`).  For the shells
+m_lo .. m_hi the cyclic length is n = 2 (m_hi div 4) + 1 - (m_lo div 4): each
+linear product ends at 2 (m_hi div 4), and the terms past n fold back below
+m_lo div 4, outside every class window.  Shell counts stop at m = 6e7 (rho of
+about 2.7e-9 at the default eta) with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ __all__ = [
     "Dispersion",
     "Mode",
     "ModeSet",
-    "LatticeSumResult",
     "ShellSumResult",
     "classify",
     "lambda_at",
-    "lattice_sum",
     "shell_counts",
     "radial_shell_sum",
     "pl_number_density_comparison",
@@ -361,56 +361,6 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
     return ModeSet.toy(momenta, labels, volume=vol, lams=lams)
 
 
-@dataclass(frozen=True)
-class LatticeSumResult:
-    """Exact sum over an explicit mode set, with optional continuum estimate."""
-
-    total: float
-    per_volume: float | None
-    continuum: float | None
-    rel_gap: float | None
-    n_modes: int
-
-
-def lattice_sum(
-    mode_set: ModeSet,
-    integrand: Callable[[Mode], float],
-    *,
-    regions: Sequence[Region] | None = None,
-    radial: Callable[[float], float] | None = None,
-    radial_bounds: tuple[float, float] | None = None,
-) -> LatticeSumResult:
-    """Exact sum of `integrand` over the listed modes (optionally filtered).
-
-    When a radial profile and bounds are supplied the continuum estimate
-    (2 pi)^-3 int_{lo<=|k|<=hi} radial(|k|) d^3 k is attached for comparison;
-    this is the |Lambda| -> inf limit of (1/|Lambda|) sum.
-    """
-    selected = [m for m in mode_set if regions is None or m.region in regions]
-    total = 0.0
-    for m in selected:
-        val = float(integrand(m))
-        if not math.isfinite(val):
-            raise DivergentIntegrand(
-                f"integrand not finite at mode {m.index} (|p|={m.magnitude:.3e}); exclude P0 and the gap"
-            )
-        total += val
-    per_volume = total / mode_set.volume if mode_set.volume else None
-    continuum = None
-    rel_gap = None
-    if radial is not None and radial_bounds is not None:
-        continuum = _radial_continuum(radial, *radial_bounds)
-        if per_volume is not None and continuum != 0.0:
-            rel_gap = abs(per_volume - continuum) / abs(continuum)
-    return LatticeSumResult(
-        total=total,
-        per_volume=per_volume,
-        continuum=continuum,
-        rel_gap=rel_gap,
-        n_modes=len(selected),
-    )
-
-
 def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float) -> float:
     """(2 pi)^-3 int_{k_lo<=|k|<=k_hi} radial(|k|) d^3k, on a log abscissa.
 
@@ -429,43 +379,82 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
     return val / (2.0 * math.pi**2)
 
 
-_SHELL_BUDGET = 30_000_000
+_SHELL_BUDGET = 60_000_000
+
+
+def _class_spectra(parity: int, k_max: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of one parity class of r_1 and r_2, indexed by k = m div 4.
+
+    The first table is A(k) = #{x in Z of the parity : x^2 div 4 = k}, both
+    signs of x counted; the second is its self-convolution for k <= k_max,
+    R(k) = #{(x, y) of the parity : x^2 div 4 + y^2 div 4 = k}.  R is built
+    one numpy row per x >= 0 over the quarter plane, each nonzero root
+    weighing 2 for its sign: the indices along a row are distinct, so one
+    fancy-index add per row is exact.  Both tables are zero-padded to
+    length n and returned as rfft spectra.
+    """
+    x = np.arange(parity, math.isqrt(4 * k_max + parity) + 1, 2)
+    k = x * x // 4
+    w = np.where(x == 0, 1.0, 2.0)
+    table = np.zeros(n)
+    table[k] = w
+    single = rfft(table)
+    table[:] = 0.0
+    for i in range(k.size):
+        j = np.searchsorted(k, k_max - k[i], side="right")
+        table[k[i] + k[:j]] += w[i] * w[:j]
+    return single, rfft(table)
 
 
 def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     """r_3(m) = #{n in Z^3 : |n|^2 = m} for m = m_min .. m_max.
 
-    One real FFT of r_1 cubed, r_1(k) = #{n in Z : n^2 = k}.  The linear
-    product r_1 * r_1 * r_1 runs up to 3 m_max, and a cyclic transform of
-    length n folds index k >= n onto k - n; that stays below m_min exactly
-    when n > 3 m_max - m_min, so the length is next_fast_len(3 m_max + 1 -
-    m_min) and the window m_min .. m_max is exact.  A length of 2 m_max, or
-    any shorter length, corrupts it.  The float window is rounded back to
-    integers, and BudgetExceeded is raised when any value lies 0.25 or more
-    from its integer, so FFT roundoff can never change a count unseen.
+    A square is 0 or 1 mod 4, so the residue of m mod 4 fixes how many
+    coordinates are odd.  With k = m div 4, A_0(k) = r_1(4k) and A_1(k) =
+    r_1(4k+1) the even and odd squares, R_0(k) = r_2(4k) and R_2(k) =
+    r_2(4k+2) the even-even and odd-odd pairs (r_1, r_2 count
+    representations by one and two squares):
+
+        r_3(4k)   = (A_0 * R_0)(k),      r_3(4k+1) = 3 (A_1 * R_0)(k),
+        r_3(4k+2) = 3 (A_0 * R_2)(k),    r_3(4k+3) = (A_1 * R_2)(k),
+
+    the 3 choosing which coordinate is the odd (or the even) one.  Each
+    convolution is one real FFT product.  The tables stop at k_max = m_max
+    div 4, so every linear product ends at 2 k_max, and a cyclic transform
+    of length n folds index k >= n onto k - n <= 2 k_max - n.  With k_min =
+    m_min div 4 every class window starts at k >= k_min, so n =
+    next_fast_len(2 k_max + 1 - k_min), which also exceeds k_max, folds
+    below all four and the window m_min .. m_max is exact.
+    The float window is rounded back to integers before the factor 3, and
+    BudgetExceeded is raised when any value lies 0.25 or more from its
+    integer, so FFT roundoff can never change a count unseen.
     """
     if m_max > _SHELL_BUDGET:
         raise BudgetExceeded(f"shell budget: m_max={m_max} > {_SHELL_BUDGET}")
     if not 0 <= m_min <= m_max:
         raise ValueError(f"shell window needs 0 <= m_min <= m_max, got {m_min}..{m_max}")
-    n = next_fast_len(3 * m_max + 1 - m_min, real=True)
-    r1 = np.zeros(n)
-    ks = np.arange(1, math.isqrt(m_max) + 1)
-    r1[0] = 1.0
-    r1[ks * ks] = 2.0
-    # each buffer is dropped once used: the transforms set the peak memory
-    spec = rfft(r1)
-    del r1
-    np.power(spec, 3, out=spec)
-    raw = irfft(spec, n, overwrite_x=True)[m_min : m_max + 1]
-    del spec
+    k_max = m_max // 4
+    n = next_fast_len(2 * k_max + 1 - m_min // 4, real=True)
+    fa0, fr0 = _class_spectra(0, k_max, n)
+    fa1, fr2 = _class_spectra(1, k_max, n)
+    raw = np.empty(m_max + 1 - m_min)
+    for c, fa, fr in ((0, fa0, fr0), (1, fa1, fr0), (2, fa0, fr2), (3, fa1, fr2)):
+        first = (c - m_min) % 4
+        window = raw[first::4]
+        k0 = (m_min + first) // 4
+        window[:] = irfft(fa * fr, n, overwrite_x=True)[k0 : k0 + window.size]
+    # the spectra set the peak memory; drop them before rounding
+    del fa0, fa1, fr0, fr2
     counts = np.rint(raw)
     margin = float(np.max(np.abs(raw - counts)))
     if margin >= 0.25:
         raise BudgetExceeded(
             f"shell counts: FFT roundoff {margin:.3g} >= 0.25 at m_max={m_max}; counts not exact"
         )
-    return counts.astype(np.int64)
+    counts = counts.astype(np.int64)
+    for c in (1, 2):
+        counts[(c - m_min) % 4 :: 4] *= 3
+    return counts
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,23 @@ def test_pair_correlator_exact_cases(toy_trials):
     assert checked >= 20  # the suite must actually exercise the exact branch
 
 
+def test_pair_correlator_unpaired_momentum_is_zero():
+    # 1.5 has no partner -1.5, so neither P(u, v) nor the direct sum has a
+    # pair to create or annihilate there
+    lams = [None, -0.4, -0.4, -0.2]
+    ms = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0), (1.5, 0.0, 0.0)],
+        ["P0", "PI", "PI", "PH"],
+        volume=20.0,
+        lams=lams,
+    )
+    trial = weight_f(generate_M(ms, 4, 2), lams, 20.0)
+    for u, v in ((1, 3), (3, 1)):
+        chk = pair_correlator_check(trial, u, v)
+        assert chk["p_uv"] == chk["direct"] == 0.0
+        assert chk["abs_gap"] == 0.0
+
+
 def _p_uv_reference(trial, u, v):
     """P(u, v) state by state through strict_pair_create and a dict of
     count tuples."""

@@ -1,6 +1,7 @@
 """Momentum lattice: schedule, region labels, dispersion, and shell sums."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from bosegas.lattice import (
     Schedule,
     classify,
     lambda_at,
-    lattice_sum,
     load_toy_modes,
     number_density_summand,
     pl_number_density_comparison,
@@ -262,6 +262,35 @@ def test_load_toy_modes_rejects_bad_lines(tmp_path):
 # ---------------------------------------------------------------- sums
 
 
+@dataclass(frozen=True)
+class LatticeSumResult:
+    """Exact sum over an explicit mode set, with optional continuum estimate."""
+
+    total: float
+    per_volume: float
+    continuum: float | None
+    n_modes: int
+
+
+def lattice_sum(mode_set: ModeSet, integrand, *, regions=None, radial=None, radial_bounds=None):
+    """Explicit-mode oracle: sum `integrand(mode)` over the listed modes.
+
+    With a radial profile and bounds the continuum companion
+    (2 pi)^-3 int radial(|k|) d^3k over that annulus is attached.
+    """
+    selected = [m for m in mode_set if regions is None or m.region in regions]
+    total = 0.0
+    for m in selected:
+        val = float(integrand(m))
+        if not math.isfinite(val):
+            raise DivergentIntegrand(f"integrand not finite at mode {m.index}")
+        total += val
+    continuum = None
+    if radial is not None:
+        continuum = lattice._radial_continuum(radial, *radial_bounds)
+    return LatticeSumResult(total, total / mode_set.volume, continuum, len(selected))
+
+
 def test_lattice_sum_toy_hand_value():
     ms = _toy_set(volume=8.0)
     res = lattice_sum(ms, lambda m: m.magnitude**2, regions=[Region.PL])
@@ -290,6 +319,27 @@ def test_continuum_ball_volume():
     assert math.isclose(res.continuum, 8.0 / (6.0 * math.pi**2), rel_tol=1e-9)
 
 
+def test_radial_shell_sum_matches_explicit_modes():
+    """FFT shell counts against every mode of the annulus listed one by one:
+    shells 10 < m < 400, 3 to 20 spacings out, where both routes sum
+    number_density_summand."""
+    s = Schedule(1e-6)
+    step = s.spacing
+    m_lo, m_hi = 10.5, 400.5  # off-shell edges, so no vector sits on them
+    ms = ModeSet.from_schedule(s, p_budget=math.sqrt(m_hi) * step)
+    f = number_density_summand(s.rho, 1.471269533883597)
+
+    def inside(m) -> bool:
+        return m_lo < float(np.sum((m.p / step) ** 2)) < m_hi
+
+    count = lattice_sum(ms, lambda m: float(inside(m))).total
+    explicit = lattice_sum(ms, lambda m: f(np.array([m.magnitude]))[0] if inside(m) else 0.0)
+    res = radial_shell_sum(s, f, math.sqrt(m_lo) * step, math.sqrt(m_hi) * step)
+    assert res.m_range == (11, 400)
+    assert res.n_modes == count > 30_000
+    assert math.isclose(res.lattice_per_volume, explicit.per_volume, rel_tol=1e-12)
+
+
 def test_shell_counts_reference_and_brute_force():
     counts = shell_counts(60)
     assert list(counts[:11]) == _R3
@@ -302,6 +352,31 @@ def test_shell_counts_reference_and_brute_force():
                 if x * x + y * y + z * z <= 60:
                     brute += 1
     assert int(np.sum(counts)) == brute
+
+
+@pytest.fixture(scope="module")
+def shells_to_4900():
+    """r_3(m) for m <= 4900 = 70^2, by bincount of |n|^2 over the cube |n_i| <= 70."""
+    n = np.arange(-70, 71)
+    norms = n[:, None, None] ** 2 + n[None, :, None] ** 2 + n[None, None, :] ** 2
+    return np.bincount(norms.ravel())[: 4900 + 1]
+
+
+@pytest.mark.parametrize("m_max", [4897, 4898, 4899, 4900])
+def test_shell_counts_every_residue_class_window(shells_to_4900, m_max):
+    # m_min in every residue mod 4 near both ends and in the middle, so each
+    # class window starts at every offset
+    for m_min in (*range(0, 4), *range(2449, 2453), *range(m_max - 3, m_max + 1)):
+        window = shell_counts(m_max, m_min)
+        assert np.array_equal(window, shells_to_4900[m_min : m_max + 1]), m_min
+
+
+def test_shell_counts_tiny_windows(shells_to_4900):
+    # windows where some residue classes hold no shell at all
+    for m_max in range(8):
+        for m_min in range(m_max + 1):
+            window = shell_counts(m_max, m_min)
+            assert np.array_equal(window, shells_to_4900[m_min : m_max + 1]), (m_min, m_max)
 
 
 @pytest.mark.parametrize("m_max", [60, 1000, 12_345])
@@ -325,8 +400,10 @@ def test_shell_counts_roundoff_guard(monkeypatch):
     irfft = lattice.irfft
 
     def off_by_0_3(*args, **kwargs):
+        # each residue class c runs its own transform, indexed by k = m div 4:
+        # raw index 1 is m = 4 + c, so m = 5, 6 and 7 take the error
         out = irfft(*args, **kwargs)
-        out[7] += 0.3
+        out[1] += 0.3
         return out
 
     monkeypatch.setattr(lattice, "irfft", off_by_0_3)
