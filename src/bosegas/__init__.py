@@ -1,7 +1,7 @@
 """Computable pieces of a second-order upper bound for the dilute Bose gas.
 
 Modules:
-    scattering     momentum-space Born solve of the zero-energy pair problem
+    scattering     momentum-space GMRES solve of the zero-energy pair problem
     lattice        momentum-lattice schedules, regions, dispersion, shell sums
     fock           occupation states, pair creations, closure sets, weights
     expectation    exact expectation values over weighted trial states

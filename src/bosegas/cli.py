@@ -360,7 +360,7 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
                 comp["n_modes"],
                 lead,
                 second,
-                lead + second,
+                semi.predicted_energy_density(rho, g0),
             ]
         )
     _write_csv(out / "energy_curve.csv", header, rows)

@@ -12,7 +12,7 @@ class InvalidPotential(BosegasError, ValueError):
 
 
 class NotConverged(BosegasError):
-    """An iterative solve stopped at max_iter without meeting its tolerance."""
+    """A solve failed or left a residual above its tolerance."""
 
     def __init__(self, message: str, last_delta: float | None = None):
         super().__init__(message)

@@ -382,28 +382,37 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
 _SHELL_BUDGET = 60_000_000
 
 
-def _class_spectra(parity: int, k_max: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of one parity class of r_1 and r_2, indexed by k = m div 4.
+def _square_class(parity: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys k = x^2 div 4 <= k_max of the x >= 0 of one parity, with weights.
 
-    The first table is A(k) = #{x in Z of the parity : x^2 div 4 = k}, both
-    signs of x counted; the second is its self-convolution for k <= k_max,
-    R(k) = #{(x, y) of the parity : x^2 div 4 + y^2 div 4 = k}.  R is built
-    one numpy row per x >= 0 over the quarter plane, each nonzero root
-    weighing 2 for its sign: the indices along a row are distinct, so one
-    fancy-index add per row is exact.  Both tables are zero-padded to
-    length n and returned as rfft spectra.
+    Each nonzero root weighs 2 for its sign, so the weighted keys tabulate
+    A(k) = #{x in Z of the parity : x^2 div 4 = k}.
     """
     x = np.arange(parity, math.isqrt(4 * k_max + parity) + 1, 2)
-    k = x * x // 4
-    w = np.where(x == 0, 1.0, 2.0)
+    return x * x // 4, np.where(x == 0, 1.0, 2.0)
+
+
+def _single_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
+    """rfft of the one-square table A of one parity, zero-padded to length n."""
+    k, w = _square_class(parity, k_max)
     table = np.zeros(n)
     table[k] = w
-    single = rfft(table)
-    table[:] = 0.0
+    return rfft(table)
+
+
+def _pair_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
+    """rfft of the pair table R, the self-convolution of A for k <= k_max.
+
+    R(k) = #{(x, y) of the parity : x^2 div 4 + y^2 div 4 = k} is built one
+    numpy row per x >= 0 over the quarter plane: the indices along a row are
+    distinct, so one fancy-index add per row is exact.
+    """
+    k, w = _square_class(parity, k_max)
+    table = np.zeros(n)
     for i in range(k.size):
         j = np.searchsorted(k, k_max - k[i], side="right")
         table[k[i] + k[:j]] += w[i] * w[:j]
-    return single, rfft(table)
+    return rfft(table)
 
 
 def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
@@ -435,18 +444,31 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
         raise ValueError(f"shell window needs 0 <= m_min <= m_max, got {m_min}..{m_max}")
     k_max = m_max // 4
     n = next_fast_len(2 * k_max + 1 - m_min // 4, real=True)
-    fa0, fr0 = _class_spectra(0, k_max, n)
-    fa1, fr2 = _class_spectra(1, k_max, n)
     raw = np.empty(m_max + 1 - m_min)
-    for c, fa, fr in ((0, fa0, fr0), (1, fa1, fr0), (2, fa0, fr2), (3, fa1, fr2)):
+
+    def convolve_class(c: int, product: np.ndarray) -> None:
         first = (c - m_min) % 4
         window = raw[first::4]
         k0 = (m_min + first) // 4
-        window[:] = irfft(fa * fr, n, overwrite_x=True)[k0 : k0 + window.size]
-    # the spectra set the peak memory; drop them before rounding
-    del fa0, fa1, fr0, fr2
+        window[:] = irfft(product, n, overwrite_x=True)[k0 : k0 + window.size]
+
+    # the spectra set the peak memory: each is built when first needed, and
+    # a spectrum's last product overwrites it, so at most three are alive
+    fa0 = _single_spectrum(0, k_max, n)
+    fr0 = _pair_spectrum(0, k_max, n)
+    convolve_class(0, fa0 * fr0)
+    fa1 = _single_spectrum(1, k_max, n)
+    convolve_class(1, np.multiply(fa1, fr0, out=fr0))
+    del fr0
+    fr2 = _pair_spectrum(1, k_max, n)
+    convolve_class(2, np.multiply(fa0, fr2, out=fa0))
+    del fa0
+    convolve_class(3, np.multiply(fa1, fr2, out=fr2))
+    del fa1, fr2
     counts = np.rint(raw)
-    margin = float(np.max(np.abs(raw - counts)))
+    raw -= counts  # the roundoff, in place
+    margin = float(np.max(np.abs(raw, out=raw)))
+    del raw
     if margin >= 0.25:
         raise BudgetExceeded(
             f"shell counts: FFT roundoff {margin:.3g} >= 0.25 at m_max={m_max}; counts not exact"

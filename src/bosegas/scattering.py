@@ -5,17 +5,19 @@ A repulsive radial pair potential V enters through its Fourier transform
     V_p = 4 pi int_0^inf r^2 V(r) sinc(p r) dr ,      sinc(x) = sin(x)/x .
 
 The zero-energy scattering solution 1 - w of  -Delta u + V u = 0  turns into
-a fixed-point problem for w in momentum space,
+a linear equation for w in momentum space,
 
-    p^2 w_p = V_p - (2 pi)^-3 int V_{p-r} w_r d^3 r ,
+    p^2 w_p = V_p - (2 pi)^-3 int V_{p-r} w_r d^3 r .
 
-which Born iteration solves from w = 0 for weak enough potentials.  Radial
-symmetry collapses the 3-d convolution to a 1-d kernel,
+Radial symmetry collapses the 3-d convolution to a 1-d kernel,
 
     (2 pi)^-3 int V_{|p-r|} w_r d^3 r
         = (1 / 4 pi^2 p) int_0^inf dr r w_r [ int_{|p-r|}^{p+r} dq q V_q ] ,
 
 so one cumulative integral Q(x) = int_0^x q V_q dq drives the whole solve.
+On a log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
+dense A, and GMRES solves it in a few kernel products at any coupling
+strength, past the radius where the Born series diverges.
 
 The converged solution carries the scattering length a = (V_0 - ||Vw||_1)/4pi,
 the coupling g0 = 4 pi a, and the norms ||Vw||_1, ||Vw^2||_1, ||grad w||_2^2
@@ -37,6 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import roots_legendre, sici
 
 from .errors import GridTooCoarse, InvalidPotential, NotConverged, QuadratureError
@@ -53,6 +56,9 @@ __all__ = [
 
 _DEFAULT_GRID_POINTS = 2048
 _DEFAULT_TOL = 1e-11
+# GMRES Krylov dimension and restart cycles; a solve takes 5-15 products
+_KRYLOV_DIM = 40
+_KRYLOV_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,15 @@ class Potential:
         if self.kind == "gaussian":
             amp = self.amplitude * (2.0 * math.pi * self.width**2) ** 1.5
             s2 = self.width**2
-            return amp * (-np.expm1(-0.5 * x * x * s2)) / s2
+            # amp * (-expm1(-0.5 x x s2)) / s2, in that order, in one fresh buffer
+            q = np.multiply(-0.5, x, out=np.empty_like(x))
+            q *= x
+            q *= s2
+            np.expm1(q, out=q)
+            np.negative(q, out=q)
+            q *= amp
+            q /= s2
+            return q
         return self._qcum_spline(np.clip(x, 0.0, self._qcum_xmax))
 
     @cached_property
@@ -191,12 +205,14 @@ def fourier_at(potential: Potential, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Converged (or deliberately truncated) Born-series solution.
+    """Converged solution of the discretized scattering equation.
 
     w_grid holds w_p on p_grid; g_grid = V_p - conv_p is the smooth product
-    g = V (1 - w) in momentum space, with g_grid = p^2 w_grid at the fixed
-    point.  `a` comes from the position-space integral (V_0 - ||Vw||_1)/4pi,
-    while g0_limit extrapolates g_p to p = 0 as an independent cross-check.
+    g = V (1 - w) in momentum space, with g_grid = p^2 w_grid up to the solve
+    residual (`residual`, sup norm, at most tol * max|V_p|).  `iterations`
+    counts the GMRES kernel products.  `a` comes from the position-space
+    integral (V_0 - ||Vw||_1)/4pi, while g0_limit extrapolates g_p to p = 0
+    as an independent cross-check.
     """
 
     potential: Potential
@@ -290,53 +306,62 @@ def _small_p_limit(p: np.ndarray, f: np.ndarray, k: int) -> float:
     return float(f[0] - (f[k] - f[0]) * p[0] ** 2 / (p[k] ** 2 - p[0] ** 2))
 
 
-def _solve_on_grid(potential, n_grid, p_min, p_max, tol, max_iter):
+def _pair_kernel(potential, p) -> np.ndarray:
+    """K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|), built in one reused n^2 buffer."""
+    buf = np.add.outer(p, p)
+    kern = potential.cumulative_kernel(buf)
+    np.subtract.outer(p, p, out=buf)
+    np.abs(buf, out=buf)
+    kern -= potential.cumulative_kernel(buf)
+    return kern
+
+
+def _solve_on_grid(potential, n_grid, p_min, p_max, tol):
     n_grid |= 1  # Simpson needs an odd point count
     p = np.geomspace(p_min, p_max, n_grid)
     vp = fourier_at(potential, p)
-    # kernel K[i, j] = Q(p_i + r_j) - Q(|p_i - r_j|) over the same radial grid
-    kern = potential.cumulative_kernel(np.add.outer(p, p)) - potential.cumulative_kernel(
-        np.abs(np.subtract.outer(p, p))
-    )
-    # bundled weights: Simpson dp-measure (wt * p) times the integrand factor r
-    quad_w = _log_simpson_weights(n_grid, math.log(p[1] / p[0])) * p * p
+    kern = _pair_kernel(potential, p)
+    # Simpson in t = log r: dr r w_r = r^2 w_r dt for the unknown p2w = p^2 w,
+    # and quad_w = wt * r^2 bundles the dp-measure with the factor r for w
+    simpson = _log_simpson_weights(n_grid, math.log(p[1] / p[0]))
+    quad_w = simpson * p * p
     pref = 1.0 / (4.0 * math.pi**2 * p)
-    # r < p_min completion of the convolution, using w_r ~ w2lim / r^2 there:
+    # r < p_min completion of the convolution, using w_r ~ p2w[0] / r^2 there:
     # int_0^{p_min} (1/r) [Q(p+r) - Q(p-r)] dr ~ 2 p_min Q'(p) = 2 p_min p V_p
     tail = p_min * vp / (2.0 * math.pi**2)
 
-    w = np.zeros_like(p)
-    delta = 0.0
-    converged = False
-    iterations = 0
-    # a diverging iteration overflows; it stops at its first non-finite update
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            w2lim = p[0] ** 2 * w[0]
-            conv = pref * (kern @ (quad_w * w)) + w2lim * tail
-            w_new = (vp - conv) / p**2
-            delta = float(np.max(p**2 * np.abs(w_new - w)))  # energy-scale stopping
-            if not math.isfinite(delta):
-                raise NotConverged(
-                    f"Born iteration diverged: update not finite after {iterations} sweeps",
-                    last_delta=delta,
-                )
-            w = w_new
-            if delta < tol:
-                converged = True
-                break
-    w2lim = p[0] ** 2 * w[0]
-    conv = pref * (kern @ (quad_w * w)) + w2lim * tail
-    g = vp - conv
-    residual = float(np.max(np.abs(p**2 * w - g)))
-    return p, vp, w, g, quad_w, delta, converged, iterations, residual
+    def conv(p2w):
+        return pref * (kern @ (simpson * p2w)) + tail * p2w[0]
+
+    matvecs = 0
+
+    def matvec(p2w):
+        nonlocal matvecs
+        matvecs += 1
+        return p2w + conv(p2w)
+
+    scale = float(np.max(np.abs(vp)))
+    op = LinearOperator((p.size, p.size), matvec=matvec, dtype=float)
+    p2w, info = gmres(
+        op, vp, rtol=0.0, atol=tol * scale, restart=_KRYLOV_DIM, maxiter=_KRYLOV_CYCLES
+    )
+    w = p2w / (p * p)
+    g = vp - conv(p2w)
+    residual = float(np.max(np.abs(p2w - g)))  # sup norm of (I + A) p2w - V_p
+    if info != 0 or residual > tol * scale:
+        raise NotConverged(
+            f"GMRES: residual {residual:.3e} > tol {tol:.3e} * max|V_p| {scale:.3e} "
+            f"after {matvecs} kernel products",
+            last_delta=residual,
+        )
+    return p, vp, w, g, quad_w, matvecs, residual
 
 
 def _observables(potential, p, w, g, quad_w):
     k = max(1, int(np.searchsorted(p, 2.0 * p[0])))
     # p -> 0 limit of g by Richardson in p^2 (g is analytic in p^2)
     g0_limit = _small_p_limit(p, g, k)
-    # same limit for p^2 w_p; identical at a fixed point, 0 for truncated solves
+    # same limit for p^2 w_p; equal to g0_limit up to the solve residual
     w2_limit = _small_p_limit(p, p**2 * w, k)
 
     # ||grad w||_2^2 = (1/2 pi^2) int p^4 w_p^2 dp, small-p tail added analytically
@@ -367,19 +392,16 @@ def solve_scattering(
     p_min: float | None = None,
     p_max: float | None = None,
     tol: float = _DEFAULT_TOL,
-    max_iter: int = 400,
-    strict: bool = True,
     grid_check: bool = False,
     grid_check_tol: float = 1e-6,
 ) -> ScatteringSolution:
-    """Born-iterate the momentum-space scattering equation from w = 0.
+    """Solve the discretized scattering equation (I + A) g = V_p by GMRES.
 
-    Raises NotConverged when `strict` and the sup-norm update of g = p^2 w is
-    still above `tol` after max_iter sweeps, and, strict or not, at the first
-    sweep whose update is not finite (a diverging iteration).  With
-    grid_check=True the solve repeats on a doubled grid and raises
-    GridTooCoarse if the scattering length moves by more than grid_check_tol
-    (relative).
+    The unknown is g = p^2 w on the grid.  Raises NotConverged when GMRES
+    reports failure or the sup-norm residual max|p^2 w - g| exceeds
+    tol * max|V_p|.  With grid_check=True the solve repeats on a doubled grid
+    and raises GridTooCoarse if the scattering length moves by more than
+    grid_check_tol (relative).
     """
     scale = potential.length_scale()
     p_min = p_min if p_min is not None else 1e-3 / scale
@@ -387,20 +409,12 @@ def solve_scattering(
     if not (0 < p_min < p_max):
         raise ValueError("need 0 < p_min < p_max")
 
-    p, vp, w, g, quad_w, delta, converged, iterations, residual = _solve_on_grid(
-        potential, n_grid, p_min, p_max, tol, max_iter
-    )
-    if strict and not converged and max_iter > 0:
-        raise NotConverged(
-            f"Born iteration: update {delta:.3e} > tol {tol:.3e} after {iterations} sweeps",
-            last_delta=delta,
-        )
-
+    p, vp, w, g, quad_w, matvecs, residual = _solve_on_grid(potential, n_grid, p_min, p_max, tol)
     g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, w, g, quad_w)
     a = (v0 - vw1) / (4.0 * math.pi)
 
     if grid_check:
-        p2, vp2, w2, g2, qw2, *_ = _solve_on_grid(potential, 2 * n_grid, p_min, p_max, tol, max_iter)
+        p2, vp2, w2, g2, qw2, *_ = _solve_on_grid(potential, 2 * n_grid, p_min, p_max, tol)
         _, _, vw1_f, _, _ = _observables(potential, p2, w2, g2, qw2)
         a_fine = (v0 - vw1_f) / (4.0 * math.pi)
         if abs(a_fine - a) > grid_check_tol * max(abs(a_fine), 1e-12):
@@ -420,8 +434,8 @@ def solve_scattering(
         vw1=vw1,
         vw2=vw2,
         grad_w2=grad_w2,
-        converged=converged,
-        iterations=iterations,
+        converged=True,
+        iterations=matvecs,
         tol=tol,
         residual=residual,
     )
@@ -432,7 +446,7 @@ def check_scattering_identities(solution: ScatteringSolution, tol: float = 1e-6)
 
     The length identity V0 - ||Vw||_1 = g0 is scored against the momentum-side
     extrapolation g0_limit, so it cross-checks the position-space quadratures
-    against the small-p limit of the solved fixed point.
+    against the small-p limit of the solved equation.
     """
     res_grad = abs(solution.grad_w2 - solution.vw1 + solution.vw2)
     res_len = abs(solution.v0 - solution.vw1 - solution.g0_limit)

@@ -59,6 +59,16 @@ def test_scattering_pipeline(tmp_path):
     assert rep["ledger"]["final_residual"] <= 1e-12
 
 
+def test_scattering_pipeline_past_born_radius(tmp_path):
+    # amplitude * width^2 = 8: the Born series diverges, the solve does not
+    cfg = _write_config(tmp_path, "potential: {amplitude: 2.0, width: 2.0}\n")
+    code, out = _run(tmp_path, "scattering", "--config", cfg)
+    assert code == 0
+    rep = json.loads((out / "scattering.json").read_text())
+    assert rep["converged"] is True
+    assert rep["shooting_rel_gap"] < 1e-6
+
+
 def test_lattice_pipeline(tmp_path):
     code, out = _run(tmp_path, "lattice")
     assert code == 0

@@ -9,7 +9,9 @@ from scipy.integrate import quad
 
 from bosegas.errors import GridTooCoarse, InvalidPotential, NotConverged
 from bosegas.scattering import (
+    _DEFAULT_TOL,
     Potential,
+    _pair_kernel,
     check_scattering_identities,
     fourier_at,
     shooting_scattering_length,
@@ -130,27 +132,66 @@ def test_g_profile_limits(gaussian_solution):
     assert 0.0 < mid < sol.g0
 
 
-def test_truncated_iteration_flagged_not_converged(gaussian_potential):
-    sol = solve_scattering(gaussian_potential, strict=False, max_iter=1)
-    assert not sol.converged
-    assert sol.residual > sol.tol
-    rep = check_scattering_identities(sol, tol=1e-6)
-    # one Born sweep leaves the exact identities visibly broken
-    assert not rep.ok
+def test_unreachable_tolerance_raises_not_converged(gaussian_potential):
+    # a relative tolerance below roundoff: GMRES fails, and the error carries
+    # the sup-norm residual max|p^2 w - g| that the solve ended with
+    with pytest.raises(NotConverged) as info:
+        solve_scattering(gaussian_potential, tol=1e-30)
+    delta = info.value.last_delta
+    v0 = float(fourier_at(gaussian_potential, 0.0))
+    assert f"residual {delta:.3e} > tol" in str(info.value)
+    assert 1e-30 * v0 < delta <= _DEFAULT_TOL * v0
 
 
-def test_strict_raises_not_converged(gaussian_potential):
-    with pytest.raises(NotConverged):
-        solve_scattering(gaussian_potential, max_iter=1)
-
-
-def test_divergent_iteration_raises_without_warnings():
-    # amplitude * width^2 = 8 lies far past the Born radius: the updates overflow
+def test_past_born_radius_solves_without_warnings():
+    # amplitude * width^2 = 8 lies far past the Born radius, where the Born
+    # series diverges; the direct solve converges there silently
+    pot = Potential.gaussian(2.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotConverged, match="not finite after") as info:
-            solve_scattering(Potential.gaussian(2.0, 2.0))
-    assert not math.isfinite(info.value.last_delta)
+        sol = solve_scattering(pot)
+    assert sol.converged
+    assert math.isclose(sol.a, shooting_scattering_length(pot), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 5.0, 20.0])
+def test_strong_coupling_matches_shooting(amplitude):
+    # same route bound as acceptance 04, far outside the Born regime
+    pot = Potential.gaussian(amplitude, 1.0)
+    sol = solve_scattering(pot)
+    a_ode = shooting_scattering_length(pot)
+    assert abs(sol.a - a_ode) <= 1e-4 * abs(a_ode)
+    rep = check_scattering_identities(sol)
+    assert rep.residual_gradient < 1e-6
+    assert rep.residual_length < 1e-6
+
+
+_R_TAB = np.linspace(0.0, 6.0, 601)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        # widths whose squares are no powers of 2, so the order of the
+        # in-place products shows in the last bits
+        Potential.gaussian(0.1, 0.7),
+        Potential.gaussian(2.0, 1.5),
+        Potential.tabulated(_R_TAB, 0.3 * np.exp(-(_R_TAB**2))),
+    ],
+    ids=["weak", "strong", "tabulated"],
+)
+def test_pair_kernel_matches_direct_difference(pot):
+    p = np.geomspace(1e-2, 1e2, 101)
+    direct = pot.cumulative_kernel(np.add.outer(p, p)) - pot.cumulative_kernel(
+        np.abs(np.subtract.outer(p, p))
+    )
+    assert np.array_equal(_pair_kernel(pot, p), direct)
+    if pot.kind == "gaussian":
+        # the in-place primitive keeps the operation order of the closed form
+        x = np.add.outer(p, p)
+        amp = pot.amplitude * (2.0 * math.pi * pot.width**2) ** 1.5
+        s2 = pot.width**2
+        assert np.array_equal(pot.cumulative_kernel(x), amp * (-np.expm1(-0.5 * x * x * s2)) / s2)
 
 
 def test_grid_check_raises_on_coarse_grid(gaussian_potential):
