@@ -132,7 +132,13 @@ def test_g_profile_limits(gaussian_solution):
     assert 0.0 < mid < sol.g0
 
 
-def test_unreachable_tolerance_raises_not_converged(gaussian_potential):
+def test_truncated_iteration_flagged_not_converged(gaussian_potential, gaussian_solution):
+    # a loose tolerance stops GMRES after fewer kernel products than the
+    # reference solve, and the exact identities show the truncation
+    sol = solve_scattering(gaussian_potential, tol=1e-1)
+    assert sol.iterations < gaussian_solution.iterations
+    rep = check_scattering_identities(sol, tol=1e-6)
+    assert not rep.ok
     # a relative tolerance below roundoff: GMRES fails, and the error carries
     # the sup-norm residual max|p^2 w - g| that the solve ended with
     with pytest.raises(NotConverged) as info:
@@ -141,6 +147,11 @@ def test_unreachable_tolerance_raises_not_converged(gaussian_potential):
     v0 = float(fourier_at(gaussian_potential, 0.0))
     assert f"residual {delta:.3e} > tol" in str(info.value)
     assert 1e-30 * v0 < delta <= _DEFAULT_TOL * v0
+
+
+def test_strict_raises_not_converged(gaussian_potential):
+    with pytest.raises(NotConverged, match=r"residual .* > tol"):
+        solve_scattering(gaussian_potential, tol=1e-30)
 
 
 def test_past_born_radius_solves_without_warnings():
