@@ -97,7 +97,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _num(value, where: str, cast=float):
-    """cast(value); a value that does not convert is a config error."""
+    """cast(value); a value that does not convert, or a bool or fractional
+    value for an integer key, is a config error."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if cast is int and (isinstance(value, bool) or fractional):
+        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -164,7 +168,7 @@ def load_config(path: str | None) -> dict:
         _num(cfg["budgets"]["closure"], "budgets.closure", int) > 0,
         "budgets.closure must be > 0",
     )
-    _require(isinstance(cfg["seed"], int), "seed must be an integer")
+    _require(type(cfg["seed"]) is int, "seed must be an integer")
     return cfg
 
 

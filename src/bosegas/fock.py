@@ -1,6 +1,6 @@
 """Occupation states, pair creations, the closure set, and trial-state weights.
 
-A state is a tuple of occupation counts aligned with a ModeSet.  Two partial
+A state is a row of occupation counts aligned with a ModeSet.  Two partial
 maps act on states:
 
     strict pair creation at k:   (0: -2, +k: +1, -k: +1)
@@ -11,7 +11,11 @@ and closed under (i) strict creation at any intermediate/high mode, (ii)
 strict creation at a low mode while max(n(u), n(-u)) < m_c, and (iii) soft
 creation out of a low mode with symmetric occupancy, both produced momenta
 landing in the high region (which, on a truncated mode set, already encodes
-the magnitude window up to the cutoff).
+the magnitude window up to the cutoff).  One creation table per mode set
+spells these rules; `generate_M` applies it level by level to build M as a
+count matrix in breadth-first order, and `weight_recursion_report` walks
+the same table.  `OccupationState`, `free_state` and `strict_pair_create`
+are the per-state forms that tests hold the matrix code to.
 
 Each member state carries the weight
 
@@ -32,8 +36,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +48,6 @@ __all__ = [
     "OccupationState",
     "free_state",
     "strict_pair_create",
-    "soft_pair_create",
     "ClosureSet",
     "generate_M",
     "WeightedTrialState",
@@ -67,10 +70,6 @@ class OccupationState:
     @property
     def n(self) -> int:
         return sum(self.counts)
-
-    def sparse_key(self) -> tuple:
-        """Canonical (index, count) pairs with zero entries dropped."""
-        return tuple((i, c) for i, c in enumerate(self.counts) if c)
 
     def total_momentum(self, mode_set: ModeSet) -> np.ndarray:
         out = np.zeros(3)
@@ -103,74 +102,29 @@ def strict_pair_create(mode_set: ModeSet, state: OccupationState, k_idx: int):
     return OccupationState(tuple(c))
 
 
-def soft_pair_create(mode_set: ModeSet, state: OccupationState, u_idx: int, half_diff):
-    """Turn one condensate particle and one at u into a pair at u/2 +- k.
-
-    `half_diff` is the half-difference vector k; it need not itself be a
-    lattice vector, only the two produced momenta must.  Returns None when a
-    produced momentum is off the set or an occupancy would go negative.
-    """
-    u_mode = mode_set.modes[u_idx]
-    if u_mode.region is not Region.PL:
-        raise ValueError("soft creation consumes a low-region momentum")
-    k = np.asarray(half_diff, dtype=float)
-    i_plus = mode_set.index_of(u_mode.p / 2.0 + k)
-    i_minus = mode_set.index_of(u_mode.p / 2.0 - k)
-    if i_plus is None or i_minus is None:
-        return None
-    z = mode_set.zero_index
-    if state.counts[z] < 1 or state.counts[u_idx] < 1:
-        return None
-    if u_idx in (i_plus, i_minus):
-        # the produced momenta sit strictly above the low region, so a
-        # collision with u itself means the caller passed a bad half-diff
-        return None
-    c = list(state.counts)
-    c[z] -= 1
-    c[u_idx] -= 1
-    c[i_plus] += 1
-    c[i_minus] += 1
-    return OccupationState(tuple(c))
-
-
 class ClosureSet:
-    """The generated family M with per-state parent/op lineage.
+    """The generated family M, held as its count matrix.
 
-    ops[i] is None for the root, ("strict", k_idx) or ("soft", u_idx,
-    plus_idx, minus_idx) otherwise; parents[i] indexes the state the op was
-    applied to.  Insertion order is deterministic (breadth first, candidate
-    ops in index order).  `shift` is the one member lookup: every query of
-    the form "which member is this state with these occupancies moved?" goes
-    through it.
+    Row i of `counts_matrix()` is the occupation of member i; row 0 is the
+    all-condensate state and the rows follow breadth-first order (a level's
+    rows in order of parent row, then creation-table entry).  `shift` is the
+    one member lookup: every query of the form "which member is this state
+    with these occupancies moved?" goes through it.
     """
 
-    def __init__(self, mode_set: ModeSet, n: int, m_c: int, states, parents, ops):
+    def __init__(self, mode_set: ModeSet, n: int, m_c: int, counts):
         self.mode_set = mode_set
         self.n = n
         self.m_c = m_c
-        self.states: list[OccupationState] = states
-        self.parents: list[int | None] = parents
-        self.ops: list[tuple | None] = ops
+        self._counts = np.array(counts, dtype=np.int64)
+        self._counts.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterable[OccupationState]:
-        return iter(self.states)
-
-    @property
-    def free_index(self) -> int:
-        return 0
+        return len(self._counts)
 
     def counts_matrix(self) -> np.ndarray:
-        """Occupation counts, one row per member state; built once, read-only."""
+        """Occupation counts, one row per member state; read-only."""
         return self._counts
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        counts = np.array([s.counts for s in self.states], dtype=np.int64)
-        counts.setflags(write=False)
-        return counts
 
     @cached_property
     def _radix(self):
@@ -234,19 +188,53 @@ class ClosureSet:
         return src, dst[src], np.sqrt(prod[src].astype(float))
 
 
-def _soft_product_pairs(mode_set: ModeSet, u_idx: int) -> list:
-    """Unordered high-mode index pairs (i, j), i <= j, with p_i + p_j = u."""
-    u = mode_set.modes[u_idx].p
-    out = []
+_OUTER, _LOW, _SOFT = range(3)
+
+
+class _Creations(NamedTuple):
+    """Every pair creation on a mode set, in generation order.
+
+    Row r removes one particle from each column of take[r] and adds one to
+    each column of give[r]: (0, 0) -> (k, -k) for a strict creation, with k
+    the lower index, and (0, u) -> (i, j) for a soft one.  pair[r] holds the
+    two columns its low-region guard compares: (k, -k) or (u, -u).
+    """
+
+    kind: np.ndarray
+    take: np.ndarray
+    give: np.ndarray
+    pair: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _creations(mode_set: ModeSet) -> _Creations:
+    """Strict outer pairs, strict low pairs, then soft (u; i, j) pairs.
+
+    Soft products are the unordered high-region pairs i <= j with p_i + p_j
+    = u.  A low mode without a partner is never occupied (only a strict
+    creation fills a low mode), so it has no soft row.
+    """
+    z = mode_set.zero_index
+    outer, low, soft = [], [], []
     for m in mode_set:
-        if m.region is not Region.PH:
+        j = mode_set.neg_index(m.index)
+        if j is None or m.index > j:
             continue
-        j = mode_set.index_of(u - m.p)
-        if j is None or j < m.index:
+        if m.region in (Region.PI, Region.PH):
+            outer.append((_OUTER, z, z, m.index, j, m.index, j))
+        elif m.region is Region.PL:
+            low.append((_LOW, z, z, m.index, j, m.index, j))
+    for u in mode_set.indices_in(Region.PL):
+        nu = mode_set.neg_index(u)
+        if nu is None:
             continue
-        if mode_set.modes[j].region is Region.PH:
-            out.append((m.index, j))
-    return out
+        for i in mode_set.indices_in(Region.PH):
+            j = mode_set.index_of(mode_set.modes[u].p - mode_set.modes[i].p)
+            if j is not None and j >= i and mode_set.modes[j].region is Region.PH:
+                soft.append((_SOFT, z, u, i, j, u, nu))
+    rows = np.array(outer + low + soft, dtype=np.int64).reshape(-1, 7)
+    rows.setflags(write=False)  # every caller shares the cached table
+    return _Creations(rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 5:7])
 
 
 def generate_M(
@@ -256,70 +244,49 @@ def generate_M(
     *,
     budget: int = 1_000_000,
 ) -> ClosureSet:
-    """Breadth-first closure from the all-condensate state.
+    """Breadth-first closure from the all-condensate state, level by level.
 
-    The high-region magnitude window for soft products is carried by the
-    region labels themselves (modes beyond the truncation are labeled
-    Truncated, not PH, and are skipped for every creation).
+    Every creation-table row is tried on every frontier row at once.  A
+    creation applies when no count goes negative and its low-region guard
+    holds on the parent: max(n(k), n(-k)) < m_c for a strict low pair,
+    n(u) = n(-u) for a soft one.  New rows are kept in (parent, creation)
+    first-seen order.  The high-region magnitude window for soft products
+    is carried by the region labels themselves (modes beyond the truncation
+    are labeled Truncated, not PH, and are skipped for every creation).
     """
     if n < 0:
         raise ValueError("need a nonnegative particle count")
-    z = mode_set.zero_index
-    # canonical +-k pairs: keep the index with the smaller partner
-    strict_outer = []
-    strict_low = []
-    for m in mode_set:
-        j = mode_set.neg_index(m.index)
-        if j is None or m.index > j:
-            continue
-        if m.region in (Region.PI, Region.PH):
-            strict_outer.append(m.index)
-        elif m.region is Region.PL:
-            strict_low.append(m.index)
-    low_modes = [m.index for m in mode_set if m.region is Region.PL]
-    soft_pairs = {u: _soft_product_pairs(mode_set, u) for u in low_modes}
-
-    root = free_state(mode_set, n)
-    states = [root]
-    parents: list[int | None] = [None]
-    ops: list[tuple | None] = [None]
-    index = {root.counts: 0}
-
-    def neg(i):
-        return mode_set.neg_index(i)
-
-    head = 0
-    while head < len(states):
-        alpha = states[head]
-        c = alpha.counts
-        children = []
-        if c[z] >= 2:
-            for k in strict_outer:
-                children.append((strict_pair_create(mode_set, alpha, k), ("strict", k)))
-            for k in strict_low:
-                if max(c[k], c[neg(k)]) < m_c:
-                    children.append((strict_pair_create(mode_set, alpha, k), ("strict", k)))
-        if c[z] >= 1:
-            for u in low_modes:
-                if c[u] >= 1 and c[u] == c[neg(u)]:
-                    for i, j in soft_pairs[u]:
-                        nc = list(c)
-                        nc[z] -= 1
-                        nc[u] -= 1
-                        nc[i] += 1
-                        nc[j] += 1
-                        children.append((OccupationState(tuple(nc)), ("soft", u, i, j)))
-        for child, op in children:
-            if child is None or child.counts in index:
-                continue
-            if len(states) >= budget:
-                raise BudgetExceeded(f"closure exceeds budget {budget}")
-            index[child.counts] = len(states)
-            states.append(child)
-            parents.append(head)
-            ops.append(op)
-        head += 1
-    return ClosureSet(mode_set, n, m_c, states, parents, ops)
+    table = _creations(mode_set)
+    need = 1 + (table.take[:, 0] == table.take[:, 1])
+    unguarded_low = table.kind != _LOW
+    unguarded_soft = table.kind != _SOFT
+    root = np.zeros((1, len(mode_set)), dtype=np.int64)
+    root[0, mode_set.zero_index] = n
+    seen = {bytes(root[0])}
+    levels = [root]
+    size = 1
+    while len(levels[-1]):
+        frontier = levels[-1]
+        ok = np.all(frontier[:, table.take] >= need[:, None], axis=2)
+        pair = frontier[:, table.pair]
+        ok &= unguarded_low | (pair.max(axis=2) < m_c)
+        ok &= unguarded_soft | (pair[:, :, 0] == pair[:, :, 1])
+        parent, op = np.nonzero(ok)
+        cand = frontier[parent]
+        rows = np.arange(len(cand))
+        for s in (0, 1):
+            cand[rows, table.take[op, s]] -= 1
+            cand[rows, table.give[op, s]] += 1
+        fresh = []
+        for r, key in enumerate(map(bytes, cand)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(r)
+        size += len(fresh)
+        if size > budget:
+            raise BudgetExceeded(f"closure exceeds budget {budget}")
+        levels.append(cand[fresh])
+    return ClosureSet(mode_set, n, m_c, np.concatenate(levels))
 
 
 def _sqrt_signed(x: float) -> complex:
@@ -403,8 +370,8 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
 def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) -> dict:
     """Exhaustively verify the five creation/weight recursion identities.
 
-    For every member state and every creation whose image is also a member
-    (including soft creations out of asymmetric occupancy, which the
+    For every member state and every creation-table entry whose image is also
+    a member (including soft creations out of asymmetric occupancy, which the
     generator never performs but which can land inside M by coincidence),
     compare the stored weight ratio against the closed-form prediction.
     Returns per-identity max relative error and pair counts.
@@ -439,58 +406,53 @@ def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) ->
         src = np.flatnonzero(dst >= 0)
         return src, dst[src]
 
-    for m in ms:
-        k = m.index
-        j = ms.neg_index(k)
-        if k == z or j is None or k > j:
-            continue
-        if m.region not in (Region.PI, Region.PH, Region.PL):
-            continue
-        src, dst = targets({z: -2, k: 1, j: 1})
+    table = _creations(ms)
+    for kind, take, give, pair in zip(
+        table.kind.tolist(), table.take.tolist(), table.give.tolist(), table.pair.tolist()
+    ):
+        delta = Counter(give)
+        delta.subtract(take)
+        src, dst = targets(delta)
         if len(src) == 0:
             continue
         a = a0[src]
-        base = np.sqrt(a * (a - 1)) / vol * float(lams[k])
-        if m.region is not Region.PL:
+        # occupancies of (k, -k) or (u, -u): the guard columns
+        cu, cv = counts[src, pair[0]], counts[src, pair[1]]
+        sym = cu == cv
+        if kind == _SOFT:
+            root = _sqrt_signed(float(lams[give[0]])) * _sqrt_signed(float(lams[give[1]]))
+            expected = 2.0 * np.sqrt(a[sym] * cu[sym]) / vol * root
+            record("soft_symmetric", expected, src[sym], dst[sym])
+            a, cu = a[~sym], cu[~sym]
+            expected = root / (2.0 * float(lams[pair[0]])) * np.sqrt(a / vol) * np.sqrt(vol / cu)
+            record("soft_asymmetric", expected, src[~sym], dst[~sym])
+            continue
+        base = np.sqrt(a * (a - 1)) / vol * float(lams[give[0]])
+        if kind == _OUTER:
             record("strict_outer", base, src, dst)
             continue
-        sym = counts[src, k] == counts[src, j]
         record("strict_low_symmetric", base[sym], src[sym], dst[sym])
-        star = np.maximum(counts[src, k], counts[src, j])[~sym]
+        star = np.maximum(cu, cv)[~sym]
         record(
             "strict_low_asymmetric",
             base[~sym] * np.sqrt((star + 1) / star),
             src[~sym],
             dst[~sym],
         )
-
-    for u in ms.indices_in(Region.PL):
-        nu = ms.neg_index(u)
-        for i, j in _soft_product_pairs(ms, u):
-            delta = Counter({z: -1, u: -1})
-            delta.update((i, j))
-            src, dst = targets(delta)
-            if len(src) == 0:
-                continue
-            a, cu = a0[src], counts[src, u]
-            root = _sqrt_signed(float(lams[i])) * _sqrt_signed(float(lams[j]))
-            sym = counts[src, nu] == cu if nu is not None else np.zeros(len(src), dtype=bool)
-            expected = 2.0 * np.sqrt(a[sym] * cu[sym]) / vol * root
-            record("soft_symmetric", expected, src[sym], dst[sym])
-            a, cu = a[~sym], cu[~sym]
-            expected = root / (2.0 * float(lams[u])) * np.sqrt(a / vol) * np.sqrt(vol / cu)
-            record("soft_asymmetric", expected, src[~sym], dst[~sym])
     return {"max_rel_error": err, "pairs": cnt}
 
 
 def export_closure(state: WeightedTrialState) -> str:
     """Line-oriented dump (canonical key, |f|^2, phase quadrant) for diffing."""
+    w = state.weights
+    probs = np.abs(w) ** 2
+    quadrants = np.where(probs > 0, np.round(np.angle(w) / (math.pi / 2)).astype(np.int64) % 4, 0)
     rows = []
-    for i, alpha in enumerate(state.closure):
-        w = state.weights[i]
-        prob = abs(w) ** 2
-        quadrant = int(round(np.angle(w) / (math.pi / 2))) % 4 if prob > 0 else 0
-        key = ";".join(f"{j},{c}" for j, c in alpha.sparse_key())
-        rows.append((alpha.sparse_key(), f"{key} |f|2={prob:.12e} phase={quadrant}"))
+    for counts, prob, quadrant in zip(
+        state.closure.counts_matrix().tolist(), probs.tolist(), quadrants.tolist()
+    ):
+        key = tuple((j, c) for j, c in enumerate(counts) if c)
+        text = ";".join(f"{j},{c}" for j, c in key)
+        rows.append((key, f"{text} |f|2={prob:.12e} phase={quadrant}"))
     rows.sort(key=lambda r: r[0])
     return "\n".join(r[1] for r in rows) + "\n"

@@ -22,7 +22,7 @@ from bosegas.expectation import (
     q_psi,
     q_psi_occupation,
 )
-from bosegas.fock import weight_recursion_report
+from bosegas.fock import OccupationState, weight_recursion_report
 from bosegas.lattice import Region
 from bosegas.semiclassical import (
     LHY_RATIO,
@@ -162,6 +162,7 @@ def test_06_weight_and_organization_identities(announce, toy_trials):
         _, trial = toy_trials[name]
         ms = trial.mode_set
         z = ms.zero_index
+        members = [OccupationState(tuple(r)) for r in trial.closure.counts_matrix().tolist()]
         rng = np.random.default_rng(17)
         quads = [tuple(int(q) for q in rng.choice(len(ms), 4)) for _ in range(4)]
         u = next(i for i in ms.nonzero_indices() if ms.neg_index(i) is not None)
@@ -170,8 +171,8 @@ def test_06_weight_and_organization_identities(announce, toy_trials):
             organized = _sum_quadruples(trial, [(quad, 1.0)])
             raw = sum(
                 np.conj(trial.weights[b_i]) * trial.weights[a_i] * el
-                for b_i, beta in enumerate(trial.closure)
-                for a_i, alpha in enumerate(trial.closure)
+                for b_i, beta in enumerate(members)
+                for a_i, alpha in enumerate(members)
                 if (el := matrix_element(ms, beta, quad, alpha)) != 0.0
             )
             worst_org = max(worst_org, abs(organized - raw) / max(1.0, abs(raw)))

@@ -160,6 +160,13 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "sweep:\n  rho_values: [x]\n",     # non-numeric list entry
         "trial:\n  n: abc\n",              # non-numeric integer
         "schedule:\n  eta: 0.3\n",         # eta past the region ordering's 1/4
+        "trial:\n  n: 6.5\n",              # fractional integer key
+        "trial:\n  m_c: true\n",           # bool for an integer key
+        "boundary:\n  degree: 2.5\n",
+        "boundary:\n  resolution: true\n",
+        "budgets:\n  closure: 1000.5\n",
+        "seed: true\n",
+        "seed: 7.5\n",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):

@@ -23,9 +23,14 @@ from bosegas.expectation import (
     q_psi_occupation,
     statistics_report,
 )
-from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
+from bosegas.fock import OccupationState, free_state, generate_M, strict_pair_create, weight_f
 from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, toy_by_name
+
+
+def _members(closure):
+    """The closure's rows as OccupationState objects, in row order."""
+    return [OccupationState(tuple(r)) for r in closure.counts_matrix().tolist()]
 
 # Frozen component table for the soft-coincidence toy (6 particles, 27 states).
 _COINCIDENCE = {
@@ -101,6 +106,7 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
         ms = trial.mode_set
         z = ms.zero_index
         nz = ms.nonzero_indices()
+        members = _members(trial.closure)
         rng = np.random.default_rng(3)
         quads = [
             (nz[0], z, z, nz[0]),
@@ -114,11 +120,11 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
         for quad in quads:
             organized = _sum_quadruples(trial, [(tuple(int(q) for q in quad), 1.0)])
             raw = 0.0
-            for b_i, beta in enumerate(trial.closure):
+            for b_i, beta in enumerate(members):
                 fb = trial.weights[b_i]
                 if fb == 0.0:
                     continue
-                for a_i, alpha in enumerate(trial.closure):
+                for a_i, alpha in enumerate(members):
                     el = matrix_element(ms, beta, quad, alpha)
                     if el != 0.0:
                         raw += np.conj(fb) * trial.weights[a_i] * el
@@ -197,7 +203,7 @@ def test_q_psi_three_mode_organization(toy_trials):
     # Q(q) = |f_1|^2 + 2 |f_2|^2 on the {0, +-q} toy, by pair count
     _, trial = toy_trials["pi-pair"]
     probs = trial.probabilities()
-    by_pairs = {alpha.counts[1]: probs[i] for i, alpha in enumerate(trial.closure)}
+    by_pairs = dict(zip(trial.closure.counts_matrix()[:, 1].tolist(), probs))
     expect = by_pairs.get(1, 0.0) + 2.0 * by_pairs.get(2, 0.0)
     assert math.isclose(q_psi(trial, [1]), expect, rel_tol=1e-14)
 
@@ -226,10 +232,10 @@ def test_conditional_moment_identity(toy_trials):
     cond = [(u, 1)]
     probs = trial.probabilities()
     num = den = 0.0
-    for i, alpha in enumerate(trial.closure):
-        if alpha.counts[u] == 1:
+    for i, c in enumerate(trial.closure.counts_matrix()[:, u].tolist()):
+        if c == 1:
             den += probs[i]
-            num += probs[i] * alpha.counts[u]
+            num += probs[i] * c
     assert math.isclose(q_psi_conditional(trial, [u], cond), num / den, rel_tol=1e-12)
 
 
@@ -284,10 +290,11 @@ def _p_uv_reference(trial, u, v):
     """P(u, v) state by state through strict_pair_create and a dict of
     count tuples."""
     ms = trial.mode_set
-    index = {alpha.counts: i for i, alpha in enumerate(trial.closure)}
+    members = _members(trial.closure)
+    index = {alpha.counts: i for i, alpha in enumerate(members)}
     nu, nv = ms.neg_index(u), ms.neg_index(v)
     total = 0.0 + 0.0j
-    for gamma in trial.closure:
+    for gamma in members:
         bu = strict_pair_create(ms, gamma, u)
         fu = None if bu is None or bu.counts not in index else trial.weights[index[bu.counts]]
         if fu is None or fu == 0.0:
@@ -347,6 +354,7 @@ def test_asymmetry_count_balance(toy_trials):
     ms = trial.mode_set
     z = ms.zero_index
     nz = ms.nonzero_indices()
+    members = _members(trial.closure)
     scanned = 0
     for v1 in nz:
         for v2 in nz:
@@ -357,8 +365,8 @@ def test_asymmetry_count_balance(toy_trials):
                 if any(ms.neg_index(a) == b for a in legs for b in legs):
                     continue
                 quad = (z, v1, v2, v3)
-                for alpha in trial.closure:
-                    for beta in trial.closure:
+                for alpha in members:
+                    for beta in members:
                         if matrix_element(ms, alpha, quad, beta) == 0.0:
                             continue
                         low_legs = sum(

@@ -14,7 +14,6 @@ from bosegas.fock import (
     export_closure,
     free_state,
     generate_M,
-    soft_pair_create,
     strict_pair_create,
     weight_f,
     weight_recursion_report,
@@ -29,6 +28,11 @@ _RECURSION_NAMES = (
     "soft_symmetric",
     "soft_asymmetric",
 )
+
+
+def _members(closure):
+    """The closure's rows as OccupationState objects, in row order."""
+    return [OccupationState(tuple(r)) for r in closure.counts_matrix().tolist()]
 
 
 def _pair_set(label, lam=-0.4, volume=20.0):
@@ -63,34 +67,6 @@ def test_strict_pair_create_rejects_zero_mode():
         strict_pair_create(ms, free_state(ms, 4), ms.zero_index)
 
 
-def test_soft_pair_create_bookkeeping():
-    # 0, +-u (PL), and the two soft products u/2 +- k (PH)
-    ms = ModeSet.toy(
-        [
-            (0.0, 0.0, 0.0),
-            (0.25, 0.0, 0.0),
-            (-0.25, 0.0, 0.0),
-            (1.125, 0.5, 0.0),
-            (-0.875, -0.5, 0.0),
-        ],
-        ["P0", "PL", "PL", "PH", "PH"],
-        volume=32.0,
-        lams=[None, -0.6, -0.6, -0.3, -0.3],
-    )
-    alpha = strict_pair_create(ms, free_state(ms, 5), 1)  # (3,1,1,0,0)
-    k = np.array([1.0, 0.5, 0.0])  # u/2 + k = (1.125, .5, 0)
-    beta = soft_pair_create(ms, alpha, 1, k)
-    assert beta.counts == (2, 0, 1, 1, 1)
-    # momentum additivity: products carry exactly u
-    assert np.allclose(beta.total_momentum(ms), alpha.total_momentum(ms))
-    # u empty now, so the same creation fails
-    assert soft_pair_create(ms, beta, 1, k) is None
-    # off-lattice product
-    assert soft_pair_create(ms, alpha, 1, np.array([0.3, 0.0, 0.0])) is None
-    with pytest.raises(ValueError):
-        soft_pair_create(ms, alpha, 3, k)  # u must be low-region
-
-
 # ---------------------------------------------------------------- closures
 
 
@@ -98,9 +74,7 @@ def test_closure_single_outer_pair():
     # {0, +-q in P_I}, N = 4: free, one pair, two pairs
     ms = _pair_set("PI")
     clo = generate_M(ms, 4, 2)
-    assert len(clo) == 3
-    counts = sorted(alpha.counts for alpha in clo)
-    assert counts == [(0, 2, 2), (2, 1, 1), (4, 0, 0)]
+    assert clo.counts_matrix().tolist() == [[4, 0, 0], [2, 1, 1], [0, 2, 2]]
 
 
 def test_closure_low_pair_occupation_cap():
@@ -108,14 +82,13 @@ def test_closure_low_pair_occupation_cap():
     ms = _pair_set("PL", lam=-0.6)
     clo = generate_M(ms, 6, 2)
     assert len(clo) == 3
-    assert max(alpha.counts[1] for alpha in clo) == 2
+    assert clo.counts_matrix()[:, 1].max() == 2
 
 
 def test_closure_condensate_only():
     ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=10.0)
     clo = generate_M(ms, 5, 2)
-    assert len(clo) == 1
-    assert clo.states[0].counts == (5,)
+    assert clo.counts_matrix().tolist() == [[5]]
 
 
 def test_closure_coincidence_toy_size():
@@ -128,61 +101,25 @@ def test_closure_particle_and_momentum_conservation(toy_trials):
     for _, trial in toy_trials.values():
         ms = trial.mode_set
         n = trial.closure.n
-        for alpha in trial.closure:
+        for alpha in _members(trial.closure):
             assert alpha.n == n
             assert np.allclose(alpha.total_momentum(ms), 0.0, atol=1e-12)
 
 
 def test_closure_low_occupancy_never_exceeds_cap(toy_trials):
-    from bosegas.lattice import Region
-
     for _, trial in toy_trials.values():
         ms = trial.mode_set
-        low = ms.indices_in(Region.PL)
-        for alpha in trial.closure:
-            for u in low:
-                assert max(alpha.counts[u], alpha.counts[ms.neg_index(u)]) <= trial.closure.m_c
-
-
-def test_closure_metadata_replays_every_state(toy_trials):
-    """Soundness: re-applying each recorded creation to its parent reproduces
-    the member state, and every parent chain terminates at the free state."""
-    for _, trial in toy_trials.values():
-        clo = trial.closure
-        ms = clo.mode_set
-        assert clo.parents[clo.free_index] is None
-        for i, alpha in enumerate(clo.states):
-            if i == clo.free_index:
-                assert alpha == free_state(ms, clo.n)
-                continue
-            parent = clo.states[clo.parents[i]]
-            op = clo.ops[i]
-            if op[0] == "strict":
-                redone = strict_pair_create(ms, parent, op[1])
-            else:
-                _, u, ip, jm = op
-                redone = OccupationState(
-                    tuple(
-                        c - (k == ms.zero_index) - (k == u) + (k == ip) + (k == jm)
-                        for k, c in enumerate(parent.counts)
-                    )
-                )
-            assert redone == alpha
-            # chain depth is bounded by the particle count
-            seen, j = 0, i
-            while clo.parents[j] is not None:
-                j = clo.parents[j]
-                seen += 1
-                assert seen <= clo.n
-            assert j == clo.free_index
+        counts = trial.closure.counts_matrix()
+        for u in ms.indices_in(Region.PL):
+            assert np.maximum(counts[:, u], counts[:, ms.neg_index(u)]).max() <= trial.closure.m_c
 
 
 def test_closure_minimality_no_orphans(toy_trials):
     # generation is breadth-first from the free state, so every state is
     # reachable and no two states share a counts vector
     for _, trial in toy_trials.values():
-        keys = [alpha.counts for alpha in trial.closure]
-        assert len(set(keys)) == len(keys)
+        counts = trial.closure.counts_matrix()
+        assert len(np.unique(counts, axis=0)) == len(counts)
 
 
 def _creation_deltas(ms):
@@ -206,16 +143,117 @@ def _creation_deltas(ms):
     return deltas
 
 
+def _moved(counts, delta):
+    moved = list(counts)
+    for j, d in delta.items():
+        moved[j] += d
+    return tuple(moved)
+
+
+def _allowed(ms, m_c, counts, delta):
+    """The closure rules on one state: no count goes negative, a strict pair
+    lies in P_I or P_H, or in P_L with max(n(k), n(-k)) < m_c, and a soft
+    creation out of u needs n(u) = n(-u)."""
+    z = ms.zero_index
+    if min(_moved(counts, delta)) < 0:
+        return False
+    if delta[z] == -1:
+        u = next(j for j, d in delta.items() if d < 0 and j != z)
+        return counts[u] == counts[ms.neg_index(u)]
+    k, nk = (j for j in delta if j != z)
+    region = ms.modes[k].region
+    if region is Region.PL:
+        return max(counts[k], counts[nk]) < m_c
+    return region in (Region.PI, Region.PH)
+
+
+def test_closure_is_closed_and_reachable(toy_trials):
+    """Every allowed creation of every member lands in the closure, and every
+    member after the all-condensate row 0 is an allowed creation of an
+    earlier member."""
+    for name, (_, trial) in toy_trials.items():
+        clo = trial.closure
+        ms = clo.mode_set
+        rows = [tuple(r) for r in clo.counts_matrix().tolist()]
+        index = {r: i for i, r in enumerate(rows)}
+        assert rows[0] == free_state(ms, clo.n).counts
+        reached = {0}
+        for i, counts in enumerate(rows):
+            for delta in _creation_deltas(ms):
+                if _allowed(ms, clo.m_c, counts, delta):
+                    t = index.get(_moved(counts, delta))
+                    assert t is not None, (name, counts, delta)
+                    if t > i:
+                        reached.add(t)
+        assert reached == set(range(len(rows))), name
+
+
+def _bfs_reference(ms, n, m_c):
+    """The closure state by state: a breadth-first queue of count tuples,
+    candidate creations per state in strict outer, strict low, soft order."""
+    z = ms.zero_index
+    strict_outer, strict_low = [], []
+    for m in ms:
+        j = ms.neg_index(m.index)
+        if j is None or m.index > j:
+            continue
+        if m.region in (Region.PI, Region.PH):
+            strict_outer.append(m.index)
+        elif m.region is Region.PL:
+            strict_low.append(m.index)
+    soft_pairs = {}
+    for u in ms.indices_in(Region.PL):
+        soft_pairs[u] = []
+        for i in ms.indices_in(Region.PH):
+            j = ms.index_of(ms.modes[u].p - ms.modes[i].p)
+            if j is not None and j >= i and ms.modes[j].region is Region.PH:
+                soft_pairs[u].append((i, j))
+    states = [free_state(ms, n)]
+    seen = {states[0].counts}
+    head = 0
+    while head < len(states):
+        alpha = states[head]
+        c = alpha.counts
+        children = []
+        if c[z] >= 2:
+            children += [strict_pair_create(ms, alpha, k) for k in strict_outer]
+            children += [
+                strict_pair_create(ms, alpha, k)
+                for k in strict_low
+                if max(c[k], c[ms.neg_index(k)]) < m_c
+            ]
+        if c[z] >= 1:
+            for u, pairs in soft_pairs.items():
+                if c[u] >= 1 and c[u] == c[ms.neg_index(u)]:
+                    for i, j in pairs:
+                        nc = list(c)
+                        nc[z] -= 1
+                        nc[u] -= 1
+                        nc[i] += 1
+                        nc[j] += 1
+                        children.append(OccupationState(tuple(nc)))
+        for child in children:
+            if child is not None and child.counts not in seen:
+                seen.add(child.counts)
+                states.append(child)
+        head += 1
+    return np.array([s.counts for s in states], dtype=np.int64)
+
+
+def test_generation_order_matches_state_by_state_bfs(toy_trials):
+    # weights and energies are left-to-right sums over rows: the order counts
+    cases = [case for case, _ in toy_trials.values()]
+    cases += [replace(toy_by_name("soft-coincidence"), n=30), replace(toy_by_name("line-harmonics"), n=40)]
+    for case in cases:
+        got = generate_M(case.mode_set, case.n, case.m_c).counts_matrix()
+        assert np.array_equal(got, _bfs_reference(case.mode_set, case.n, case.m_c)), case.name
+
+
 def _shift_reference(closure, delta):
     """Member index of each state moved by delta, by count-tuple lookup."""
-    index = {alpha.counts: i for i, alpha in enumerate(closure)}
-    out = []
-    for alpha in closure:
-        moved = list(alpha.counts)
-        for j, d in delta.items():
-            moved[j] += d
-        out.append(index.get(tuple(moved), -1))
-    return np.array(out)
+    rows = [tuple(r) for r in closure.counts_matrix().tolist()]
+    index = {r: i for i, r in enumerate(rows)}
+    return np.array([index.get(_moved(r, delta), -1) for r in rows])
 
 
 def test_shift_matches_count_tuple_lookup(toy_trials):
@@ -259,7 +297,7 @@ def test_radix_past_62_bits_raises_budget_exceeded():
         volume=10.0,
         lams=[None if i == 0 else -0.1 for i in range(-15, 17)],
     )
-    clo = ClosureSet(ms, 96, 2, [OccupationState((3,) * 32)], [None], [None])
+    clo = ClosureSet(ms, 96, 2, [(3,) * 32])
     with pytest.raises(BudgetExceeded):
         clo.shift({ms.zero_index: -2, 1: 1, ms.neg_index(1): 1})
     trial = WeightedTrialState(clo, np.ones(1, dtype=complex), 0.0)
@@ -282,7 +320,7 @@ def test_free_weight_closed_form(toy_trials):
         vol = trial.mode_set.volume
         n = trial.closure.n
         expect = 0.5 * (n * math.log(vol) - math.lgamma(n + 1))
-        w_free = trial.weights[trial.closure.free_index]
+        w_free = trial.weights[0]
         got = math.log(abs(complex(w_free))) - trial.log_c_n
         assert math.isclose(got, expect, rel_tol=1e-12)
 
@@ -314,8 +352,7 @@ def _weight_f_reference(closure, lams, volume):
     low = ms.indices_in(Region.PL)
     log_mag = np.empty(len(closure))
     i_pow = np.zeros(len(closure), dtype=np.int64)
-    for s_i, alpha in enumerate(closure):
-        c = alpha.counts
+    for s_i, c in enumerate(closure.counts_matrix().tolist()):
         lm = 0.5 * (c[z] * math.log(volume) - math.lgamma(c[z] + 1))
         ip = 0
         for i, occ in enumerate(c):
@@ -348,7 +385,8 @@ def _recursion_reference(state, lams):
     ms = state.mode_set
     vol = ms.volume
     z = ms.zero_index
-    index = {alpha.counts: i for i, alpha in enumerate(closure)}
+    members = _members(closure)
+    index = {alpha.counts: i for i, alpha in enumerate(members)}
     err = dict.fromkeys(_RECURSION_NAMES, 0.0)
     cnt = dict.fromkeys(_RECURSION_NAMES, 0)
     low = ms.indices_in(Region.PL)
@@ -362,7 +400,7 @@ def _recursion_reference(state, lams):
         err[name] = max(err[name], resid / scale)
         cnt[name] += 1
 
-    for s_i, alpha in enumerate(closure):
+    for s_i, alpha in enumerate(members):
         c = alpha.counts
         a0 = c[z]
         for m in ms:
