@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -206,7 +206,6 @@ class _Creations(NamedTuple):
     pair: np.ndarray
 
 
-@lru_cache(maxsize=8)
 def _creations(mode_set: ModeSet) -> _Creations:
     """Strict outer pairs, strict low pairs, then soft (u; i, j) pairs.
 
@@ -233,7 +232,6 @@ def _creations(mode_set: ModeSet) -> _Creations:
             if j is not None and j >= i and mode_set.modes[j].region is Region.PH:
                 soft.append((_SOFT, z, u, i, j, u, nu))
     rows = np.array(outer + low + soft, dtype=np.int64).reshape(-1, 7)
-    rows.setflags(write=False)  # every caller shares the cached table
     return _Creations(rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 5:7])
 
 
@@ -246,13 +244,15 @@ def generate_M(
 ) -> ClosureSet:
     """Breadth-first closure from the all-condensate state, level by level.
 
-    Every creation-table row is tried on every frontier row at once.  A
-    creation applies when no count goes negative and its low-region guard
-    holds on the parent: max(n(k), n(-k)) < m_c for a strict low pair,
-    n(u) = n(-u) for a soft one.  New rows are kept in (parent, creation)
-    first-seen order.  The high-region magnitude window for soft products
-    is carried by the region labels themselves (modes beyond the truncation
-    are labeled Truncated, not PH, and are skipped for every creation).
+    Every creation-table row is tried on a slice of frontier rows at once,
+    slices taken in row order and sized so that their candidates stay
+    within about a budget's worth of rows.  A creation applies when no
+    count goes negative and its low-region guard holds on the parent:
+    max(n(k), n(-k)) < m_c for a strict low pair, n(u) = n(-u) for a soft
+    one.  New rows are kept in (parent, creation) first-seen order.  The
+    high-region magnitude window for soft products is carried by the region
+    labels themselves (modes beyond the truncation are labeled Truncated,
+    not PH, and are skipped for every creation).
     """
     if n < 0:
         raise ValueError("need a nonnegative particle count")
@@ -260,32 +260,36 @@ def generate_M(
     need = 1 + (table.take[:, 0] == table.take[:, 1])
     unguarded_low = table.kind != _LOW
     unguarded_soft = table.kind != _SOFT
+    chunk = max(1, budget // max(1, len(table.kind)))
     root = np.zeros((1, len(mode_set)), dtype=np.int64)
     root[0, mode_set.zero_index] = n
     seen = {bytes(root[0])}
     levels = [root]
     size = 1
     while len(levels[-1]):
-        frontier = levels[-1]
-        ok = np.all(frontier[:, table.take] >= need[:, None], axis=2)
-        pair = frontier[:, table.pair]
-        ok &= unguarded_low | (pair.max(axis=2) < m_c)
-        ok &= unguarded_soft | (pair[:, :, 0] == pair[:, :, 1])
-        parent, op = np.nonzero(ok)
-        cand = frontier[parent]
-        rows = np.arange(len(cand))
-        for s in (0, 1):
-            cand[rows, table.take[op, s]] -= 1
-            cand[rows, table.give[op, s]] += 1
-        fresh = []
-        for r, key in enumerate(map(bytes, cand)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(r)
-        size += len(fresh)
-        if size > budget:
-            raise BudgetExceeded(f"closure exceeds budget {budget}")
-        levels.append(cand[fresh])
+        level = []
+        for start in range(0, len(levels[-1]), chunk):
+            frontier = levels[-1][start : start + chunk]
+            ok = np.all(frontier[:, table.take] >= need[:, None], axis=2)
+            pair = frontier[:, table.pair]
+            ok &= unguarded_low | (pair.max(axis=2) < m_c)
+            ok &= unguarded_soft | (pair[:, :, 0] == pair[:, :, 1])
+            parent, op = np.nonzero(ok)
+            cand = frontier[parent]
+            rows = np.arange(len(cand))
+            for s in (0, 1):
+                cand[rows, table.take[op, s]] -= 1
+                cand[rows, table.give[op, s]] += 1
+            fresh = []
+            for r, key in enumerate(map(bytes, cand)):
+                if key not in seen:
+                    if size >= budget:
+                        raise BudgetExceeded(f"closure exceeds budget {budget}")
+                    seen.add(key)
+                    fresh.append(r)
+                    size += 1
+            level.append(cand[fresh])
+        levels.append(np.concatenate(level))
     return ClosureSet(mode_set, n, m_c, np.concatenate(levels))
 
 

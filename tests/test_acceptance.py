@@ -22,7 +22,7 @@ from bosegas.expectation import (
     q_psi,
     q_psi_occupation,
 )
-from bosegas.fock import OccupationState, weight_recursion_report
+from bosegas.fock import weight_recursion_report
 from bosegas.lattice import Region
 from bosegas.semiclassical import (
     LHY_RATIO,
@@ -39,6 +39,7 @@ from bosegas.boundary import (
     trig_polynomial,
     window_q,
 )
+from conftest import closure_members
 
 
 @pytest.fixture
@@ -162,7 +163,7 @@ def test_06_weight_and_organization_identities(announce, toy_trials):
         _, trial = toy_trials[name]
         ms = trial.mode_set
         z = ms.zero_index
-        members = [OccupationState(tuple(r)) for r in trial.closure.counts_matrix().tolist()]
+        members = closure_members(trial.closure)
         rng = np.random.default_rng(17)
         quads = [tuple(int(q) for q in rng.choice(len(ms), 4)) for _ in range(4)]
         u = next(i for i in ms.nonzero_indices() if ms.neg_index(i) is not None)

@@ -23,14 +23,10 @@ from bosegas.expectation import (
     q_psi_occupation,
     statistics_report,
 )
-from bosegas.fock import OccupationState, free_state, generate_M, strict_pair_create, weight_f
+from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
 from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, toy_by_name
-
-
-def _members(closure):
-    """The closure's rows as OccupationState objects, in row order."""
-    return [OccupationState(tuple(r)) for r in closure.counts_matrix().tolist()]
+from conftest import closure_members
 
 # Frozen component table for the soft-coincidence toy (6 particles, 27 states).
 _COINCIDENCE = {
@@ -106,7 +102,7 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
         ms = trial.mode_set
         z = ms.zero_index
         nz = ms.nonzero_indices()
-        members = _members(trial.closure)
+        members = closure_members(trial.closure)
         rng = np.random.default_rng(3)
         quads = [
             (nz[0], z, z, nz[0]),
@@ -290,7 +286,7 @@ def _p_uv_reference(trial, u, v):
     """P(u, v) state by state through strict_pair_create and a dict of
     count tuples."""
     ms = trial.mode_set
-    members = _members(trial.closure)
+    members = closure_members(trial.closure)
     index = {alpha.counts: i for i, alpha in enumerate(members)}
     nu, nv = ms.neg_index(u), ms.neg_index(v)
     total = 0.0 + 0.0j
@@ -354,7 +350,7 @@ def test_asymmetry_count_balance(toy_trials):
     ms = trial.mode_set
     z = ms.zero_index
     nz = ms.nonzero_indices()
-    members = _members(trial.closure)
+    members = closure_members(trial.closure)
     scanned = 0
     for v1 in nz:
         for v2 in nz:

@@ -1,6 +1,7 @@
 """Occupation states, pair creations, closure generation, and trial weights."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bosegas.fock import (
 )
 from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, toy_by_name
+from conftest import closure_members
 
 _RECURSION_NAMES = (
     "strict_outer",
@@ -28,11 +30,6 @@ _RECURSION_NAMES = (
     "soft_symmetric",
     "soft_asymmetric",
 )
-
-
-def _members(closure):
-    """The closure's rows as OccupationState objects, in row order."""
-    return [OccupationState(tuple(r)) for r in closure.counts_matrix().tolist()]
 
 
 def _pair_set(label, lam=-0.4, volume=20.0):
@@ -101,7 +98,7 @@ def test_closure_particle_and_momentum_conservation(toy_trials):
     for _, trial in toy_trials.values():
         ms = trial.mode_set
         n = trial.closure.n
-        for alpha in _members(trial.closure):
+        for alpha in closure_members(trial.closure):
             assert alpha.n == n
             assert np.allclose(alpha.total_momentum(ms), 0.0, atol=1e-12)
 
@@ -245,8 +242,15 @@ def test_generation_order_matches_state_by_state_bfs(toy_trials):
     cases = [case for case, _ in toy_trials.values()]
     cases += [replace(toy_by_name("soft-coincidence"), n=30), replace(toy_by_name("line-harmonics"), n=40)]
     for case in cases:
+        want = _bfs_reference(case.mode_set, case.n, case.m_c)
         got = generate_M(case.mode_set, case.n, case.m_c).counts_matrix()
-        assert np.array_equal(got, _bfs_reference(case.mode_set, case.n, case.m_c)), case.name
+        assert np.array_equal(got, want), case.name
+        # a budget of exactly the closure size walks each level in slices
+        tight = generate_M(case.mode_set, case.n, case.m_c, budget=len(want))
+        assert np.array_equal(tight.counts_matrix(), want), case.name
+        if len(want) > 1:  # the all-condensate row is always kept
+            with pytest.raises(BudgetExceeded):
+                generate_M(case.mode_set, case.n, case.m_c, budget=len(want) - 1)
 
 
 def _shift_reference(closure, delta):
@@ -309,6 +313,24 @@ def test_closure_budget_guard():
     case = toy_by_name("soft-coincidence")
     with pytest.raises(BudgetExceeded):
         generate_M(case.mode_set, case.n, case.m_c, budget=5)
+
+
+def test_closure_budget_bounds_allocation():
+    # 40 outer pairs, N = 20: levels 0-2 hold 861 states, level 3 would add
+    # 11480 from 32800 candidate rows; the budget of 1000 must stop the
+    # generator at a few budgets' worth of rows, not a whole level's
+    ks = sorted(range(-40, 41), key=lambda k: k != 0)
+    ms = ModeSet.toy([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
+    budget = 1000
+    row_bytes = 8 * len(ms)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            generate_M(ms, 20, 2, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * budget * row_bytes
 
 
 # ---------------------------------------------------------------- weights
@@ -385,7 +407,7 @@ def _recursion_reference(state, lams):
     ms = state.mode_set
     vol = ms.volume
     z = ms.zero_index
-    members = _members(closure)
+    members = closure_members(closure)
     index = {alpha.counts: i for i, alpha in enumerate(members)}
     err = dict.fromkeys(_RECURSION_NAMES, 0.0)
     cnt = dict.fromkeys(_RECURSION_NAMES, 0)
