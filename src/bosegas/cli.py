@@ -97,10 +97,13 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _num(value, where: str, cast=float):
-    """cast(value); a value that does not convert, or a bool or fractional
-    value for an integer key, is a config error."""
+    """cast(value); a value that does not convert, a bool, or a string or
+    fractional value for an integer key, is a config error.  Float keys take
+    numeric strings: YAML reads 1e-08 (no dot) as the string '1e-08'."""
+    if isinstance(value, bool):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     fractional = isinstance(value, float) and not value.is_integer()
-    if cast is int and (isinstance(value, bool) or fractional):
+    if cast is int and (isinstance(value, str) or fractional):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
     try:
         return cast(value)

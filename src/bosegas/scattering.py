@@ -19,6 +19,11 @@ On a log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
 dense A, and GMRES solves it in a few kernel products at any coupling
 strength, past the radius where the Born series diverges.
 
+A is built from the pair kernel K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|).
+Q is exactly constant in floats past the potential's saturation radius, so
+K is exactly zero wherever |p_i - p_j| reaches it; K is built on its support
+only, once per symmetric pair, and kept dense for the products.
+
 The converged solution carries the scattering length a = (V_0 - ||Vw||_1)/4pi,
 the coupling g0 = 4 pi a, and the norms ||Vw||_1, ||Vw^2||_1, ||grad w||_2^2
 consumed by the energy ledger.  Two exact identities tie them together:
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
@@ -59,6 +65,18 @@ _DEFAULT_TOL = 1e-11
 # GMRES Krylov dimension and restart cycles; a solve takes 5-15 products
 _KRYLOV_DIM = 40
 _KRYLOV_CYCLES = 2
+# pair kernel rows per block: at most 64 * n pairs, about 1 MB of flat buffers
+# at n = 2049.  One buffer set for the whole triangle (7.6 MB each) left a
+# later density-sweep peak 5.5 MB higher; blocks of 16 to 128 rows also ran faster.
+_KERNEL_BLOCK_ROWS = 64
+
+
+@cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n, read-only."""
+    x, wt = roots_legendre(n)
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
 
 
 @dataclass(frozen=True)
@@ -142,11 +160,22 @@ class Potential:
         # Gauss-Legendre on [0, cutoff]; pair (n, 2n) backs the convergence check
         out = []
         for n in (400, 800):
-            x, wt = roots_legendre(n)
+            x, wt = _legendre(n)
             r = 0.5 * self.range_cutoff * (x + 1.0)
             w = 0.5 * self.range_cutoff * wt
             out.append((r, w * r * r * self.v_at(r)))
         return out
+
+    @cached_property
+    def saturation_radius(self) -> float:
+        """Radius x_sat past which cumulative_kernel is exactly constant in floats.
+
+        Gaussian: -0.5 x x s2 <= -40 there, and expm1 of anything below about
+        -37.4 rounds to exactly -1.0.  Tabulated: the spline's clip bound.
+        """
+        if self.kind == "gaussian":
+            return math.sqrt(80.0) / self.width
+        return 40.0 / self.length_scale()
 
     def cumulative_kernel(self, x) -> np.ndarray:
         """Q(x) = int_0^x q V_q dq, the pair kernel primitive."""
@@ -163,16 +192,14 @@ class Potential:
             q *= amp
             q /= s2
             return q
-        return self._qcum_spline(np.clip(x, 0.0, self._qcum_xmax))
+        return self._qcum_spline(np.clip(x, 0.0, self.saturation_radius))
 
     @cached_property
     def _qcum_spline(self):
         # tabulated route: spline the cumulative of q V_q on a dense uniform grid
-        qmax = 40.0 / self.length_scale()
-        q = np.linspace(0.0, qmax, 8001)
+        q = np.linspace(0.0, self.saturation_radius, 8001)
         vq = fourier_at(self, q)
         cum = cumulative_trapezoid(q * vq, q, initial=0.0)
-        object.__setattr__(self, "_qcum_xmax", qmax)
         return CubicSpline(q, cum)
 
 
@@ -307,12 +334,34 @@ def _small_p_limit(p: np.ndarray, f: np.ndarray, k: int) -> float:
 
 
 def _pair_kernel(potential, p) -> np.ndarray:
-    """K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|), built in one reused n^2 buffer."""
-    buf = np.add.outer(p, p)
-    kern = potential.cumulative_kernel(buf)
-    np.subtract.outer(p, p, out=buf)
-    np.abs(buf, out=buf)
-    kern -= potential.cumulative_kernel(buf)
+    """K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|) on an ascending grid p.
+
+    K is symmetric, so Q is evaluated once per pair i <= j, and only on K's
+    support: past the saturation radius x_sat, Q is exactly constant, so K is
+    exactly 0.0 wherever |p_i - p_j| >= x_sat.  Row i needs the columns
+    j >= i whose float difference p_j - p_i is below x_sat; since rounding
+    is monotone, all of them have p_j <= p_i + x_sat in floats.  One more
+    column is taken as a margin: an extra column just gets its exact value.
+    Rows go in blocks, so the flat pair buffers stay small (see
+    _KERNEL_BLOCK_ROWS).
+    """
+    n = p.size
+    x_sat = potential.saturation_radius
+    hi = np.minimum(np.searchsorted(p, p + x_sat, side="right") + 1, n).tolist()
+    kern = np.zeros((n, n))
+    for first in range(0, n, _KERNEL_BLOCK_ROWS):
+        rows = range(first, min(first + _KERNEL_BLOCK_ROWS, n))
+        # row i's pairs (i, i..hi[i]-1) sit at [start, end) of the flat buffers
+        ends = list(accumulate(hi[i] - i for i in rows))
+        spans = list(zip(rows, [0, *ends[:-1]], ends))
+        sums, diffs = np.empty(ends[-1]), np.empty(ends[-1])
+        for i, start, end in spans:
+            np.add(p[i], p[i : hi[i]], out=sums[start:end])
+            np.subtract(p[i : hi[i]], p[i], out=diffs[start:end])  # == |p_i - p_j|
+        vals = potential.cumulative_kernel(sums)
+        vals -= potential.cumulative_kernel(diffs)
+        for i, start, end in spans:
+            kern[i, i : hi[i]] = kern[i : hi[i], i] = vals[start:end]
     return kern
 
 
@@ -369,7 +418,7 @@ def _observables(potential, p, w, g, quad_w):
     grad_w2 += w2_limit**2 * p[0] / (2.0 * math.pi**2)
 
     # position-space w on Gauss-Legendre nodes covering the potential support
-    x_gl, wt_gl = roots_legendre(256)
+    x_gl, wt_gl = _legendre(256)
     r = 0.5 * potential.range_cutoff * (x_gl + 1.0)
     r_w = 0.5 * potential.range_cutoff * wt_gl
     osc = np.sin(np.outer(r, p))

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bosegas.cli import main
+from bosegas.cli import load_config, main
 
 _CLOSED = {
     "number_density": 1.0 / (3.0 * math.pi**2),
@@ -167,6 +167,8 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "budgets:\n  closure: 1000.5\n",
         "seed: true\n",
         "seed: 7.5\n",
+        "potential:\n  amplitude: true\n",  # bool for a float key
+        "trial:\n  n: \"6\"\n",             # string for an integer key
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
@@ -175,6 +177,13 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_float_keys_take_yaml_exponent_strings(tmp_path):
+    # YAML reads an exponent without a dot as a string; float keys accept it
+    cfg = load_config(_write_config(tmp_path, "sweep:\n  rho_values: [1e-06, 1e-08]\n"))
+    assert cfg["sweep"]["rho_values"] == ["1e-06", "1e-08"]
+    assert [float(r) for r in cfg["sweep"]["rho_values"]] == [1e-06, 1e-08]
 
 
 @pytest.mark.parametrize(

@@ -178,31 +178,61 @@ def test_strong_coupling_matches_shooting(amplitude):
 
 
 _R_TAB = np.linspace(0.0, 6.0, 601)
+_SMALL_GRID = np.geomspace(1e-2, 1e2, 101)
 
 
-@pytest.mark.parametrize(
-    "pot",
-    [
-        # widths whose squares are no powers of 2, so the order of the
-        # in-place products shows in the last bits
-        Potential.gaussian(0.1, 0.7),
-        Potential.gaussian(2.0, 1.5),
-        Potential.tabulated(_R_TAB, 0.3 * np.exp(-(_R_TAB**2))),
-    ],
-    ids=["weak", "strong", "tabulated"],
-)
-def test_pair_kernel_matches_direct_difference(pot):
-    p = np.geomspace(1e-2, 1e2, 101)
+def _production_grid(pot):
+    # the grid solve_scattering builds by default
+    scale = pot.length_scale()
+    return np.geomspace(1e-3 / scale, 1e3 / scale, 2049)
+
+
+_TAB = Potential.tabulated(_R_TAB, 0.3 * np.exp(-(_R_TAB**2)))
+_KERNEL_CASES = [
+    # widths whose squares are no powers of 2, so the order of the
+    # in-place products shows in the last bits
+    pytest.param(Potential.gaussian(0.1, 0.7), _SMALL_GRID, id="weak"),
+    pytest.param(Potential.gaussian(2.0, 1.5), _SMALL_GRID, id="strong"),
+    pytest.param(_TAB, _SMALL_GRID, id="tabulated"),
+    # the coupling-sweep widths at both ends of the amplitude range
+    *(
+        pytest.param(pot, _production_grid(pot), id=f"grid-w{pot.width}-a{pot.amplitude}")
+        for pot in (Potential.gaussian(a, w) for w in (0.5, 1.0, 2.0) for a in (0.1, 20.0))
+    ),
+    # the spline's clip bound lies inside this grid
+    pytest.param(_TAB, _production_grid(_TAB), id="grid-tabulated"),
+]
+
+
+@pytest.mark.parametrize("pot, p", _KERNEL_CASES)
+def test_pair_kernel_matches_direct_difference(pot, p):
     direct = pot.cumulative_kernel(np.add.outer(p, p)) - pot.cumulative_kernel(
         np.abs(np.subtract.outer(p, p))
     )
-    assert np.array_equal(_pair_kernel(pot, p), direct)
+    kern = _pair_kernel(pot, p)
+    assert np.array_equal(kern, direct)
+    assert np.array_equal(np.signbit(kern), np.signbit(direct))
     if pot.kind == "gaussian":
         # the in-place primitive keeps the operation order of the closed form
         x = np.add.outer(p, p)
         amp = pot.amplitude * (2.0 * math.pi * pot.width**2) ** 1.5
         s2 = pot.width**2
         assert np.array_equal(pot.cumulative_kernel(x), amp * (-np.expm1(-0.5 * x * x * s2)) / s2)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [Potential.gaussian(0.1, 0.5), Potential.gaussian(20.0, 1.0), Potential.gaussian(1.0, 2.0), _TAB],
+    ids=["gaussian-w0.5", "gaussian-w1", "gaussian-w2", "tabulated"],
+)
+def test_cumulative_kernel_saturates_exactly(pot):
+    # the pair kernel leaves out every pair past x_sat on the strength of this:
+    # if Q stops being constant there, K would change silently
+    x_sat = pot.saturation_radius
+    x = np.array([x_sat, np.nextafter(x_sat, np.inf), 2.0 * x_sat, 1e6 * x_sat])
+    q = pot.cumulative_kernel(x)
+    assert np.all(q == q[0])
+    assert q[0] > 0.0
 
 
 def test_grid_check_raises_on_coarse_grid(gaussian_potential):
