@@ -28,6 +28,16 @@ q'(x)^2 + q'(x+L)^2 is the constant (pi/4ell)^2 on the fold.  So equality
 holds with C = pi^2/16 exactly, for every smooth periodic phi.  The bound
 is stated here with C unspecified; kinetic_penalty reports the measured
 ratio rather than asserting the sharp value.
+
+Every integral is a composite Simpson sum, and a window and a resolution
+fix just six grids: the three smooth panels of [-ell, L+ell] split at the
+kinks of q, the period [0, L], and the two collar arcs [0, ell] and
+[L-ell, L].  kinetic_penalty makes one pass over them.  It builds each grid
+once, samples q and q' once per panel, and calls its sampler once per grid
+for the pair (phi, phi') of every function it checks.  The isometry pair
+and the penalty triple then come from the same samples.  check_isometry
+serves callers without a derivative; it samples phi once on each of its
+four grids, through the same integrands.
 """
 
 from __future__ import annotations
@@ -145,24 +155,39 @@ def collar_indicator(w: Window, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _simpson_panel(f, a: float, b: float, n: int) -> float:
-    """Composite Simpson with n subintervals (forced even) on one smooth panel."""
-    if b <= a:
-        return 0.0
-    n = max(2, n + (n % 2))
-    xs = np.linspace(a, b, n + 1)
-    ys = np.asarray(f(xs), dtype=float)
-    h = (b - a) / n
+def _nodes(a: float, b: float, resolution: int):
+    """Composite Simpson nodes on [a, b] and their step.
+
+    resolution counts subintervals; it is forced even (at least 2).
+    """
+    n = max(2, resolution + (resolution % 2))
+    return np.linspace(a, b, n + 1), (b - a) / n
+
+
+def _simpson(ys, h: float) -> float:
+    """Composite Simpson sum of samples on equally spaced nodes of step h."""
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
-def _extended_integral(w: Window, f, resolution: int) -> float:
-    """Integrate f over [-ell, L+ell], split at the window kinks."""
+def _extended_grids(w: Window, resolution: int):
+    """Nodes of [-ell, L+ell] split at the window kinks, one smooth panel each.
+
+    The plateau panel is empty when ell = L/2 and is skipped.
+    """
     b0, b1, b2, b3 = w.breakpoints
-    total = 0.0
     for a, b in ((b0, b1), (b1, b2), (b2, b3)):
-        total += _simpson_panel(f, a, b, resolution)
-    return total
+        if b > a:
+            yield _nodes(a, b, resolution)
+
+
+def _density(phi):
+    """|phi|^2: the integrand of the periodic and collar masses."""
+    return np.abs(phi) ** 2
+
+
+def _windowed_density(q, phi):
+    """q^2 |phi|^2: the integrand of the extended mass."""
+    return q**2 * _density(phi)
 
 
 @dataclass(frozen=True)
@@ -184,15 +209,19 @@ class IsometryReport:
 def check_isometry(w: Window, phi, *, resolution: int = 1 << 14) -> IsometryReport:
     """Compare int q^2 |phi|^2 over [-ell, L+ell] with int |phi|^2 over [0, L].
 
-    phi must have period L; it is evaluated directly on the extended
-    interval.  resolution counts Simpson subintervals per smooth panel.
+    phi(xs) returns the samples of an L-periodic function; it is evaluated
+    directly on the extended interval, once on each of four Simpson grids:
+    the three smooth panels of [-ell, L+ell] and the period [0, L].  The
+    window is sampled once per panel.  resolution counts Simpson
+    subintervals per grid.  kinetic_penalty reports the same pair from the
+    same integrands; this form serves callers that have no derivative.
     """
-
-    def weighted(xs):
-        return window_q(w, xs) ** 2 * np.abs(phi(xs)) ** 2
-
-    extended = _extended_integral(w, weighted, resolution)
-    periodic = _simpson_panel(lambda xs: np.abs(phi(xs)) ** 2, 0.0, w.period, resolution)
+    extended = sum(
+        _simpson(_windowed_density(window_q(w, xs), phi(xs)), h)
+        for xs, h in _extended_grids(w, resolution)
+    )
+    xs, h = _nodes(0.0, w.period, resolution)
+    periodic = _simpson(_density(phi(xs)), h)
     return IsometryReport(extended=extended, periodic=periodic, resolution=resolution)
 
 
@@ -222,6 +251,7 @@ class PenaltyReport:
     collar_mass: float
     ell: float
     resolution: int
+    isometry: IsometryReport
 
     @property
     def excess(self) -> float:
@@ -244,34 +274,65 @@ class PenaltyReport:
         return self.lhs <= rhs + slack * scale
 
 
-def kinetic_penalty(w: Window, phi, dphi, *, resolution: int = 1 << 14) -> PenaltyReport:
+def _extended_terms(w: Window, xs, h: float, sample):
+    """Per function: the Simpson sums of q^2 |phi|^2 and |(q phi)'|^2 on one
+    extended panel, as rows of an (m, 2) array; q and q' are sampled once."""
+    q, dq = window_q(w, xs), window_q_prime(w, xs)
+    return np.array(
+        [
+            (_simpson(_windowed_density(q, phi), h), _simpson(np.abs(dq * phi + q * dphi) ** 2, h))
+            for phi, dphi in sample(xs)
+        ]
+    )
+
+
+def _masses(xs, h: float, sample):
+    """Per function: the Simpson sums of |phi|^2 and |phi'|^2 on one grid,
+    as rows of an (m, 2) array."""
+    return np.array(
+        [(_simpson(_density(phi), h), _simpson(_density(dphi), h)) for phi, dphi in sample(xs)]
+    )
+
+
+def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[PenaltyReport]:
     """Evaluate both sides of the windowed kinetic-energy bound.
 
     lhs  = int_{-ell}^{L+ell} |(q phi)'|^2
     rhs  = int_0^L |phi'|^2  +  C ell^-2 int chi |phi|^2
 
-    with the collar mass int chi |phi|^2 taken over one period.  phi and
-    its derivative dphi must be periodic with period L.
+    with the collar mass int chi |phi|^2 taken over one period.  sample(xs)
+    returns one pair (phi(xs), phi'(xs)) per function, each function
+    L-periodic; the result holds one report per pair, in order.
+
+    One pass covers the window's six Simpson grids, each built once: the
+    three smooth panels of [-ell, L+ell], the period [0, L], and the two
+    collar arcs [0, ell] and [L-ell, L].  sample is called once per grid
+    and q, q' once per panel, so functions sampled together share both.
+    Each report carries the isometry pair of check_isometry, from the same
+    samples and the same integrands.
     """
-
-    def lhs_integrand(xs):
-        qp = window_q_prime(w, xs)
-        qv = window_q(w, xs)
-        return np.abs(qp * phi(xs) + qv * dphi(xs)) ** 2
-
-    lhs = _extended_integral(w, lhs_integrand, resolution)
-    kin = _simpson_panel(lambda xs: np.abs(dphi(xs)) ** 2, 0.0, w.period, resolution)
-
-    def density(xs):
-        return np.abs(phi(xs)) ** 2
-
+    extended_lhs = sum(
+        _extended_terms(w, xs, h, sample) for xs, h in _extended_grids(w, resolution)
+    )
+    periodic_kin = _masses(*_nodes(0.0, w.period, resolution), sample)
     # chi is supported on [0, ell] and [L-ell, L]; integrate each arc whole
-    collar = _simpson_panel(density, 0.0, w.ell, resolution) + _simpson_panel(
-        density, w.period - w.ell, w.period, resolution
+    collar = (
+        _masses(*_nodes(0.0, w.ell, resolution), sample)[:, 0]
+        + _masses(*_nodes(w.period - w.ell, w.period, resolution), sample)[:, 0]
     )
-    return PenaltyReport(
-        lhs=lhs, periodic_kinetic=kin, collar_mass=collar, ell=w.ell, resolution=resolution
-    )
+    return [
+        PenaltyReport(
+            lhs=float(lhs),
+            periodic_kinetic=float(kin),
+            collar_mass=float(mass),
+            ell=w.ell,
+            resolution=resolution,
+            isometry=IsometryReport(
+                extended=float(extended), periodic=float(periodic), resolution=resolution
+            ),
+        )
+        for (extended, lhs), (periodic, kin), mass in zip(extended_lhs, periodic_kin, collar)
+    ]
 
 
 def shifted_collar_average(w: Window, probes, *, n_shifts: int = 1 << 12) -> dict:
@@ -292,25 +353,27 @@ def shifted_collar_average(w: Window, probes, *, n_shifts: int = 1 << 12) -> dic
 
 
 def trig_polynomial(period: float, cos_coeffs, sin_coeffs):
-    """Real trig polynomial on [0, period] and its derivative, as callables.
+    """Real trig polynomials on [0, period] and their derivatives, as one sampler.
 
     cos_coeffs[k], sin_coeffs[k] weight cos/sin(2 pi (k+1) x / L); the
-    constant term is fixed at 1 so the polynomial has collar mass.
+    constant term is fixed at 1 so each polynomial has collar mass.  2-D
+    coefficient arrays hold one polynomial per row.  The sampler maps xs to
+    one pair (phi(xs), phi'(xs)) per polynomial, the form kinetic_penalty
+    takes; every pair comes from one cos and one sin of the angle matrix.
     """
-    ck = np.asarray(cos_coeffs, dtype=float)
-    sk = np.asarray(sin_coeffs, dtype=float)
+    ck = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+    sk = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
     if ck.shape != sk.shape:
-        raise ValueError("coefficient arrays must have equal length")
-    freqs = 2.0 * np.pi * np.arange(1, ck.size + 1) / period
+        raise ValueError("coefficient arrays must have equal shapes")
+    freqs = 2.0 * np.pi * np.arange(1, ck.shape[1] + 1) / period
+    dck, dsk = freqs * ck, freqs * sk
 
-    def phi(xs):
-        xs = np.asarray(xs, dtype=float)
-        angles = np.multiply.outer(xs, freqs)
-        return 1.0 + np.cos(angles) @ ck + np.sin(angles) @ sk
+    def sample(xs):
+        angles = np.multiply.outer(np.asarray(xs, dtype=float), freqs)
+        cos, sin = np.cos(angles), np.sin(angles)
+        return [
+            (1.0 + cos @ c + sin @ s, cos @ ds - sin @ dc)
+            for c, s, dc, ds in zip(ck, sk, dck, dsk)
+        ]
 
-    def dphi(xs):
-        xs = np.asarray(xs, dtype=float)
-        angles = np.multiply.outer(xs, freqs)
-        return -np.sin(angles) @ (freqs * ck) + np.cos(angles) @ (freqs * sk)
-
-    return phi, dphi
+    return sample

@@ -6,8 +6,8 @@ has a default so all pipelines run without a config file.  Reports are JSON
 (machine summaries, sorted keys) and CSV (plot data, fixed %.12e floats);
 with a fixed seed the bytes are reproducible run to run.
 
-Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure
-or budget exceeded.
+Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
+budget exceeded, or an identity violation in a numerical step.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ import yaml
 
 from . import boundary as bnd
 from . import semiclassical as semi
-from .errors import BudgetExceeded, ConfigInvalid, NotConverged, RegionUndefined
+from .errors import (
+    BudgetExceeded,
+    ConfigInvalid,
+    IdentityViolation,
+    NotConverged,
+    RegionUndefined,
+)
 from .expectation import (
     InteractionContext,
     energy_report,
@@ -97,18 +103,22 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _num(value, where: str, cast=float):
-    """cast(value); a value that does not convert, a bool, or a string or
-    fractional value for an integer key, is a config error.  Float keys take
-    numeric strings: YAML reads 1e-08 (no dot) as the string '1e-08'."""
+    """cast(value); a value that does not convert, a bool, a non-finite
+    value, or a string or fractional value for an integer key, is a config
+    error.  Float keys take numeric strings: YAML reads 1e-08 (no dot) as
+    the string '1e-08'."""
     if isinstance(value, bool):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     fractional = isinstance(value, float) and not value.is_integer()
     if cast is int and (isinstance(value, str) or fractional):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"{where} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def load_config(path: str | None) -> dict:
@@ -439,39 +449,29 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
     def const(x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    def dconst(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     omega = 2.0 * np.pi / w.period
 
     def phase(x):
         return np.exp(1j * omega * np.asarray(x, dtype=float))
 
-    def dphase(x):
-        return 1j * omega * np.exp(1j * omega * np.asarray(x, dtype=float))
+    # three polynomials drawn as (cos, sin) coefficient rows, in draw order
+    coeffs = 0.3 * rng.normal(size=(3, 2, degree))
+    trig = bnd.trig_polynomial(w.period, coeffs[:, 0], coeffs[:, 1])
+    trig0 = bnd.trig_polynomial(w.period, coeffs[0, 0], coeffs[0, 1])
 
-    polys = [
-        bnd.trig_polynomial(
-            w.period,
-            0.3 * rng.normal(size=degree),
-            0.3 * rng.normal(size=degree),
-        )
-        for _ in range(3)
-    ]
-    cases = [("const", const, dconst), ("phase", phase, dphase)] + [
-        (f"trig{i}", phi, dphi) for i, (phi, dphi) in enumerate(polys)
-    ]
+    def sample(x):
+        e = phase(x)
+        return [(const(x), np.zeros_like(np.asarray(x, dtype=float))), (e, 1j * omega * e), *trig(x)]
 
+    names = ["const", "phase", "trig0", "trig1", "trig2"]
     isometry = {}
     penalty = {}
-    for name, phi, dphi in cases:
-        iso = bnd.check_isometry(w, phi, resolution=resolution)
+    for name, pen in zip(names, bnd.kinetic_penalty(w, sample, resolution=resolution)):
         isometry[name] = {
-            "extended": iso.extended,
-            "periodic": iso.periodic,
-            "residual": iso.residual,
+            "extended": pen.isometry.extended,
+            "periodic": pen.isometry.periodic,
+            "residual": pen.isometry.residual,
         }
-        pen = bnd.kinetic_penalty(w, phi, dphi, resolution=resolution)
         penalty[name] = {
             "lhs": pen.lhs,
             "periodic_kinetic": pen.periodic_kinetic,
@@ -480,9 +480,12 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
             "holds_quarter_pi_sq": pen.holds_with(math.pi**2 / 16.0),
         }
     degenerate = bnd.Window(ell=w.period / 2.0, period=w.period)
-    phi0, dphi0 = polys[0]
-    pen_deg = bnd.kinetic_penalty(degenerate, phi0, dphi0, resolution=resolution)
-    sep = bnd.isometry_3d_separable(w, [polys[0][0], phase, const], resolution=4096)
+    (pen_deg,) = bnd.kinetic_penalty(degenerate, trig0, resolution=resolution)
+
+    def trig0_phi(x):
+        return trig0(x)[0][0]
+
+    sep = bnd.isometry_3d_separable(w, [trig0_phi, phase, const], resolution=4096)
     avg = bnd.shifted_collar_average(w, [0.0, 0.37 * w.period, -1.6 * w.period])
     return {
         "window": {"ell": w.ell, "period": w.period},
@@ -693,6 +696,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NotConverged as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return 3
+    except IdentityViolation as exc:
+        print(f"identity violation: {exc}", file=sys.stderr)
         return 3
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -169,6 +169,9 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "seed: 7.5\n",
         "potential:\n  amplitude: true\n",  # bool for a float key
         "trial:\n  n: \"6\"\n",             # string for an integer key
+        "potential:\n  amplitude: .inf\n",  # non-finite float keys
+        "potential:\n  width: .inf\n",
+        "tolerances:\n  identity: .inf\n",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
@@ -177,6 +180,35 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("potential:\n  amplitude: .inf\n", "potential.amplitude"),
+        ("potential:\n  width: .nan\n", "potential.width"),
+        ("schedule:\n  k_c: .inf\n", "schedule.k_c"),
+        ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
+        ("boundary:\n  period: .inf\n", "boundary.period"),
+        ("tolerances:\n  boundary_isometry: .inf\n", "tolerances.boundary_isometry"),
+        ("integrals:\n  g0: \"inf\"\n", "integrals.g0"),
+    ],
+)
+def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
+    # inf passes every "> 0" domain check, so finiteness is checked on its own
+    code = main(["integrals", "--config", _write_config(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be finite")
+
+
+def test_identity_violation_exits_3(tmp_path, capsys):
+    # at width 50 the solved norms miss the scattering identities by ~5e-4
+    cfg = _write_config(tmp_path, "potential:\n  width: 50.0\n")
+    code = main(["scattering", "--config", cfg, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("identity violation: scattering identities fail")
+    assert "Traceback" not in err
 
 
 def test_float_keys_take_yaml_exponent_strings(tmp_path):
