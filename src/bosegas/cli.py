@@ -461,7 +461,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
 
     def sample(x):
         e = phase(x)
-        return [(const(x), np.zeros_like(np.asarray(x, dtype=float))), (e, 1j * omega * e), *trig(x)]
+        return [(const(x), np.zeros_like(x)), (e, 1j * omega * e), *trig(x)]
 
     names = ["const", "phase", "trig0", "trig1", "trig2"]
     isometry = {}
