@@ -301,8 +301,9 @@ def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[Pen
     rhs  = int_0^L |phi'|^2  +  C ell^-2 int chi |phi|^2
 
     with the collar mass int chi |phi|^2 taken over one period.  sample(xs)
-    returns one pair (phi(xs), phi'(xs)) per function, each function
-    L-periodic; the result holds one report per pair, in order.
+    yields one pair (phi(xs), phi'(xs)) per function, each function
+    L-periodic; the result holds one report per pair, in order.  A
+    generator keeps one function's samples alive at a time.
 
     One pass covers the window's six Simpson grids, each built once: the
     three smooth panels of [-ell, L+ell], the period [0, L], and the two
@@ -357,9 +358,10 @@ def trig_polynomial(period: float, cos_coeffs, sin_coeffs):
 
     cos_coeffs[k], sin_coeffs[k] weight cos/sin(2 pi (k+1) x / L); the
     constant term is fixed at 1 so each polynomial has collar mass.  2-D
-    coefficient arrays hold one polynomial per row.  The sampler maps xs to
-    one pair (phi(xs), phi'(xs)) per polynomial, the form kinetic_penalty
-    takes; every pair comes from one cos and one sin of the angle matrix.
+    coefficient arrays hold one polynomial per row.  The sampler is a
+    generator over xs yielding one pair (phi(xs), phi'(xs)) per polynomial,
+    the form kinetic_penalty takes; every pair comes from one cos and one
+    sin of the angle matrix.
     """
     ck = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
     sk = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
@@ -370,10 +372,9 @@ def trig_polynomial(period: float, cos_coeffs, sin_coeffs):
 
     def sample(xs):
         angles = np.multiply.outer(np.asarray(xs, dtype=float), freqs)
-        cos, sin = np.cos(angles), np.sin(angles)
-        return [
-            (1.0 + cos @ c + sin @ s, cos @ ds - sin @ dc)
-            for c, s, dc, ds in zip(ck, sk, dck, dsk)
-        ]
+        cos = np.cos(angles)
+        sin = np.sin(angles, out=angles)
+        for c, s, dc, ds in zip(ck, sk, dck, dsk):
+            yield 1.0 + cos @ c + sin @ s, cos @ ds - sin @ dc
 
     return sample

@@ -459,14 +459,19 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
     trig = bnd.trig_polynomial(w.period, coeffs[:, 0], coeffs[:, 1])
     trig0 = bnd.trig_polynomial(w.period, coeffs[0, 0], coeffs[0, 1])
 
+    # the polynomials first, while no other function's samples are alive
     def sample(x):
+        yield from trig(x)
+        yield const(x), np.zeros_like(x)
         e = phase(x)
-        return [(const(x), np.zeros_like(x)), (e, 1j * omega * e), *trig(x)]
+        yield e, 1j * omega * e
 
-    names = ["const", "phase", "trig0", "trig1", "trig2"]
+    reports = bnd.kinetic_penalty(w, sample, resolution=resolution)
+    by_name = dict(zip(["trig0", "trig1", "trig2", "const", "phase"], reports))
     isometry = {}
     penalty = {}
-    for name, pen in zip(names, bnd.kinetic_penalty(w, sample, resolution=resolution)):
+    for name in ["const", "phase", "trig0", "trig1", "trig2"]:
+        pen = by_name[name]
         isometry[name] = {
             "extended": pen.isometry.extended,
             "periodic": pen.isometry.periodic,
@@ -483,7 +488,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
     (pen_deg,) = bnd.kinetic_penalty(degenerate, trig0, resolution=resolution)
 
     def trig0_phi(x):
-        return trig0(x)[0][0]
+        return next(trig0(x))[0]
 
     sep = bnd.isometry_3d_separable(w, [trig0_phi, phase, const], resolution=4096)
     avg = bnd.shifted_collar_average(w, [0.0, 0.37 * w.period, -1.6 * w.period])

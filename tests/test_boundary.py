@@ -32,8 +32,8 @@ def _trig(w, seed):
 
 
 def _phi(sample):
-    """The phi-only callable of a one-function sampler."""
-    return lambda xs: sample(xs)[0][0]
+    """The phi-only callable of a one-polynomial sampler."""
+    return lambda xs: next(sample(xs))[0]
 
 
 # ---------------------------------------------------------------- window
@@ -376,7 +376,7 @@ def test_one_pass_equals_per_callable_route(ell, resolution):
 def test_trig_family_rows_equal_single_polynomials():
     coeffs = 0.3 * np.random.default_rng(3).normal(size=(2, 3, 8))
     xs = np.linspace(-0.1, 1.1, 1001)
-    family = trig_polynomial(1.0, coeffs[0], coeffs[1])(xs)
+    family = list(trig_polynomial(1.0, coeffs[0], coeffs[1])(xs))
     assert len(family) == 3
     for row, (phi, dphi) in enumerate(family):
         ((phi1, dphi1),) = trig_polynomial(1.0, coeffs[0, row], coeffs[1, row])(xs)
