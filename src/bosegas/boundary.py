@@ -118,10 +118,13 @@ def window_q(w: Window, x):
     """The window value; scalar in, scalar out (arrays broadcast)."""
     xs = np.asarray(x, dtype=float)
     ell, big_l = w.ell, w.period
-    rise = np.cos((xs - ell) * np.pi / (4.0 * ell))
-    fall = np.cos((xs - (big_l - ell)) * np.pi / (4.0 * ell))
     on_rise, on_plateau, on_fall = _branches(w, xs)
-    out = np.select([on_rise, on_plateau, on_fall], [rise, np.ones_like(xs), fall], default=0.0)
+    # each ramp only on its own nodes; rise is written last, so it wins where
+    # the masks meet (ell = L/2), as the first branch of a select would
+    out = np.zeros_like(xs)
+    out[on_fall] = np.cos((xs[on_fall] - (big_l - ell)) * np.pi / (4.0 * ell))
+    out[on_plateau] = 1.0
+    out[on_rise] = np.cos((xs[on_rise] - ell) * np.pi / (4.0 * ell))
     # the cosine argument at the outer support edges can round a half-ulp
     # past its zero crossing; the window itself never leaves [0, 1]
     out = np.clip(out, 0.0, 1.0)
@@ -133,10 +136,11 @@ def window_q_prime(w: Window, x):
     xs = np.asarray(x, dtype=float)
     ell, big_l = w.ell, w.period
     s = np.pi / (4.0 * ell)
-    rise = -s * np.sin((xs - ell) * np.pi / (4.0 * ell))
-    fall = -s * np.sin((xs - (big_l - ell)) * np.pi / (4.0 * ell))
-    on_rise, on_plateau, on_fall = _branches(w, xs)
-    out = np.select([on_rise, on_plateau, on_fall], [rise, np.zeros_like(xs), fall], default=0.0)
+    on_rise, _, on_fall = _branches(w, xs)
+    # zero on the plateau and outside; rise written last, as in window_q
+    out = np.zeros_like(xs)
+    out[on_fall] = -s * np.sin((xs[on_fall] - (big_l - ell)) * np.pi / (4.0 * ell))
+    out[on_rise] = -s * np.sin((xs[on_rise] - ell) * np.pi / (4.0 * ell))
     return float(out) if out.ndim == 0 else out
 
 

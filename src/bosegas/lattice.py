@@ -32,6 +32,12 @@ m_lo .. m_hi the cyclic length is n = 2 (m_hi div 4) + 1 - (m_lo div 4): each
 linear product ends at 2 (m_hi div 4), and the terms past n fold back below
 m_lo div 4, outside every class window.  Shell counts stop at m = 6e7 (rho of
 about 2.7e-9 at the default eta) with BudgetExceeded.
+
+scipy is imported inside the functions that call it (the spectra,
+`shell_counts`, the continuum quadrature), not at module level: the CLI
+imports this module at every start, and the trial-state and boundary
+pipelines, which never count shells or integrate, would otherwise pay for
+all of scipy.
 """
 
 from __future__ import annotations
@@ -42,8 +48,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad
 
 from .errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
 
@@ -366,6 +370,8 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
 
     Substituting k = e^t keeps quad happy when the bounds span many decades.
     """
+    from scipy.integrate import quad
+
     if not (0.0 < k_lo < k_hi):
         raise ValueError("annulus needs 0 < k_lo < k_hi")
     val, _ = quad(
@@ -394,6 +400,8 @@ def _square_class(parity: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _single_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
     """rfft of the one-square table A of one parity, zero-padded to length n."""
+    from scipy.fft import rfft
+
     k, w = _square_class(parity, k_max)
     table = np.zeros(n)
     table[k] = w
@@ -407,6 +415,8 @@ def _pair_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
     numpy row per x >= 0 over the quarter plane: the indices along a row are
     distinct, so one fancy-index add per row is exact.
     """
+    from scipy.fft import rfft
+
     k, w = _square_class(parity, k_max)
     table = np.zeros(n)
     for i in range(k.size):
@@ -438,6 +448,8 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     BudgetExceeded is raised when any value lies 0.25 or more from its
     integer, so FFT roundoff can never change a count unseen.
     """
+    from scipy.fft import irfft, next_fast_len
+
     if m_max > _SHELL_BUDGET:
         raise BudgetExceeded(f"shell budget: m_max={m_max} > {_SHELL_BUDGET}")
     if not 0 <= m_min <= m_max:

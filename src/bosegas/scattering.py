@@ -33,6 +33,12 @@ consumed by the energy ledger.  Two exact identities tie them together:
 
 and `check_scattering_identities` reports how well the numerics honor them,
 using the independent small-p limit of g_p = p^2 w_p on the second one.
+
+scipy is imported inside the functions that call it, not at module level:
+the CLI imports this module at every start, the trial-state and boundary
+pipelines never solve (trial-state needs only `Potential` and `fourier_at`),
+and a Gaussian solve never needs `scipy.interpolate`, so no pipeline pays
+for a scipy module it does not call.
 """
 
 from __future__ import annotations
@@ -43,10 +49,6 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.sparse.linalg import LinearOperator, gmres
-from scipy.special import roots_legendre, sici
 
 from .errors import GridTooCoarse, InvalidPotential, NotConverged, QuadratureError
 
@@ -74,6 +76,8 @@ _KERNEL_BLOCK_ROWS = 64
 @cache
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per n, read-only."""
+    from scipy.special import roots_legendre
+
     x, wt = roots_legendre(n)
     x.flags.writeable = wt.flags.writeable = False
     return x, wt
@@ -142,6 +146,8 @@ class Potential:
 
     @cached_property
     def _interp(self):
+        from scipy.interpolate import PchipInterpolator
+
         # shape-preserving: keeps V >= 0 between nonnegative samples
         return PchipInterpolator(np.asarray(self.r_samples), np.asarray(self.v_samples), extrapolate=False)
 
@@ -196,6 +202,9 @@ class Potential:
 
     @cached_property
     def _qcum_spline(self):
+        from scipy.integrate import cumulative_trapezoid
+        from scipy.interpolate import CubicSpline
+
         # tabulated route: spline the cumulative of q V_q on a dense uniform grid
         q = np.linspace(0.0, self.saturation_radius, 8001)
         vq = fourier_at(self, q)
@@ -260,6 +269,8 @@ class ScatteringSolution:
 
     @cached_property
     def _g_spline(self):
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(np.log(self.p_grid), self.g_grid)
 
     def g(self, p) -> np.ndarray:
@@ -366,6 +377,8 @@ def _pair_kernel(potential, p) -> np.ndarray:
 
 
 def _solve_on_grid(potential, n_grid, p_min, p_max, tol):
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n_grid |= 1  # Simpson needs an odd point count
     p = np.geomspace(p_min, p_max, n_grid)
     vp = fourier_at(potential, p)
@@ -407,6 +420,8 @@ def _solve_on_grid(potential, n_grid, p_min, p_max, tol):
 
 
 def _observables(potential, p, w, g, quad_w):
+    from scipy.special import sici
+
     k = max(1, int(np.searchsorted(p, 2.0 * p[0])))
     # p -> 0 limit of g by Richardson in p^2 (g is analytic in p^2)
     g0_limit = _small_p_limit(p, g, k)
@@ -508,6 +523,8 @@ def shooting_scattering_length(potential: Potential, *, r_max: float | None = No
     Beyond the potential range u(r) = c (r - a), so a = r - u/u' there.  This
     is a position-space route entirely independent of the momentum solver.
     """
+    from scipy.integrate import solve_ivp
+
     r_max = r_max if r_max is not None else 1.25 * potential.range_cutoff
 
     def rhs(r, y):

@@ -36,6 +36,10 @@ Under the two scattering identities G2 - W1 + W2 = 0 and V0 - W1 = g0 the
 rho^2 column sums to g0 and the rho^(5/2) column to 26 g0^(5/2)/(15 pi^2);
 replacing rho^2 by the condensate density squared shifts the latter to the
 second-order coefficient 16 g0^(5/2)/(15 pi^2).
+
+scipy's `quad` is imported inside the one helper that calls it, not at
+module level: the CLI imports this module at every start, and the
+trial-state and boundary pipelines never integrate.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import DilutenessWarning, IdentityViolation
 from .scattering import ScatteringSolution, check_scattering_identities
@@ -54,7 +56,6 @@ __all__ = [
     "integral_number_density",
     "integral_kinetic",
     "integral_pair",
-    "pair_integrand_forms",
     "ConstantLedger",
     "assemble_ledger",
     "lhy_energy",
@@ -91,6 +92,8 @@ def _quad_with_tail(radial, tail_coeffs, *, refine: bool):
     large q; the remainder beyond the cutoff K integrates to
     c2/K + c4/(3 K^3) + c6/(5 K^5).
     """
+    from scipy.integrate import quad
+
     eps = 1e-12 if refine else 1e-8
     v1, e1 = quad(radial, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)
     v2, e2 = quad(radial, 1.0, _TAIL_CUT, epsabs=0.0, epsrel=eps, limit=400)
@@ -154,18 +157,6 @@ def integral_pair(g0: float, *, refine: bool = False) -> IntegralResult:
         error_estimate=err * scale,
         closed_form=g0**1.5 / math.pi**2,
     )
-
-
-def pair_integrand_forms(g0: float, k: float) -> tuple[float, float]:
-    """The pair integrand written the two ways it appears in the analysis.
-
-    Both are (g0/k^2) times, respectively, (1 - 1/h) and (h-1)/h; they are
-    the same function and are kept separate only so tests can confirm it.
-    """
-    h = math.sqrt(1.0 + 4.0 * g0 / k**2)
-    form_a = (g0 / k**2) * (1.0 - 1.0 / h)
-    form_b = (g0 / k**2) * ((h - 1.0) / h)
-    return form_a, form_b
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, and the CLI imports no more of scipy
-than it uses."""
+than it uses: none at start, none in trial-state or boundary."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bosegas
 from bosegas.fock import generate_M, weight_recursion_report
@@ -65,12 +67,51 @@ def test_trace_extractors_read_integers(gaussian_solution):
             assert type(value) is int, (name, key, type(value))
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal costs over half a second at every start and nothing uses it
+def _source_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs over half a second at every start and nothing uses it
     probe = "import sys, bosegas.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _imported(*args: str) -> set[str]:
+    """Every module a fresh `python -X importtime <args>` imports, by name."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=_source_env(), capture_output=True, text=True, check=True,
+    )
+    lines = [ln for ln in out.stderr.splitlines() if ln.startswith("import time:")]
+    return {ln.rsplit("|", 1)[-1].strip() for ln in lines[1:]}
+
+
+def _scipy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_cli_import_loads_no_scipy():
+    modules = _imported("-c", "import bosegas.cli")
+    assert "bosegas.cli" in modules
+    assert _scipy(modules) == set()
+
+
+@pytest.mark.parametrize("pipeline", ["trial-state", "boundary"])
+def test_numpy_only_pipelines_load_no_scipy(pipeline, tmp_path):
+    # scipy is imported inside the functions that call it; neither pipeline calls one
+    modules = _imported("-m", "bosegas", pipeline, "--out", str(tmp_path))
+    assert any(tmp_path.iterdir())
+    assert _scipy(modules) == set()
+
+
+def test_scattering_skips_scipy_interpolate(tmp_path):
+    # the Gaussian solve needs no spline: only tabulated potentials and g(p) do
+    modules = _imported("-m", "bosegas", "scattering", "--out", str(tmp_path))
+    assert "scipy.sparse.linalg" in modules
+    assert "scipy.interpolate" not in modules

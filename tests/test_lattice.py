@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bosegas import lattice
 from bosegas.errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
@@ -397,7 +398,7 @@ def test_shell_counts_rejects_empty_window():
 
 def test_shell_counts_roundoff_guard(monkeypatch):
     full = shell_counts(60)
-    irfft = lattice.irfft
+    irfft = scipy.fft.irfft
 
     def off_by_0_3(*args, **kwargs):
         # each residue class c runs its own transform, indexed by k = m div 4:
@@ -406,7 +407,8 @@ def test_shell_counts_roundoff_guard(monkeypatch):
         out[1] += 0.3
         return out
 
-    monkeypatch.setattr(lattice, "irfft", off_by_0_3)
+    # shell_counts imports irfft from scipy.fft when called, so patch it there
+    monkeypatch.setattr(scipy.fft, "irfft", off_by_0_3)
     with pytest.raises(BudgetExceeded, match="0.3"):
         shell_counts(60, 5)
     # an error outside the kept window is not looked at

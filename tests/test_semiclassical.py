@@ -14,7 +14,6 @@ from bosegas.semiclassical import (
     integral_number_density,
     integral_pair,
     lhy_energy,
-    pair_integrand_forms,
     predicted_energy_density,
 )
 
@@ -50,13 +49,6 @@ def test_integral_rejects_nonpositive_coupling(func):
         func(0.0)
     with pytest.raises(ValueError):
         func(-1.0)
-
-
-def test_pair_integrand_forms_agree():
-    # raw difference form vs the cancellation-free rewrite
-    for k in (0.05, 0.3, 1.0, 7.0, 40.0):
-        raw, stable = pair_integrand_forms(1.3, k)
-        assert math.isclose(raw, stable, rel_tol=1e-9, abs_tol=1e-18)
 
 
 # ---------------------------------------------------------------- ledger
