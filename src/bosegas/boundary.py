@@ -51,7 +51,6 @@ __all__ = [
     "Window",
     "window_q",
     "window_q_prime",
-    "window_h",
     "collar_indicator",
     "IsometryReport",
     "check_isometry",
@@ -75,18 +74,6 @@ class Window:
             raise ValueError("need ell > 0")
         if not (self.ell <= self.period / 2.0):
             raise ValueError("need ell <= period/2 (plateau must not be negative)")
-
-    @classmethod
-    def from_density(cls, rho: float) -> "Window":
-        """Physical margin and period, ell = rho^(-25/48), L = rho^(-25/24)."""
-        if not 0.0 < rho < 1.0:
-            raise ValueError("need 0 < rho < 1")
-        return cls(ell=rho ** (-25.0 / 48.0), period=rho ** (-25.0 / 24.0))
-
-    @property
-    def slope_bound(self) -> float:
-        """Uniform bound on |q'|: the ramp slope pi/(4 ell)."""
-        return math.pi / (4.0 * self.ell)
 
     @property
     def collar_fraction(self) -> float:
@@ -142,12 +129,6 @@ def window_q_prime(w: Window, x):
     out[on_fall] = -s * np.sin((xs[on_fall] - (big_l - ell)) * np.pi / (4.0 * ell))
     out[on_rise] = -s * np.sin((xs[on_rise] - ell) * np.pi / (4.0 * ell))
     return float(out) if out.ndim == 0 else out
-
-
-def window_h(w: Window, point) -> float:
-    """3-D product window q(x1) q(x2) q(x3)."""
-    x1, x2, x3 = point
-    return window_q(w, x1) * window_q(w, x2) * window_q(w, x3)
 
 
 def collar_indicator(w: Window, x):

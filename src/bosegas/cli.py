@@ -121,8 +121,15 @@ def _num(value, where: str, cast=float):
     return number
 
 
+def _cast(block: dict, key: str, where: str, cast=float):
+    """block[key] cast by _num and stored back, so pipelines read typed values."""
+    block[key] = _num(block[key], where, cast)
+    return block[key]
+
+
 def load_config(path: str | None) -> dict:
-    """Parse, merge with defaults, and validate every numeric domain."""
+    """Parse, merge with defaults, validate every numeric domain, and store
+    each number cast to its type (float, or int for the integer keys)."""
     raw: dict = {}
     if path is not None:
         try:
@@ -141,44 +148,47 @@ def load_config(path: str | None) -> dict:
     cfg = _merge(DEFAULT_CONFIG, raw)
 
     pot = cfg["potential"]
-    _require(_num(pot["amplitude"], "potential.amplitude") > 0.0, "potential.amplitude must be > 0")
-    _require(_num(pot["width"], "potential.width") > 0.0, "potential.width must be > 0")
+    _require(_cast(pot, "amplitude", "potential.amplitude") > 0.0, "potential.amplitude must be > 0")
+    _require(_cast(pot, "width", "potential.width") > 0.0, "potential.width must be > 0")
     sched = cfg["schedule"]
-    _require(0.0 < _num(sched["rho"], "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
-    _require(0.0 < _num(sched["eta"], "schedule.eta") < 0.25, "schedule.eta must lie in (0, 1/4)")
+    _require(0.0 < _cast(sched, "rho", "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
+    _require(0.0 < _cast(sched, "eta", "schedule.eta") < 0.25, "schedule.eta must lie in (0, 1/4)")
     if sched["k_c"] is not None:
-        _require(_num(sched["k_c"], "schedule.k_c") > 0.0, "schedule.k_c must be > 0")
+        _require(_cast(sched, "k_c", "schedule.k_c") > 0.0, "schedule.k_c must be > 0")
+    _require(
+        cfg["toy_modes"] is None or isinstance(cfg["toy_modes"], str),
+        "toy_modes must be a file path",
+    )
     trial = cfg["trial"]
-    _require(_num(trial["n"], "trial.n", int) >= 0, "trial.n must be >= 0")
-    _require(_num(trial["m_c"], "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
+    _require(_cast(trial, "n", "trial.n", int) >= 0, "trial.n must be >= 0")
+    _require(_cast(trial, "m_c", "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
     if trial["volume"] is not None:
-        _require(_num(trial["volume"], "trial.volume") > 0.0, "trial.volume must be > 0")
+        _require(_cast(trial, "volume", "trial.volume") > 0.0, "trial.volume must be > 0")
     rhos = cfg["sweep"]["rho_values"]
     _require(
         isinstance(rhos, (list, tuple)) and len(rhos) > 0,
         "sweep.rho_values must be a nonempty list",
     )
+    rhos = cfg["sweep"]["rho_values"] = [_num(r, "sweep.rho_values entry") for r in rhos]
     for r in rhos:
-        _require(
-            0.0 < _num(r, "sweep.rho_values entry") < 1.0,
-            "sweep.rho_values entries must lie in (0, 1)",
-        )
-    _require(_num(cfg["integrals"]["g0"], "integrals.g0") > 0.0, "integrals.g0 must be > 0")
+        _require(0.0 < r < 1.0, "sweep.rho_values entries must lie in (0, 1)")
+    _require(_cast(cfg["integrals"], "g0", "integrals.g0") > 0.0, "integrals.g0 must be > 0")
     bcfg = cfg["boundary"]
-    ell = _num(bcfg["ell"], "boundary.ell")
-    period = _num(bcfg["period"], "boundary.period")
+    ell = _cast(bcfg, "ell", "boundary.ell")
+    period = _cast(bcfg, "period", "boundary.period")
     _require(ell > 0.0, "boundary.ell must be > 0")
     _require(period > 0.0, "boundary.period must be > 0")
     _require(ell <= period / 2.0, "boundary.ell must not exceed period/2")
-    _require(_num(bcfg["degree"], "boundary.degree", int) >= 1, "boundary.degree must be >= 1")
+    _require(_cast(bcfg, "degree", "boundary.degree", int) >= 1, "boundary.degree must be >= 1")
     _require(
-        _num(bcfg["resolution"], "boundary.resolution", int) >= 4,
+        _cast(bcfg, "resolution", "boundary.resolution", int) >= 4,
         "boundary.resolution must be >= 4",
     )
-    for name, value in cfg["tolerances"].items():
-        _require(_num(value, f"tolerances.{name}") > 0.0, f"tolerances.{name} must be > 0")
+    tols = cfg["tolerances"]
+    for name in tols:
+        _require(_cast(tols, name, f"tolerances.{name}") > 0.0, f"tolerances.{name} must be > 0")
     _require(
-        _num(cfg["budgets"]["closure"], "budgets.closure", int) > 0,
+        _cast(cfg["budgets"], "closure", "budgets.closure", int) > 0,
         "budgets.closure must be > 0",
     )
     _require(type(cfg["seed"]) is int, "seed must be an integer")
@@ -211,7 +221,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _potential_from(cfg: dict) -> Potential:
     pot = cfg["potential"]
-    return Potential.gaussian(float(pot["amplitude"]), float(pot["width"]))
+    return Potential(pot["amplitude"], pot["width"])
 
 
 def _solve(cfg: dict):
@@ -232,11 +242,7 @@ def run_scattering(cfg: dict, out: Path) -> dict:
 def run_lattice(cfg: dict, out: Path) -> dict:
     sched_cfg = cfg["schedule"]
     try:
-        schedule = Schedule(
-            rho=float(sched_cfg["rho"]),
-            eta=float(sched_cfg["eta"]),
-            k_c=None if sched_cfg["k_c"] is None else float(sched_cfg["k_c"]),
-        )
+        schedule = Schedule(rho=sched_cfg["rho"], eta=sched_cfg["eta"], k_c=sched_cfg["k_c"])
     except ValueError as exc:
         raise ConfigInvalid(f"schedule: {exc}") from exc
     solution = _solve(cfg)
@@ -264,8 +270,8 @@ def _resolve_toy(cfg: dict) -> ToyCase:
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
-            n=int(cfg["trial"]["n"]),
-            m_c=int(cfg["trial"]["m_c"]),
+            n=cfg["trial"]["n"],
+            m_c=cfg["trial"]["m_c"],
             v_of=ctx.v_mag,
             note="loaded from file",
         )
@@ -335,7 +341,7 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
 def run_trial_state(cfg: dict, out: Path) -> dict:
     case = _resolve_toy(cfg)
     try:
-        battery = _trial_battery(case, budget=int(cfg["budgets"]["closure"]))
+        battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
     except RegionUndefined as exc:
         # only a mode file can leave lambda unset on a mode the closure fills
         raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
@@ -348,7 +354,7 @@ def run_trial_state(cfg: dict, out: Path) -> dict:
 def run_energy_curve(cfg: dict, out: Path) -> dict:
     solution = _solve(cfg)
     g0 = solution.g0
-    eta = float(cfg["schedule"]["eta"])
+    eta = cfg["schedule"]["eta"]
     header = [
         "rho",
         "pl_lattice",
@@ -362,7 +368,7 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
         "energy_total",
     ]
     rows = []
-    for rho in (float(r) for r in cfg["sweep"]["rho_values"]):
+    for rho in cfg["sweep"]["rho_values"]:
         comp = pl_number_density_comparison(Schedule(rho=rho, eta=eta), g0)
         lead = g0 * rho**2
         second = semi.LHY_RATIO * g0**2.5 * rho**2.5
@@ -385,7 +391,7 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
         "g0": g0,
         "a": solution.a,
         "eta": eta,
-        "rho_values": [float(r) for r in cfg["sweep"]["rho_values"]],
+        "rho_values": cfg["sweep"]["rho_values"],
         "gaps_annulus": [row[3] for row in rows],
     }
     _write_json(out / "energy_curve.json", meta)
@@ -393,7 +399,7 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
 
 
 def run_integrals(cfg: dict, out: Path, *, refine: bool) -> dict:
-    g0 = float(cfg["integrals"]["g0"])
+    g0 = cfg["integrals"]["g0"]
     nd = semi.integral_number_density(g0, refine=refine)
     kin = semi.integral_kinetic(g0, refine=refine)
     pair = semi.integral_pair(g0, refine=refine)
@@ -436,9 +442,9 @@ def run_integrals(cfg: dict, out: Path, *, refine: bool) -> dict:
 
 def _boundary_battery(cfg: dict, seed: int) -> dict:
     bcfg = cfg["boundary"]
-    w = bnd.Window(ell=float(bcfg["ell"]), period=float(bcfg["period"]))
-    resolution = int(bcfg["resolution"])
-    degree = int(bcfg["degree"])
+    w = bnd.Window(ell=bcfg["ell"], period=bcfg["period"])
+    resolution = bcfg["resolution"]
+    degree = bcfg["degree"]
     rng = np.random.default_rng(seed)
 
     xs = np.linspace(-w.ell, w.ell, 4097)
@@ -514,7 +520,7 @@ def run_boundary(cfg: dict, out: Path, *, seed: int) -> dict:
 
 
 def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
-    tol = {k: float(v) for k, v in cfg["tolerances"].items()}
+    tol = cfg["tolerances"]
     violations: list[dict] = []
 
     def check(name: str, value: float, bound: float) -> None:
@@ -558,7 +564,7 @@ def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
         check(f"integral.{name}", result.rel_residual, integral_tol)
 
     # toy battery
-    budget = int(cfg["budgets"]["closure"])
+    budget = cfg["budgets"]["closure"]
     toy_rows = []
     for case in builtin_toy_suite():
         battery = _trial_battery(case, budget=budget)
@@ -621,7 +627,7 @@ def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
 
     # light lattice convergence probe (the full sweep lives in energy-curve)
     g0 = solution.g0
-    eta = float(cfg["schedule"]["eta"])
+    eta = cfg["schedule"]["eta"]
     gaps = [
         pl_number_density_comparison(Schedule(rho=r, eta=eta), g0)["rel_gap_annulus"]
         for r in (1.0e-4, 1.0e-5)
@@ -676,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = args.seed if args.seed is not None else cfg["seed"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

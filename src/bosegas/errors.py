@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -23,10 +23,6 @@ class GridTooCoarse(BosegasError):
     """Refining the discretization moved the answer by more than the tolerance."""
 
 
-class QuadratureError(BosegasError):
-    """A quadrature failed its internal self-consistency check."""
-
-
 class RegionUndefined(BosegasError):
     """A dispersion value was requested where none is defined (P0 or the gap)."""
 
@@ -49,7 +45,3 @@ class ConfigInvalid(BosegasError, ValueError):
 
 class DivergentIntegrand(BosegasError, ValueError):
     """A lattice summand evaluated to a non-finite value on an included mode."""
-
-
-class DilutenessWarning(UserWarning):
-    """The requested density is outside the dilute regime the expansion assumes."""

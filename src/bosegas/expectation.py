@@ -59,7 +59,6 @@ __all__ = [
     "energy_report",
     "p_uv",
     "pair_correlator_check",
-    "asymmetry_count_F",
     "occupation_ratio_report",
     "pl_occupation_monotonicity",
     "statistics_report",
@@ -442,20 +441,6 @@ def pair_correlator_check(state: WeightedTrialState, u_idx: int, v_idx: int) -> 
         "abs_gap": abs(direct - closed),
         "exact_case": exact_case,
     }
-
-
-def asymmetry_count_F(
-    mode_set: ModeSet, state: OccupationState, momenta: Sequence[int]
-) -> int:
-    """Sum over the given modes in the low region of |n(v) - n(-v)|."""
-    total = 0
-    for v in momenta:
-        if mode_set.modes[v].region is not Region.PL:
-            continue
-        j = mode_set.neg_index(v)
-        other = state.counts[j] if j is not None else 0
-        total += abs(state.counts[v] - other)
-    return total
 
 
 def occupation_ratio_report(

@@ -71,13 +71,6 @@ class OccupationState:
     def n(self) -> int:
         return sum(self.counts)
 
-    def total_momentum(self, mode_set: ModeSet) -> np.ndarray:
-        out = np.zeros(3)
-        for i, c in enumerate(self.counts):
-            if c:
-                out += c * mode_set.modes[i].p
-        return out
-
 
 def free_state(mode_set: ModeSet, n: int) -> OccupationState:
     counts = [0] * len(mode_set)

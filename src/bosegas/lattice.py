@@ -58,7 +58,6 @@ __all__ = [
     "Mode",
     "ModeSet",
     "ShellSumResult",
-    "classify",
     "lambda_at",
     "shell_counts",
     "radial_shell_sum",
@@ -143,10 +142,6 @@ class Schedule:
         """Shift absorbed when rounding rho L^3 to an integer particle count."""
         return self.n_particles - self.rho * self.volume
 
-    def ordering_ok(self) -> bool:
-        top = self.k_c if self.k_c is not None else math.inf
-        return self.p_gap_top < self.p_low_top < self.eps_h < top
-
     def as_dict(self) -> dict:
         return {
             "rho": self.rho,
@@ -167,24 +162,6 @@ def _magnitude(p) -> float:
     if arr.ndim == 0:
         return float(arr)
     return float(np.linalg.norm(arr))
-
-
-def classify(schedule: Schedule, p) -> Region:
-    """Region label of a momentum (vector or magnitude) under the schedule.
-
-    Boundary placement: P_L is closed at both ends, P_I is half open (its
-    upper bound eps_H included), P_H is open below.
-    """
-    mag = _magnitude(p)
-    if mag == 0.0:
-        return Region.P0
-    if mag < schedule.p_gap_top:
-        return Region.GAP
-    if mag <= schedule.p_low_top:
-        return Region.PL
-    if mag <= schedule.eps_h:
-        return Region.PI
-    return Region.PH
 
 
 @dataclass(frozen=True)
@@ -220,27 +197,21 @@ class Mode:
     region: Region
     lam: float | None = None
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.p))
-
 
 def _key(p, unit: float) -> tuple:
     return tuple((np.divide(p, unit).round(9) + 0.0).tolist())
 
 
 class ModeSet:
-    """Explicit collection of modes, toy (manual labels) or schedule-driven.
+    """Explicit collection of modes with manual labels and optional lambdas.
 
-    Toy sets must list the zero mode and may attach manual lambda values;
-    schedule sets materialize every lattice vector up to a magnitude budget.
+    A set must list the zero mode.  Modes on a schedule's lattice pass the
+    schedule, which keys them in lattice spacings and sets the volume.
     """
 
-    def __init__(self, modes: Sequence[Mode], volume: float | None = None, schedule: Schedule | None = None, source: str = "toy"):
+    def __init__(self, modes: Sequence[Mode], volume: float | None = None, schedule: Schedule | None = None):
         self.modes = list(modes)
         self.volume = volume if volume is not None else (schedule.volume if schedule else None)
-        self.schedule = schedule
-        self.source = source
         # keys count lattice spacings, so they stay distinct at any density
         self._unit = schedule.spacing if schedule is not None else 1.0
         self._by_key = {}
@@ -270,38 +241,7 @@ class ModeSet:
             region = Region(lab)
             lam = None if lams is None else lams[i]
             modes.append(Mode(index=i, p=np.asarray(p, dtype=float), region=region, lam=lam))
-        return cls(modes, volume=volume, source="toy")
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule, p_budget: float, max_modes: int = 200_000) -> "ModeSet":
-        """Materialize all lattice modes with |p| <= p_budget (toy scale only)."""
-        step = schedule.spacing
-        nmax = int(math.floor(p_budget / step))
-        est = (2 * nmax + 1) ** 3
-        if est > 8 * max_modes:
-            raise BudgetExceeded(f"{est} candidate vectors exceed the materialization budget")
-        modes = []
-        idx = 0
-        rng = range(-nmax, nmax + 1)
-        kc = schedule.k_c
-        # compare squared lattice norms, so the whole shell on the budget
-        # sphere is kept or dropped together, whatever the rounding of |p|
-        n2_max = (p_budget / step) ** 2
-        for nx in rng:
-            for ny in rng:
-                for nz in rng:
-                    if nx * nx + ny * ny + nz * nz > n2_max:
-                        continue
-                    p = np.array([nx, ny, nz], dtype=float) * step
-                    mag = float(np.linalg.norm(p))
-                    region = classify(schedule, mag)
-                    if kc is not None and region is Region.PH and mag > kc:
-                        region = Region.TRUNCATED
-                    modes.append(Mode(index=idx, p=p, region=region))
-                    idx += 1
-                    if idx > max_modes:
-                        raise BudgetExceeded("materialized mode count exceeded max_modes")
-        return cls(modes, volume=schedule.volume, schedule=schedule, source="schedule")
+        return cls(modes, volume=volume)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -320,16 +260,6 @@ class ModeSet:
 
     def indices_in(self, *regions: Region) -> list[int]:
         return [m.index for m in self.modes if m.region in regions]
-
-    def attach_dispersion(self, dispersion: Dispersion, rho: float) -> None:
-        """Fill lambda on every mode outside P0 and the gap."""
-        for m in self.modes:
-            if m.region in (Region.P0, Region.GAP):
-                m.lam = None
-            elif m.region is Region.PL:
-                m.lam = lambda_at(dispersion, rho, m.p, Region.PL)
-            else:
-                m.lam = lambda_at(dispersion, rho, m.p, Region.PH)
 
     def momentum_matrix(self) -> np.ndarray:
         return np.stack([m.p for m in self.modes])

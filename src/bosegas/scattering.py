@@ -1,6 +1,6 @@
 """Zero-energy two-body scattering in momentum space.
 
-A repulsive radial pair potential V enters through its Fourier transform
+A repulsive Gaussian pair potential V enters through its Fourier transform
 
     V_p = 4 pi int_0^inf r^2 V(r) sinc(p r) dr ,      sinc(x) = sin(x)/x .
 
@@ -37,8 +37,8 @@ using the independent small-p limit of g_p = p^2 w_p on the second one.
 scipy is imported inside the functions that call it, not at module level:
 the CLI imports this module at every start, the trial-state and boundary
 pipelines never solve (trial-state needs only `Potential` and `fourier_at`),
-and a Gaussian solve never needs `scipy.interpolate`, so no pipeline pays
-for a scipy module it does not call.
+and a solve never needs `scipy.interpolate` (only `ScatteringSolution.g`
+does), so no pipeline pays for a scipy module it does not call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidPotential, NotConverged, QuadratureError
+from .errors import GridTooCoarse, InvalidPotential, NotConverged
 
 __all__ = [
     "Potential",
@@ -85,157 +85,71 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Potential:
-    """Repulsive radial pair potential, Gaussian or tabulated.
+    """Repulsive Gaussian pair potential V(r) = amplitude exp(-r^2 / 2 width^2).
 
-    kind         "gaussian" or "tabulated"
-    amplitude    Gaussian height V(0) (energy units)
-    width        Gaussian width sigma
-    r_samples    radii of tabulated samples (ascending, from 0)
-    v_samples    nonnegative values at r_samples
-    range_cutoff radius beyond which V is treated as exactly zero
+    amplitude    height V(0) (energy units), nonnegative
+    width        width sigma, positive
+
+    V is treated as exactly zero beyond range_cutoff = 10 width, where it has
+    fallen below e^-50 of its height.
     """
 
-    kind: str
-    amplitude: float = 0.0
-    width: float = 1.0
-    r_samples: tuple[float, ...] | None = None
-    v_samples: tuple[float, ...] | None = None
-    range_cutoff: float = 0.0
+    amplitude: float
+    width: float
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            if self.amplitude < 0:
-                raise InvalidPotential("gaussian amplitude must be nonnegative")
-            if self.width <= 0:
-                raise InvalidPotential("gaussian width must be positive")
-            if self.range_cutoff <= 0:
-                object.__setattr__(self, "range_cutoff", 10.0 * self.width)
-        elif self.kind == "tabulated":
-            if self.r_samples is None or self.v_samples is None:
-                raise InvalidPotential("tabulated potential needs r and V samples")
-            r = np.asarray(self.r_samples, dtype=float)
-            v = np.asarray(self.v_samples, dtype=float)
-            if r.ndim != 1 or r.size < 4 or v.shape != r.shape:
-                raise InvalidPotential("need >= 4 matching (r, V) samples")
-            if r[0] < 0 or np.any(np.diff(r) <= 0):
-                raise InvalidPotential("radii must be ascending and nonnegative")
-            if np.any(v < 0):
-                raise InvalidPotential("potential must be nonnegative (repulsive)")
-            if self.range_cutoff <= 0:
-                object.__setattr__(self, "range_cutoff", float(r[-1]))
-        else:
-            raise InvalidPotential(f"unknown potential kind {self.kind!r}")
+        if not 0 <= self.amplitude < math.inf:
+            raise InvalidPotential("gaussian amplitude must be nonnegative and finite")
+        if not 0 < self.width < math.inf:
+            raise InvalidPotential("gaussian width must be positive and finite")
 
-    @classmethod
-    def gaussian(cls, amplitude: float, width: float, range_cutoff: float = 0.0) -> "Potential":
-        return cls(kind="gaussian", amplitude=amplitude, width=width, range_cutoff=range_cutoff)
-
-    @classmethod
-    def tabulated(cls, r, v, range_cutoff: float = 0.0) -> "Potential":
-        return cls(
-            kind="tabulated",
-            r_samples=tuple(float(x) for x in r),
-            v_samples=tuple(float(x) for x in v),
-            range_cutoff=range_cutoff,
-        )
-
-    def length_scale(self) -> float:
-        if self.kind == "gaussian":
-            return self.width
-        return self.range_cutoff / 4.0
-
-    @cached_property
-    def _interp(self):
-        from scipy.interpolate import PchipInterpolator
-
-        # shape-preserving: keeps V >= 0 between nonnegative samples
-        return PchipInterpolator(np.asarray(self.r_samples), np.asarray(self.v_samples), extrapolate=False)
+    @property
+    def range_cutoff(self) -> float:
+        return 10.0 * self.width
 
     def v_at(self, r) -> np.ndarray:
         """Pointwise V(r), zero beyond range_cutoff."""
         r = np.asarray(r, dtype=float)
-        if self.kind == "gaussian":
-            out = self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
-            return np.where(r <= self.range_cutoff, out, 0.0)
-        out = self._interp(np.clip(r, self.r_samples[0], self.r_samples[-1]))
-        out = np.nan_to_num(out, nan=0.0)
+        out = self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
         return np.where(r <= self.range_cutoff, out, 0.0)
 
-    @cached_property
-    def _fourier_nodes(self):
-        # Gauss-Legendre on [0, cutoff]; pair (n, 2n) backs the convergence check
-        out = []
-        for n in (400, 800):
-            x, wt = _legendre(n)
-            r = 0.5 * self.range_cutoff * (x + 1.0)
-            w = 0.5 * self.range_cutoff * wt
-            out.append((r, w * r * r * self.v_at(r)))
-        return out
-
-    @cached_property
+    @property
     def saturation_radius(self) -> float:
         """Radius x_sat past which cumulative_kernel is exactly constant in floats.
 
-        Gaussian: -0.5 x x s2 <= -40 there, and expm1 of anything below about
-        -37.4 rounds to exactly -1.0.  Tabulated: the spline's clip bound.
+        -0.5 x x s2 <= -40 there, and expm1 of anything below about -37.4
+        rounds to exactly -1.0.
         """
-        if self.kind == "gaussian":
-            return math.sqrt(80.0) / self.width
-        return 40.0 / self.length_scale()
+        return math.sqrt(80.0) / self.width
 
     def cumulative_kernel(self, x) -> np.ndarray:
         """Q(x) = int_0^x q V_q dq, the pair kernel primitive."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            amp = self.amplitude * (2.0 * math.pi * self.width**2) ** 1.5
-            s2 = self.width**2
-            # amp * (-expm1(-0.5 x x s2)) / s2, in that order, in one fresh buffer
-            q = np.multiply(-0.5, x, out=np.empty_like(x))
-            q *= x
-            q *= s2
-            np.expm1(q, out=q)
-            np.negative(q, out=q)
-            q *= amp
-            q /= s2
-            return q
-        return self._qcum_spline(np.clip(x, 0.0, self.saturation_radius))
-
-    @cached_property
-    def _qcum_spline(self):
-        from scipy.integrate import cumulative_trapezoid
-        from scipy.interpolate import CubicSpline
-
-        # tabulated route: spline the cumulative of q V_q on a dense uniform grid
-        q = np.linspace(0.0, self.saturation_radius, 8001)
-        vq = fourier_at(self, q)
-        cum = cumulative_trapezoid(q * vq, q, initial=0.0)
-        return CubicSpline(q, cum)
+        amp = self.amplitude * (2.0 * math.pi * self.width**2) ** 1.5
+        s2 = self.width**2
+        # amp * (-expm1(-0.5 x x s2)) / s2, in that order, in one fresh buffer
+        q = np.multiply(-0.5, x, out=np.empty_like(x))
+        q *= x
+        q *= s2
+        np.expm1(q, out=q)
+        np.negative(q, out=q)
+        q *= amp
+        q /= s2
+        return q
 
 
 def fourier_at(potential: Potential, p) -> np.ndarray:
     """Radial Fourier transform V_p = 4 pi int r^2 V(r) sinc(p r) dr.
 
-    Gaussian potentials use the closed form
-    V_p = amplitude (2 pi sigma^2)^{3/2} exp(-p^2 sigma^2 / 2); tabulated ones
-    fall back to Gauss-Legendre quadrature with an internal refinement check.
+    In closed form, V_p = amplitude (2 pi sigma^2)^{3/2} exp(-p^2 sigma^2 / 2).
     """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
-    if potential.kind == "gaussian":
-        amp = potential.amplitude * (2.0 * math.pi * potential.width**2) ** 1.5
-        out = amp * np.exp(-0.5 * (p * potential.width) ** 2)
-    else:
-        (r1, f1), (r2, f2) = potential._fourier_nodes
-        arg1 = np.sinc(np.outer(p, r1) / math.pi)
-        arg2 = np.sinc(np.outer(p, r2) / math.pi)
-        coarse = 4.0 * math.pi * arg1 @ f1
-        out = 4.0 * math.pi * arg2 @ f2
-        scale = max(abs(out[0]), 1e-300)
-        if np.max(np.abs(out - coarse)) > 1e-8 * scale:
-            raise QuadratureError("tabulated potential too rough for its Fourier quadrature")
+    amp = potential.amplitude * (2.0 * math.pi * potential.width**2) ** 1.5
+    out = amp * np.exp(-0.5 * (p * potential.width) ** 2)
     return float(out[0]) if scalar else out
 
 
@@ -467,9 +381,8 @@ def solve_scattering(
     and raises GridTooCoarse if the scattering length moves by more than
     grid_check_tol (relative).
     """
-    scale = potential.length_scale()
-    p_min = p_min if p_min is not None else 1e-3 / scale
-    p_max = p_max if p_max is not None else 1e3 / scale
+    p_min = p_min if p_min is not None else 1e-3 / potential.width
+    p_max = p_max if p_max is not None else 1e3 / potential.width
     if not (0 < p_min < p_max):
         raise ValueError("need 0 < p_min < p_max")
 

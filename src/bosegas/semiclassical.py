@@ -45,10 +45,9 @@ trial-state and boundary pipelines never integrate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import DilutenessWarning, IdentityViolation
+from .errors import IdentityViolation
 from .scattering import ScatteringSolution, check_scattering_identities
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "integral_pair",
     "ConstantLedger",
     "assemble_ledger",
-    "lhy_energy",
     "predicted_energy_density",
     "LHY_RATIO",
 ]
@@ -184,16 +182,6 @@ class ConstantLedger:
     final_coefficient: float
     final_residual: float
     depletion_coefficient: float
-    eps_band: float
-
-    def rho0(self, rho: float) -> float:
-        """Approximate condensate density rho - g0^(3/2) rho^(3/2)/(3 pi^2)."""
-        return rho - self.depletion_coefficient * rho**1.5
-
-    def rho0_band(self, rho: float) -> tuple[float, float]:
-        shift = self.eps_band * rho**1.5
-        base = self.rho0(rho)
-        return (base - shift, base + shift)
 
     def as_dict(self) -> dict:
         return {
@@ -212,14 +200,14 @@ class ConstantLedger:
             "final_coefficient": self.final_coefficient,
             "final_residual": self.final_residual,
             "depletion_coefficient": self.depletion_coefficient,
-            "eps_band": self.eps_band,
+            # half-width of the condensate-density band rho0 +- eps_band rho^(3/2)
+            "eps_band": 0.01,
         }
 
 
 def assemble_ledger(
     solution: ScatteringSolution,
     *,
-    eps_band: float = 0.01,
     identity_tol: float = 1e-6,
 ) -> ConstantLedger:
     """Fill both coefficient columns from solved norms and telescope them.
@@ -284,7 +272,6 @@ def assemble_ledger(
         final_coefficient=final,
         final_residual=abs(final - final_closed) / final_closed,
         depletion_coefficient=g0**1.5 / (3.0 * math.pi**2),
-        eps_band=eps_band,
     )
 
 
@@ -292,30 +279,3 @@ def predicted_energy_density(rho: float, g0: float) -> float:
     """Upper-bound energy per volume: g0 rho^2 + (16/15 pi^2) g0^(5/2) rho^(5/2)."""
     return g0 * rho**2 + LHY_RATIO * g0**2.5 * rho**2.5
 
-
-def lhy_energy(rho: float, a: float) -> dict:
-    """Energy per particle to second order and its normalized ratio.
-
-    e0 = 4 pi rho a (1 + (128/15 sqrt(pi)) sqrt(rho a^3)); the normalized
-    second-order ratio (e0 - g0 rho)/(g0^(5/2) rho^(3/2)) is 16/(15 pi^2)
-    identically in rho and a.
-    """
-    if a < 0 or rho <= 0:
-        raise ValueError("need rho > 0 and a >= 0")
-    gas_param = rho * a**3
-    if gas_param > 1e-2:
-        warnings.warn(
-            f"rho a^3 = {gas_param:.3e} is outside the dilute regime",
-            DilutenessWarning,
-            stacklevel=2,
-        )
-    g0 = 4.0 * math.pi * a
-    e0 = g0 * rho * (1.0 + 128.0 / (15.0 * math.sqrt(math.pi)) * math.sqrt(gas_param))
-    ratio = (e0 - g0 * rho) / (g0**2.5 * rho**1.5) if a > 0 else 0.0
-    return {
-        "e0": e0,
-        "leading": g0 * rho,
-        "ratio": ratio,
-        "gas_parameter": gas_param,
-        "g0": g0,
-    }

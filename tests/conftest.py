@@ -21,7 +21,7 @@ def closure_members(closure):
 
 @pytest.fixture(scope="session")
 def gaussian_potential():
-    return Potential.gaussian(0.1, 1.0)
+    return Potential(0.1, 1.0)
 
 
 @pytest.fixture(scope="session")

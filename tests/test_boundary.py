@@ -14,7 +14,6 @@ from bosegas.boundary import (
     kinetic_penalty,
     shifted_collar_average,
     trig_polynomial,
-    window_h,
     window_q,
     window_q_prime,
 )
@@ -86,7 +85,8 @@ def test_window_slope_matches_finite_differences():
     h = 1e-7
     fd = (window_q(w, xs + h) - window_q(w, xs - h)) / (2.0 * h)
     assert np.allclose(window_q_prime(w, xs), fd, atol=1e-6)
-    assert float(np.max(np.abs(window_q_prime(w, xs)))) <= w.slope_bound + 1e-15
+    # the ramp slope pi/(4 ell) bounds |q'|
+    assert float(np.max(np.abs(window_q_prime(w, xs)))) <= math.pi / (4.0 * w.ell) + 1e-15
     # derivative vanishes on the plateau and outside the support
     assert window_q_prime(w, 0.5) == 0.0
     assert window_q_prime(w, 2.0) == 0.0
@@ -98,14 +98,7 @@ def test_fold_slope_identity():
     w = _default_window()
     xs = np.linspace(-w.ell, w.ell, 513)
     total = window_q_prime(w, xs) ** 2 + window_q_prime(w, xs + w.period) ** 2
-    assert np.allclose(total, w.slope_bound**2, rtol=1e-12)
-
-
-def test_window_h_is_coordinate_product():
-    w = _default_window()
-    pt = (0.0, 0.5, w.ell)
-    expect = window_q(w, 0.0) * window_q(w, 0.5) * window_q(w, w.ell)
-    assert math.isclose(window_h(w, pt), expect, rel_tol=1e-15)
+    assert np.allclose(total, (math.pi / (4.0 * w.ell)) ** 2, rtol=1e-12)
 
 
 def test_collar_indicator_wraps_around():
@@ -120,16 +113,6 @@ def test_window_validation():
         Window(ell=0.0, period=1.0)
     with pytest.raises(ValueError):
         Window(ell=0.6, period=1.0)
-    with pytest.raises(ValueError):
-        Window.from_density(1.5)
-
-
-def test_window_from_density_scales():
-    w = Window.from_density(1e-4)
-    assert math.isclose(w.ell, (1e-4) ** (-25.0 / 48.0), rel_tol=1e-14)
-    assert math.isclose(w.period, (1e-4) ** (-25.0 / 24.0), rel_tol=1e-14)
-    # collar shrinks relative to the box as rho -> 0
-    assert Window.from_density(1e-8).collar_fraction < w.collar_fraction < 1.0
 
 
 # ---------------------------------------------------------------- isometry

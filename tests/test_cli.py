@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "potential:\n  amplitude: .inf\n",  # non-finite float keys
         "potential:\n  width: .inf\n",
         "tolerances:\n  identity: .inf\n",
+        "toy_modes: 5\n",                 # a number for the mode-file path
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
@@ -212,10 +215,30 @@ def test_identity_violation_exits_3(tmp_path, capsys):
 
 
 def test_float_keys_take_yaml_exponent_strings(tmp_path):
-    # YAML reads an exponent without a dot as a string; float keys accept it
+    # YAML reads an exponent without a dot as a string; float keys accept it,
+    # and the loaded config holds the cast number
     cfg = load_config(_write_config(tmp_path, "sweep:\n  rho_values: [1e-06, 1e-08]\n"))
-    assert cfg["sweep"]["rho_values"] == ["1e-06", "1e-08"]
-    assert [float(r) for r in cfg["sweep"]["rho_values"]] == [1e-06, 1e-08]
+    assert cfg["sweep"]["rho_values"] == [1e-06, 1e-08]
+    assert all(type(r) is float for r in cfg["sweep"]["rho_values"])
+    # trial.volume goes on to the mode-file loader, which compares it with 0.0
+    modes = tmp_path / "modes.txt"
+    modes.write_text("0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n")
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial: {{n: 4, volume: 2e1}}\n")
+    assert load_config(cfg)["trial"]["volume"] == 20.0
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 0
+    assert json.loads((out / "trial_state.json").read_text())["closure_size"] == 3
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the YAML block of the README's command-line section, as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = _write_config(tmp_path, blocks[0])
+    assert load_config(cfg)["potential"] == {"amplitude": 0.1, "width": 1.0}
+    code, _ = _run(tmp_path, "integrals", "--config", cfg)
+    assert code == 0
 
 
 @pytest.mark.parametrize(

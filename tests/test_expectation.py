@@ -10,7 +10,6 @@ from bosegas.errors import ZeroConditionProbability
 from bosegas.expectation import (
     InteractionContext,
     _sum_quadruples,
-    asymmetry_count_F,
     brute_force_energy,
     energy_report,
     matrix_element,
@@ -340,6 +339,18 @@ def test_pair_correlator_condensate_vanishes():
     cond = _condensate_trial(n=4)
     # condensate-only set has no nonzero modes at all, so nothing to correlate
     assert cond.mode_set.nonzero_indices() == []
+
+
+def asymmetry_count_F(mode_set, state, momenta) -> int:
+    """Sum over the given modes in the low region of |n(v) - n(-v)|."""
+    total = 0
+    for v in momenta:
+        if mode_set.modes[v].region is not Region.PL:
+            continue
+        j = mode_set.neg_index(v)
+        other = state.counts[j] if j is not None else 0
+        total += abs(state.counts[v] - other)
+    return total
 
 
 def test_asymmetry_count_balance(toy_trials):

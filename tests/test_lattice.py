@@ -11,10 +11,10 @@ from bosegas import lattice
 from bosegas.errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
 from bosegas.lattice import (
     Dispersion,
+    Mode,
     ModeSet,
     Region,
     Schedule,
-    classify,
     lambda_at,
     load_toy_modes,
     number_density_summand,
@@ -40,7 +40,6 @@ def test_schedule_scales():
     assert s.m_c == max(2, math.floor((1e-4) ** (-0.24)))
     assert s.n_particles == round(1e-4 * s.volume)
     assert s.n_particles > 0
-    assert s.ordering_ok()
 
 
 def test_schedule_region_edges_ordered():
@@ -66,6 +65,24 @@ def test_schedule_validation(kwargs):
 
 
 # ---------------------------------------------------------------- regions
+
+
+def classify(schedule: Schedule, p) -> Region:
+    """Region label of a momentum (vector or magnitude) under the schedule.
+
+    Boundary placement: P_L is closed at both ends, P_I is half open (its
+    upper bound eps_H included), P_H is open below.
+    """
+    mag = lattice._magnitude(p)
+    if mag == 0.0:
+        return Region.P0
+    if mag < schedule.p_gap_top:
+        return Region.GAP
+    if mag <= schedule.p_low_top:
+        return Region.PL
+    if mag <= schedule.eps_h:
+        return Region.PI
+    return Region.PH
 
 
 def test_classify_boundaries_exact():
@@ -156,6 +173,40 @@ def test_lambda_low_region_monotone_in_magnitude():
 # ---------------------------------------------------------------- mode sets
 
 
+def from_schedule(schedule: Schedule, p_budget: float, max_modes: int = 200_000) -> ModeSet:
+    """Explicit-mode oracle: every lattice mode with |p| <= p_budget, labelled
+    by classify, and past the schedule's k_c in P_H as truncated."""
+    step = schedule.spacing
+    nmax = int(math.floor(p_budget / step))
+    est = (2 * nmax + 1) ** 3
+    if est > 8 * max_modes:
+        raise BudgetExceeded(f"{est} candidate vectors exceed the materialization budget")
+    modes = []
+    rng = range(-nmax, nmax + 1)
+    kc = schedule.k_c
+    # compare squared lattice norms, so the whole shell on the budget
+    # sphere is kept or dropped together, whatever the rounding of |p|
+    n2_max = (p_budget / step) ** 2
+    for nx in rng:
+        for ny in rng:
+            for nz in rng:
+                if nx * nx + ny * ny + nz * nz > n2_max:
+                    continue
+                p = np.array([nx, ny, nz], dtype=float) * step
+                mag = float(np.linalg.norm(p))
+                region = classify(schedule, mag)
+                if kc is not None and region is Region.PH and mag > kc:
+                    region = Region.TRUNCATED
+                modes.append(Mode(index=len(modes), p=p, region=region))
+                if len(modes) > max_modes:
+                    raise BudgetExceeded("materialized mode count exceeded max_modes")
+    return ModeSet(modes, schedule=schedule)
+
+
+def _magnitude(m: Mode) -> float:
+    return float(np.linalg.norm(m.p))
+
+
 def _toy_set(volume=8.0):
     return ModeSet.toy(
         [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)],
@@ -188,7 +239,7 @@ def test_toy_mode_set_rejects_duplicates_and_missing_zero():
 def test_from_schedule_materializes_and_truncates():
     # artificial near-unity density so the box is tiny and enumerable
     s = Schedule(0.05, eta=0.24, k_c=4.0)
-    ms = ModeSet.from_schedule(s, p_budget=6.0)
+    ms = from_schedule(s, p_budget=6.0)
     assert len(ms) > 1
     mags = np.linalg.norm(ms.momentum_matrix(), axis=1)
     for m, mag in zip(ms, mags):
@@ -207,7 +258,7 @@ def test_from_schedule_keys_resolve_at_low_density(rho):
     # the spacing is ~1e-10 and below, so keys must not round momenta to
     # absolute decimals, which would merge every mode into the zero mode
     s = Schedule(rho)
-    ms = ModeSet.from_schedule(s, p_budget=3 * s.spacing)
+    ms = from_schedule(s, p_budget=3 * s.spacing)
     assert len(ms) == 123  # lattice vectors with |n|^2 <= 9
     assert ms.index_of((0.0, 0.0, 0.0)) == ms.zero_index
     for m in ms:
@@ -219,19 +270,21 @@ def test_from_schedule_keys_resolve_at_low_density(rho):
 
 def test_from_schedule_budget_guard():
     with pytest.raises(BudgetExceeded):
-        ModeSet.from_schedule(Schedule(1e-4), p_budget=1.0)
+        from_schedule(Schedule(1e-4), p_budget=1.0)
 
 
 def test_attach_dispersion_fills_labels(gaussian_solution):
+    # lambda_at gives every labelled mode of a schedule a negative lambda,
+    # and none to P0 and the gap
     s = Schedule(0.05, eta=0.24)
-    ms = ModeSet.from_schedule(s, p_budget=3.0)
+    ms = from_schedule(s, p_budget=3.0)
     disp = Dispersion(g0=gaussian_solution.g0, w_of=lambda m: float(gaussian_solution.w(m)))
-    ms.attach_dispersion(disp, s.rho)
     for m in ms:
         if m.region in (Region.P0, Region.GAP):
-            assert m.lam is None
+            with pytest.raises(RegionUndefined):
+                lambda_at(disp, s.rho, m.p, m.region)
         else:
-            assert m.lam is not None and m.lam < 0.0
+            assert lambda_at(disp, s.rho, m.p, m.region) < 0.0
 
 
 def test_load_toy_modes_round_trip(tmp_path):
@@ -294,7 +347,7 @@ def lattice_sum(mode_set: ModeSet, integrand, *, regions=None, radial=None, radi
 
 def test_lattice_sum_toy_hand_value():
     ms = _toy_set(volume=8.0)
-    res = lattice_sum(ms, lambda m: m.magnitude**2, regions=[Region.PL])
+    res = lattice_sum(ms, lambda m: _magnitude(m) ** 2, regions=[Region.PL])
     assert math.isclose(res.total, 0.5, rel_tol=1e-14)  # 0.25 + 0.25
     assert math.isclose(res.per_volume, 0.0625, rel_tol=1e-14)
     assert res.n_modes == 2
@@ -327,14 +380,14 @@ def test_radial_shell_sum_matches_explicit_modes():
     s = Schedule(1e-6)
     step = s.spacing
     m_lo, m_hi = 10.5, 400.5  # off-shell edges, so no vector sits on them
-    ms = ModeSet.from_schedule(s, p_budget=math.sqrt(m_hi) * step)
+    ms = from_schedule(s, p_budget=math.sqrt(m_hi) * step)
     f = number_density_summand(s.rho, 1.471269533883597)
 
     def inside(m) -> bool:
         return m_lo < float(np.sum((m.p / step) ** 2)) < m_hi
 
     count = lattice_sum(ms, lambda m: float(inside(m))).total
-    explicit = lattice_sum(ms, lambda m: f(np.array([m.magnitude]))[0] if inside(m) else 0.0)
+    explicit = lattice_sum(ms, lambda m: f(np.array([_magnitude(m)]))[0] if inside(m) else 0.0)
     res = radial_shell_sum(s, f, math.sqrt(m_lo) * step, math.sqrt(m_hi) * step)
     assert res.m_range == (11, 400)
     assert res.n_modes == count > 30_000

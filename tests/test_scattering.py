@@ -18,7 +18,7 @@ from bosegas.scattering import (
     solve_scattering,
 )
 
-# Reference values for Potential.gaussian(0.1, 1.0) on the default grid.
+# Reference values for Potential(0.1, 1.0) on the default grid.
 # The position-space shooting value 0.117079909473835 agrees to 4.1e-11.
 _REF = {
     "a": 1.170799094690416e-01,
@@ -33,31 +33,32 @@ _REF = {
 def test_fourier_zero_momentum_is_integral():
     # V_0 = int V = amplitude (2 pi sigma^2)^(3/2) for a Gaussian
     for amp, sig in [(0.1, 1.0), (2.0, 0.5), (1.0, 1.7)]:
-        pot = Potential.gaussian(amp, sig)
+        pot = Potential(amp, sig)
         expect = amp * (2.0 * math.pi * sig**2) ** 1.5
         assert math.isclose(float(fourier_at(pot, 0.0)), expect, rel_tol=1e-10)
 
 
 def test_fourier_unit_gaussian_closed_form():
     # amplitude 1, width 1, p = 1: (2 pi)^(3/2) exp(-1/2) ~ 9.5526
-    pot = Potential.gaussian(1.0, 1.0)
+    pot = Potential(1.0, 1.0)
     expect = (2.0 * math.pi) ** 1.5 * math.exp(-0.5)
     assert math.isclose(float(fourier_at(pot, 1.0)), expect, rel_tol=1e-9)
 
 
 def test_fourier_matches_radial_quadrature():
-    # independent oracle: 4 pi int r^2 V(r) sinc(pr) dr on a tabulated bump
-    r = np.linspace(0.0, 6.0, 3001)
-    v = 0.3 * np.exp(-((r - 1.0) ** 2) / 0.5)
-    pot = Potential.tabulated(r, v)
-    for p in (0.7, 2.3):
-        direct, _ = quad(
-            lambda s: 4.0 * math.pi * s**2 * float(pot.v_at(s)) * np.sinc(p * s / math.pi),
-            0.0,
-            6.0,
-            limit=400,
-        )
-        assert math.isclose(float(fourier_at(pot, p)), direct, rel_tol=1e-6)
+    # independent oracle: the closed form against 4 pi int r^2 V(r) sinc(pr) dr
+    # over the support, where v_at drops V past range_cutoff
+    for pot in (Potential(0.3, 0.6), Potential(0.1, 1.0), Potential(2.0, 1.7)):
+        for p in (0.7, 2.3):
+            direct, _ = quad(
+                lambda s: 4.0 * math.pi * s**2 * float(pot.v_at(s)) * np.sinc(p * s / math.pi),
+                0.0,
+                pot.range_cutoff,
+                epsabs=0.0,
+                epsrel=1e-12,
+                limit=400,
+            )
+            assert math.isclose(float(fourier_at(pot, p)), direct, rel_tol=1e-10)
 
 
 def test_fourier_decays_at_large_momentum(gaussian_potential):
@@ -103,7 +104,7 @@ def test_born_bounds(gaussian_solution):
 
 def test_first_born_limit_weak_potential():
     # as the amplitude shrinks, a -> V_0 / 4 pi
-    pot = Potential.gaussian(1e-4, 1.0)
+    pot = Potential(1e-4, 1.0)
     sol = solve_scattering(pot)
     born = sol.v0 / (4.0 * math.pi)
     assert math.isclose(sol.a, born, rel_tol=1e-3)
@@ -112,12 +113,12 @@ def test_first_born_limit_weak_potential():
 
 def test_scattering_length_monotone_in_amplitude():
     amps = [0.02, 0.05, 0.1, 0.2]
-    values = [solve_scattering(Potential.gaussian(amp, 1.0)).a for amp in amps]
+    values = [solve_scattering(Potential(amp, 1.0)).a for amp in amps]
     assert all(x < y for x, y in zip(values, values[1:]))
 
 
 def test_zero_potential_trivial_solution():
-    sol = solve_scattering(Potential.gaussian(0.0, 1.0))
+    sol = solve_scattering(Potential(0.0, 1.0))
     assert np.all(sol.w_grid == 0.0)
     assert sol.a == 0.0
     assert sol.v0 == 0.0 and sol.vw1 == 0.0 and sol.vw2 == 0.0 and sol.grad_w2 == 0.0
@@ -157,7 +158,7 @@ def test_strict_raises_not_converged(gaussian_potential):
 def test_past_born_radius_solves_without_warnings():
     # amplitude * width^2 = 8 lies far past the Born radius, where the Born
     # series diverges; the direct solve converges there silently
-    pot = Potential.gaussian(2.0, 2.0)
+    pot = Potential(2.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_scattering(pot)
@@ -168,7 +169,7 @@ def test_past_born_radius_solves_without_warnings():
 @pytest.mark.parametrize("amplitude", [2.0, 5.0, 20.0])
 def test_strong_coupling_matches_shooting(amplitude):
     # same route bound as acceptance 04, far outside the Born regime
-    pot = Potential.gaussian(amplitude, 1.0)
+    pot = Potential(amplitude, 1.0)
     sol = solve_scattering(pot)
     a_ode = shooting_scattering_length(pot)
     assert abs(sol.a - a_ode) <= 1e-4 * abs(a_ode)
@@ -177,30 +178,24 @@ def test_strong_coupling_matches_shooting(amplitude):
     assert rep.residual_length < 1e-6
 
 
-_R_TAB = np.linspace(0.0, 6.0, 601)
 _SMALL_GRID = np.geomspace(1e-2, 1e2, 101)
 
 
 def _production_grid(pot):
     # the grid solve_scattering builds by default
-    scale = pot.length_scale()
-    return np.geomspace(1e-3 / scale, 1e3 / scale, 2049)
+    return np.geomspace(1e-3 / pot.width, 1e3 / pot.width, 2049)
 
 
-_TAB = Potential.tabulated(_R_TAB, 0.3 * np.exp(-(_R_TAB**2)))
 _KERNEL_CASES = [
     # widths whose squares are no powers of 2, so the order of the
     # in-place products shows in the last bits
-    pytest.param(Potential.gaussian(0.1, 0.7), _SMALL_GRID, id="weak"),
-    pytest.param(Potential.gaussian(2.0, 1.5), _SMALL_GRID, id="strong"),
-    pytest.param(_TAB, _SMALL_GRID, id="tabulated"),
+    pytest.param(Potential(0.1, 0.7), _SMALL_GRID, id="weak"),
+    pytest.param(Potential(2.0, 1.5), _SMALL_GRID, id="strong"),
     # the coupling-sweep widths at both ends of the amplitude range
     *(
         pytest.param(pot, _production_grid(pot), id=f"grid-w{pot.width}-a{pot.amplitude}")
-        for pot in (Potential.gaussian(a, w) for w in (0.5, 1.0, 2.0) for a in (0.1, 20.0))
+        for pot in (Potential(a, w) for w in (0.5, 1.0, 2.0) for a in (0.1, 20.0))
     ),
-    # the spline's clip bound lies inside this grid
-    pytest.param(_TAB, _production_grid(_TAB), id="grid-tabulated"),
 ]
 
 
@@ -212,18 +207,17 @@ def test_pair_kernel_matches_direct_difference(pot, p):
     kern = _pair_kernel(pot, p)
     assert np.array_equal(kern, direct)
     assert np.array_equal(np.signbit(kern), np.signbit(direct))
-    if pot.kind == "gaussian":
-        # the in-place primitive keeps the operation order of the closed form
-        x = np.add.outer(p, p)
-        amp = pot.amplitude * (2.0 * math.pi * pot.width**2) ** 1.5
-        s2 = pot.width**2
-        assert np.array_equal(pot.cumulative_kernel(x), amp * (-np.expm1(-0.5 * x * x * s2)) / s2)
+    # the in-place primitive keeps the operation order of the closed form
+    x = np.add.outer(p, p)
+    amp = pot.amplitude * (2.0 * math.pi * pot.width**2) ** 1.5
+    s2 = pot.width**2
+    assert np.array_equal(pot.cumulative_kernel(x), amp * (-np.expm1(-0.5 * x * x * s2)) / s2)
 
 
 @pytest.mark.parametrize(
     "pot",
-    [Potential.gaussian(0.1, 0.5), Potential.gaussian(20.0, 1.0), Potential.gaussian(1.0, 2.0), _TAB],
-    ids=["gaussian-w0.5", "gaussian-w1", "gaussian-w2", "tabulated"],
+    [Potential(0.1, 0.5), Potential(20.0, 1.0), Potential(1.0, 2.0)],
+    ids=["gaussian-w0.5", "gaussian-w1", "gaussian-w2"],
 )
 def test_cumulative_kernel_saturates_exactly(pot):
     # the pair kernel leaves out every pair past x_sat on the strength of this:
@@ -242,25 +236,6 @@ def test_grid_check_raises_on_coarse_grid(gaussian_potential):
         )
 
 
-def test_tabulated_gaussian_matches_analytic_kind():
-    # explicit momentum span: the fixed Gauss-Legendre rule cannot chase the
-    # default 1e3/scale tail of a wide table, and V_p is ~0 past p ~ 10 anyway
-    r = np.linspace(0.0, 10.0, 2000)
-    pot_tab = Potential.tabulated(r, 0.1 * np.exp(-(r**2) / 2.0))
-    a_tab = solve_scattering(pot_tab, p_min=1e-3, p_max=50.0).a
-    a_ana = solve_scattering(Potential.gaussian(0.1, 1.0)).a
-    assert math.isclose(a_tab, a_ana, rel_tol=1e-6)
-
-
-def test_under_resolved_table_raises_quadrature_error():
-    from bosegas.errors import QuadratureError
-
-    r = np.linspace(0.0, 10.0, 16)
-    pot = Potential.tabulated(r, 0.1 * np.exp(-(r**2) / 2.0))
-    with pytest.raises(QuadratureError):
-        fourier_at(pot, 30.0)
-
-
 def test_solution_report_keys(gaussian_solution):
     rep = gaussian_solution.report()
     assert rep["converged"] is True
@@ -272,11 +247,11 @@ def test_solution_report_keys(gaussian_solution):
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda: Potential.gaussian(-1.0, 1.0),
-        lambda: Potential.gaussian(1.0, 0.0),
-        lambda: Potential.tabulated([0.0, 1.0], [1.0, 1.0]),
-        lambda: Potential.tabulated([0.0, 1.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0]),
-        lambda: Potential.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 1.0, 1.0]),
+        lambda: Potential(-1.0, 1.0),
+        lambda: Potential(1.0, 0.0),
+        lambda: Potential(1.0, -1.0),
+        lambda: Potential(math.nan, 1.0),
+        lambda: Potential(1.0, math.inf),
     ],
 )
 def test_invalid_potentials_rejected(bad):

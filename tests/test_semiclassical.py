@@ -6,14 +6,13 @@ import time
 
 import pytest
 
-from bosegas.errors import DilutenessWarning, IdentityViolation
+from bosegas.errors import IdentityViolation
 from bosegas.semiclassical import (
     LHY_RATIO,
     assemble_ledger,
     integral_kinetic,
     integral_number_density,
     integral_pair,
-    lhy_energy,
     predicted_energy_density,
 )
 
@@ -99,16 +98,13 @@ def test_ledger_refuses_broken_identities(gaussian_solution):
 
 
 def test_condensate_density_band(gaussian_solution):
+    # condensate density rho - g0^(3/2) rho^(3/2)/(3 pi^2) at the reference g0
     led = assemble_ledger(gaussian_solution)
     rho = 1e-6
-    base = rho - led.depletion_coefficient * rho**1.5
-    assert math.isclose(led.rho0(rho), base, rel_tol=1e-15)
-    lo, hi = led.rho0_band(rho)
-    assert lo < led.rho0(rho) < hi
-    # band endpoints live at the rho scale, so their difference keeps only
-    # the digits that survive the cancellation
-    assert math.isclose(hi - lo, 2.0 * led.eps_band * rho**1.5, rel_tol=1e-9)
-    assert math.isclose(led.rho0(1e-6), 9.999397277557458e-07, rel_tol=1e-12)
+    assert math.isclose(led.depletion_coefficient, led.g0**1.5 / (3.0 * math.pi**2), rel_tol=1e-15)
+    rho0 = rho - led.depletion_coefficient * rho**1.5
+    assert math.isclose(rho0, 9.999397277557458e-07, rel_tol=1e-12)
+    assert led.as_dict()["eps_band"] == 0.01
 
 
 # ---------------------------------------------------------------- constants
@@ -121,24 +117,6 @@ def test_second_order_constant_identities():
     rhs = 512.0 * math.sqrt(math.pi) / 15.0
     assert abs(lhs - rhs) / rhs <= 1e-12
     assert abs(mid - rhs) / rhs <= 1e-12
-
-
-def test_lhy_energy_ratio_is_constant():
-    for rho, a in [(1e-6, 0.1), (1e-8, 1.0), (3e-5, 0.02)]:
-        rep = lhy_energy(rho, a)
-        assert abs(rep["ratio"] - LHY_RATIO) / LHY_RATIO <= 1e-12
-        assert math.isclose(rep["leading"], 4.0 * math.pi * a * rho, rel_tol=1e-15)
-        assert rep["e0"] > rep["leading"]
-
-
-def test_lhy_energy_edge_cases():
-    assert lhy_energy(1e-6, 0.0)["ratio"] == 0.0
-    with pytest.raises(ValueError):
-        lhy_energy(0.0, 0.1)
-    with pytest.raises(ValueError):
-        lhy_energy(1e-6, -0.1)
-    with pytest.warns(DilutenessWarning):
-        lhy_energy(0.5, 1.0)
 
 
 def test_predicted_energy_density_formula():
