@@ -343,7 +343,7 @@ def run_trial_state(cfg: dict, out: Path) -> dict:
     try:
         battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
     except RegionUndefined as exc:
-        # only a mode file can leave lambda unset on a mode the closure fills
+        # only a mode file can leave lambda unset, or zero, on a mode the closure fills
         raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
     trial = battery.pop("trial")
     (out / "closure.txt").write_text(export_closure(trial))

@@ -325,7 +325,10 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
 
     Deliberately organized unlike the component path: enumerate ordered
     (p, q, p-u) mode triples, resolve q+u by conservation, and sum each
-    term's elements at once.
+    term's elements at once.  Creators commute, and so do annihilators:
+    triples that differ by swapping j1 with j2 or j3 with j4 apply one
+    operator, so each such class's element sum is evaluated once per call
+    and weighted by each triple's own V_u.
     """
     ms = state.mode_set
     closure = state.closure
@@ -337,6 +340,7 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
     total = 0.0 + 0.0j
     n_modes = len(ms)
     pmat = ms.momentum_matrix()
+    sums = {}
     for j1 in range(n_modes):
         for j2 in range(n_modes):
             p12 = pmat[j1] + pmat[j2]
@@ -345,10 +349,13 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
                 if j4 is None:
                     continue
                 vu = ctx.v_mag(float(np.linalg.norm(pmat[j1] - pmat[j3])))
-                src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
-                if len(src) == 0:
+                key = (min(j1, j2), max(j1, j2), min(j3, j4), max(j3, j4))
+                if key not in sums:
+                    src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
+                    sums[key] = np.sum(probs_c[dst] * w[src] * amp) if len(src) else None
+                if sums[key] is None:
                     continue
-                total += (vu / vol) * np.sum(probs_c[dst] * w[src] * amp)
+                total += (vu / vol) * sums[key]
 
     kin = 0.0
     probs = np.abs(w) ** 2

@@ -155,9 +155,13 @@ class ClosureSet:
             elif d < 0:
                 inside &= counts[:, j] >= -d
             step += d * weights[j]
-        tgt = keys + step
+        # a fixed step keeps the keys' order: search the targets ascending,
+        # then scatter the hits back to rows
+        tgt = sorted_keys + step
         pos = np.minimum(np.searchsorted(sorted_keys, tgt), len(sorted_keys) - 1)
-        return np.where(inside & (sorted_keys[pos] == tgt), order[pos], -1)
+        hit = np.empty_like(order)
+        hit[order] = np.where(sorted_keys[pos] == tgt, order[pos], -1)
+        return np.where(inside, hit, -1)
 
     def apply_quartic(self, j1: int, j2: int, j3: int, j4: int):
         """a+_{j1} a+_{j2} a_{j3} a_{j4} applied to every member state at once.
@@ -316,7 +320,9 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
     """Evaluate the closed-form weight on every member state and normalize.
 
     lams holds lambda per mode index; entries may be None/NaN wherever no
-    member state occupies the mode (zero mode, gap, truncated tail).
+    member state occupies the mode (zero mode, gap, truncated tail).  An
+    occupied mode whose lambda is missing, non-finite or zero raises
+    RegionUndefined.
     Amplitudes are computed in log magnitude to keep |L|^n / n! tame, shifted
     so the largest is O(1), then normalized to unit total probability.
     """
@@ -337,8 +343,12 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
         if i == z or not occ.any():
             continue
         lam = lam_arr[i]
-        if not math.isfinite(lam):
-            raise RegionUndefined(f"state occupies mode {i} where lambda is undefined")
+        # log|lam| needs a finite nonzero lambda; this check also covers the
+        # low-mode star factors below, whose modes are all occupied somewhere
+        if not math.isfinite(lam) or lam == 0.0:
+            raise RegionUndefined(
+                f"state occupies mode {i} where lambda is {float(lam)}; it must be finite and nonzero"
+            )
         log_mag += occ * 0.5 * math.log(abs(lam))
         if lam < 0.0:
             i_pow += occ
@@ -440,16 +450,32 @@ def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) ->
 
 
 def export_closure(state: WeightedTrialState) -> str:
-    """Line-oriented dump (canonical key, |f|^2, phase quadrant) for diffing."""
+    """Line-oriented dump (canonical key, |f|^2, phase quadrant) for diffing.
+
+    A row's key is its nonzero (j, c) pairs in column order; rows are
+    written in key order.  Each pair is coded j*cap + c, the codes packed
+    to the left and padded with -1, so one lexsort ranks the rows as the
+    key tuples compare: a key that is a prefix of another sorts first.
+    """
     w = state.weights
     probs = np.abs(w) ** 2
     quadrants = np.where(probs > 0, np.round(np.angle(w) / (math.pi / 2)).astype(np.int64) % 4, 0)
-    rows = []
-    for counts, prob, quadrant in zip(
-        state.closure.counts_matrix().tolist(), probs.tolist(), quadrants.tolist()
-    ):
-        key = tuple((j, c) for j, c in enumerate(counts) if c)
-        text = ";".join(f"{j},{c}" for j, c in key)
-        rows.append((key, f"{text} |f|2={prob:.12e} phase={quadrant}"))
-    rows.sort(key=lambda r: r[0])
-    return "\n".join(r[1] for r in rows) + "\n"
+    counts = state.closure.counts_matrix()
+    cap = int(counts.max()) + 1
+    rows, cols = np.nonzero(counts)
+    codes = cols * cap + counts[rows, cols]
+    ends = np.cumsum(np.bincount(rows, minlength=len(counts)))
+    starts = np.concatenate(([0], ends[:-1]))
+    slot = np.arange(len(rows)) - starts[rows]
+    packed = np.full((len(counts), max(1, int(slot.max(initial=0)) + 1)), -1, dtype=np.int64)
+    packed[rows, slot] = codes
+    order = np.lexsort(packed.T[::-1])
+    uniq, inv = np.unique(codes, return_inverse=True)
+    table = [f"{c // cap},{c % cap}" for c in uniq.tolist()]
+    tokens = [table[t] for t in inv.tolist()]
+    starts, ends = starts.tolist(), ends.tolist()
+    lines = [
+        f"{';'.join(tokens[starts[r]:ends[r]])} |f|2={prob:.12e} phase={quadrant}"
+        for r, prob, quadrant in zip(order.tolist(), probs[order].tolist(), quadrants[order].tolist())
+    ]
+    return "\n".join(lines) + "\n"

@@ -177,6 +177,50 @@ def test_every_component_exercised_somewhere(toy_trials):
     assert all(seen.values()), seen
 
 
+def _brute_force_reference(state, ctx):
+    """brute_force_energy with one applicator call per ordered triple."""
+    ms = state.mode_set
+    closure = state.closure
+    vol = ms.volume
+    counts = closure.counts_matrix()
+    w = state.weights
+    probs_c = np.conj(w)
+
+    total = 0.0 + 0.0j
+    n_modes = len(ms)
+    pmat = ms.momentum_matrix()
+    for j1 in range(n_modes):
+        for j2 in range(n_modes):
+            p12 = pmat[j1] + pmat[j2]
+            for j3 in range(n_modes):
+                j4 = ms.index_of(p12 - pmat[j3])
+                if j4 is None:
+                    continue
+                vu = ctx.v_mag(float(np.linalg.norm(pmat[j1] - pmat[j3])))
+                src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
+                if len(src) == 0:
+                    continue
+                total += (vu / vol) * np.sum(probs_c[dst] * w[src] * amp)
+
+    kin = 0.0
+    probs = np.abs(w) ** 2
+    for m in ms:
+        mag2 = float(m.p @ m.p)
+        if mag2 > 0.0:
+            kin += mag2 * float(np.dot(probs, counts[:, m.index]))
+    return kin + float(total.real)
+
+
+def test_brute_force_matches_per_triple_reference(toy_trials):
+    # one element sum per commuting quadruple class changes no rounding
+    cases = [(case, trial) for case, trial in toy_trials.values()]
+    big = replace(toy_by_name("soft-coincidence"), n=30)
+    cases.append((big, build_trial(big)))
+    for case, trial in cases:
+        ctx = case.context()
+        assert brute_force_energy(trial, ctx) == _brute_force_reference(trial, ctx), case.name
+
+
 def test_brute_force_uses_independent_route(toy_trials):
     case, trial = toy_trials["pl-pair-minimal"]
     direct = brute_force_energy(trial, case.context())

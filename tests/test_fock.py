@@ -366,6 +366,16 @@ def test_weight_requires_lambda_on_occupied_modes():
         weight_f(clo, [None, None, None], ms.volume)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, -math.inf])
+def test_weight_rejects_zero_or_infinite_lambda(lam):
+    # on an outer pair and on a low pair, whose star factor takes log|lambda| too
+    for label in ("PI", "PL"):
+        ms = _pair_set(label, lam=lam)
+        clo = generate_M(ms, 4, 2)
+        with pytest.raises(RegionUndefined):
+            weight_f(clo, [m.lam for m in ms], ms.volume)
+
+
 def _weight_f_reference(closure, lams, volume):
     """The closed-form weights evaluated state by state, term by term."""
     ms = closure.mode_set
@@ -525,3 +535,69 @@ def test_export_closure_round_trip():
     assert math.isclose(sum(probs), 1.0, rel_tol=1e-10)
     # stable ordering: exporting twice gives identical bytes
     assert text == export_closure(trial)
+
+
+def _export_reference(state):
+    """export_closure by a Python sort of each row's (j, c) tuple key."""
+    w = state.weights
+    probs = np.abs(w) ** 2
+    quadrants = np.where(probs > 0, np.round(np.angle(w) / (math.pi / 2)).astype(np.int64) % 4, 0)
+    rows = []
+    for counts, prob, quadrant in zip(
+        state.closure.counts_matrix().tolist(), probs.tolist(), quadrants.tolist()
+    ):
+        key = tuple((j, c) for j, c in enumerate(counts) if c)
+        text = ";".join(f"{j},{c}" for j, c in key)
+        rows.append((key, f"{text} |f|2={prob:.12e} phase={quadrant}"))
+    rows.sort(key=lambda r: r[0])
+    return "\n".join(r[1] for r in rows) + "\n"
+
+
+def _row_keys(closure):
+    return [tuple((j, c) for j, c in enumerate(r) if c) for r in closure.counts_matrix().tolist()]
+
+
+def test_export_matches_tuple_sort_reference(toy_trials):
+    for name, (_, trial) in toy_trials.items():
+        assert export_closure(trial) == _export_reference(trial), name
+
+
+def test_export_sorts_rows_out_of_key_order():
+    # soft-coincidence at N = 30 with its axes signed and permuted and its
+    # modes listed in a shuffled order, the zero mode among them
+    case = toy_by_name("soft-coincidence")
+    ms = case.mode_set
+    rng = np.random.default_rng(11)
+    axes = rng.permutation(3)
+    signs = rng.choice([-1.0, 1.0], 3)
+    lines = rng.permutation(len(ms))
+    modes = [ms.modes[i] for i in lines]
+    shuffled = ModeSet.toy(
+        [m.p[axes] * signs for m in modes],
+        [m.region for m in modes],
+        volume=ms.volume,
+        lams=[m.lam for m in modes],
+    )
+    assert shuffled.zero_index != 0
+    trial = weight_f(generate_M(shuffled, 30, case.m_c), [m.lam for m in shuffled], shuffled.volume)
+    keys = _row_keys(trial.closure)
+    assert keys != sorted(keys)
+    assert export_closure(trial) == _export_reference(trial)
+
+
+def test_export_prefix_key_sorts_first():
+    # (2, 0, 0) keys as ((0, 2),), a prefix of (2, 1, 0)'s ((0, 2), (1, 1)),
+    # and sorts before it as the shorter tuple does; (2, 0, 1) follows both
+    ms = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0)],
+        ["P0", "PI", "PI"],
+        volume=20.0,
+        lams=[None, -0.4, -0.4],
+    )
+    rows = [(2, 0, 1), (2, 1, 0), (0, 3, 0), (2, 0, 0), (0, 0, 3)]
+    trial = WeightedTrialState(
+        ClosureSet(ms, 3, 2, rows), np.full(5, 1.0 / math.sqrt(5.0), dtype=complex), 0.0
+    )
+    text = export_closure(trial)
+    assert text == _export_reference(trial)
+    assert [ln.split()[0] for ln in text.splitlines()] == ["0,2", "0,2;1,1", "0,2;2,1", "1,3", "2,3"]
