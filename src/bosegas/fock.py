@@ -464,8 +464,9 @@ def export_closure(state: WeightedTrialState) -> str:
     cap = int(counts.max()) + 1
     rows, cols = np.nonzero(counts)
     codes = cols * cap + counts[rows, cols]
-    ends = np.cumsum(np.bincount(rows, minlength=len(counts)))
-    starts = np.concatenate(([0], ends[:-1]))
+    per_row = np.bincount(rows, minlength=len(counts))
+    ends = np.cumsum(per_row)
+    starts = ends - per_row
     slot = np.arange(len(rows)) - starts[rows]
     packed = np.full((len(counts), max(1, int(slot.max(initial=0)) + 1)), -1, dtype=np.int64)
     packed[rows, slot] = codes

@@ -355,25 +355,14 @@ def test_weights_are_normalized_and_real(toy_trials):
 
 
 def test_weight_requires_lambda_on_occupied_modes():
-    ms = ModeSet.toy(
-        [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0)],
-        ["P0", "PI", "PI"],
-        volume=20.0,
-        lams=[None, None, None],
-    )
-    clo = generate_M(ms, 4, 2)
-    with pytest.raises(RegionUndefined):
-        weight_f(clo, [None, None, None], ms.volume)
-
-
-@pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, -math.inf])
-def test_weight_rejects_zero_or_infinite_lambda(lam):
-    # on an outer pair and on a low pair, whose star factor takes log|lambda| too
+    # log|lambda| needs a finite nonzero value, on an outer pair and on a low
+    # pair, whose star factor takes it too
     for label in ("PI", "PL"):
-        ms = _pair_set(label, lam=lam)
-        clo = generate_M(ms, 4, 2)
-        with pytest.raises(RegionUndefined):
-            weight_f(clo, [m.lam for m in ms], ms.volume)
+        for lam in (None, 0.0, -0.0, math.inf, -math.inf):
+            ms = _pair_set(label, lam=lam)
+            clo = generate_M(ms, 4, 2)
+            with pytest.raises(RegionUndefined):
+                weight_f(clo, [m.lam for m in ms], ms.volume)
 
 
 def _weight_f_reference(closure, lams, volume):
