@@ -34,11 +34,11 @@ from .errors import (
 from .expectation import (
     InteractionContext,
     energy_report,
-    pair_correlator_check,
+    mean_occupancies,
+    occupancy_distribution,
     occupation_ratio_report,
+    pair_correlator_check,
     pl_occupation_monotonicity,
-    q_psi,
-    q_psi_occupation,
 )
 from .fock import export_closure, weight_recursion_report
 from .lattice import Region, Schedule, load_toy_modes, pl_number_density_comparison
@@ -287,14 +287,10 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     trial = build_trial(case, budget=budget)
     ms = case.mode_set
     rep = energy_report(trial, case.context())
-    lams = [m.lam for m in ms]
-    recursion = weight_recursion_report(trial, lams)
-    occupancy_total = sum(q_psi(trial, [i]) for i in range(len(ms)))
-    occupancy_sums = {}
+    recursion = weight_recursion_report(trial, [m.lam for m in ms])
+    occupancy_total = sum(mean_occupancies(trial).tolist())
     probe_modes = [ms.zero_index] + ms.nonzero_indices()[:1]
-    for idx in probe_modes:
-        s = sum(q_psi_occupation(trial, [(idx, m)]) for m in range(case.n + 1))
-        occupancy_sums[str(idx)] = s
+    occupancy_sums = {str(idx): sum(occupancy_distribution(trial, idx)) for idx in probe_modes}
     pair_checks = []
     paired = [
         i
@@ -314,13 +310,8 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
         ratio_reports[str(u)] = {"holds": r["holds"], "worst_ratio": r["worst_ratio"]}
     monotone_reports = {}
     for u in ms.indices_in(Region.PL):
-        r = pl_occupation_monotonicity(
-            trial, u, rho=rho, m_c=case.m_c, eps_h=1.0, c=1.0
-        )
-        monotone_reports[str(u)] = {
-            "hypothesis_holds": r["hypothesis_holds"],
-            "monotone": r["monotone"],
-        }
+        r = pl_occupation_monotonicity(trial, u, rho=rho, m_c=case.m_c, eps_h=1.0)
+        monotone_reports[str(u)] = {k: r[k] for k in ("hypothesis_holds", "monotone")}
     return {
         "name": case.name,
         "note": case.note,

@@ -29,9 +29,11 @@ left to right in (term, state) order, so their floating-point results do not
 depend on the vectorization.
 
 Q_Psi statistics follow the three query forms (plain product moments,
-occupancy probabilities, conditional moments), and P(u,v) gives the
-pair-to-pair correlator in closed form over creation preimages, found
-through the same member lookup.
+occupancy probabilities, conditional moments); the reports read two
+per-state tables, `mean_occupancies` (every Q_Psi(u)) and
+`occupancy_distribution` (every Q({u,m}) of one mode), each bit-equal to
+its query.  P(u,v) gives the pair-to-pair correlator in closed form over
+creation preimages, found through the same member lookup.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
     "q_psi",
     "q_psi_occupation",
     "q_psi_conditional",
+    "mean_occupancies",
+    "occupancy_distribution",
     "EnergyReport",
     "expect_component",
     "brute_force_energy",
@@ -174,6 +178,24 @@ def q_psi_conditional(
     return float(np.sum(num)) / denom
 
 
+def mean_occupancies(state: WeightedTrialState) -> np.ndarray:
+    """Q_Psi(u) for every mode u, each summed state by state like `q_psi`."""
+    return _left_sum(state.closure.counts_matrix() * state.probabilities()[:, None])
+
+
+def occupancy_distribution(state: WeightedTrialState, u: int) -> list[float]:
+    """[Q({u,m}) for m in 0..N], equal to `q_psi_occupation(state, [(u, m)])`.
+
+    A stable sort lines each count's states up in row order, so every
+    segment is the array that mask sums, and np.sum rounds it the same way.
+    """
+    col = state.closure.counts_matrix()[:, u]
+    order = np.argsort(col, kind="stable")
+    probs = state.probabilities()[order]
+    ends = np.searchsorted(col[order], np.arange(state.closure.n + 2)).tolist()
+    return [float(np.sum(probs[a:b])) for a, b in zip(ends, ends[1:])]
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Per-component energies plus the independent whole-sum cross-check."""
@@ -206,8 +228,7 @@ class EnergyReport:
 
 def _kinetic(state: WeightedTrialState) -> float:
     """sum_u |u|^2 Q_Psi(u), each mean occupancy summed state by state."""
-    counts = state.closure.counts_matrix()
-    means = _left_sum(counts * state.probabilities()[:, None])
+    means = mean_occupancies(state)
     total = 0.0
     for m in state.mode_set:
         mag2 = float(m.p @ m.p)
@@ -227,14 +248,13 @@ def _diagonal_interaction(state: WeightedTrialState, ctx: InteractionContext) ->
         for j in range(i, n_modes):
             vmat[i, j] = vmat[j, i] = ctx.v_between(i, j)
     counts = state.closure.counts_matrix().astype(float)
-    probs = np.abs(state.weights) ** 2
     same = np.sum(counts * (counts - 1.0), axis=1)
     cross = np.einsum("si,ij,sj->s", counts, vmat, counts) - np.einsum(
         "si,si->s", counts, counts
     ) * v0
     ntot = np.sum(counts, axis=1)
     cross += v0 * (ntot**2 - np.einsum("si,si->s", counts, counts))
-    return float(np.dot(probs, v0 * same + cross)) / vol
+    return float(np.dot(state.probabilities(), v0 * same + cross)) / vol
 
 
 def _sum_quadruples(state: WeightedTrialState, terms) -> complex:
@@ -358,7 +378,7 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
                 total += (vu / vol) * sums[key]
 
     kin = 0.0
-    probs = np.abs(w) ** 2
+    probs = state.probabilities()
     for m in ms:
         mag2 = float(m.p @ m.p)
         if mag2 > 0.0:
@@ -457,47 +477,36 @@ def occupation_ratio_report(
 
     Checks Q({u,m}) <= (lam_u rho)^(2i) Q({u,m-i}) for all m >= i >= 1; the
     underlying argument needs only that no state holds more than N condensate
-    particles, so it is exact at any scale.
+    particles, so it is exact at any scale.  worst_ratio is None when no pair
+    has a positive right side.
     """
     n = state.closure.n
-    probs = [q_psi_occupation(state, [(u_idx, m)]) for m in range(n + 1)]
+    probs = occupancy_distribution(state, u_idx)
     ratio2 = (lam_u * rho) ** 2
-    worst = -math.inf
-    ok = True
-    for m in range(1, n + 1):
-        for i in range(1, m + 1):
-            lhs = probs[m]
-            rhs = ratio2**i * probs[m - i]
-            if lhs > rhs + 1e-15 * max(1.0, abs(rhs)):
-                ok = False
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
+    m, i = np.tril_indices(n)  # m - 1 and i - 1 over all 1 <= i <= m <= N
+    q = np.array(probs)
+    lhs = q[m + 1]
+    rhs = np.array([ratio2**k for k in range(n + 1)])[i + 1] * q[m - i]
+    ok = not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs)))
+    ratios = lhs[rhs > 0] / rhs[rhs > 0]
+    worst = float(np.max(ratios)) if len(ratios) else None
     return {"holds": ok, "worst_ratio": worst, "occupancy_probs": probs}
 
 
 def pl_occupation_monotonicity(
-    state: WeightedTrialState,
-    u_idx: int,
-    *,
-    rho: float,
-    m_c: int,
-    eps_h: float,
-    c: float = 1.0,
+    state: WeightedTrialState, u_idx: int, *, rho: float, m_c: int, eps_h: float
 ) -> dict:
     """Occupancy-probability monotonicity at a low mode, under its hypothesis.
 
     The decrease of Q({u,m}) in m is only guaranteed when
-    rho^2 lam_u^2 (1 + c m_c rho / eps_h) < 1; the hypothesis value is
-    evaluated with the supplied constant and returned so callers can skip
-    rather than fail when it does not apply.
+    rho^2 lam_u^2 (1 + c m_c rho / eps_h) < 1, here with the constant c = 1;
+    the hypothesis value is returned so callers can skip rather than fail
+    when it does not apply.
     """
     lam_u = state.mode_set.modes[u_idx].lam
-    hyp = rho**2 * lam_u**2 * (1.0 + c * m_c * rho / eps_h)
-    n = state.closure.n
-    probs = [q_psi_occupation(state, [(u_idx, m)]) for m in range(n + 1)]
-    monotone = all(
-        probs[m + 1] <= probs[m] + 1e-15 for m in range(n)
-    )
+    hyp = rho**2 * lam_u**2 * (1.0 + m_c * rho / eps_h)
+    probs = occupancy_distribution(state, u_idx)
+    monotone = all(b <= a + 1e-15 for a, b in zip(probs, probs[1:]))
     return {
         "hypothesis_value": hyp,
         "hypothesis_holds": hyp < 1.0,
@@ -515,14 +524,14 @@ def statistics_report(state: WeightedTrialState, rho: float, g0: float) -> dict:
     """
     ms = state.mode_set
     vol = ms.volume
-    by_region = {}
-    for reg in (Region.PL, Region.PI, Region.PH):
-        idxs = ms.indices_in(reg)
-        tot = sum(q_psi(state, [i]) for i in idxs)
-        by_region[reg.value] = tot
+    means = mean_occupancies(state).tolist()
+    by_region = {
+        reg.value: sum(means[i] for i in ms.indices_in(reg))
+        for reg in (Region.PL, Region.PI, Region.PH)
+    }
     scaled_low = by_region["PL"] / (rho**1.5 * vol)
     scaled_outer = (by_region["PI"] + by_region["PH"]) / (rho**1.5 * vol)
-    condensate = q_psi(state, [ms.zero_index])
+    condensate = means[ms.zero_index]
     return {
         "condensate_mean": condensate,
         "condensate_fraction": condensate / state.closure.n if state.closure.n else 1.0,

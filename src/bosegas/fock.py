@@ -458,7 +458,7 @@ def export_closure(state: WeightedTrialState) -> str:
     key tuples compare: a key that is a prefix of another sorts first.
     """
     w = state.weights
-    probs = np.abs(w) ** 2
+    probs = state.probabilities()
     quadrants = np.where(probs > 0, np.round(np.angle(w) / (math.pi / 2)).astype(np.int64) % 4, 0)
     counts = state.closure.counts_matrix()
     cap = int(counts.max()) + 1

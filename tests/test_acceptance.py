@@ -5,7 +5,6 @@ appear in plain `pytest -v` output before the assertion fires.
 """
 
 import csv
-import json
 import math
 import time
 
@@ -39,7 +38,7 @@ from bosegas.boundary import (
     trig_polynomial,
     window_q,
 )
-from conftest import closure_members
+from conftest import closure_members, load_report
 
 
 @pytest.fixture
@@ -280,7 +279,7 @@ def test_10_check_all_deterministic(announce, tmp_path):
         code = main(["check-all", "--seed", "20260813", "--out", str(out)])
         outs.append((code, (out / "check_all.json").read_bytes()))
     identical = outs[0][1] == outs[1][1]
-    n_viol = json.loads(outs[0][1])["n_violations"]
+    n_viol = load_report(tmp_path / "first" / "check_all.json")["n_violations"]
     ok = outs[0][0] == 0 and outs[1][0] == 0 and identical and n_viol == 0
     announce(
         10,

@@ -1,7 +1,6 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import csv
-import json
 import math
 import re
 from pathlib import Path
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bosegas.cli import load_config, main
+from conftest import load_report
 
 _CLOSED = {
     "number_density": 1.0 / (3.0 * math.pi**2),
@@ -39,14 +39,14 @@ def test_integrals_pipeline_csv(tmp_path):
     for key, closed in _CLOSED.items():
         assert math.isclose(float(row[key]), closed, rel_tol=1e-6), key
         assert float(row[f"{key}_rel_residual"]) <= 1e-6
-    report = json.loads((out / "integrals.json").read_text())
+    report = load_report(out / "integrals.json")
     assert report["max_rel_residual"] <= 1e-6
 
 
 def test_integrals_pipeline_refined(tmp_path):
     code, out = _run(tmp_path, "integrals", "--refine")
     assert code == 0
-    report = json.loads((out / "integrals.json").read_text())
+    report = load_report(out / "integrals.json")
     assert report["refine"] is True
     assert report["max_rel_residual"] <= 1e-9
 
@@ -54,7 +54,7 @@ def test_integrals_pipeline_refined(tmp_path):
 def test_scattering_pipeline(tmp_path):
     code, out = _run(tmp_path, "scattering")
     assert code == 0
-    rep = json.loads((out / "scattering.json").read_text())
+    rep = load_report(out / "scattering.json")
     assert math.isclose(rep["a"], 0.11707990946904165, rel_tol=1e-9)
     assert rep["shooting_rel_gap"] < 1e-4
     assert rep["identity_residuals"]["gradient"] < 1e-6
@@ -66,7 +66,7 @@ def test_scattering_pipeline_past_born_radius(tmp_path):
     cfg = _write_config(tmp_path, "potential: {amplitude: 2.0, width: 2.0}\n")
     code, out = _run(tmp_path, "scattering", "--config", cfg)
     assert code == 0
-    rep = json.loads((out / "scattering.json").read_text())
+    rep = load_report(out / "scattering.json")
     assert rep["converged"] is True
     assert rep["shooting_rel_gap"] < 1e-6
 
@@ -74,7 +74,7 @@ def test_scattering_pipeline_past_born_radius(tmp_path):
 def test_lattice_pipeline(tmp_path):
     code, out = _run(tmp_path, "lattice")
     assert code == 0
-    rep = json.loads((out / "lattice.json").read_text())
+    rep = load_report(out / "lattice.json")
     assert rep["number_density"]["rel_gap_annulus"] < 1e-3
     assert rep["number_density"]["n_modes"] > 0
     assert rep["schedule"]["rho"] == rep["number_density"]["rho"]
@@ -84,7 +84,7 @@ def test_trial_state_pipeline_builtin_toy(tmp_path):
     cfg = _write_config(tmp_path, "toy: pi-pair\ntrial:\n  n: 4\n")
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 0
-    rep = json.loads((out / "trial_state.json").read_text())
+    rep = load_report(out / "trial_state.json")
     assert rep["name"] == "pi-pair"
     assert rep["closure_size"] == 3
     assert rep["energy"]["decomposition_residual"] <= 1e-10
@@ -107,7 +107,7 @@ def test_trial_state_pipeline_mode_file(tmp_path):
     )
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 0
-    rep = json.loads((out / "trial_state.json").read_text())
+    rep = load_report(out / "trial_state.json")
     assert rep["closure_size"] == 3
 
 
@@ -122,12 +122,13 @@ def test_energy_curve_gap_shrinks(tmp_path):
     assert gaps[1] < gaps[0]
     totals = [float(r["energy_total"]) for r in rows]
     assert totals[0] > totals[1] > 0.0
+    assert load_report(out / "energy_curve.json")["rho_values"] == [1e-4, 1e-5]
 
 
 def test_boundary_pipeline(tmp_path):
     code, out = _run(tmp_path, "boundary")
     assert code == 0
-    rep = json.loads((out / "boundary.json").read_text())
+    rep = load_report(out / "boundary.json")
     assert rep["partition_residual"] <= 1e-14
     for name, case in rep["isometry"].items():
         assert case["residual"] / abs(case["periodic"]) < 1e-8, name
@@ -144,7 +145,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
     blob1 = (out1 / "check_all.json").read_bytes()
     blob2 = (out2 / "check_all.json").read_bytes()
     assert blob1 == blob2
-    rep = json.loads(blob1)
+    rep = load_report(out1 / "check_all.json")
     assert rep["n_violations"] == 0
     assert rep["violations"] == []
 
@@ -227,7 +228,7 @@ def test_float_keys_take_yaml_exponent_strings(tmp_path):
     assert load_config(cfg)["trial"]["volume"] == 20.0
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 0
-    assert json.loads((out / "trial_state.json").read_text())["closure_size"] == 3
+    assert load_report(out / "trial_state.json")["closure_size"] == 3
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -273,6 +274,18 @@ def test_zero_lambda_mode_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(out.iterdir())
+
+
+def test_trial_state_without_particles_writes_strict_json(tmp_path):
+    # N = 0 leaves no (m, i) pair for the decay bound: no ratio, and null in
+    # the report where -Infinity once made it invalid JSON
+    modes = tmp_path / "modes.txt"
+    modes.write_text("# volume = 25.0\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n")
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial:\n  n: 0\n")
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 0
+    rep = load_report(out / "trial_state.json")
+    assert rep["ratio_bounds"] == {str(u): {"holds": True, "worst_ratio": None} for u in (1, 2)}
 
 
 def test_unknown_pipeline_rejected(tmp_path):

@@ -13,6 +13,8 @@ from bosegas.expectation import (
     brute_force_energy,
     energy_report,
     matrix_element,
+    mean_occupancies,
+    occupancy_distribution,
     occupation_ratio_report,
     p_uv,
     pair_correlator_check,
@@ -54,6 +56,15 @@ _TWO_CHANNEL = {
 def _condensate_trial(n=5, volume=10.0):
     ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=volume)
     return weight_f(generate_M(ms, n, 2), [None], volume)
+
+
+@pytest.fixture(scope="module")
+def occupancy_trials(toy_trials):
+    """Every builtin toy, plus two closures at N = 100 (8628 and 3826 states)."""
+    trials = {name: trial for name, (_, trial) in toy_trials.items()}
+    for name in ("soft-coincidence", "line-harmonics"):
+        trials[f"{name}-100"] = build_trial(replace(toy_by_name(name), n=100))
+    return trials
 
 
 # ------------------------------------------------------------ matrix elements
@@ -250,16 +261,20 @@ def test_q_psi_three_mode_organization(toy_trials):
 def test_q_psi_sum_rule_every_toy(toy_trials):
     for name, (_, trial) in toy_trials.items():
         n = trial.closure.n
-        total = sum(q_psi(trial, [u]) for u in range(len(trial.mode_set)))
-        assert math.isclose(total, float(n), rel_tol=1e-12), name
+        moments = [q_psi(trial, [u]) for u in range(len(trial.mode_set))]
+        assert math.isclose(sum(moments), float(n), rel_tol=1e-12), name
+        # the one-pass table keeps q_psi's summation order
+        assert mean_occupancies(trial).tolist() == moments, name
 
 
-def test_occupation_distribution_sums_to_one(toy_trials):
-    for name, (_, trial) in toy_trials.items():
+def test_occupation_distribution_sums_to_one(occupancy_trials):
+    for name, trial in occupancy_trials.items():
         n = trial.closure.n
-        for u in trial.mode_set.nonzero_indices()[:3]:
-            total = sum(q_psi_occupation(trial, [(u, m)]) for m in range(n + 1))
-            assert math.isclose(total, 1.0, rel_tol=1e-12), (name, u)
+        for u in range(len(trial.mode_set)):
+            probs = [q_psi_occupation(trial, [(u, m)]) for m in range(n + 1)]
+            assert math.isclose(sum(probs), 1.0, rel_tol=1e-12), (name, u)
+            # each count's states summed as the mask selects them, bit for bit
+            assert occupancy_distribution(trial, u) == probs, (name, u)
 
 
 def test_conditional_moment_identity(toy_trials):
@@ -434,14 +449,40 @@ def test_asymmetry_count_balance(toy_trials):
 # ------------------------------------------------------------ bounds
 
 
-def test_occupation_ratio_bound_all_toys(toy_trials):
-    for name, (case, trial) in toy_trials.items():
+def _ratio_reference(probs, rho, lam_u):
+    """(holds, worst_ratio) of the decay bound, one (m, i) pair at a time."""
+    n = len(probs) - 1
+    ratio2 = (lam_u * rho) ** 2
+    worst = -math.inf
+    ok = True
+    for m in range(1, n + 1):
+        for i in range(1, m + 1):
+            lhs = probs[m]
+            rhs = ratio2**i * probs[m - i]
+            if lhs > rhs + 1e-15 * max(1.0, abs(rhs)):
+                ok = False
+            if rhs > 0:
+                worst = max(worst, lhs / rhs)
+    return ok, (None if worst == -math.inf else worst)
+
+
+def test_occupation_ratio_bound_all_toys(occupancy_trials):
+    failing = 0
+    for name, trial in occupancy_trials.items():
         ms = trial.mode_set
         rho = trial.closure.n / ms.volume
         for u in ms.indices_in(Region.PI):
-            rep = occupation_ratio_report(trial, u, rho, ms.modes[u].lam)
+            lam = ms.modes[u].lam
+            rep = occupation_ratio_report(trial, u, rho, lam)
             assert rep["holds"], (name, u)
             assert math.isclose(sum(rep["occupancy_probs"]), 1.0, rel_tol=1e-12)
+            # a quarter of lambda breaks the bound; both verdicts match the loop
+            for lam_u in (lam, lam / 4.0):
+                rep = occupation_ratio_report(trial, u, rho, lam_u)
+                ref = _ratio_reference(rep["occupancy_probs"], rho, lam_u)
+                assert (rep["holds"], rep["worst_ratio"]) == ref, (name, u, lam_u)
+                failing += not rep["holds"]
+    assert failing > 0
 
 
 def test_low_occupancy_monotone_under_hypothesis(toy_trials):
