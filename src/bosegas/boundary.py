@@ -253,10 +253,11 @@ class PenaltyReport:
             return math.nan
         return self.excess * self.ell**2 / self.collar_mass
 
-    def holds_with(self, constant: float, *, slack: float = 1e-9) -> bool:
+    def holds_with(self, constant: float) -> bool:
+        """lhs <= periodic kinetic + constant ell^-2 collar mass, up to 1e-9 relative."""
         rhs = self.periodic_kinetic + constant / self.ell**2 * self.collar_mass
         scale = max(abs(self.lhs), abs(rhs), 1.0)
-        return self.lhs <= rhs + slack * scale
+        return self.lhs <= rhs + 1e-9 * scale
 
 
 def _extended_terms(w: Window, xs, h: float, sample):
@@ -321,12 +322,14 @@ def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[Pen
     ]
 
 
-def shifted_collar_average(w: Window, probes, *, n_shifts: int = 1 << 12) -> dict:
-    """Average chi(x + u) over shifts u in [0, L): the collar fraction, any x.
+def shifted_collar_average(w: Window, probes) -> dict:
+    """Average chi(x + u) over n_shifts = 4096 shifts u in [0, L): the collar
+    fraction, any x.
 
     Midpoint sampling of an arc of measure 2 ell; the count is off by at
     most the two boundary samples, so |average - 2 ell/L| <= 2/n_shifts.
     """
+    n_shifts = 1 << 12
     us = (np.arange(n_shifts) + 0.5) * (w.period / n_shifts)
     averages = [float(np.mean(collar_indicator(w, x + us))) for x in np.atleast_1d(probes)]
     exact = w.collar_fraction

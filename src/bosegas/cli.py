@@ -32,7 +32,6 @@ from .errors import (
     RegionUndefined,
 )
 from .expectation import (
-    InteractionContext,
     energy_report,
     mean_occupancies,
     occupancy_distribution,
@@ -45,6 +44,7 @@ from .lattice import Region, Schedule, load_toy_modes, pl_number_density_compari
 from .scattering import (
     Potential,
     check_scattering_identities,
+    fourier_at,
     shooting_scattering_length,
     solve_scattering,
 )
@@ -234,7 +234,9 @@ def run_scattering(cfg: dict, out: Path) -> dict:
     shoot = shooting_scattering_length(_potential_from(cfg))
     report["shooting_a"] = shoot
     report["shooting_rel_gap"] = abs(solution.a - shoot) / abs(shoot)
-    report["ledger"] = semi.assemble_ledger(solution).as_dict()
+    report["ledger"] = semi.assemble_ledger(
+        solution, identity_tol=cfg["tolerances"]["identity"]
+    ).as_dict()
     _write_json(out / "scattering.json", report)
     return report
 
@@ -266,13 +268,13 @@ def _resolve_toy(cfg: dict) -> ToyCase:
             raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
         if mode_set.volume is None:
             raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
-        ctx = InteractionContext.from_potential(_potential_from(cfg), mode_set)
+        potential = _potential_from(cfg)
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
             n=cfg["trial"]["n"],
             m_c=cfg["trial"]["m_c"],
-            v_of=ctx.v_mag,
+            v_of=lambda mag: fourier_at(potential, mag),
             note="loaded from file",
         )
     try:
@@ -529,7 +531,7 @@ def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
         abs(solution.a - shoot) / abs(shoot),
         tol["shooting"],
     )
-    ledger = semi.assemble_ledger(solution)
+    ledger = semi.assemble_ledger(solution, identity_tol=tol["identity"])
     check("ledger.leading_imposed", ledger.leading_imposed_residual, tol["milestone"])
     check("ledger.second_imposed", ledger.second_imposed_residual, tol["milestone"])
     check("ledger.final_coefficient", ledger.final_residual, tol["milestone"])

@@ -19,10 +19,6 @@ class NotConverged(BosegasError):
         self.last_delta = last_delta
 
 
-class GridTooCoarse(BosegasError):
-    """Refining the discretization moved the answer by more than the tolerance."""
-
-
 class RegionUndefined(BosegasError):
     """A dispersion value was requested where none is defined (P0 or the gap)."""
 

@@ -47,7 +47,6 @@ import numpy as np
 from .errors import ZeroConditionProbability
 from .fock import OccupationState, WeightedTrialState
 from .lattice import ModeSet, Region
-from .scattering import Potential, fourier_at
 
 __all__ = [
     "InteractionContext",
@@ -80,10 +79,6 @@ class InteractionContext:
         self._v_of = v_of
         self._cache: dict[float, float] = {}
         self._p = mode_set.momentum_matrix()
-
-    @classmethod
-    def from_potential(cls, potential: Potential, mode_set: ModeSet) -> "InteractionContext":
-        return cls(lambda mag: fourier_at(potential, mag), mode_set)
 
     def v_mag(self, mag: float) -> float:
         key = round(float(mag), 12)

@@ -205,15 +205,16 @@ def _key(p, unit: float) -> tuple:
 class ModeSet:
     """Explicit collection of modes with manual labels and optional lambdas.
 
-    A set must list the zero mode.  Modes on a schedule's lattice pass the
-    schedule, which keys them in lattice spacings and sets the volume.
+    A set must list the zero mode.  Lookup keys round momenta to 9 decimals
+    in a power-of-two unit above the largest component, so they stay
+    distinct at any lattice spacing.
     """
 
-    def __init__(self, modes: Sequence[Mode], volume: float | None = None, schedule: Schedule | None = None):
+    def __init__(self, modes: Sequence[Mode], volume: float | None = None):
         self.modes = list(modes)
-        self.volume = volume if volume is not None else (schedule.volume if schedule else None)
-        # keys count lattice spacings, so they stay distinct at any density
-        self._unit = schedule.spacing if schedule is not None else 1.0
+        self.volume = volume
+        top = max((float(np.max(np.abs(m.p))) for m in self.modes), default=0.0)
+        self._unit = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
         self._by_key = {}
         for m in self.modes:
             k = _key(m.p, self._unit)
@@ -438,9 +439,6 @@ def radial_shell_sum(
     radial: Callable[[np.ndarray], np.ndarray],
     p_lo: float,
     p_hi: float,
-    *,
-    include_lo: bool = True,
-    include_hi: bool = True,
 ) -> ShellSumResult:
     """(1/|Lambda|) sum over lattice modes with p_lo <= |p| <= p_hi, exactly.
 
@@ -451,9 +449,8 @@ def radial_shell_sum(
     step = schedule.spacing
     lo2 = (p_lo / step) ** 2
     hi2 = (p_hi / step) ** 2
-    m_lo = math.ceil(lo2 - 1e-9) if include_lo else math.floor(lo2 + 1e-9) + 1
-    m_hi = math.floor(hi2 + 1e-9) if include_hi else math.ceil(hi2 - 1e-9) - 1
-    m_lo = max(m_lo, 1)
+    m_lo = max(math.ceil(lo2 - 1e-9), 1)
+    m_hi = math.floor(hi2 + 1e-9)
     if m_hi < m_lo:
         raise ValueError("annulus contains no lattice shells")
     counts = shell_counts(m_hi, m_lo)

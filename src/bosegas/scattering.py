@@ -17,7 +17,9 @@ Radial symmetry collapses the 3-d convolution to a 1-d kernel,
 so one cumulative integral Q(x) = int_0^x q V_q dq drives the whole solve.
 On a log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
 dense A, and GMRES solves it in a few kernel products at any coupling
-strength, past the radius where the Born series diverges.
+strength, past the radius where the Born series diverges.  The grid follows
+from the potential alone: it ends at 1e3/width and starts low enough for an
+upper bound on a, so a scattering length far past the width solves too.
 
 A is built from the pair kernel K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|).
 Q is exactly constant in floats past the potential's saturation radius, so
@@ -50,7 +52,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidPotential, NotConverged
+from .errors import InvalidPotential, NotConverged
 
 __all__ = [
     "Potential",
@@ -62,8 +64,12 @@ __all__ = [
     "shooting_scattering_length",
 ]
 
-_DEFAULT_GRID_POINTS = 2048
-_DEFAULT_TOL = 1e-11
+# points of the log-spaced momentum grid, odd for Simpson (see _momentum_grid)
+_GRID_POINTS = 2049
+# bound on V_0 (p_min a_max)^3; the identity residual is about a tenth of it
+_LOW_END_BUDGET = 1e-8
+# GMRES stops at a sup-norm residual of _TOL * max|V_p|
+_TOL = 1e-11
 # GMRES Krylov dimension and restart cycles; a solve takes 5-15 products
 _KRYLOV_DIM = 40
 _KRYLOV_CYCLES = 2
@@ -290,21 +296,36 @@ def _pair_kernel(potential, p) -> np.ndarray:
     return kern
 
 
-def _solve_on_grid(potential, n_grid, p_min, p_max, tol):
+def _momentum_grid(potential: Potential) -> np.ndarray:
+    """The log-spaced grid the solver works on, from p_min to p_max = 1e3/width.
+
+    Cutting the grid at p_min leaves an identity residual of about
+    0.1 V_0 (p_min a)^3.  V_0/4pi and range_cutoff both bound a from above
+    for a nonnegative potential that vanishes past range_cutoff, so p_min
+    starts at 1e-3/width and drops until V_0 (p_min a_max)^3 stays within
+    _LOW_END_BUDGET.  The bound is known before the solve, so one solve does.
+    """
+    p_min = 1e-3 / potential.width
+    v0 = float(fourier_at(potential, 0.0))
+    a_max = min(v0 / (4.0 * math.pi), potential.range_cutoff)
+    if v0 * (p_min * a_max) ** 3 > _LOW_END_BUDGET:
+        p_min = (_LOW_END_BUDGET / v0) ** (1.0 / 3.0) / a_max
+    return np.geomspace(p_min, 1e3 / potential.width, _GRID_POINTS)
+
+
+def _solve_on_grid(potential, p):
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    n_grid |= 1  # Simpson needs an odd point count
-    p = np.geomspace(p_min, p_max, n_grid)
     vp = fourier_at(potential, p)
     kern = _pair_kernel(potential, p)
     # Simpson in t = log r: dr r w_r = r^2 w_r dt for the unknown p2w = p^2 w,
     # and quad_w = wt * r^2 bundles the dp-measure with the factor r for w
-    simpson = _log_simpson_weights(n_grid, math.log(p[1] / p[0]))
+    simpson = _log_simpson_weights(p.size, math.log(p[1] / p[0]))
     quad_w = simpson * p * p
     pref = 1.0 / (4.0 * math.pi**2 * p)
     # r < p_min completion of the convolution, using w_r ~ p2w[0] / r^2 there:
     # int_0^{p_min} (1/r) [Q(p+r) - Q(p-r)] dr ~ 2 p_min Q'(p) = 2 p_min p V_p
-    tail = p_min * vp / (2.0 * math.pi**2)
+    tail = p[0] * vp / (2.0 * math.pi**2)
 
     def conv(p2w):
         return pref * (kern @ (simpson * p2w)) + tail * p2w[0]
@@ -319,18 +340,18 @@ def _solve_on_grid(potential, n_grid, p_min, p_max, tol):
     scale = float(np.max(np.abs(vp)))
     op = LinearOperator((p.size, p.size), matvec=matvec, dtype=float)
     p2w, info = gmres(
-        op, vp, rtol=0.0, atol=tol * scale, restart=_KRYLOV_DIM, maxiter=_KRYLOV_CYCLES
+        op, vp, rtol=0.0, atol=_TOL * scale, restart=_KRYLOV_DIM, maxiter=_KRYLOV_CYCLES
     )
     w = p2w / (p * p)
     g = vp - conv(p2w)
     residual = float(np.max(np.abs(p2w - g)))  # sup norm of (I + A) p2w - V_p
-    if info != 0 or residual > tol * scale:
+    if info != 0 or residual > _TOL * scale:
         raise NotConverged(
-            f"GMRES: residual {residual:.3e} > tol {tol:.3e} * max|V_p| {scale:.3e} "
+            f"GMRES: residual {residual:.3e} > tol {_TOL:.3e} * max|V_p| {scale:.3e} "
             f"after {matvecs} kernel products",
             last_delta=residual,
         )
-    return p, vp, w, g, quad_w, matvecs, residual
+    return vp, w, g, quad_w, matvecs, residual
 
 
 def _observables(potential, p, w, g, quad_w):
@@ -363,42 +384,17 @@ def _observables(potential, p, w, g, quad_w):
     return g0_limit, grad_w2, vw1, vw2, v0
 
 
-def solve_scattering(
-    potential: Potential,
-    *,
-    n_grid: int = _DEFAULT_GRID_POINTS,
-    p_min: float | None = None,
-    p_max: float | None = None,
-    tol: float = _DEFAULT_TOL,
-    grid_check: bool = False,
-    grid_check_tol: float = 1e-6,
-) -> ScatteringSolution:
+def solve_scattering(potential: Potential) -> ScatteringSolution:
     """Solve the discretized scattering equation (I + A) g = V_p by GMRES.
 
-    The unknown is g = p^2 w on the grid.  Raises NotConverged when GMRES
-    reports failure or the sup-norm residual max|p^2 w - g| exceeds
-    tol * max|V_p|.  With grid_check=True the solve repeats on a doubled grid
-    and raises GridTooCoarse if the scattering length moves by more than
-    grid_check_tol (relative).
+    The unknown is g = p^2 w on the grid of _momentum_grid.  Raises
+    NotConverged when GMRES reports failure or the sup-norm residual
+    max|p^2 w - g| exceeds _TOL * max|V_p|.
     """
-    p_min = p_min if p_min is not None else 1e-3 / potential.width
-    p_max = p_max if p_max is not None else 1e3 / potential.width
-    if not (0 < p_min < p_max):
-        raise ValueError("need 0 < p_min < p_max")
-
-    p, vp, w, g, quad_w, matvecs, residual = _solve_on_grid(potential, n_grid, p_min, p_max, tol)
+    p = _momentum_grid(potential)
+    vp, w, g, quad_w, matvecs, residual = _solve_on_grid(potential, p)
     g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, w, g, quad_w)
     a = (v0 - vw1) / (4.0 * math.pi)
-
-    if grid_check:
-        p2, vp2, w2, g2, qw2, *_ = _solve_on_grid(potential, 2 * n_grid, p_min, p_max, tol)
-        _, _, vw1_f, _, _ = _observables(potential, p2, w2, g2, qw2)
-        a_fine = (v0 - vw1_f) / (4.0 * math.pi)
-        if abs(a_fine - a) > grid_check_tol * max(abs(a_fine), 1e-12):
-            raise GridTooCoarse(
-                f"a moved {abs(a_fine - a):.3e} under grid doubling (n_grid={n_grid})"
-            )
-
     return ScatteringSolution(
         potential=potential,
         p_grid=p,
@@ -413,7 +409,7 @@ def solve_scattering(
         grad_w2=grad_w2,
         converged=True,
         iterations=matvecs,
-        tol=tol,
+        tol=_TOL,
         residual=residual,
     )
 
@@ -430,20 +426,21 @@ def check_scattering_identities(solution: ScatteringSolution, tol: float = 1e-6)
     return IdentityReport(residual_gradient=res_grad, residual_length=res_len, tol=tol)
 
 
-def shooting_scattering_length(potential: Potential, *, r_max: float | None = None, rtol: float = 1e-12) -> float:
+def shooting_scattering_length(potential: Potential) -> float:
     """Scattering length from the radial ODE -u'' + V u = 0, u(0) = 0.
 
-    Beyond the potential range u(r) = c (r - a), so a = r - u/u' there.  This
-    is a position-space route entirely independent of the momentum solver.
+    Beyond the potential range u(r) = c (r - a), so a = r - u/u' there; the
+    integration ends at 1.25 range_cutoff.  This is a position-space route
+    entirely independent of the momentum solver.
     """
     from scipy.integrate import solve_ivp
 
-    r_max = r_max if r_max is not None else 1.25 * potential.range_cutoff
+    r_max = 1.25 * potential.range_cutoff
 
     def rhs(r, y):
         return [y[1], potential.v_at(r) * y[0]]
 
-    sol = solve_ivp(rhs, (1e-9, r_max), [1e-9, 1.0], rtol=rtol, atol=1e-14, method="RK45")
+    sol = solve_ivp(rhs, (1e-9, r_max), [1e-9, 1.0], rtol=1e-12, atol=1e-14, method="RK45")
     if not sol.success:
         raise NotConverged("radial shooting integration failed")
     u, du = sol.y[0, -1], sol.y[1, -1]

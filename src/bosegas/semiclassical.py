@@ -205,11 +205,7 @@ class ConstantLedger:
         }
 
 
-def assemble_ledger(
-    solution: ScatteringSolution,
-    *,
-    identity_tol: float = 1e-6,
-) -> ConstantLedger:
+def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> ConstantLedger:
     """Fill both coefficient columns from solved norms and telescope them.
 
     Refuses to proceed when the scattering identities fail at identity_tol:

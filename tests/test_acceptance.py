@@ -76,7 +76,7 @@ def test_01_radial_integrals(announce):
 
 
 def test_02_coefficient_ledger_milestones(announce, gaussian_solution):
-    led = assemble_ledger(gaussian_solution)
+    led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
     g0 = led.g0
     milestone = 26.0 * g0**2.5 / (15.0 * math.pi**2)
     final = 16.0 * g0**2.5 / (15.0 * math.pi**2)

@@ -205,14 +205,25 @@ def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {key} must be finite")
 
 
-def test_identity_violation_exits_3(tmp_path, capsys):
-    # at width 50 the solved norms miss the scattering identities by ~5e-4
-    cfg = _write_config(tmp_path, "potential:\n  width: 50.0\n")
-    code = main(["scattering", "--config", cfg, "--out", str(tmp_path / "r")])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a = 164 at width 50: the length identity misses by 2.5e-6
+        "potential: {amplitude: 0.4, width: 50.0}\n",
+        # the default potential's ~4e-11 residuals, against a bound set below them
+        "tolerances: {identity: 1.0e-12}\n",
+    ],
+    ids=["width-50", "tight-identity-key"],
+)
+@pytest.mark.parametrize("pipeline", ["scattering", "check-all"])
+def test_identity_violation_exits_3(tmp_path, capsys, pipeline, text):
+    cfg = _write_config(tmp_path, text)
+    code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("identity violation: scattering identities fail")
     assert "Traceback" not in err
+    assert not (tmp_path / "r").exists() or not any((tmp_path / "r").iterdir())
 
 
 def test_float_keys_take_yaml_exponent_strings(tmp_path):

@@ -1,7 +1,8 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, every definition in the package has
-a caller in the package, and the CLI imports no more of scipy than it uses:
-none at start, none in trial-state or boundary."""
+a caller in the package, every parameter default is overridden by some call
+in the package, and the CLI imports no more of scipy than it uses: none at
+start, none in trial-state or boundary."""
 
 import ast
 import importlib
@@ -122,6 +123,104 @@ def test_no_library_only_definitions():
     unused = _library_only_definitions()
     assert unused - timed - set(_LIBRARY_ONLY) == set()
     assert set(_LIBRARY_ONLY) <= unused
+
+
+# Parameters with a default that no call in the package sets, kept on purpose:
+# main reads sys.argv when the console script calls it with no arguments.
+_DEFAULT_ONLY = ("cli.main.argv",)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")) == "dataclass":
+            return True
+    return False
+
+
+def _signatures(tree: ast.Module, stem: str):
+    """(qualified name, callee name, positional params, defaulted params) for
+    every function in the module, nested ones included, and one entry per
+    dataclass for its generated __init__.  Positional params of a method drop
+    self (or cls), so they line up with the arguments of a bound call."""
+
+    def walk(node, prefix, in_class):
+        for sub in node.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = sub.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = set(positional[len(positional) - len(args.defaults) :])
+                defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+                static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                callee = prefix.rsplit(".", 1)[-1] if sub.name == "__init__" else sub.name
+                yield f"{prefix}.{sub.name}", callee, positional, defaulted
+                yield from walk(sub, f"{prefix}.{sub.name}", False)
+            elif isinstance(sub, ast.ClassDef):
+                if _is_dataclass(sub):
+                    fields = [
+                        f for f in sub.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(f.annotation)
+                    ]
+                    names = [f.target.id for f in fields]
+                    defaulted = {f.target.id for f in fields if f.value is not None}
+                    yield f"{prefix}.{sub.name}", sub.name, names, defaulted
+                yield from walk(sub, f"{prefix}.{sub.name}", True)
+
+    yield from walk(tree, stem, False)
+
+
+def _unset_defaults() -> set[str]:
+    """module.function.param (module.Class.method.param for methods, and
+    module.Class.field for dataclass fields) of every parameter with a
+    default that no call anywhere in src/bosegas sets, by keyword or by
+    position.  Calls match definitions by name; a call to a class name is a
+    call to its __init__, and a call with *args or **kwargs sets every
+    parameter it can reach."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((_ROOT / "src" / "bosegas").glob("*.py"))
+    }
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        # cls(...) calls the innermost class around it (ast.walk goes outside in)
+        owner = {
+            id(call): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for call in ast.walk(cls)
+            if isinstance(call, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(owner[id(node)] if name == "cls" else name, []).append(node)
+    unset = set()
+    for stem, tree in trees.items():
+        for qualified, callee, positional, defaulted in _signatures(tree, stem):
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+
+                def sets(call, param=param, index=index):
+                    if any(kw.arg in (param, None) for kw in call.keywords):
+                        return True
+                    if index is None:
+                        return False
+                    starred = any(isinstance(a, ast.Starred) for a in call.args)
+                    return starred or len(call.args) > index
+
+                if not any(sets(call) for call in calls.get(callee, [])):
+                    unset.add(f"{qualified}.{param}")
+    return unset
+
+
+def test_every_default_is_set_by_a_call():
+    # a default that no caller in the package overrides is a constant in
+    # disguise: it belongs in the body, or the parameter goes
+    assert _unset_defaults() == set(_DEFAULT_ONLY)
 
 
 def _source_env() -> dict:

@@ -200,7 +200,7 @@ def from_schedule(schedule: Schedule, p_budget: float, max_modes: int = 200_000)
                 modes.append(Mode(index=len(modes), p=p, region=region))
                 if len(modes) > max_modes:
                     raise BudgetExceeded("materialized mode count exceeded max_modes")
-    return ModeSet(modes, schedule=schedule)
+    return ModeSet(modes, volume=schedule.volume)
 
 
 def _magnitude(m: Mode) -> float:

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bosegas.errors import GridTooCoarse, InvalidPotential, NotConverged
+from bosegas import scattering
+from bosegas.errors import IdentityViolation, InvalidPotential, NotConverged
 from bosegas.scattering import (
-    _DEFAULT_TOL,
     Potential,
+    _momentum_grid,
     _pair_kernel,
     check_scattering_identities,
     fourier_at,
     shooting_scattering_length,
     solve_scattering,
 )
+from bosegas.semiclassical import assemble_ledger
 
 # Reference values for Potential(0.1, 1.0) on the default grid.
 # The position-space shooting value 0.117079909473835 agrees to 4.1e-11.
@@ -133,26 +135,32 @@ def test_g_profile_limits(gaussian_solution):
     assert 0.0 < mid < sol.g0
 
 
-def test_truncated_iteration_flagged_not_converged(gaussian_potential, gaussian_solution):
+def test_truncated_iteration_flagged_not_converged(
+    gaussian_potential, gaussian_solution, monkeypatch
+):
+    default_tol = scattering._TOL
     # a loose tolerance stops GMRES after fewer kernel products than the
     # reference solve, and the exact identities show the truncation
-    sol = solve_scattering(gaussian_potential, tol=1e-1)
+    monkeypatch.setattr(scattering, "_TOL", 1e-1)
+    sol = solve_scattering(gaussian_potential)
     assert sol.iterations < gaussian_solution.iterations
     rep = check_scattering_identities(sol, tol=1e-6)
     assert not rep.ok
     # a relative tolerance below roundoff: GMRES fails, and the error carries
     # the sup-norm residual max|p^2 w - g| that the solve ended with
+    monkeypatch.setattr(scattering, "_TOL", 1e-30)
     with pytest.raises(NotConverged) as info:
-        solve_scattering(gaussian_potential, tol=1e-30)
+        solve_scattering(gaussian_potential)
     delta = info.value.last_delta
     v0 = float(fourier_at(gaussian_potential, 0.0))
     assert f"residual {delta:.3e} > tol" in str(info.value)
-    assert 1e-30 * v0 < delta <= _DEFAULT_TOL * v0
+    assert 1e-30 * v0 < delta <= default_tol * v0
 
 
-def test_strict_raises_not_converged(gaussian_potential):
+def test_strict_raises_not_converged(gaussian_potential, monkeypatch):
+    monkeypatch.setattr(scattering, "_TOL", 1e-30)
     with pytest.raises(NotConverged, match=r"residual .* > tol"):
-        solve_scattering(gaussian_potential, tol=1e-30)
+        solve_scattering(gaussian_potential)
 
 
 def test_past_born_radius_solves_without_warnings():
@@ -178,12 +186,39 @@ def test_strong_coupling_matches_shooting(amplitude):
     assert rep.residual_length < 1e-6
 
 
+def _passes_both_routes(pot):
+    # both identities at the unchanged 1e-6 bound, and a against the ODE to 1e-6
+    sol = solve_scattering(pot)
+    rep = check_scattering_identities(sol, tol=1e-6)
+    gap = abs(sol.a - shooting_scattering_length(pot)) / sol.a
+    return sol, rep.ok and gap <= 1e-6
+
+
+@pytest.mark.parametrize("width", [0.05, 1.0, 10.0, 50.0])
+@pytest.mark.parametrize("coupling", [1e-3, 0.1, 1.0, 10.0, 100.0, 1000.0])
+def test_domain_sweep_solves_or_refuses(width, coupling):
+    # amplitude * width^2 sets a/width; the grid follows a, so every point
+    # either solves to both oracles or the ledger refuses it with a typed error
+    sol, ok = _passes_both_routes(Potential(coupling / width**2, width))
+    if not ok:
+        with pytest.raises(IdentityViolation):
+            assemble_ledger(sol, identity_tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "amplitude, width", [(0.5, 10.0), (200.0, 1.0), (20.0, 2.0), (0.1, 50.0)]
+)
+def test_scattering_length_far_past_width_solves(amplitude, width):
+    # a is 2.4 to 2.9 widths here; a grid that starts at 1e-3/width misses
+    # the identities by 4e-6 to 5e-4 on these potentials
+    pot = Potential(amplitude, width)
+    sol, ok = _passes_both_routes(pot)
+    assert sol.a > 2.0 * width
+    assert ok
+    assert sol.p_grid[0] < 1e-3 / width
+
+
 _SMALL_GRID = np.geomspace(1e-2, 1e2, 101)
-
-
-def _production_grid(pot):
-    # the grid solve_scattering builds by default
-    return np.geomspace(1e-3 / pot.width, 1e3 / pot.width, 2049)
 
 
 _KERNEL_CASES = [
@@ -193,7 +228,7 @@ _KERNEL_CASES = [
     pytest.param(Potential(2.0, 1.5), _SMALL_GRID, id="strong"),
     # the coupling-sweep widths at both ends of the amplitude range
     *(
-        pytest.param(pot, _production_grid(pot), id=f"grid-w{pot.width}-a{pot.amplitude}")
+        pytest.param(pot, _momentum_grid(pot), id=f"grid-w{pot.width}-a{pot.amplitude}")
         for pot in (Potential(a, w) for w in (0.5, 1.0, 2.0) for a in (0.1, 20.0))
     ),
 ]
@@ -227,13 +262,6 @@ def test_cumulative_kernel_saturates_exactly(pot):
     q = pot.cumulative_kernel(x)
     assert np.all(q == q[0])
     assert q[0] > 0.0
-
-
-def test_grid_check_raises_on_coarse_grid(gaussian_potential):
-    with pytest.raises(GridTooCoarse):
-        solve_scattering(
-            gaussian_potential, n_grid=24, grid_check=True, grid_check_tol=1e-9
-        )
 
 
 def test_solution_report_keys(gaussian_solution):
