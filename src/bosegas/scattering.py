@@ -9,22 +9,22 @@ a linear equation for w in momentum space,
 
     p^2 w_p = V_p - (2 pi)^-3 int V_{p-r} w_r d^3 r .
 
-Radial symmetry collapses the 3-d convolution to a 1-d kernel,
+Radial symmetry collapses the 3-d convolution to a 1-d pair kernel,
 
-    (2 pi)^-3 int V_{|p-r|} w_r d^3 r
-        = (1 / 4 pi^2 p) int_0^inf dr r w_r [ int_{|p-r|}^{p+r} dq q V_q ] ,
+    (2 pi)^-3 int V_{|p-r|} w_r d^3 r = (1 / 4 pi^2 p) int_0^inf dr r w_r K(p, r) ,
 
-so one cumulative integral Q(x) = int_0^x q V_q dq drives the whole solve.
-On a log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
+    K(p, r) = int_{|p-r|}^{p+r} q V_q dq
+            = (V_0 / s^2) exp(-(p - r)^2 s^2 / 2) (1 - exp(-2 p r s^2)) ,
+
+with s the width.  In this factored form K keeps its relative precision at
+any ratio r/p, and it falls below e^-40 of its scale once |p - r| reaches
+sqrt(80)/s; past that radius it is exactly 0, so it is built on its support
+only, once per symmetric pair, and kept dense for the products.  On a
+log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
 dense A, and GMRES solves it in a few kernel products at any coupling
 strength, past the radius where the Born series diverges.  The grid follows
 from the potential alone: it ends at 1e3/width and starts low enough for an
 upper bound on a, so a scattering length far past the width solves too.
-
-A is built from the pair kernel K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|).
-Q is exactly constant in floats past the potential's saturation radius, so
-K is exactly zero wherever |p_i - p_j| reaches it; K is built on its support
-only, once per symmetric pair, and kept dense for the products.
 
 The converged solution carries the scattering length a = (V_0 - ||Vw||_1)/4pi,
 the coupling g0 = 4 pi a, and the norms ||Vw||_1, ||Vw^2||_1, ||grad w||_2^2
@@ -118,30 +118,6 @@ class Potential:
         r = np.asarray(r, dtype=float)
         out = self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
         return np.where(r <= self.range_cutoff, out, 0.0)
-
-    @property
-    def saturation_radius(self) -> float:
-        """Radius x_sat past which cumulative_kernel is exactly constant in floats.
-
-        -0.5 x x s2 <= -40 there, and expm1 of anything below about -37.4
-        rounds to exactly -1.0.
-        """
-        return math.sqrt(80.0) / self.width
-
-    def cumulative_kernel(self, x) -> np.ndarray:
-        """Q(x) = int_0^x q V_q dq, the pair kernel primitive."""
-        x = np.asarray(x, dtype=float)
-        amp = self.amplitude * (2.0 * math.pi * self.width**2) ** 1.5
-        s2 = self.width**2
-        # amp * (-expm1(-0.5 x x s2)) / s2, in that order, in one fresh buffer
-        q = np.multiply(-0.5, x, out=np.empty_like(x))
-        q *= x
-        q *= s2
-        np.expm1(q, out=q)
-        np.negative(q, out=q)
-        q *= amp
-        q /= s2
-        return q
 
 
 def fourier_at(potential: Potential, p) -> np.ndarray:
@@ -244,11 +220,6 @@ class IdentityReport:
 
     residual_gradient: float  # | ||grad w||^2 - ||Vw||_1 + ||Vw^2||_1 |
     residual_length: float    # | V0 - ||Vw||_1 - g0_limit |
-    tol: float = 1e-6
-
-    @property
-    def ok(self) -> bool:
-        return self.residual_gradient <= self.tol and self.residual_length <= self.tol
 
 
 def _log_simpson_weights(n: int, t_step: float) -> np.ndarray:
@@ -265,34 +236,48 @@ def _small_p_limit(p: np.ndarray, f: np.ndarray, k: int) -> float:
 
 
 def _pair_kernel(potential, p) -> np.ndarray:
-    """K[i, j] = Q(p_i + p_j) - Q(|p_i - p_j|) on an ascending grid p.
+    """K[i, j] = int_{|p_i - p_j|}^{p_i + p_j} q V_q dq on an ascending grid p.
 
-    K is symmetric, so Q is evaluated once per pair i <= j, and only on K's
-    support: past the saturation radius x_sat, Q is exactly constant, so K is
-    exactly 0.0 wherever |p_i - p_j| >= x_sat.  Row i needs the columns
-    j >= i whose float difference p_j - p_i is below x_sat; since rounding
-    is monotone, all of them have p_j <= p_i + x_sat in floats.  One more
-    column is taken as a margin: an extra column just gets its exact value.
-    Rows go in blocks, so the flat pair buffers stay small (see
-    _KERNEL_BLOCK_ROWS).
+    In closed form, with A = V_0 and s = width,
+
+        K = (A/s^2) exp(-(p_j - p_i)^2 s^2/2) (-expm1(-2 p_i p_j s^2)) ,
+
+    two factors that keep their relative precision at any p_i/p_j.  K's
+    support is |p_i - p_j| < x_cut, the radius where the Gaussian factor falls
+    below e^-40; entries past it are exactly 0.0.  K is symmetric, so it is
+    evaluated once per pair i <= j on its support: rounding is monotone, so
+    every column j >= i with float difference p_j - p_i below x_cut has
+    p_j <= p_i + x_cut in floats; one more column is taken as a margin, and
+    the float difference decides.  Rows go in blocks, so the flat pair
+    buffers stay small (see _KERNEL_BLOCK_ROWS).
     """
     n = p.size
-    x_sat = potential.saturation_radius
-    hi = np.minimum(np.searchsorted(p, p + x_sat, side="right") + 1, n).tolist()
+    s2 = potential.width**2
+    scale = float(fourier_at(potential, 0.0)) / s2
+    x_cut = math.sqrt(80.0) / potential.width
+    hi = np.minimum(np.searchsorted(p, p + x_cut, side="right") + 1, n).tolist()
     kern = np.zeros((n, n))
     for first in range(0, n, _KERNEL_BLOCK_ROWS):
         rows = range(first, min(first + _KERNEL_BLOCK_ROWS, n))
         # row i's pairs (i, i..hi[i]-1) sit at [start, end) of the flat buffers
         ends = list(accumulate(hi[i] - i for i in rows))
         spans = list(zip(rows, [0, *ends[:-1]], ends))
-        sums, diffs = np.empty(ends[-1]), np.empty(ends[-1])
+        prods, diffs = np.empty(ends[-1]), np.empty(ends[-1])
         for i, start, end in spans:
-            np.add(p[i], p[i : hi[i]], out=sums[start:end])
+            np.multiply(p[i], p[i : hi[i]], out=prods[start:end])
             np.subtract(p[i : hi[i]], p[i], out=diffs[start:end])  # == |p_i - p_j|
-        vals = potential.cumulative_kernel(sums)
-        vals -= potential.cumulative_kernel(diffs)
+        outside = diffs >= x_cut
+        # scale * exp(-0.5 s2 d^2) * (-expm1(-2 s2 p_i p_j)), in place
+        diffs *= diffs
+        diffs *= -0.5 * s2
+        np.exp(diffs, out=diffs)
+        prods *= -2.0 * s2
+        np.expm1(prods, out=prods)
+        prods *= diffs
+        prods *= -scale
+        prods[outside] = 0.0
         for i, start, end in spans:
-            kern[i, i : hi[i]] = kern[i : hi[i], i] = vals[start:end]
+            kern[i, i : hi[i]] = kern[i : hi[i], i] = prods[start:end]
     return kern
 
 
@@ -324,7 +309,7 @@ def _solve_on_grid(potential, p):
     quad_w = simpson * p * p
     pref = 1.0 / (4.0 * math.pi**2 * p)
     # r < p_min completion of the convolution, using w_r ~ p2w[0] / r^2 there:
-    # int_0^{p_min} (1/r) [Q(p+r) - Q(p-r)] dr ~ 2 p_min Q'(p) = 2 p_min p V_p
+    # int_0^{p_min} (1/r) K(p, r) dr ~ 2 p_min p V_p, as K(p, r) ~ 2 r p V_p
     tail = p[0] * vp / (2.0 * math.pi**2)
 
     def conv(p2w):
@@ -414,7 +399,7 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     )
 
 
-def check_scattering_identities(solution: ScatteringSolution, tol: float = 1e-6) -> IdentityReport:
+def check_scattering_identities(solution: ScatteringSolution) -> IdentityReport:
     """Residuals of the gradient and scattering-length identities.
 
     The length identity V0 - ||Vw||_1 = g0 is scored against the momentum-side
@@ -423,7 +408,7 @@ def check_scattering_identities(solution: ScatteringSolution, tol: float = 1e-6)
     """
     res_grad = abs(solution.grad_w2 - solution.vw1 + solution.vw2)
     res_len = abs(solution.v0 - solution.vw1 - solution.g0_limit)
-    return IdentityReport(residual_gradient=res_grad, residual_length=res_len, tol=tol)
+    return IdentityReport(residual_gradient=res_grad, residual_length=res_len)
 
 
 def shooting_scattering_length(potential: Potential) -> float:

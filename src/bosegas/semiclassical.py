@@ -211,8 +211,8 @@ def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> Con
     Refuses to proceed when the scattering identities fail at identity_tol:
     the telescoped sums are meaningless without them.
     """
-    report = check_scattering_identities(solution, tol=identity_tol)
-    if not report.ok:
+    report = check_scattering_identities(solution)
+    if not (report.residual_gradient <= identity_tol and report.residual_length <= identity_tol):
         raise IdentityViolation(
             "scattering identities fail: "
             f"gradient {report.residual_gradient:.3e}, length {report.residual_length:.3e}"

@@ -208,12 +208,10 @@ def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        # a = 164 at width 50: the length identity misses by 2.5e-6
-        "potential: {amplitude: 0.4, width: 50.0}\n",
         # the default potential's ~4e-11 residuals, against a bound set below them
         "tolerances: {identity: 1.0e-12}\n",
     ],
-    ids=["width-50", "tight-identity-key"],
+    ids=["tight-identity-key"],
 )
 @pytest.mark.parametrize("pipeline", ["scattering", "check-all"])
 def test_identity_violation_exits_3(tmp_path, capsys, pipeline, text):
@@ -285,6 +283,22 @@ def test_zero_lambda_mode_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("extra", ["0.25 0 0 PL\n", "0.5 0 0 PI\n"], ids=["PL", "PI"])
+def test_unpaired_mode_without_lambda_runs(tmp_path, extra):
+    # no pair creation reaches an unpaired mode, so it needs no lambda, and the
+    # occupancy reports that would read one skip it: they are vacuous there
+    modes = tmp_path / "modes.txt"
+    modes.write_text("# volume = 20.0\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n" + extra)
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial:\n  n: 4\n")
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 0
+    rep = load_report(out / "trial_state.json")
+    # the unpaired mode 3 has no entry in either report
+    assert rep["closure_size"] == 3
+    assert set(rep["ratio_bounds"]) == {"1", "2"}
+    assert rep["low_monotonicity"] == {}
 
 
 def test_trial_state_without_particles_writes_strict_json(tmp_path):
