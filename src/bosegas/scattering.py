@@ -19,12 +19,13 @@ Radial symmetry collapses the 3-d convolution to a 1-d pair kernel,
 with s the width.  In this factored form K keeps its relative precision at
 any ratio r/p, and it falls below e^-40 of its scale once |p - r| reaches
 sqrt(80)/s; past that radius it is exactly 0, so it is built on its support
-only, once per symmetric pair, and kept dense for the products.  On a
-log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p with a
-dense A, and GMRES solves it in a few kernel products at any coupling
-strength, past the radius where the Born series diverges.  The grid follows
-from the potential alone: it ends at 1e3/width and starts low enough for an
-upper bound on a, so a scattering length far past the width solves too.
+only, in row blocks mirrored by their transposes, and kept dense for the
+products.  On a log-spaced grid the equation for g = p^2 w reads
+(I + A) g = V_p with a dense A, and GMRES solves it in a few kernel products
+at any coupling strength, past the radius where the Born series diverges.
+The grid follows from the potential alone: it ends at 1e3/width and starts
+low enough for an upper bound on a, so a scattering length far past the
+width solves too.
 
 The converged solution carries the scattering length a = (V_0 - ||Vw||_1)/4pi,
 the coupling g0 = 4 pi a, and the norms ||Vw||_1, ||Vw^2||_1, ||grad w||_2^2
@@ -35,6 +36,11 @@ consumed by the energy ledger.  Two exact identities tie them together:
 
 and `check_scattering_identities` reports how well the numerics honor them,
 using the independent small-p limit of g_p = p^2 w_p on the second one.
+
+`shooting_scattering_length` is the position-space oracle for a: it
+integrates the radial equation -u'' + V u = 0 with the 8th-order
+Dormand-Prince pair DOP853 (scipy's solve_ivp) at rtol 1e-12 and atol 1e-14
+and reads a off the free asymptote u = c (r - a).
 
 scipy is imported inside the functions that call it, not at module level:
 the CLI imports this module at every start, the trial-state and boundary
@@ -48,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -73,9 +78,12 @@ _TOL = 1e-11
 # GMRES Krylov dimension and restart cycles; a solve takes 5-15 products
 _KRYLOV_DIM = 40
 _KRYLOV_CYCLES = 2
-# pair kernel rows per block: at most 64 * n pairs, about 1 MB of flat buffers
-# at n = 2049.  One buffer set for the whole triangle (7.6 MB each) left a
-# later density-sweep peak 5.5 MB higher; blocks of 16 to 128 rows also ran faster.
+# pair kernel rows per block: each block is one rectangle of 64 rows by the
+# columns up to its last row's support edge, at most 64 x 1563 entries on the
+# coupling-sweep and {0.4, 50} grids.  Its temporaries (two float rectangles,
+# a mask and an |p_j - p_i| rectangle) peak 2.3-2.6 MB above the 33.6 MB
+# kernel at n = 2049, under tracemalloc.  16 to 64 rows run about as fast;
+# 128 rows take a fifth longer and 256 rows two thirds longer (default grid).
 _KERNEL_BLOCK_ROWS = 64
 
 
@@ -113,10 +121,18 @@ class Potential:
     def range_cutoff(self) -> float:
         return 10.0 * self.width
 
-    def v_at(self, r) -> np.ndarray:
-        """Pointwise V(r), zero beyond range_cutoff."""
-        r = np.asarray(r, dtype=float)
-        out = self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
+    def v_at(self, r):
+        """Pointwise V(r), zero beyond range_cutoff.
+
+        A float r gives a float through math.exp, at a fraction of numpy's
+        per-call cost (the shooting ODE evaluates V once per stage); any
+        other r gives an array.
+        """
+        scalar = isinstance(r, float)
+        r = r if scalar else np.asarray(r, dtype=float)
+        out = self.amplitude * (math.exp if scalar else np.exp)(-0.5 * (r / self.width) ** 2)
+        if scalar:
+            return out if r <= self.range_cutoff else 0.0
         return np.where(r <= self.range_cutoff, out, 0.0)
 
 
@@ -244,29 +260,33 @@ def _pair_kernel(potential, p) -> np.ndarray:
 
     two factors that keep their relative precision at any p_i/p_j.  K's
     support is |p_i - p_j| < x_cut, the radius where the Gaussian factor falls
-    below e^-40; entries past it are exactly 0.0.  K is symmetric, so it is
-    evaluated once per pair i <= j on its support: rounding is monotone, so
+    below e^-40; entries past it are exactly 0.0.  Rounding is monotone, so
     every column j >= i with float difference p_j - p_i below x_cut has
     p_j <= p_i + x_cut in floats; one more column is taken as a margin, and
-    the float difference decides.  Rows go in blocks, so the flat pair
-    buffers stay small (see _KERNEL_BLOCK_ROWS).
+    the float difference decides.
+
+    K is symmetric, and it is evaluated once per pair off a diagonal square:
+    each block of _KERNEL_BLOCK_ROWS rows [first, last) is one dense
+    rectangle [first, last) x [first, hi[last - 1]), whose columns reach the
+    support edge of its last row, and its transpose fills the mirrored
+    columns.  The rectangle's leading square holds the pairs j < i too; they
+    come out bit-equal to their mirror images, as p_i - p_j = -(p_j - p_i)
+    and p_i p_j = p_j p_i in floats, so the block and its transpose agree
+    where they overlap.
     """
     n = p.size
     s2 = potential.width**2
     scale = float(fourier_at(potential, 0.0)) / s2
     x_cut = math.sqrt(80.0) / potential.width
-    hi = np.minimum(np.searchsorted(p, p + x_cut, side="right") + 1, n).tolist()
+    hi = np.minimum(np.searchsorted(p, p + x_cut, side="right") + 1, n)
     kern = np.zeros((n, n))
     for first in range(0, n, _KERNEL_BLOCK_ROWS):
-        rows = range(first, min(first + _KERNEL_BLOCK_ROWS, n))
-        # row i's pairs (i, i..hi[i]-1) sit at [start, end) of the flat buffers
-        ends = list(accumulate(hi[i] - i for i in rows))
-        spans = list(zip(rows, [0, *ends[:-1]], ends))
-        prods, diffs = np.empty(ends[-1]), np.empty(ends[-1])
-        for i, start, end in spans:
-            np.multiply(p[i], p[i : hi[i]], out=prods[start:end])
-            np.subtract(p[i : hi[i]], p[i], out=diffs[start:end])  # == |p_i - p_j|
-        outside = diffs >= x_cut
+        last = min(first + _KERNEL_BLOCK_ROWS, n)
+        end = hi[last - 1]
+        rows, cols = p[first:last, None], p[first:end]
+        prods = rows * cols
+        diffs = cols - rows
+        outside = np.abs(diffs) >= x_cut
         # scale * exp(-0.5 s2 d^2) * (-expm1(-2 s2 p_i p_j)), in place
         diffs *= diffs
         diffs *= -0.5 * s2
@@ -276,8 +296,8 @@ def _pair_kernel(potential, p) -> np.ndarray:
         prods *= diffs
         prods *= -scale
         prods[outside] = 0.0
-        for i, start, end in spans:
-            kern[i, i : hi[i]] = kern[i : hi[i], i] = prods[start:end]
+        kern[first:last, first:end] = prods
+        kern[first:end, first:last] = prods.T
     return kern
 
 
@@ -416,16 +436,19 @@ def shooting_scattering_length(potential: Potential) -> float:
 
     Beyond the potential range u(r) = c (r - a), so a = r - u/u' there; the
     integration ends at 1.25 range_cutoff.  This is a position-space route
-    entirely independent of the momentum solver.
+    entirely independent of the momentum solver.  The integrator is the
+    8th-order Dormand-Prince pair DOP853 at rtol 1e-12 and atol 1e-14, with
+    V evaluated on floats; on the tested potentials it lands within 1e-12
+    relative of an RK4 variable-phase reference.
     """
     from scipy.integrate import solve_ivp
 
     r_max = 1.25 * potential.range_cutoff
 
     def rhs(r, y):
-        return [y[1], potential.v_at(r) * y[0]]
+        return [y[1], potential.v_at(float(r)) * y[0]]
 
-    sol = solve_ivp(rhs, (1e-9, r_max), [1e-9, 1.0], rtol=1e-12, atol=1e-14, method="RK45")
+    sol = solve_ivp(rhs, (1e-9, r_max), [1e-9, 1.0], rtol=1e-12, atol=1e-14, method="DOP853")
     if not sol.success:
         raise NotConverged("radial shooting integration failed")
     u, du = sol.y[0, -1], sol.y[1, -1]

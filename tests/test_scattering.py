@@ -22,7 +22,7 @@ from bosegas.scattering import (
 from bosegas.semiclassical import assemble_ledger
 
 # Reference values for Potential(0.1, 1.0) on the default grid.
-# The position-space shooting value 0.117079909473835 agrees to 4.1e-11.
+# The position-space shooting value 0.117079909470721 agrees to 1.4e-11.
 _REF = {
     "a": 1.170799094690416e-01,
     "g0": 1.471269533883597e+00,
@@ -90,6 +90,36 @@ def test_scattering_length_against_ode_shooting(gaussian_potential, gaussian_sol
     # position-space route: -u'' + V u = 0, read a off the asymptote
     a_ode = shooting_scattering_length(gaussian_potential)
     assert math.isclose(gaussian_solution.a, a_ode, rel_tol=1e-4)
+
+
+def _variable_phase_length(amplitude, width, steps):
+    # a'(r) = V(r) (r - a)^2, a(0) = 0, by fixed-step RK4 to 12 widths, where
+    # V has fallen below 1e-31 of its height; a(12 width) is the length
+    r_max = 12.0 * width
+    h = r_max / steps
+    a = 0.0
+    for k in range(steps):
+        r = k * h
+        v0, v_mid, v1 = (
+            amplitude * math.exp(-0.5 * (x / width) ** 2) for x in (r, r + 0.5 * h, r + h)
+        )
+        k1 = v0 * (r - a) ** 2
+        k2 = v_mid * (r + 0.5 * h - a - 0.5 * h * k1) ** 2
+        k3 = v_mid * (r + 0.5 * h - a - 0.5 * h * k2) ** 2
+        k4 = v1 * (r + h - a - h * k3) ** 2
+        a += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return a
+
+
+@pytest.mark.parametrize("amplitude, width", [(0.1, 1.0), (1.0, 1.0), (2.0, 2.0), (0.4, 50.0)])
+def test_shooting_matches_variable_phase_reference(amplitude, width):
+    # RK4 at 4096 and 8192 steps, Richardson-extrapolated in h^4: the
+    # reference moves by at most 3e-14 relative up to 65536 steps.  Shooting
+    # lands within 1.7e-13, 4.5e-13, 6.2e-14 and 1.1e-14 of it here
+    coarse, fine = (_variable_phase_length(amplitude, width, n) for n in (4096, 8192))
+    ref = (16.0 * fine - coarse) / 15.0
+    shot = shooting_scattering_length(Potential(amplitude, width))
+    assert abs(shot - ref) <= 1e-12 * ref
 
 
 def test_exact_identities_hold(gaussian_solution):
@@ -279,6 +309,34 @@ def test_pair_kernel_matches_direct_difference(pot, p):
         assert np.min(p[rows] / p[cols]) <= 1e-6
     ref = np.array([float(_direct_difference(pot, p[a], p[b])) for a, b in zip(rows, cols)])
     assert np.max(np.abs(kern[rows, cols] / ref - 1.0)) <= 1e-13
+
+
+def _dense_closed_form(pot, p, rows):
+    # K on rows x every column, no support search: the same float operations
+    # in the same order as _pair_kernel, zero where |p_i - p_j| >= x_cut
+    s2 = pot.width**2
+    scale = pot.amplitude * (2.0 * math.pi * s2) ** 1.5 / s2
+    gauss = (p[None, :] - p[rows, None]) ** 2 * (-0.5 * s2)
+    k = np.expm1(p[rows, None] * p[None, :] * (-2.0 * s2)) * np.exp(gauss) * -scale
+    k[np.abs(p[None, :] - p[rows, None]) >= math.sqrt(80.0) / pot.width] = 0.0
+    return k
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [Potential(0.1, 1.0), Potential(0.4, 50.0), Potential(0.1, 0.5), Potential(2.0, 2.0)],
+    ids=["default", "w50-a0.4", "w0.5-a0.1", "w2-a2"],
+)
+def test_pair_kernel_is_the_closed_form_bit_for_bit(pot):
+    p = _momentum_grid(pot)
+    kern = _pair_kernel(pot, p)
+    assert np.array_equal(kern, kern.T)
+    x_cut = math.sqrt(80.0) / pot.width
+    for first in range(0, p.size, 256):
+        rows = np.arange(first, min(first + 256, p.size))
+        block = kern[rows]
+        assert np.array_equal(block, _dense_closed_form(pot, p, rows))
+        assert np.all(block[np.abs(p[None, :] - p[rows, None]) >= x_cut] == 0.0)
 
 
 def test_solution_report_keys(gaussian_solution):
