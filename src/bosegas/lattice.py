@@ -27,11 +27,16 @@ and compared against the continuum integral (2 pi)^-3 int F d^3k over the
 same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  Since a
 square is 0 or 1 mod 4, r_3 splits by the residue of m mod 4 into four
 convolutions of one-square by two-square tables, each indexed by k = m div 4
-and computed as one real FFT product (see `shell_counts`).  For the shells
-m_lo .. m_hi the cyclic length is n = 2 (m_hi div 4) + 1 - (m_lo div 4): each
-linear product ends at 2 (m_hi div 4), and the terms past n fold back below
-m_lo div 4, outside every class window.  Shell counts stop at m = 6e7 (rho of
-about 2.7e-9 at the default eta) with BudgetExceeded.
+(see `shell_counts`).  For the shells m_lo .. m_hi any cyclic length
+n >= 2 (m_hi div 4) + 1 - (m_lo div 4) is exact: each linear product ends at
+2 (m_hi div 4), and the terms past n fold back below m_lo div 4, outside
+every class window.  The length is n = n1 n2 with n1 a power of two and n2
+odd, and the Chinese-remainder index map k -> (k mod n1, k mod n2) (Agarwal
+and Cooley 1977) makes each cyclic convolution of length n a 2-D cyclic
+convolution on Z_{n1} x Z_{n2}, computed as one real 2-D FFT product whose
+transforms are threaded over every core this process may run on.  Shell
+counts stop at m = 6e7 (rho of about 2.7e-9 at the default eta) with
+BudgetExceeded.
 
 scipy is imported inside the functions that call it (the spectra,
 `shell_counts`, the continuum quadrature), not at module level: the CLI
@@ -43,6 +48,7 @@ all of scipy.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -329,31 +335,66 @@ def _square_class(parity: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return x * x // 4, np.where(x == 0, 1.0, 2.0)
 
 
-def _single_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
-    """rfft of the one-square table A of one parity, zero-padded to length n."""
-    from scipy.fft import rfft
+def _odd_smooth_ceil(n: int) -> int:
+    """Smallest odd 3-5-7-smooth number >= n: a length scipy.fft transforms fast."""
+    m = n | 1
+    while True:
+        rest = m
+        for p in (3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
+
+
+def _crt_shape(n_min: int) -> tuple[int, int]:
+    """Coprime (n1, n2) = (2^a, odd 3-5-7-smooth) with n1 n2 >= n_min.
+
+    n1 is tried at the three powers of two nearest sqrt(n_min), each with
+    the smallest n2 that covers n_min, and the smallest product is kept.
+    """
+    a0 = n_min.bit_length() // 2
+    n1s = [1 << a for a in range(max(a0 - 1, 0), a0 + 2)]
+    shapes = [(n1, _odd_smooth_ceil(-(-n_min // n1))) for n1 in n1s]
+    return min(shapes, key=lambda shape: shape[0] * shape[1])
+
+
+def _crt_index(k, shape: tuple[int, int]):
+    """Flat position of cyclic index k in the (n1, n2) layout: the CRT map
+    k -> (k mod n1, k mod n2), a bijection of Z_{n1 n2} onto Z_{n1} x Z_{n2}
+    for coprime n1, n2 under which cyclic convolution stays cyclic."""
+    n1, n2 = shape
+    return k % n1 * n2 + k % n2
+
+
+def _single_spectrum(parity: int, k_max: int, shape: tuple[int, int], workers: int) -> np.ndarray:
+    """rfft2 of the one-square table A of one parity in the CRT layout."""
+    from scipy.fft import rfft2
 
     k, w = _square_class(parity, k_max)
-    table = np.zeros(n)
-    table[k] = w
-    return rfft(table)
+    table = np.zeros(shape)
+    table.ravel()[_crt_index(k, shape)] = w
+    return rfft2(table, workers=workers)
 
 
-def _pair_spectrum(parity: int, k_max: int, n: int) -> np.ndarray:
-    """rfft of the pair table R, the self-convolution of A for k <= k_max.
+def _pair_spectrum(parity: int, k_max: int, shape: tuple[int, int], workers: int) -> np.ndarray:
+    """rfft2 of the pair table R, the self-convolution of A for k <= k_max.
 
     R(k) = #{(x, y) of the parity : x^2 div 4 + y^2 div 4 = k} is built one
     numpy row per x >= 0 over the quarter plane: the indices along a row are
-    distinct, so one fancy-index add per row is exact.
+    distinct (and stay so under the CRT map, as k <= k_max < n1 n2), so one
+    fancy-index add per row is exact.
     """
-    from scipy.fft import rfft
+    from scipy.fft import rfft2
 
     k, w = _square_class(parity, k_max)
-    table = np.zeros(n)
-    for i in range(k.size):
-        j = np.searchsorted(k, k_max - k[i], side="right")
-        table[k[i] + k[:j]] += w[i] * w[:j]
-    return rfft(table)
+    ends = np.searchsorted(k, k_max - k, side="right")
+    table = np.zeros(shape)
+    flat = table.ravel()
+    for i, j in enumerate(ends.tolist()):
+        flat[_crt_index(k[i] + k[:j], shape)] += w[i] * w[:j]
+    return rfft2(table, workers=workers)
 
 
 def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
@@ -368,42 +409,54 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
         r_3(4k)   = (A_0 * R_0)(k),      r_3(4k+1) = 3 (A_1 * R_0)(k),
         r_3(4k+2) = 3 (A_0 * R_2)(k),    r_3(4k+3) = (A_1 * R_2)(k),
 
-    the 3 choosing which coordinate is the odd (or the even) one.  Each
-    convolution is one real FFT product.  The tables stop at k_max = m_max
-    div 4, so every linear product ends at 2 k_max, and a cyclic transform
-    of length n folds index k >= n onto k - n <= 2 k_max - n.  With k_min =
-    m_min div 4 every class window starts at k >= k_min, so n =
-    next_fast_len(2 k_max + 1 - k_min), which also exceeds k_max, folds
-    below all four and the window m_min .. m_max is exact.
+    the 3 choosing which coordinate is the odd (or the even) one.  The
+    tables stop at k_max = m_max div 4, so every linear product ends at
+    2 k_max, and a cyclic convolution of length n folds index k >= n onto
+    k - n <= 2 k_max - n.  With k_min = m_min div 4 every class window
+    starts at k >= k_min, so any n >= n_min = 2 k_max + 1 - k_min, which
+    also exceeds k_max, folds below all four and the window m_min .. m_max
+    is exact.  The length is n = n1 n2 with n1 = 2^a and n2 odd (coprime,
+    see `_crt_shape`), and the CRT map k -> (k mod n1, k mod n2) turns the
+    cyclic convolution of length n into a 2-D cyclic convolution on
+    Z_{n1} x Z_{n2}: each is one real 2-D FFT product (rfft2 / irfft2,
+    threaded over the cores this process may run on), whose short lanes
+    stay in cache where one transform of length n would not.
     The float window is rounded back to integers before the factor 3, and
     BudgetExceeded is raised when any value lies 0.25 or more from its
     integer, so FFT roundoff can never change a count unseen.
     """
-    from scipy.fft import irfft, next_fast_len
+    from scipy.fft import irfft2
 
     if m_max > _SHELL_BUDGET:
         raise BudgetExceeded(f"shell budget: m_max={m_max} > {_SHELL_BUDGET}")
     if not 0 <= m_min <= m_max:
         raise ValueError(f"shell window needs 0 <= m_min <= m_max, got {m_min}..{m_max}")
-    k_max = m_max // 4
-    n = next_fast_len(2 * k_max + 1 - m_min // 4, real=True)
+    k_max, k_min = m_max // 4, m_min // 4
+    shape = _crt_shape(2 * k_max + 1 - k_min)
+    workers = len(os.sched_getaffinity(0))
+    # layout positions of k = k_min .. k_max, where every class window lies
+    # (int32: n1 n2 < 2^31 within the shell budget)
+    where = _crt_index(np.arange(k_min, k_max + 1, dtype=np.int32), shape)
     raw = np.empty(m_max + 1 - m_min)
 
     def convolve_class(c: int, product: np.ndarray) -> None:
         first = (c - m_min) % 4
         window = raw[first::4]
-        k0 = (m_min + first) // 4
-        window[:] = irfft(product, n, overwrite_x=True)[k0 : k0 + window.size]
+        k0 = (m_min + first) // 4 - k_min
+        out = irfft2(product, shape, overwrite_x=True, workers=workers)
+        window[:] = out.ravel()[where[k0 : k0 + window.size]]
 
-    # the spectra set the peak memory: each is built when first needed, and
-    # a spectrum's last product overwrites it, so at most three are alive
-    fa0 = _single_spectrum(0, k_max, n)
-    fr0 = _pair_spectrum(0, k_max, n)
+    # the spectra set the peak memory: each is an (n1, n2 div 2 + 1) complex
+    # array, built when first needed, and a spectrum's last product
+    # overwrites it, so at most three are alive beside one table or one
+    # inverse transform, the float window and the layout positions
+    fa0 = _single_spectrum(0, k_max, shape, workers)
+    fr0 = _pair_spectrum(0, k_max, shape, workers)
     convolve_class(0, fa0 * fr0)
-    fa1 = _single_spectrum(1, k_max, n)
+    fa1 = _single_spectrum(1, k_max, shape, workers)
     convolve_class(1, np.multiply(fa1, fr0, out=fr0))
     del fr0
-    fr2 = _pair_spectrum(1, k_max, n)
+    fr2 = _pair_spectrum(1, k_max, shape, workers)
     convolve_class(2, np.multiply(fa0, fr2, out=fa0))
     del fa0
     convolve_class(3, np.multiply(fa1, fr2, out=fr2))

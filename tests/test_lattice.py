@@ -451,21 +451,49 @@ def test_shell_counts_rejects_empty_window():
 
 def test_shell_counts_roundoff_guard(monkeypatch):
     full = shell_counts(60)
-    irfft = scipy.fft.irfft
+    irfft2 = scipy.fft.irfft2
 
     def off_by_0_3(*args, **kwargs):
-        # each residue class c runs its own transform, indexed by k = m div 4:
-        # raw index 1 is m = 4 + c, so m = 5, 6 and 7 take the error
-        out = irfft(*args, **kwargs)
-        out[1] += 0.3
+        # each residue class c runs its own transform, indexed by k = m div 4
+        # in the CRT layout: k = 1 is m = 4 + c, so m = 5, 6 and 7 take the error
+        out = irfft2(*args, **kwargs)
+        out.ravel()[lattice._crt_index(1, out.shape)] += 0.3
         return out
 
-    # shell_counts imports irfft from scipy.fft when called, so patch it there
-    monkeypatch.setattr(scipy.fft, "irfft", off_by_0_3)
+    # shell_counts imports irfft2 from scipy.fft when called, so patch it there
+    monkeypatch.setattr(scipy.fft, "irfft2", off_by_0_3)
     with pytest.raises(BudgetExceeded, match="0.3"):
         shell_counts(60, 5)
     # an error outside the kept window is not looked at
     assert np.array_equal(shell_counts(60, 8), full[8:])
+
+
+def test_shell_counts_per_shell_at_large_shape():
+    """r_3(m) shell by shell against sum_z r_2(m - z^2) on the rho = 1e-7 P_L
+    window, whose CRT layout is a full 2-D (512, 729): a permuted gather or a
+    misplaced table entry moves single shells, which a sum would miss."""
+    m_lo, m_hi = 825_988, 1_140_180
+    assert lattice._crt_shape(2 * (m_hi // 4) + 1 - m_lo // 4) == (512, 729)
+    counts = shell_counts(m_hi, m_lo)
+    r = math.isqrt(m_hi)
+    sq = np.arange(-r, r + 1) ** 2
+    r2 = np.bincount((sq[:, None] + sq[None, :]).ravel())
+    rng = np.random.default_rng(20261018)
+    edges = [*range(m_lo, m_lo + 4), *range(m_hi - 3, m_hi + 1)]
+    shells = np.concatenate([edges, rng.integers(m_lo + 4, m_hi - 3, size=192)])
+    assert set((shells % 4).tolist()) == {0, 1, 2, 3}
+    for m in shells.tolist():
+        rest = m - sq[sq <= m]
+        assert counts[m - m_lo] == int(np.sum(r2[rest])), m
+
+
+def test_crt_shape_is_coprime_and_tight():
+    rng = np.random.default_rng(7)
+    sampled = rng.integers(3001, 30_000_001, size=400).tolist()
+    for n_min in [*range(1, 3001), *sampled, 30_000_001]:
+        n1, n2 = lattice._crt_shape(n_min)
+        assert math.gcd(n1, n2) == 1, n_min
+        assert n_min <= n1 * n2 <= 1.25 * n_min, n_min
 
 
 def test_pl_number_density_counts_every_annulus_vector():
