@@ -54,7 +54,7 @@ __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG = {
     "potential": {"amplitude": 0.1, "width": 1.0},
-    "schedule": {"rho": 1.0e-5, "eta": 0.005, "k_c": None},
+    "schedule": {"rho": 1.0e-5, "eta": 0.005},
     "toy": "soft-coincidence",
     "toy_modes": None,
     "trial": {"n": 6, "m_c": 2, "volume": None},
@@ -68,8 +68,7 @@ DEFAULT_CONFIG = {
         "recursion": 1.0e-12,
         "imag": 1.0e-12,
         "milestone": 1.0e-12,
-        "integral": 1.0e-6,
-        "integral_refined": 1.0e-9,
+        "integral": 1.0e-9,
         "partition": 1.0e-14,
         "boundary_isometry": 1.0e-8,
     },
@@ -153,8 +152,6 @@ def load_config(path: str | None) -> dict:
     sched = cfg["schedule"]
     _require(0.0 < _cast(sched, "rho", "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
     _require(0.0 < _cast(sched, "eta", "schedule.eta") < 0.25, "schedule.eta must lie in (0, 1/4)")
-    if sched["k_c"] is not None:
-        _require(_cast(sched, "k_c", "schedule.k_c") > 0.0, "schedule.k_c must be > 0")
     _require(
         cfg["toy_modes"] is None or isinstance(cfg["toy_modes"], str),
         "toy_modes must be a file path",
@@ -242,11 +239,7 @@ def run_scattering(cfg: dict, out: Path) -> dict:
 
 
 def run_lattice(cfg: dict, out: Path) -> dict:
-    sched_cfg = cfg["schedule"]
-    try:
-        schedule = Schedule(rho=sched_cfg["rho"], eta=sched_cfg["eta"], k_c=sched_cfg["k_c"])
-    except ValueError as exc:
-        raise ConfigInvalid(f"schedule: {exc}") from exc
+    schedule = Schedule(rho=cfg["schedule"]["rho"], eta=cfg["schedule"]["eta"])
     solution = _solve(cfg)
     report = {
         "schedule": schedule.as_dict(),
@@ -289,7 +282,7 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     trial = build_trial(case, budget=budget)
     ms = case.mode_set
     rep = energy_report(trial, case.context())
-    recursion = weight_recursion_report(trial, [m.lam for m in ms])
+    recursion = weight_recursion_report(trial)
     occupancy_total = sum(mean_occupancies(trial).tolist())
     probe_modes = [ms.zero_index] + ms.nonzero_indices()[:1]
     occupancy_sums = {str(idx): sum(occupancy_distribution(trial, idx)) for idx in probe_modes}
@@ -306,14 +299,13 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
             if chk["exact_case"]:
                 pair_checks.append(chk["abs_gap"])
     ratio_reports = {}
-    rho = case.n / ms.volume
     # a mode without lambda is one no member occupies, where both reports are vacuous
     for u in (u for u in ms.indices_in(Region.PI) if ms.modes[u].lam is not None):
-        r = occupation_ratio_report(trial, u, rho, ms.modes[u].lam)
+        r = occupation_ratio_report(trial, u, ms.modes[u].lam)
         ratio_reports[str(u)] = {"holds": r["holds"], "worst_ratio": r["worst_ratio"]}
     monotone_reports = {}
     for u in (u for u in ms.indices_in(Region.PL) if ms.modes[u].lam is not None):
-        r = pl_occupation_monotonicity(trial, u, rho=rho, m_c=case.m_c, eps_h=1.0)
+        r = pl_occupation_monotonicity(trial, u)
         monotone_reports[str(u)] = {k: r[k] for k in ("hypothesis_holds", "monotone")}
     return {
         "name": case.name,
@@ -392,11 +384,11 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
     return meta
 
 
-def run_integrals(cfg: dict, out: Path, *, refine: bool) -> dict:
+def run_integrals(cfg: dict, out: Path) -> dict:
     g0 = cfg["integrals"]["g0"]
-    nd = semi.integral_number_density(g0, refine=refine)
-    kin = semi.integral_kinetic(g0, refine=refine)
-    pair = semi.integral_pair(g0, refine=refine)
+    nd = semi.integral_number_density(g0)
+    kin = semi.integral_kinetic(g0)
+    pair = semi.integral_pair(g0)
     header = [
         "g0",
         "number_density",
@@ -424,7 +416,6 @@ def run_integrals(cfg: dict, out: Path, *, refine: bool) -> dict:
     _write_csv(out / "integrals.csv", header, [row])
     report = {
         "g0": g0,
-        "refine": refine,
         "number_density": {"value": nd.value, "closed_form": nd.closed_form},
         "kinetic": {"value": kin.value, "closed_form": kin.closed_form},
         "pair": {"value": pair.value, "closed_form": pair.closed_form},
@@ -513,7 +504,7 @@ def run_boundary(cfg: dict, out: Path, *, seed: int) -> dict:
     return report
 
 
-def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
+def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
     tol = cfg["tolerances"]
     violations: list[dict] = []
 
@@ -547,13 +538,12 @@ def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
     check("lhy.closed_form", abs(lhy_lhs - closed) / closed, tol["milestone"])
 
     # continuum integrals
-    integral_tol = tol["integral_refined"] if refine else tol["integral"]
     for name, result in (
-        ("number_density", semi.integral_number_density(1.0, refine=refine)),
-        ("kinetic", semi.integral_kinetic(1.0, refine=refine)),
-        ("pair", semi.integral_pair(1.0, refine=refine)),
+        ("number_density", semi.integral_number_density(1.0)),
+        ("kinetic", semi.integral_kinetic(1.0)),
+        ("pair", semi.integral_pair(1.0)),
     ):
-        check(f"integral.{name}", result.rel_residual, integral_tol)
+        check(f"integral.{name}", result.rel_residual, tol["integral"])
 
     # toy battery
     budget = cfg["budgets"]["closure"]
@@ -628,7 +618,6 @@ def run_check_all(cfg: dict, out: Path, *, refine: bool, seed: int) -> dict:
 
     report = {
         "seed": seed,
-        "refine": refine,
         "n_violations": len(violations),
         "violations": violations,
         "scattering": solution.report(),
@@ -664,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
     ])
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument("--refine", action="store_true", help="tighter quadrature")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 
@@ -680,11 +668,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.pipeline == "integrals":
-            run_integrals(cfg, out, refine=args.refine)
+            run_integrals(cfg, out)
         elif args.pipeline == "boundary":
             run_boundary(cfg, out, seed=seed)
         elif args.pipeline == "check-all":
-            report = run_check_all(cfg, out, refine=args.refine, seed=seed)
+            report = run_check_all(cfg, out, seed=seed)
             if report["n_violations"]:
                 print(
                     f"check-all: {report['n_violations']} violation(s); "

@@ -308,9 +308,9 @@ def _component_terms(state: WeightedTrialState, ctx: InteractionContext, compone
         for v1 in nz:
             p1 = ms.modes[v1].p
             for v2 in nz:
-                p12 = p1 + ms.modes[v2].p
-                if np.all(p12 == 0.0):
+                if ms.neg_index(v1) == v2:
                     continue
+                p12 = p1 + ms.modes[v2].p
                 for v3 in nz:
                     v4 = ms.index_of(p12 - ms.modes[v3].p)
                     if v4 is None or v4 == z:
@@ -465,17 +465,16 @@ def pair_correlator_check(state: WeightedTrialState, u_idx: int, v_idx: int) -> 
     }
 
 
-def occupation_ratio_report(
-    state: WeightedTrialState, u_idx: int, rho: float, lam_u: float
-) -> dict:
+def occupation_ratio_report(state: WeightedTrialState, u_idx: int, lam_u: float) -> dict:
     """Geometric occupancy decay at an intermediate mode.
 
-    Checks Q({u,m}) <= (lam_u rho)^(2i) Q({u,m-i}) for all m >= i >= 1; the
-    underlying argument needs only that no state holds more than N condensate
-    particles, so it is exact at any scale.  worst_ratio is None when no pair
-    has a positive right side.
+    Checks Q({u,m}) <= (lam_u rho)^(2i) Q({u,m-i}) for all m >= i >= 1, with
+    rho = N / |L| from the state; the underlying argument needs only that no
+    state holds more than N condensate particles, so it is exact at any
+    scale.  worst_ratio is None when no pair has a positive right side.
     """
     n = state.closure.n
+    rho = n / state.mode_set.volume
     probs = occupancy_distribution(state, u_idx)
     ratio2 = (lam_u * rho) ** 2
     m, i = np.tril_indices(n)  # m - 1 and i - 1 over all 1 <= i <= m <= N
@@ -488,18 +487,20 @@ def occupation_ratio_report(
     return {"holds": ok, "worst_ratio": worst, "occupancy_probs": probs}
 
 
-def pl_occupation_monotonicity(
-    state: WeightedTrialState, u_idx: int, *, rho: float, m_c: int, eps_h: float
-) -> dict:
+def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     """Occupancy-probability monotonicity at a low mode, under its hypothesis.
 
     The decrease of Q({u,m}) in m is only guaranteed when
-    rho^2 lam_u^2 (1 + c m_c rho / eps_h) < 1, here with the constant c = 1;
-    the hypothesis value is returned so callers can skip rather than fail
+    rho^2 lam_u^2 (1 + c m_c rho / eps_H) < 1, here with the constant c = 1
+    and eps_H = 1; rho = N / |L|, m_c and lam_u are read from the state.
+    The hypothesis value is returned so callers can skip rather than fail
     when it does not apply.
     """
-    lam_u = state.mode_set.modes[u_idx].lam
-    hyp = rho**2 * lam_u**2 * (1.0 + m_c * rho / eps_h)
+    closure = state.closure
+    ms = state.mode_set
+    rho = closure.n / ms.volume
+    lam_u = ms.modes[u_idx].lam
+    hyp = rho**2 * lam_u**2 * (1.0 + closure.m_c * rho)
     probs = occupancy_distribution(state, u_idx)
     monotone = all(b <= a + 1e-15 for a, b in zip(probs, probs[1:]))
     return {

@@ -37,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,21 +316,20 @@ class WeightedTrialState:
         return np.abs(self.weights) ** 2
 
 
-def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> WeightedTrialState:
+def weight_f(closure: ClosureSet) -> WeightedTrialState:
     """Evaluate the closed-form weight on every member state and normalize.
 
-    lams holds lambda per mode index; entries may be None/NaN wherever no
-    member state occupies the mode (zero mode, gap, truncated tail).  An
-    occupied mode whose lambda is missing, non-finite or zero raises
-    RegionUndefined.
+    lambda_k and |L| are read from the closure's mode set: its modes' `lam`
+    and its `volume`.  A lambda may be None wherever no member state
+    occupies the mode (zero mode, gap, truncated tail); an occupied mode
+    whose lambda is missing, non-finite or zero raises RegionUndefined.
     Amplitudes are computed in log magnitude to keep |L|^n / n! tame, shifted
     so the largest is O(1), then normalized to unit total probability.
     """
     ms = closure.mode_set
+    volume = ms.volume
     z = ms.zero_index
-    lam_arr = np.array(
-        [math.nan if (v is None) else float(v) for v in lams], dtype=float
-    )
+    lam_arr = np.array([math.nan if m.lam is None else float(m.lam) for m in ms], dtype=float)
     counts = closure.counts_matrix()
     a0 = counts[:, z]
     lgamma = np.array([math.lgamma(c + 1) for c in range(int(a0.max()) + 1)])
@@ -374,17 +373,19 @@ def weight_f(closure: ClosureSet, lams: Sequence[float], volume: float) -> Weigh
     return WeightedTrialState(closure, unnorm / norm, -(shift + math.log(norm)))
 
 
-def weight_recursion_report(state: WeightedTrialState, lams: Sequence[float]) -> dict:
+def weight_recursion_report(state: WeightedTrialState) -> dict:
     """Exhaustively verify the five creation/weight recursion identities.
 
     For every member state and every creation-table entry whose image is also
     a member (including soft creations out of asymmetric occupancy, which the
     generator never performs but which can land inside M by coincidence),
-    compare the stored weight ratio against the closed-form prediction.
+    compare the stored weight ratio against the closed-form prediction, with
+    lambda_k and |L| read from the state's mode set as `weight_f` reads them.
     Returns per-identity max relative error and pair counts.
     """
     closure = state.closure
     ms = state.mode_set
+    lams = [m.lam for m in ms]
     vol = ms.volume
     z = ms.zero_index
     w = state.weights

@@ -13,8 +13,9 @@ Nonzero momenta split into concentric regions by magnitude:
     P_I       eta_L^(-1) rho^(1/2) < |p| <= eps_H              (half open)
     P_H       eps_H < |p|                                      (open below)
 
-and modes beyond a configured truncation k_c are tagged separately.  Each
-region carries its own quadratic-form coefficient lambda:
+A further label, Truncated, marks modes past a momentum cutoff.  No schedule
+assigns it: toy suites and mode files carry it on modes the trial state
+leaves empty.  Each region carries its own quadratic-form coefficient lambda:
 
     P_L:          rho lambda_p = (1 - h) / (1 + h),  h = sqrt(1 + 4 rho g0 / p^2)
     P_I, P_H:     lambda_p = -w_p   (scattering solution)
@@ -91,15 +92,12 @@ class Schedule:
 
     rho: float
     eta: float = DEFAULT_ETA
-    k_c: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ValueError("schedule needs 0 < rho < 1")
         if not (0.0 < self.eta < 0.25):
             raise ValueError("region ordering needs 0 < eta < 1/4")
-        if self.k_c is not None and self.k_c <= self.eps_h:
-            raise ValueError("truncation k_c must exceed eps_H")
 
     @property
     def box_length(self) -> float:
@@ -152,7 +150,6 @@ class Schedule:
         return {
             "rho": self.rho,
             "eta": self.eta,
-            "k_c": self.k_c,
             "box_length": self.box_length,
             "eps_L": self.eps_l,
             "eta_L": self.eta_l,
@@ -276,7 +273,8 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
     """Read a toy mode set: one `px py pz label [lambda]` per line.
 
     Blank lines and `#` comments are skipped.  A `# volume = V` comment sets
-    the box volume unless one is passed explicitly.
+    the box volume unless one is passed explicitly.  A non-finite momentum
+    component or volume raises ValueError.
     """
     momenta, labels, lams = [], [], []
     file_volume = None
@@ -293,12 +291,15 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
             parts = line.split()
             if len(parts) not in (4, 5):
                 raise ValueError(f"malformed mode line: {raw!r}")
-            momenta.append([float(parts[0]), float(parts[1]), float(parts[2])])
+            p = [float(parts[0]), float(parts[1]), float(parts[2])]
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"momentum must be finite: {raw!r}")
+            momenta.append(p)
             labels.append(Region(parts[3]))
             lams.append(float(parts[4]) if len(parts) == 5 else None)
     vol = volume if volume is not None else file_volume
-    if vol is not None and not vol > 0.0:
-        raise ValueError(f"volume must be > 0, got {vol}")
+    if vol is not None and not (vol > 0.0 and math.isfinite(vol)):
+        raise ValueError(f"volume must be finite and > 0, got {vol}")
     return ModeSet.toy(momenta, labels, volume=vol, lams=lams)
 
 

@@ -83,8 +83,9 @@ def _hx(q: float):
     return x, math.sqrt(1.0 + x)
 
 
-def _quad_with_tail(radial, tail_coeffs, *, refine: bool):
-    """Integrate radial(q) over (0, inf): two panels plus a power-law tail.
+def _quad_with_tail(radial, tail_coeffs):
+    """Integrate radial(q) over (0, inf): two panels at relative accuracy
+    1e-12 plus a power-law tail.
 
     tail_coeffs = (c2, c4, c6) for radial ~ c2/q^2 + c4/q^4 + c6/q^6 at
     large q; the remainder beyond the cutoff K integrates to
@@ -92,9 +93,8 @@ def _quad_with_tail(radial, tail_coeffs, *, refine: bool):
     """
     from scipy.integrate import quad
 
-    eps = 1e-12 if refine else 1e-8
-    v1, e1 = quad(radial, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)
-    v2, e2 = quad(radial, 1.0, _TAIL_CUT, epsabs=0.0, epsrel=eps, limit=400)
+    v1, e1 = quad(radial, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    v2, e2 = quad(radial, 1.0, _TAIL_CUT, epsabs=0.0, epsrel=1e-12, limit=400)
     c2, c4, c6 = tail_coeffs
     k = _TAIL_CUT
     tail = c2 / k + c4 / (3.0 * k**3) + c6 / (5.0 * k**5)
@@ -103,7 +103,7 @@ def _quad_with_tail(radial, tail_coeffs, *, refine: bool):
     return v1 + v2, e1 + e2 + tail_err, tail
 
 
-def integral_number_density(g0: float, *, refine: bool = False) -> IntegralResult:
+def integral_number_density(g0: float) -> IntegralResult:
     """Scaled condensate-depletion integral; closed form g0^(3/2)/(3 pi^2)."""
     if g0 <= 0:
         raise ValueError("need g0 > 0")
@@ -112,7 +112,7 @@ def integral_number_density(g0: float, *, refine: bool = False) -> IntegralResul
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h) ** 2)
 
-    val, err, tail = _quad_with_tail(radial, (1.0, -4.0, 15.0), refine=refine)
+    val, err, tail = _quad_with_tail(radial, (1.0, -4.0, 15.0))
     scale = g0**1.5 / (2.0 * math.pi**2)
     return IntegralResult(
         value=(val + tail) * scale,
@@ -121,7 +121,7 @@ def integral_number_density(g0: float, *, refine: bool = False) -> IntegralResul
     )
 
 
-def integral_kinetic(g0: float, *, refine: bool = False) -> IntegralResult:
+def integral_kinetic(g0: float) -> IntegralResult:
     """Scaled kinetic-excess integral; closed form -8 g0^(5/2)/(5 pi^2)."""
     if g0 <= 0:
         raise ValueError("need g0 > 0")
@@ -130,7 +130,7 @@ def integral_kinetic(g0: float, *, refine: bool = False) -> IntegralResult:
         x, h = _hx(q)
         return -(2.0 / (q * q)) * (5.0 + 3.0 * h + x) / (h * (1.0 + h) * (1.0 + h + 0.5 * x))
 
-    val, err, tail = _quad_with_tail(radial, (-4.0, 15.0, -56.0), refine=refine)
+    val, err, tail = _quad_with_tail(radial, (-4.0, 15.0, -56.0))
     scale = g0**2.5 / (2.0 * math.pi**2)
     return IntegralResult(
         value=(val + tail) * scale,
@@ -139,7 +139,7 @@ def integral_kinetic(g0: float, *, refine: bool = False) -> IntegralResult:
     )
 
 
-def integral_pair(g0: float, *, refine: bool = False) -> IntegralResult:
+def integral_pair(g0: float) -> IntegralResult:
     """Scaled pair-coupling integral; closed form g0^(3/2)/pi^2."""
     if g0 <= 0:
         raise ValueError("need g0 > 0")
@@ -148,7 +148,7 @@ def integral_pair(g0: float, *, refine: bool = False) -> IntegralResult:
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h))
 
-    val, err, tail = _quad_with_tail(radial, (2.0, -6.0, 20.0), refine=refine)
+    val, err, tail = _quad_with_tail(radial, (2.0, -6.0, 20.0))
     scale = g0**1.5 / (2.0 * math.pi**2)
     return IntegralResult(
         value=(val + tail) * scale,

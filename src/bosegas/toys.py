@@ -337,9 +337,7 @@ def builtin_toy_suite() -> list[ToyCase]:
 
 def build_trial(toy: ToyCase, *, budget: int = 200_000) -> WeightedTrialState:
     """Generate the closure for a case and attach the closed-form weights."""
-    closure = generate_M(toy.mode_set, toy.n, toy.m_c, budget=budget)
-    lams = [m.lam for m in toy.mode_set]
-    return weight_f(closure, lams, toy.mode_set.volume)
+    return weight_f(generate_M(toy.mode_set, toy.n, toy.m_c, budget=budget))
 
 
 def toy_by_name(name: str) -> ToyCase:

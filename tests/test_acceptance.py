@@ -57,21 +57,18 @@ def test_01_radial_integrals(announce):
         "kinetic": (integral_kinetic, -8.0 / (5.0 * math.pi**2)),
         "pair": (integral_pair, 1.0 / math.pi**2),
     }
-    worst, worst_ref, slowest = 0.0, 0.0, 0.0
+    worst, slowest = 0.0, 0.0
     for func, want in closed.values():
         t0 = time.perf_counter()
         base = func(1.0)
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, abs(base.value - want) / abs(want))
-        refined = func(1.0, refine=True)
-        worst_ref = max(worst_ref, abs(refined.value - want) / abs(want))
-    ok = worst <= 1e-6 and worst_ref <= 1e-9 and slowest < 1.0
+    ok = worst <= 1e-9 and slowest < 1.0
     announce(
         1,
         "three radial integrals vs closed forms",
         ok,
-        f"max rel err {worst:.2e} (<=1e-6), refined {worst_ref:.2e} (<=1e-9), "
-        f"slowest {slowest * 1e3:.0f} ms (<1 s)",
+        f"max rel err {worst:.2e} (<=1e-9), slowest {slowest * 1e3:.0f} ms (<1 s)",
     )
 
 
@@ -154,7 +151,7 @@ def test_06_weight_and_organization_identities(announce, toy_trials):
     # five defining ratios of the weight on every applicable pair of states
     worst_rec = 0.0
     for _, trial in toy_trials.values():
-        rep = weight_recursion_report(trial, [m.lam for m in trial.mode_set])
+        rep = weight_recursion_report(trial)
         worst_rec = max(worst_rec, max(rep["max_rel_error"].values()))
     # per-target organization vs the naive double sum, random + structured quads
     worst_org = 0.0
@@ -213,9 +210,8 @@ def test_07_moment_sum_rules_and_bounds(announce, toy_trials):
         for u in ms.nonzero_indices()[:2]:
             s = sum(q_psi_occupation(trial, [(u, m)]) for m in range(n + 1))
             worst_occ = max(worst_occ, abs(s - 1.0))
-        rho = n / ms.volume
         for u in ms.indices_in(Region.PI):
-            ratio_ok &= occupation_ratio_report(trial, u, rho, ms.modes[u].lam)["holds"]
+            ratio_ok &= occupation_ratio_report(trial, u, ms.modes[u].lam)["holds"]
         worst_imag = max(worst_imag, energy_report(trial, case.context()).imag_residue)
     ok = worst_n <= 1e-12 and worst_occ <= 1e-12 and ratio_ok and worst_imag < 1e-12
     announce(

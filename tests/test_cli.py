@@ -37,17 +37,9 @@ def test_integrals_pipeline_csv(tmp_path):
     assert len(rows) == 1
     row = rows[0]
     for key, closed in _CLOSED.items():
-        assert math.isclose(float(row[key]), closed, rel_tol=1e-6), key
-        assert float(row[f"{key}_rel_residual"]) <= 1e-6
+        assert math.isclose(float(row[key]), closed, rel_tol=1e-9), key
+        assert float(row[f"{key}_rel_residual"]) <= 1e-9
     report = load_report(out / "integrals.json")
-    assert report["max_rel_residual"] <= 1e-6
-
-
-def test_integrals_pipeline_refined(tmp_path):
-    code, out = _run(tmp_path, "integrals", "--refine")
-    assert code == 0
-    report = load_report(out / "integrals.json")
-    assert report["refine"] is True
     assert report["max_rel_residual"] <= 1e-9
 
 
@@ -155,6 +147,8 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
     [
         "schedule:\n  rho: 2.0\n",        # domain violation
         "unknown_block:\n  x: 1\n",        # unknown key
+        "schedule:\n  k_c: 4.0\n",          # keys no pipeline reads are unknown
+        "tolerances:\n  integral_refined: 1.0e-9\n",
         "toy: no-such-toy\n",              # unknown builtin toy
         "tolerances:\n  identity: -1\n",   # nonpositive tolerance
         "trial:\n  volume: 0\n",           # nonpositive volume
@@ -191,7 +185,6 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     [
         ("potential:\n  amplitude: .inf\n", "potential.amplitude"),
         ("potential:\n  width: .nan\n", "potential.width"),
-        ("schedule:\n  k_c: .inf\n", "schedule.k_c"),
         ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
         ("boundary:\n  period: .inf\n", "boundary.period"),
         ("tolerances:\n  boundary_isometry: .inf\n", "tolerances.boundary_isometry"),
@@ -260,8 +253,14 @@ def test_readme_example_config_runs(tmp_path):
         "0 0 0 P0\n0.75 0 0 PI -0.4\n0.75 0 0 PI -0.4\n",      # duplicate momentum
         "0 0 0 P0\n0.75 0 0 PI\n-0.75 0 0 PI\n",                # occupied mode, no lambda
         "# volume = -20.0\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n",  # bad volume
+        "# volume = inf\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n",    # non-finite volume
+        "0 0 0 P0\ninf 0 0 PI -0.4\n-inf 0 0 PI -0.4\n",                       # infinite momentum
+        "0 0 0 P0\n0.75 nan 0 PI -0.4\n-0.75 0 0 PI -0.4\n",                   # NaN momentum
     ],
-    ids=["region", "non-numeric", "no-zero-mode", "duplicate", "no-lambda", "volume"],
+    ids=[
+        "region", "non-numeric", "no-zero-mode", "duplicate", "no-lambda", "volume",
+        "volume-inf", "momentum-inf", "momentum-nan",
+    ],
 )
 def test_bad_mode_files_exit_2(tmp_path, lines, capsys):
     modes = tmp_path / "modes.txt"

@@ -26,7 +26,7 @@ from bosegas.expectation import (
 )
 from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
 from bosegas.lattice import ModeSet, Region
-from bosegas.toys import build_trial, toy_by_name
+from bosegas.toys import build_trial, gaussian_coupling, toy_by_name
 from conftest import closure_members
 
 # Frozen component table for the soft-coincidence toy (6 particles, 27 states).
@@ -55,7 +55,7 @@ _TWO_CHANNEL = {
 
 def _condensate_trial(n=5, volume=10.0):
     ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=volume)
-    return weight_f(generate_M(ms, n, 2), [None], volume)
+    return weight_f(generate_M(ms, n, 2))
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +100,13 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
     trials.append(build_trial(replace(toy_by_name("line-harmonics"), n=12)))
     # an empty mode listed before an occupied one: hopping a particle into
     # it must not be mistaken for a hop into the next mode
-    lams = [None, -0.4, None, -0.4]
     gap_inside = ModeSet.toy(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (0.05, 0.0, 0.0), (-0.75, 0.0, 0.0)],
         ["P0", "PI", "Gap", "PI"],
         volume=20.0,
-        lams=lams,
+        lams=[None, -0.4, None, -0.4],
     )
-    trials.append(weight_f(generate_M(gap_inside, 4, 2), lams, 20.0))
+    trials.append(weight_f(generate_M(gap_inside, 4, 2)))
     for trial in trials:
         ms = trial.mode_set
         z = ms.zero_index
@@ -186,6 +185,24 @@ def test_every_component_exercised_somewhere(toy_trials):
         for k in seen:
             seen[k] = seen[k] or rep[k] != 0.0
     assert all(seen.values()), seen
+
+
+def test_ha2_skips_pairs_matched_by_mode_key():
+    # -(0.5, 0.1, 0) is listed with a 1e-12 offset that the mode key rounds
+    # away: v1 + v2 = 0 must be found through the key, as brute force finds
+    # it, or HA2 picks up a phantom copy of HS3's pair-to-pair terms
+    ms = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0), (-0.25, 0.0, 0.0), (0.5, 0.1, 0.0), (-0.5, -0.1 - 1e-12, 0.0)],
+        ["P0", "PL", "PL", "PI", "PI"],
+        volume=20.0,
+        lams=[None, -0.6, -0.6, -0.4, -0.4],
+    )
+    assert ms.neg_index(3) == 4
+    trial = weight_f(generate_M(ms, 4, 2))
+    rep = energy_report(trial, InteractionContext(gaussian_coupling(0.9), ms))
+    assert rep.hs3 != 0.0
+    assert rep.ha2 == 0.0
+    assert rep.decomposition_residual <= 1e-10
 
 
 def _brute_force_reference(state, ctx):
@@ -326,14 +343,13 @@ def test_pair_correlator_exact_cases(toy_trials):
 def test_pair_correlator_unpaired_momentum_is_zero():
     # 1.5 has no partner -1.5, so neither P(u, v) nor the direct sum has a
     # pair to create or annihilate there
-    lams = [None, -0.4, -0.4, -0.2]
     ms = ModeSet.toy(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0), (1.5, 0.0, 0.0)],
         ["P0", "PI", "PI", "PH"],
         volume=20.0,
-        lams=lams,
+        lams=[None, -0.4, -0.4, -0.2],
     )
-    trial = weight_f(generate_M(ms, 4, 2), lams, 20.0)
+    trial = weight_f(generate_M(ms, 4, 2))
     for u, v in ((1, 3), (3, 1)):
         chk = pair_correlator_check(trial, u, v)
         assert chk["p_uv"] == chk["direct"] == 0.0
@@ -473,12 +489,12 @@ def test_occupation_ratio_bound_all_toys(occupancy_trials):
         rho = trial.closure.n / ms.volume
         for u in ms.indices_in(Region.PI):
             lam = ms.modes[u].lam
-            rep = occupation_ratio_report(trial, u, rho, lam)
+            rep = occupation_ratio_report(trial, u, lam)
             assert rep["holds"], (name, u)
             assert math.isclose(sum(rep["occupancy_probs"]), 1.0, rel_tol=1e-12)
             # a quarter of lambda breaks the bound; both verdicts match the loop
             for lam_u in (lam, lam / 4.0):
-                rep = occupation_ratio_report(trial, u, rho, lam_u)
+                rep = occupation_ratio_report(trial, u, lam_u)
                 ref = _ratio_reference(rep["occupancy_probs"], rho, lam_u)
                 assert (rep["holds"], rep["worst_ratio"]) == ref, (name, u, lam_u)
                 failing += not rep["holds"]
@@ -487,13 +503,10 @@ def test_occupation_ratio_bound_all_toys(occupancy_trials):
 
 def test_low_occupancy_monotone_under_hypothesis(toy_trials):
     hit = 0
-    for name, (case, trial) in toy_trials.items():
+    for name, (_, trial) in toy_trials.items():
         ms = trial.mode_set
-        rho = trial.closure.n / ms.volume
         for u in ms.indices_in(Region.PL):
-            rep = pl_occupation_monotonicity(
-                trial, u, rho=rho, m_c=case.m_c, eps_h=1.0
-            )
+            rep = pl_occupation_monotonicity(trial, u)
             if rep["hypothesis_holds"]:
                 assert rep["monotone"], (name, u)
                 hit += 1

@@ -57,9 +57,7 @@ def test_trace_extractors_read_integers(gaussian_solution):
         "scattering.solve_scattering": gaussian_solution,
         "lattice.shell_counts": shell_counts(40),
         "fock.generate_M": generate_M(case.mode_set, case.n, case.m_c),
-        "fock.weight_recursion_report": weight_recursion_report(
-            trial, [m.lam for m in case.mode_set]
-        ),
+        "fock.weight_recursion_report": weight_recursion_report(trial),
     }
     extract = _load_spans()._EXTRACT
     assert set(extract) == set(results)
@@ -78,16 +76,19 @@ _LIBRARY_ONLY = (
     "fock.free_state",
     "fock.strict_pair_create",
     # the energy curve's region split (ROADMAP) is to call these, with the
-    # Dispersion that lambda_at takes
+    # Dispersion that lambda_at takes and the -w_p it reads past P_L
     "lattice.lambda_at",
     "lattice.scaled_number_density_annulus",
+    "scattering.ScatteringSolution.w",
 )
 
 
 def _library_only_definitions() -> set[str]:
     """module.name (module.Class.name for methods) of every top-level function
-    or class, and every non-dunder method, that no Name, Attribute or import
-    anywhere else in src/bosegas refers to by its name."""
+    or class that no Name, Attribute or import anywhere else in src/bosegas
+    refers to by its name, and of every non-dunder method that no attribute
+    access outside its own body names: a local variable of the same name
+    does not count as a use of a method."""
     defs, refs = [], []
     for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -111,7 +112,11 @@ def _library_only_definitions() -> set[str]:
     for qualified, node in defs:
         own = {id(n) for n in ast.walk(node)}
         name = qualified.rsplit(".", 1)[-1]
-        if not any(ref == name and id(at) not in own for ref, at in refs):
+        method = qualified.count(".") == 2
+        if not any(
+            ref == name and id(at) not in own and (isinstance(at, ast.Attribute) or not method)
+            for ref, at in refs
+        ):
             unused.add(qualified)
     return unused
 

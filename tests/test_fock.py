@@ -306,7 +306,7 @@ def test_radix_past_62_bits_raises_budget_exceeded():
         clo.shift({ms.zero_index: -2, 1: 1, ms.neg_index(1): 1})
     trial = WeightedTrialState(clo, np.ones(1, dtype=complex), 0.0)
     with pytest.raises(BudgetExceeded):
-        weight_recursion_report(trial, [m.lam for m in ms])
+        weight_recursion_report(trial)
 
 
 def test_closure_budget_guard():
@@ -362,7 +362,7 @@ def test_weight_requires_lambda_on_occupied_modes():
             ms = _pair_set(label, lam=lam)
             clo = generate_M(ms, 4, 2)
             with pytest.raises(RegionUndefined):
-                weight_f(clo, [m.lam for m in ms], ms.volume)
+                weight_f(clo)
 
 
 def _weight_f_reference(closure, lams, volume):
@@ -487,14 +487,13 @@ def test_weights_match_state_by_state_reference(toy_trials):
 def test_recursion_report_matches_state_by_state_reference(toy_trials):
     for name, (_, trial) in toy_trials.items():
         lams = [m.lam for m in trial.mode_set]
-        assert weight_recursion_report(trial, lams) == _recursion_reference(trial, lams), name
+        assert weight_recursion_report(trial) == _recursion_reference(trial, lams), name
 
 
 def test_recursion_identities_all_toys(toy_trials):
     """The five defining ratios of f hold to 1e-12 on every builtin toy."""
-    for name, (case, trial) in toy_trials.items():
-        lams = [m.lam for m in trial.mode_set]
-        rep = weight_recursion_report(trial, lams)
+    for name, (_, trial) in toy_trials.items():
+        rep = weight_recursion_report(trial)
         for kind, err in rep["max_rel_error"].items():
             assert err <= 1e-12, (name, kind, err)
 
@@ -503,7 +502,7 @@ def test_recursion_pair_coverage():
     # the coincidence toy exercises every recursion branch; pin the counts
     case = toy_by_name("soft-coincidence")
     trial = build_trial(case)
-    rep = weight_recursion_report(trial, [m.lam for m in trial.mode_set])
+    rep = weight_recursion_report(trial)
     assert set(rep["pairs"]) == set(_RECURSION_NAMES)
     assert rep["pairs"] == {
         "strict_outer": 24,
@@ -568,7 +567,7 @@ def test_export_sorts_rows_out_of_key_order():
         lams=[m.lam for m in modes],
     )
     assert shuffled.zero_index != 0
-    trial = weight_f(generate_M(shuffled, 30, case.m_c), [m.lam for m in shuffled], shuffled.volume)
+    trial = weight_f(generate_M(shuffled, 30, case.m_c))
     keys = _row_keys(trial.closure)
     assert keys != sorted(keys)
     assert export_closure(trial) == _export_reference(trial)

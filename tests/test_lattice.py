@@ -56,7 +56,6 @@ def test_schedule_region_edges_ordered():
         {"rho": -0.1},
         {"rho": 1e-4, "eta": 0.0},
         {"rho": 1e-4, "eta": 0.25},
-        {"rho": 1e-4, "k_c": 1e-3},  # k_c below eps_h truncates P_I itself
     ],
 )
 def test_schedule_validation(kwargs):
@@ -173,9 +172,11 @@ def test_lambda_low_region_monotone_in_magnitude():
 # ---------------------------------------------------------------- mode sets
 
 
-def from_schedule(schedule: Schedule, p_budget: float, max_modes: int = 200_000) -> ModeSet:
+def from_schedule(
+    schedule: Schedule, p_budget: float, k_c: float | None = None, max_modes: int = 200_000
+) -> ModeSet:
     """Explicit-mode oracle: every lattice mode with |p| <= p_budget, labelled
-    by classify, and past the schedule's k_c in P_H as truncated."""
+    by classify, and past the cutoff k_c in P_H as truncated."""
     step = schedule.spacing
     nmax = int(math.floor(p_budget / step))
     est = (2 * nmax + 1) ** 3
@@ -183,7 +184,6 @@ def from_schedule(schedule: Schedule, p_budget: float, max_modes: int = 200_000)
         raise BudgetExceeded(f"{est} candidate vectors exceed the materialization budget")
     modes = []
     rng = range(-nmax, nmax + 1)
-    kc = schedule.k_c
     # compare squared lattice norms, so the whole shell on the budget
     # sphere is kept or dropped together, whatever the rounding of |p|
     n2_max = (p_budget / step) ** 2
@@ -195,7 +195,7 @@ def from_schedule(schedule: Schedule, p_budget: float, max_modes: int = 200_000)
                 p = np.array([nx, ny, nz], dtype=float) * step
                 mag = float(np.linalg.norm(p))
                 region = classify(schedule, mag)
-                if kc is not None and region is Region.PH and mag > kc:
+                if k_c is not None and region is Region.PH and mag > k_c:
                     region = Region.TRUNCATED
                 modes.append(Mode(index=len(modes), p=p, region=region))
                 if len(modes) > max_modes:
@@ -238,8 +238,8 @@ def test_toy_mode_set_rejects_duplicates_and_missing_zero():
 
 def test_from_schedule_materializes_and_truncates():
     # artificial near-unity density so the box is tiny and enumerable
-    s = Schedule(0.05, eta=0.24, k_c=4.0)
-    ms = from_schedule(s, p_budget=6.0)
+    s = Schedule(0.05, eta=0.24)
+    ms = from_schedule(s, p_budget=6.0, k_c=4.0)
     assert len(ms) > 1
     mags = np.linalg.norm(ms.momentum_matrix(), axis=1)
     for m, mag in zip(ms, mags):

@@ -36,8 +36,7 @@ def test_integral_closed_forms(func, key, power):
     res = func(1.0)
     dt = time.perf_counter() - t0
     assert dt < 1.0
-    assert math.isclose(res.value, _CLOSED[key], rel_tol=1e-6)
-    assert math.isclose(func(1.0, refine=True).value, _CLOSED[key], rel_tol=1e-9)
+    assert math.isclose(res.value, _CLOSED[key], rel_tol=1e-9)
     # exact dimensional scaling in the coupling
     assert math.isclose(func(4.0).value, 4.0**power * res.value, rel_tol=1e-11)
 
