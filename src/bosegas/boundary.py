@@ -179,7 +179,6 @@ def _windowed_density(q, phi):
 class IsometryReport:
     extended: float
     periodic: float
-    resolution: int
 
     @property
     def residual(self) -> float:
@@ -207,7 +206,7 @@ def check_isometry(w: Window, phi, *, resolution: int = 1 << 14) -> IsometryRepo
     )
     xs, h = _nodes(0.0, w.period, resolution)
     periodic = _simpson(_density(phi(xs)), h)
-    return IsometryReport(extended=extended, periodic=periodic, resolution=resolution)
+    return IsometryReport(extended=extended, periodic=periodic)
 
 
 def isometry_3d_separable(w: Window, factors, *, resolution: int = 1 << 12) -> dict:
@@ -235,7 +234,6 @@ class PenaltyReport:
     periodic_kinetic: float
     collar_mass: float
     ell: float
-    resolution: int
     isometry: IsometryReport
 
     @property
@@ -313,10 +311,7 @@ def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[Pen
             periodic_kinetic=float(kin),
             collar_mass=float(mass),
             ell=w.ell,
-            resolution=resolution,
-            isometry=IsometryReport(
-                extended=float(extended), periodic=float(periodic), resolution=resolution
-            ),
+            isometry=IsometryReport(extended=float(extended), periodic=float(periodic)),
         )
         for (extended, lhs), (periodic, kin), mass in zip(extended_lhs, periodic_kin, collar)
     ]

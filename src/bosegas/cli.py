@@ -1,10 +1,14 @@
 """Command-line driver: config parsing, pipeline orchestration, reports.
 
 Subcommands: scattering | lattice | trial-state | energy-curve | integrals |
-boundary | check-all.  Configuration is YAML with nested blocks; every value
-has a default so all pipelines run without a config file.  Reports are JSON
-(machine summaries, sorted keys) and CSV (plot data, fixed %.12e floats);
-with a fixed seed the bytes are reproducible run to run.
+boundary | check-all, one `run_*(cfg, out)` each in the table _PIPELINES.
+Configuration is YAML with nested blocks; every value has a default so all
+pipelines run without a config file, and `--seed` overrides the config's
+`seed` before any pipeline reads it.  The settings no input varies, the
+boundary window and check-all's bounds, are constants beside their one
+reader.  Reports are JSON (machine summaries, sorted keys) and CSV (plot
+data, fixed %.12e floats); with a fixed seed the bytes are reproducible run
+to run.
 
 Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
 budget exceeded, or an identity violation in a numerical step.
@@ -59,19 +63,7 @@ DEFAULT_CONFIG = {
     "toy_modes": None,
     "trial": {"n": 6, "m_c": 2, "volume": None},
     "sweep": {"rho_values": [1.0e-4, 1.0e-5, 1.0e-6, 1.0e-7, 1.0e-8]},
-    "integrals": {"g0": 1.0},
-    "boundary": {"ell": 0.1, "period": 1.0, "degree": 8, "resolution": 16384},
-    "tolerances": {
-        "identity": 1.0e-6,
-        "shooting": 1.0e-4,
-        "decomposition": 1.0e-10,
-        "recursion": 1.0e-12,
-        "imag": 1.0e-12,
-        "milestone": 1.0e-12,
-        "integral": 1.0e-9,
-        "partition": 1.0e-14,
-        "boundary_isometry": 1.0e-8,
-    },
+    "tolerances": {"identity": 1.0e-6},
     "budgets": {"closure": 200_000},
     "seed": 20260813,
 }
@@ -169,21 +161,10 @@ def load_config(path: str | None) -> dict:
     rhos = cfg["sweep"]["rho_values"] = [_num(r, "sweep.rho_values entry") for r in rhos]
     for r in rhos:
         _require(0.0 < r < 1.0, "sweep.rho_values entries must lie in (0, 1)")
-    _require(_cast(cfg["integrals"], "g0", "integrals.g0") > 0.0, "integrals.g0 must be > 0")
-    bcfg = cfg["boundary"]
-    ell = _cast(bcfg, "ell", "boundary.ell")
-    period = _cast(bcfg, "period", "boundary.period")
-    _require(ell > 0.0, "boundary.ell must be > 0")
-    _require(period > 0.0, "boundary.period must be > 0")
-    _require(ell <= period / 2.0, "boundary.ell must not exceed period/2")
-    _require(_cast(bcfg, "degree", "boundary.degree", int) >= 1, "boundary.degree must be >= 1")
     _require(
-        _cast(bcfg, "resolution", "boundary.resolution", int) >= 4,
-        "boundary.resolution must be >= 4",
+        _cast(cfg["tolerances"], "identity", "tolerances.identity") > 0.0,
+        "tolerances.identity must be > 0",
     )
-    tols = cfg["tolerances"]
-    for name in tols:
-        _require(_cast(tols, name, f"tolerances.{name}") > 0.0, f"tolerances.{name} must be > 0")
     _require(
         _cast(cfg["budgets"], "closure", "budgets.closure", int) > 0,
         "budgets.closure must be > 0",
@@ -221,8 +202,22 @@ def _potential_from(cfg: dict) -> Potential:
     return Potential(pot["amplitude"], pot["width"])
 
 
+# The ledger divides by g0^(5/2), a normal double only for g0 >= 1.1e-123
+# (the least normal 2.2e-308 to the power 2/5).  g0 = 4 pi a is at most
+# V_0 = amplitude (2 pi width^2)^(3/2) and tends to it at weak coupling, so
+# V_0 is held three decades above that.
+_V0_MIN = 1.0e-120
+
+
 def _solve(cfg: dict):
-    return solve_scattering(_potential_from(cfg))
+    potential = _potential_from(cfg)
+    v0 = fourier_at(potential, 0.0)
+    if v0 < _V0_MIN:
+        raise ConfigInvalid(
+            f"potential: V_0 = amplitude (2 pi width^2)^(3/2) = {v0:.3e} is below "
+            f"{_V0_MIN:g}, where g0^(5/2) leaves the normal doubles"
+        )
+    return solve_scattering(potential)
 
 
 def run_scattering(cfg: dict, out: Path) -> dict:
@@ -385,10 +380,10 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
 
 
 def run_integrals(cfg: dict, out: Path) -> dict:
-    g0 = cfg["integrals"]["g0"]
-    nd = semi.integral_number_density(g0)
-    kin = semi.integral_kinetic(g0)
-    pair = semi.integral_pair(g0)
+    g0 = 1.0  # each integral at unit coupling is its coefficient of g0^(3/2) or g0^(5/2)
+    nd = semi.integral_number_density()
+    kin = semi.integral_kinetic()
+    pair = semi.integral_pair()
     header = [
         "g0",
         "number_density",
@@ -425,11 +420,14 @@ def run_integrals(cfg: dict, out: Path) -> dict:
     return report
 
 
-def _boundary_battery(cfg: dict, seed: int) -> dict:
-    bcfg = cfg["boundary"]
-    w = bnd.Window(ell=bcfg["ell"], period=bcfg["period"])
-    resolution = bcfg["resolution"]
-    degree = bcfg["degree"]
+# the boundary battery's window, trigonometric degree and Simpson subintervals
+_WINDOW = bnd.Window(ell=0.1, period=1.0)
+_DEGREE = 8
+_RESOLUTION = 16384
+
+
+def _boundary_battery(seed: int) -> dict:
+    w = _WINDOW
     rng = np.random.default_rng(seed)
 
     xs = np.linspace(-w.ell, w.ell, 4097)
@@ -446,7 +444,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
         return np.exp(1j * omega * np.asarray(x, dtype=float))
 
     # three polynomials drawn as (cos, sin) coefficient rows, in draw order
-    coeffs = 0.3 * rng.normal(size=(3, 2, degree))
+    coeffs = 0.3 * rng.normal(size=(3, 2, _DEGREE))
     trig = bnd.trig_polynomial(w.period, coeffs[:, 0], coeffs[:, 1])
     trig0 = bnd.trig_polynomial(w.period, coeffs[0, 0], coeffs[0, 1])
 
@@ -457,7 +455,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
         e = phase(x)
         yield e, 1j * omega * e
 
-    reports = bnd.kinetic_penalty(w, sample, resolution=resolution)
+    reports = bnd.kinetic_penalty(w, sample, resolution=_RESOLUTION)
     by_name = dict(zip(["trig0", "trig1", "trig2", "const", "phase"], reports))
     isometry = {}
     penalty = {}
@@ -476,7 +474,7 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
             "holds_quarter_pi_sq": pen.holds_with(math.pi**2 / 16.0),
         }
     degenerate = bnd.Window(ell=w.period / 2.0, period=w.period)
-    (pen_deg,) = bnd.kinetic_penalty(degenerate, trig0, resolution=resolution)
+    (pen_deg,) = bnd.kinetic_penalty(degenerate, trig0, resolution=_RESOLUTION)
 
     def trig0_phi(x):
         return next(trig0(x))[0]
@@ -498,14 +496,27 @@ def _boundary_battery(cfg: dict, seed: int) -> dict:
     }
 
 
-def run_boundary(cfg: dict, out: Path, *, seed: int) -> dict:
-    report = _boundary_battery(cfg, seed)
+def run_boundary(cfg: dict, out: Path) -> dict:
+    report = _boundary_battery(cfg["seed"])
     _write_json(out / "boundary.json", report)
     return report
 
 
-def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
-    tol = cfg["tolerances"]
+# check-all's bounds, by the name of the checks that use them
+_BOUNDS = {
+    "shooting": 1.0e-4,
+    "decomposition": 1.0e-10,
+    "recursion": 1.0e-12,
+    "imag": 1.0e-12,
+    "milestone": 1.0e-12,
+    "integral": 1.0e-9,
+    "partition": 1.0e-14,
+    "boundary_isometry": 1.0e-8,
+}
+
+
+def run_check_all(cfg: dict, out: Path) -> dict:
+    identity_tol = cfg["tolerances"]["identity"]
     violations: list[dict] = []
 
     def check(name: str, value: float, bound: float) -> None:
@@ -518,32 +529,32 @@ def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
     check(
         "scattering.shooting_gap",
         abs(solution.a - shoot) / abs(shoot),
-        tol["shooting"],
+        _BOUNDS["shooting"],
     )
-    ledger = semi.assemble_ledger(solution, identity_tol=tol["identity"])
-    check("ledger.leading_imposed", ledger.leading_imposed_residual, tol["milestone"])
-    check("ledger.second_imposed", ledger.second_imposed_residual, tol["milestone"])
-    check("ledger.final_coefficient", ledger.final_residual, tol["milestone"])
+    ledger = semi.assemble_ledger(solution, identity_tol=identity_tol)
+    check("ledger.leading_imposed", ledger.leading_imposed_residual, _BOUNDS["milestone"])
+    check("ledger.second_imposed", ledger.second_imposed_residual, _BOUNDS["milestone"])
+    check("ledger.final_coefficient", ledger.final_residual, _BOUNDS["milestone"])
     # raw sums inherit the quadrature error of the solved norms
     identities = check_scattering_identities(solution)
     raw_bound = (
         1.5 * (identities.residual_gradient + identities.residual_length) / solution.g0
     )
     check("ledger.leading_raw", ledger.leading_residual, raw_bound)
-    check("ledger.second_raw", ledger.milestone_raw_residual, 10.0 * tol["identity"])
+    check("ledger.second_raw", ledger.milestone_raw_residual, 10.0 * identity_tol)
     lhy_lhs = semi.LHY_RATIO * (4.0 * math.pi) ** 2.5
     lhy_rhs = 4.0 * math.pi * 128.0 / (15.0 * math.sqrt(math.pi))
     closed = 512.0 * math.sqrt(math.pi) / 15.0
-    check("lhy.forms_agree", abs(lhy_lhs - lhy_rhs) / closed, tol["milestone"])
-    check("lhy.closed_form", abs(lhy_lhs - closed) / closed, tol["milestone"])
+    check("lhy.forms_agree", abs(lhy_lhs - lhy_rhs) / closed, _BOUNDS["milestone"])
+    check("lhy.closed_form", abs(lhy_lhs - closed) / closed, _BOUNDS["milestone"])
 
     # continuum integrals
     for name, result in (
-        ("number_density", semi.integral_number_density(1.0)),
-        ("kinetic", semi.integral_kinetic(1.0)),
-        ("pair", semi.integral_pair(1.0)),
+        ("number_density", semi.integral_number_density()),
+        ("kinetic", semi.integral_kinetic()),
+        ("pair", semi.integral_pair()),
     ):
-        check(f"integral.{name}", result.rel_residual, tol["integral"])
+        check(f"integral.{name}", result.rel_residual, _BOUNDS["integral"])
 
     # toy battery
     budget = cfg["budgets"]["closure"]
@@ -553,20 +564,20 @@ def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
         battery.pop("trial")
         prefix = f"toy.{case.name}"
         energy = battery["energy"]
-        check(f"{prefix}.decomposition", energy["decomposition_residual"], tol["decomposition"])
-        check(f"{prefix}.imag", energy["imag_residue"], tol["imag"])
+        check(f"{prefix}.decomposition", energy["decomposition_residual"], _BOUNDS["decomposition"])
+        check(f"{prefix}.imag", energy["imag_residue"], _BOUNDS["imag"])
         rec = battery["recursion_max_error"]
         worst_rec = max((v for v in rec.values() if v is not None), default=0.0)
-        check(f"{prefix}.recursion", worst_rec, tol["recursion"])
+        check(f"{prefix}.recursion", worst_rec, _BOUNDS["recursion"])
         check(
             f"{prefix}.occupancy_total",
             abs(battery["occupancy_total"] - case.n) / max(case.n, 1),
-            tol["recursion"],
+            _BOUNDS["recursion"],
         )
         for idx, s in battery["occupancy_sum_rules"].items():
-            check(f"{prefix}.occupancy_norm.{idx}", abs(s - 1.0), tol["recursion"])
+            check(f"{prefix}.occupancy_norm.{idx}", abs(s - 1.0), _BOUNDS["recursion"])
         for gap in battery["pair_correlator_gaps"]:
-            check(f"{prefix}.pair_correlator", gap, tol["recursion"])
+            check(f"{prefix}.pair_correlator", gap, _BOUNDS["recursion"])
         for idx, r in battery["ratio_bounds"].items():
             if not r["holds"]:
                 violations.append(
@@ -580,10 +591,10 @@ def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
         toy_rows.append(battery)
 
     # boundary battery
-    bdry = _boundary_battery(cfg, seed)
-    check("boundary.partition", bdry["partition_residual"], tol["partition"])
+    bdry = _boundary_battery(cfg["seed"])
+    check("boundary.partition", bdry["partition_residual"], _BOUNDS["partition"])
     for name, iso in bdry["isometry"].items():
-        check(f"boundary.isometry.{name}", iso["residual"], tol["boundary_isometry"])
+        check(f"boundary.isometry.{name}", iso["residual"], _BOUNDS["boundary_isometry"])
     for name, pen in bdry["penalty"].items():
         if not pen["holds_quarter_pi_sq"]:
             violations.append(
@@ -617,7 +628,7 @@ def run_check_all(cfg: dict, out: Path, *, seed: int) -> dict:
     check("lattice.gap_shrinks", gaps[1], gaps[0])
 
     report = {
-        "seed": seed,
+        "seed": cfg["seed"],
         "n_violations": len(violations),
         "violations": violations,
         "scattering": solution.report(),
@@ -639,6 +650,9 @@ _PIPELINES = {
     "lattice": run_lattice,
     "trial-state": run_trial_state,
     "energy-curve": run_energy_curve,
+    "integrals": run_integrals,
+    "boundary": run_boundary,
+    "check-all": run_check_all,
 }
 
 
@@ -647,10 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="bosegas",
         description="Second-order upper-bound pipelines for the dilute Bose gas.",
     )
-    parser.add_argument("pipeline", choices=[
-        "scattering", "lattice", "trial-state", "energy-curve",
-        "integrals", "boundary", "check-all",
-    ])
+    parser.add_argument("pipeline", choices=list(_PIPELINES))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -662,26 +673,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        if args.pipeline == "integrals":
-            run_integrals(cfg, out)
-        elif args.pipeline == "boundary":
-            run_boundary(cfg, out, seed=seed)
-        elif args.pipeline == "check-all":
-            report = run_check_all(cfg, out, seed=seed)
-            if report["n_violations"]:
-                print(
-                    f"check-all: {report['n_violations']} violation(s); "
-                    f"see {out / 'check_all.json'}",
-                    file=sys.stderr,
-                )
-                return 1
-        else:
-            _PIPELINES[args.pipeline](cfg, out)
+        report = _PIPELINES[args.pipeline](cfg, out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -694,6 +692,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    if args.pipeline == "check-all" and report["n_violations"]:
+        print(
+            f"check-all: {report['n_violations']} violation(s); see {out / 'check_all.json'}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

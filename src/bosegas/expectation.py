@@ -511,15 +511,16 @@ def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     }
 
 
-def statistics_report(state: WeightedTrialState, rho: float, g0: float) -> dict:
+def statistics_report(state: WeightedTrialState, g0: float) -> dict:
     """Report-only comparison of finite-instance totals with their rho -> 0 targets.
 
     The scaled occupancy totals per region converge only asymptotically, so
     the measured values and the limiting targets are recorded side by side
-    without assertion.
+    without assertion.  rho = N / |L| is read from the state.
     """
     ms = state.mode_set
     vol = ms.volume
+    rho = state.closure.n / vol
     means = mean_occupancies(state).tolist()
     by_region = {
         reg.value: sum(means[i] for i in ms.indices_in(reg))

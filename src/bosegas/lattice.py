@@ -484,7 +484,6 @@ class ShellSumResult:
     continuum_per_volume: float
     rel_gap: float
     n_modes: int
-    m_range: tuple[int, int]
     spacing: float
 
 
@@ -522,7 +521,6 @@ def radial_shell_sum(
         continuum_per_volume=continuum,
         rel_gap=gap,
         n_modes=int(np.sum(counts)),
-        m_range=(m_lo, m_hi),
         spacing=step,
     )
 

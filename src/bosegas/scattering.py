@@ -155,17 +155,15 @@ def fourier_at(potential: Potential, p) -> np.ndarray:
 class ScatteringSolution:
     """Converged solution of the discretized scattering equation.
 
-    w_grid holds w_p on p_grid; g_grid = V_p - conv_p is the smooth product
-    g = V (1 - w) in momentum space, with g_grid = p^2 w_grid up to the solve
-    residual (`residual`, sup norm, at most tol * max|V_p|).  `iterations`
-    counts the GMRES kernel products.  `a` comes from the position-space
-    integral (V_0 - ||Vw||_1)/4pi, while g0_limit extrapolates g_p to p = 0
-    as an independent cross-check.
+    g_grid = V_p - conv_p on p_grid is the smooth product g = V (1 - w) in
+    momentum space, equal to p^2 w_p up to the solve residual (`residual`,
+    sup norm, at most _TOL * max|V_p|).  `iterations` counts the GMRES
+    kernel products.  `a` comes from the position-space integral
+    (V_0 - ||Vw||_1)/4pi, while g0_limit extrapolates g_p to p = 0 as an
+    independent cross-check.
     """
 
-    potential: Potential
     p_grid: np.ndarray
-    w_grid: np.ndarray
     g_grid: np.ndarray
     a: float
     g0: float
@@ -176,7 +174,6 @@ class ScatteringSolution:
     grad_w2: float
     converged: bool
     iterations: int
-    tol: float
     residual: float
 
     @cached_property
@@ -401,9 +398,7 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, w, g, quad_w)
     a = (v0 - vw1) / (4.0 * math.pi)
     return ScatteringSolution(
-        potential=potential,
         p_grid=p,
-        w_grid=w,
         g_grid=g,
         a=a,
         g0=4.0 * math.pi * a,
@@ -414,7 +409,6 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
         grad_w2=grad_w2,
         converged=True,
         iterations=matvecs,
-        tol=_TOL,
         residual=residual,
     )
 

@@ -9,6 +9,10 @@ dimensionless forms (x = 4/q^2 below, so h = sqrt(1+x)):
                                        - (1+2(g0/k^2)^2)/2 ]  = -8 g0^(5/2)/(5 pi^2)
   pair             (2 pi)^-3 int (g0/k^2)(1 - 1/h) d^3k       = g0^(3/2)/pi^2
 
+The substitution pulls out the whole g0 dependence as the power g0^(3/2) or
+g0^(5/2), so each integral is computed once, at the unit coupling g0 = 1:
+the functions below return those coefficients.
+
 Each integrand is evaluated in an algebraically equivalent form with no
 subtractive cancellation anywhere on (0, inf):
 
@@ -65,12 +69,13 @@ __all__ = [
 LHY_RATIO = 16.0 / (15.0 * math.pi**2)
 
 _TAIL_CUT = 1.0e3
+# (2 pi)^-3 times the solid angle 4 pi: d^3k = 4 pi k^2 dk
+_SHELL = 1.0 / (2.0 * math.pi**2)
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
-    error_estimate: float
     closed_form: float
 
     @property
@@ -83,7 +88,7 @@ def _hx(q: float):
     return x, math.sqrt(1.0 + x)
 
 
-def _quad_with_tail(radial, tail_coeffs):
+def _quad_with_tail(radial, tail_coeffs) -> float:
     """Integrate radial(q) over (0, inf): two panels at relative accuracy
     1e-12 plus a power-law tail.
 
@@ -93,67 +98,59 @@ def _quad_with_tail(radial, tail_coeffs):
     """
     from scipy.integrate import quad
 
-    v1, e1 = quad(radial, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    v2, e2 = quad(radial, 1.0, _TAIL_CUT, epsabs=0.0, epsrel=1e-12, limit=400)
+    v1, _ = quad(radial, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    v2, _ = quad(radial, 1.0, _TAIL_CUT, epsabs=0.0, epsrel=1e-12, limit=400)
     c2, c4, c6 = tail_coeffs
     k = _TAIL_CUT
     tail = c2 / k + c4 / (3.0 * k**3) + c6 / (5.0 * k**5)
-    # next omitted tail order is O(K^-7); bound it by the last kept term
-    tail_err = abs(c6) / (5.0 * k**5)
-    return v1 + v2, e1 + e2 + tail_err, tail
+    return v1 + v2 + tail
 
 
-def integral_number_density(g0: float) -> IntegralResult:
-    """Scaled condensate-depletion integral; closed form g0^(3/2)/(3 pi^2)."""
-    if g0 <= 0:
-        raise ValueError("need g0 > 0")
+def integral_number_density() -> IntegralResult:
+    """Condensate-depletion integral at unit coupling; closed form 1/(3 pi^2).
+
+    At coupling g0 the integral is g0^(3/2) times this coefficient.
+    """
 
     def radial(q):
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h) ** 2)
 
-    val, err, tail = _quad_with_tail(radial, (1.0, -4.0, 15.0))
-    scale = g0**1.5 / (2.0 * math.pi**2)
     return IntegralResult(
-        value=(val + tail) * scale,
-        error_estimate=err * scale,
-        closed_form=g0**1.5 / (3.0 * math.pi**2),
+        value=_quad_with_tail(radial, (1.0, -4.0, 15.0)) * _SHELL,
+        closed_form=1.0 / (3.0 * math.pi**2),
     )
 
 
-def integral_kinetic(g0: float) -> IntegralResult:
-    """Scaled kinetic-excess integral; closed form -8 g0^(5/2)/(5 pi^2)."""
-    if g0 <= 0:
-        raise ValueError("need g0 > 0")
+def integral_kinetic() -> IntegralResult:
+    """Kinetic-excess integral at unit coupling; closed form -8/(5 pi^2).
+
+    At coupling g0 the integral is g0^(5/2) times this coefficient.
+    """
 
     def radial(q):
         x, h = _hx(q)
         return -(2.0 / (q * q)) * (5.0 + 3.0 * h + x) / (h * (1.0 + h) * (1.0 + h + 0.5 * x))
 
-    val, err, tail = _quad_with_tail(radial, (-4.0, 15.0, -56.0))
-    scale = g0**2.5 / (2.0 * math.pi**2)
     return IntegralResult(
-        value=(val + tail) * scale,
-        error_estimate=err * scale,
-        closed_form=-8.0 * g0**2.5 / (5.0 * math.pi**2),
+        value=_quad_with_tail(radial, (-4.0, 15.0, -56.0)) * _SHELL,
+        closed_form=-8.0 / (5.0 * math.pi**2),
     )
 
 
-def integral_pair(g0: float) -> IntegralResult:
-    """Scaled pair-coupling integral; closed form g0^(3/2)/pi^2."""
-    if g0 <= 0:
-        raise ValueError("need g0 > 0")
+def integral_pair() -> IntegralResult:
+    """Pair-coupling integral at unit coupling; closed form 1/pi^2.
+
+    At coupling g0 the integral is g0^(3/2) times this coefficient.
+    """
 
     def radial(q):
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h))
 
-    val, err, tail = _quad_with_tail(radial, (2.0, -6.0, 20.0))
-    scale = g0**1.5 / (2.0 * math.pi**2)
     return IntegralResult(
-        value=(val + tail) * scale,
-        error_estimate=err * scale,
-        closed_form=g0**1.5 / math.pi**2,
+        value=_quad_with_tail(radial, (2.0, -6.0, 20.0)) * _SHELL,
+        closed_form=1.0 / math.pi**2,
     )
 
 

@@ -60,7 +60,7 @@ def test_01_radial_integrals(announce):
     worst, slowest = 0.0, 0.0
     for func, want in closed.values():
         t0 = time.perf_counter()
-        base = func(1.0)
+        base = func()
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, abs(base.value - want) / abs(want))
     ok = worst <= 1e-9 and slowest < 1.0

@@ -170,6 +170,12 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
         "potential:\n  width: .inf\n",
         "tolerances:\n  identity: .inf\n",
         "toy_modes: 5\n",                 # a number for the mode-file path
+        # values once read as settings, now constants: each is an unknown key
+        "integrals:\n  g0: 1.0e300\n",
+        "integrals:\n  g0: 1.0e-300\n",
+        "boundary:\n  degree: 3000000\n",
+        "boundary:\n  ell: 1.0e-300\n",
+        "boundary:\n  period: 1.0e300\n  ell: 1\n",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
@@ -186,9 +192,9 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
         ("potential:\n  amplitude: .inf\n", "potential.amplitude"),
         ("potential:\n  width: .nan\n", "potential.width"),
         ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
-        ("boundary:\n  period: .inf\n", "boundary.period"),
-        ("tolerances:\n  boundary_isometry: .inf\n", "tolerances.boundary_isometry"),
-        ("integrals:\n  g0: \"inf\"\n", "integrals.g0"),
+        ("schedule:\n  rho: .inf\n", "schedule.rho"),
+        ("trial:\n  volume: .inf\n", "trial.volume"),
+        ("tolerances:\n  identity: \"inf\"\n", "tolerances.identity"),
     ],
 )
 def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
@@ -215,6 +221,24 @@ def test_identity_violation_exits_3(tmp_path, capsys, pipeline, text):
     assert err.startswith("identity violation: scattering identities fail")
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists() or not any((tmp_path / "r").iterdir())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "potential: {amplitude: 1.0e-150}\n",  # g0^(5/2) underflows: 0/0 residuals
+        "potential: {width: 1.0e-300}\n",      # width^2 underflows in the pair kernel
+    ],
+    ids=["amplitude-1e-150", "width-1e-300"],
+)
+def test_extreme_potential_refused(tmp_path, capsys, text):
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "r"
+    code = main(["scattering", "--config", cfg, "--out", str(out)])
+    for path in out.iterdir():
+        assert not re.search(r"\b(NaN|Infinity)\b", path.read_text()), path.name
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: potential: V_0")
 
 
 def test_float_keys_take_yaml_exponent_strings(tmp_path):

@@ -515,8 +515,7 @@ def test_low_occupancy_monotone_under_hypothesis(toy_trials):
 
 def test_statistics_report_shape(toy_trials):
     case, trial = toy_trials["soft-coincidence"]
-    rho = trial.closure.n / trial.mode_set.volume
-    rep = statistics_report(trial, rho, 1.0)
+    rep = statistics_report(trial, 1.0)
     assert 0.0 < rep["condensate_fraction"] <= 1.0
     assert set(rep["occupancy_by_region"]) == {"PL", "PI", "PH"}
     # report-only: targets are the rho -> 0 limits, no assertion on the gap

@@ -1,8 +1,9 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, every definition in the package has
-a caller in the package, every parameter default is overridden by some call
-in the package, and the CLI imports no more of scipy than it uses: none at
-start, none in trial-state or boundary."""
+a caller in the package, every record field is read in the package, every
+parameter default is overridden by some call in the package, and the CLI
+imports no more of scipy than it uses: none at start, none in trial-state or
+boundary."""
 
 import ast
 import importlib
@@ -128,6 +129,47 @@ def test_no_library_only_definitions():
     unused = _library_only_definitions()
     assert unused - timed - set(_LIBRARY_ONLY) == set()
     assert set(_LIBRARY_ONLY) <= unused
+
+
+def _unread_fields() -> set[str]:
+    """module.Class.field of every field of a dataclass or NamedTuple in
+    src/bosegas that no attribute read anywhere in the package names,
+    reads inside the class's own __init__ or __post_init__ aside."""
+    fields, reads = [], []
+    for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not (
+                _is_dataclass(cls) or any(ast.unparse(b).endswith("NamedTuple") for b in cls.bases)
+            ):
+                continue
+            ctor = {
+                id(node)
+                for sub in cls.body
+                if isinstance(sub, ast.FunctionDef) and sub.name in ("__init__", "__post_init__")
+                for node in ast.walk(sub)
+            }
+            fields.extend(
+                (f"{path.stem}.{cls.name}.{f.target.id}", f.target.id, ctor)
+                for f in cls.body
+                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                and "ClassVar" not in ast.unparse(f.annotation)
+            )
+        reads.extend(
+            (node.attr, id(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return {
+        qualified
+        for qualified, name, ctor in fields
+        if not any(attr == name and at not in ctor for attr, at in reads)
+    }
+
+
+def test_every_field_is_read():
+    # a field only its constructor call sets carries nothing anyone uses
+    assert _unread_fields() == set()
 
 
 # Parameters with a default that no call in the package sets, kept on purpose:

@@ -389,7 +389,6 @@ def test_radial_shell_sum_matches_explicit_modes():
     count = lattice_sum(ms, lambda m: float(inside(m))).total
     explicit = lattice_sum(ms, lambda m: f(np.array([_magnitude(m)]))[0] if inside(m) else 0.0)
     res = radial_shell_sum(s, f, math.sqrt(m_lo) * step, math.sqrt(m_hi) * step)
-    assert res.m_range == (11, 400)
     assert res.n_modes == count > 30_000
     assert math.isclose(res.lattice_per_volume, explicit.per_volume, rel_tol=1e-12)
 

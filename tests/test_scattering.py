@@ -78,10 +78,11 @@ def test_fourier_bounded_by_zero_momentum_value(gaussian_potential):
     assert np.all(np.abs(vals) <= v0 * (1.0 + 1e-12))
 
 
-def test_reference_solution_values(gaussian_solution):
+def test_reference_solution_values(gaussian_potential, gaussian_solution):
     sol = gaussian_solution
     assert sol.converged
-    assert sol.residual <= sol.tol
+    vp = fourier_at(gaussian_potential, sol.p_grid)
+    assert sol.residual <= scattering._TOL * np.max(np.abs(vp))
     for key, want in _REF.items():
         assert math.isclose(getattr(sol, key), want, rel_tol=1e-9), key
 
@@ -151,7 +152,7 @@ def test_scattering_length_monotone_in_amplitude():
 
 def test_zero_potential_trivial_solution():
     sol = solve_scattering(Potential(0.0, 1.0))
-    assert np.all(sol.w_grid == 0.0)
+    assert np.all(sol.g_grid == 0.0)
     assert sol.a == 0.0
     assert sol.v0 == 0.0 and sol.vw1 == 0.0 and sol.vw2 == 0.0 and sol.grad_w2 == 0.0
 
