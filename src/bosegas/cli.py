@@ -542,11 +542,6 @@ def run_check_all(cfg: dict, out: Path) -> dict:
     )
     check("ledger.leading_raw", ledger.leading_residual, raw_bound)
     check("ledger.second_raw", ledger.milestone_raw_residual, 10.0 * identity_tol)
-    lhy_lhs = semi.LHY_RATIO * (4.0 * math.pi) ** 2.5
-    lhy_rhs = 4.0 * math.pi * 128.0 / (15.0 * math.sqrt(math.pi))
-    closed = 512.0 * math.sqrt(math.pi) / 15.0
-    check("lhy.forms_agree", abs(lhy_lhs - lhy_rhs) / closed, _BOUNDS["milestone"])
-    check("lhy.closed_form", abs(lhy_lhs - closed) / closed, _BOUNDS["milestone"])
 
     # continuum integrals
     for name, result in (

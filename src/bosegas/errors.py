@@ -20,7 +20,10 @@ class NotConverged(BosegasError):
 
 
 class RegionUndefined(BosegasError):
-    """A dispersion value was requested where none is defined (P0 or the gap)."""
+    """A trial state occupies a mode whose lambda is missing, non-finite or zero.
+
+    `fock.weight_f` is its only raiser.
+    """
 
 
 class BudgetExceeded(BosegasError):

@@ -1,4 +1,4 @@
-"""Momentum lattice schedules, region labels, dispersion, and shell sums.
+"""Momentum lattice schedules, region labels, mode sets, and shell sums.
 
 Working on the torus of side L, allowed momenta live on (2 pi / L) Z^3.  A
 density rho fixes the scale schedule
@@ -20,7 +20,12 @@ leaves empty.  Each region carries its own quadratic-form coefficient lambda:
     P_L:          rho lambda_p = (1 - h) / (1 + h),  h = sqrt(1 + 4 rho g0 / p^2)
     P_I, P_H:     lambda_p = -w_p   (scattering solution)
 
-with |lambda_p| <= g0 / p^2 and |rho lambda_p| < 1 everywhere they are defined.
+On P_L, rho lambda_p lies in (-1, 0) and |lambda_p| <= g0 / p^2 at any rho.
+Past P_L, rho w_p is close to rho g0 / p^2 near the inner edge of P_I, where
+it reaches g0 eta_L^2 = g0 rho^(2 eta): the bound |rho lambda_p| < 1 holds on
+P_H (rho g0 / eps_H^2 = g0 rho^(1 - 2 eta) is small), but on P_I only once
+g0 rho^(2 eta) < 1.  At the default eta with g0 = 1.47 that takes rho below
+about 2e-17; at rho = 1e-5, rho w_p reads 1.311 just above the edge.
 
 Sums (1/|Lambda|) sum_{p in region} F(|p|) are evaluated exactly by counting
 integer lattice points shell by shell (r_3(m) = #{n in Z^3 : |n|^2 = m}),
@@ -56,16 +61,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
+from .errors import BudgetExceeded, DivergentIntegrand
 
 __all__ = [
     "Region",
     "Schedule",
-    "Dispersion",
     "Mode",
     "ModeSet",
     "ShellSumResult",
-    "lambda_at",
     "shell_counts",
     "radial_shell_sum",
     "pl_number_density_comparison",
@@ -158,37 +161,6 @@ class Schedule:
             "n_particles": self.n_particles,
             "n_rounding": self.n_rounding,
         }
-
-
-def _magnitude(p) -> float:
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return float(np.linalg.norm(arr))
-
-
-@dataclass(frozen=True)
-class Dispersion:
-    """Region-dependent quadratic-form coefficient lambda.
-
-    g0 is the limiting coupling of the P_L branch; w_of supplies w_p for the
-    outer regions.
-    """
-
-    g0: float
-    w_of: Callable[[float], float]
-
-
-def lambda_at(dispersion: Dispersion, schedule_rho: float, p, region: Region) -> float:
-    """lambda for one mode; raises RegionUndefined on P0 or the gap."""
-    mag = _magnitude(p)
-    if region in (Region.P0, Region.GAP):
-        raise RegionUndefined(f"lambda undefined on {region.value}")
-    if region is Region.PL:
-        h = math.sqrt(1.0 + 4.0 * schedule_rho * dispersion.g0 / mag**2)
-        return (1.0 - h) / ((1.0 + h) * schedule_rho)
-    # P_I, P_H, and truncated tail all use the scattering profile
-    return -float(dispersion.w_of(mag))
 
 
 @dataclass
@@ -528,29 +500,18 @@ def radial_shell_sum(
 def number_density_summand(rho: float, g0: float) -> Callable[[np.ndarray], np.ndarray]:
     """(rho lambda_u)^2 / (1 - (rho lambda_u)^2) on P_L, as a radial profile.
 
-    With h = sqrt(1 + 4 rho g0 / u^2) this equals (h-1)^2 / 4h.
+    With x = 4 rho g0 / u^2 and h = sqrt(1 + x) this equals (h-1)^2 / 4h,
+    evaluated as x^2 / (4 h (1+h)^2) through h - 1 = x / (1+h): no digits
+    cancel at weak coupling, where h - 1 would round to 0, and x / (1+h) is
+    squared, not x, so a large x does not overflow.
     """
 
     def f(mags: np.ndarray) -> np.ndarray:
-        h = np.sqrt(1.0 + 4.0 * rho * g0 / mags**2)
-        return (h - 1.0) ** 2 / (4.0 * h)
+        x = 4.0 * rho * g0 / mags**2
+        h = np.sqrt(1.0 + x)
+        return (x / (1.0 + h)) ** 2 / (4.0 * h)
 
     return f
-
-
-def scaled_number_density_annulus(g0: float, k_lo: float, k_hi: float) -> float:
-    """(2 pi)^-3 int_{k_lo<=|k|<=k_hi} (h-1)^2/(4h) d^3k at unit density scale.
-
-    h = sqrt(1 + 4 g0 / k^2); the k_lo -> 0, k_hi -> inf limit is
-    g0^(3/2)/(3 pi^2).  Written with h - 1 = 4 g0/(k^2 (h+1)) so no digits
-    cancel anywhere on the annulus.
-    """
-
-    def f(k: float) -> float:
-        h = math.sqrt(1.0 + 4.0 * g0 / k**2)
-        return 4.0 * g0**2 / (k**4 * h * (h + 1.0) ** 2)
-
-    return _radial_continuum(f, k_lo, k_hi)
 
 
 def pl_number_density_comparison(schedule: Schedule, g0: float) -> dict:

@@ -29,7 +29,8 @@ width solves too.
 
 The converged solution carries the scattering length a = (V_0 - ||Vw||_1)/4pi,
 the coupling g0 = 4 pi a, and the norms ||Vw||_1, ||Vw^2||_1, ||grad w||_2^2
-consumed by the energy ledger.  Two exact identities tie them together:
+consumed by the energy ledger, all read off the solved p^2 w on the grid.
+Two exact identities tie them together:
 
     ||grad w||_2^2 - ||Vw||_1 + ||Vw^2||_1 = 0
     V_0 - ||Vw||_1 = g0
@@ -43,17 +44,16 @@ Dormand-Prince pair DOP853 (scipy's solve_ivp) at rtol 1e-12 and atol 1e-14
 and reads a off the free asymptote u = c (r - a).
 
 scipy is imported inside the functions that call it, not at module level:
-the CLI imports this module at every start, the trial-state and boundary
-pipelines never solve (trial-state needs only `Potential` and `fourier_at`),
-and a solve never needs `scipy.interpolate` (only `ScatteringSolution.g`
-does), so no pipeline pays for a scipy module it does not call.
+the CLI imports this module at every start, and the trial-state and
+boundary pipelines never solve (trial-state needs only `Potential` and
+`fourier_at`), so no pipeline pays for a scipy module it does not call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -153,18 +153,15 @@ def fourier_at(potential: Potential, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Converged solution of the discretized scattering equation.
+    """Scattering length, coupling and norms of a converged solve.
 
-    g_grid = V_p - conv_p on p_grid is the smooth product g = V (1 - w) in
-    momentum space, equal to p^2 w_p up to the solve residual (`residual`,
-    sup norm, at most _TOL * max|V_p|).  `iterations` counts the GMRES
-    kernel products.  `a` comes from the position-space integral
-    (V_0 - ||Vw||_1)/4pi, while g0_limit extrapolates g_p to p = 0 as an
-    independent cross-check.
+    `residual` is the sup norm of (I + A) p^2 w - V_p on the grid, at most
+    _TOL * max|V_p|, and `iterations` counts the GMRES kernel products.
+    `a` comes from the position-space integral (V_0 - ||Vw||_1)/4pi, while
+    g0_limit extrapolates g = V_p - conv_p, the smooth product V (1 - w) in
+    momentum space, to p = 0 as an independent cross-check.
     """
 
-    p_grid: np.ndarray
-    g_grid: np.ndarray
     a: float
     g0: float
     g0_limit: float
@@ -175,37 +172,6 @@ class ScatteringSolution:
     converged: bool
     iterations: int
     residual: float
-
-    @cached_property
-    def _g_spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.log(self.p_grid), self.g_grid)
-
-    def g(self, p) -> np.ndarray:
-        """g_p = p^2 w_p, extended by its p -> 0 limit and fast decay."""
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p).astype(float)
-        out = np.empty_like(p)
-        lo = p < self.p_grid[0]
-        hi = p > self.p_grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = self.g0_limit
-        out[hi] = 0.0
-        if np.any(mid):
-            out[mid] = self._g_spline(np.log(p[mid]))
-        return float(out[0]) if scalar else out
-
-    def w(self, p) -> np.ndarray:
-        """w_p = g_p / p^2 (diverges like g0/p^2 toward the origin)."""
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p).astype(float)
-        if np.any(p <= 0):
-            raise ValueError("w_p is only defined for p > 0")
-        out = self.g(p) / p**2
-        return float(out[0]) if scalar else np.asarray(out)
 
     def norms(self) -> dict[str, float]:
         return {"V0": self.v0, "VW1": self.vw1, "VW2": self.vw2, "GradW2": self.grad_w2}
@@ -320,10 +286,8 @@ def _solve_on_grid(potential, p):
 
     vp = fourier_at(potential, p)
     kern = _pair_kernel(potential, p)
-    # Simpson in t = log r: dr r w_r = r^2 w_r dt for the unknown p2w = p^2 w,
-    # and quad_w = wt * r^2 bundles the dp-measure with the factor r for w
+    # Simpson in t = log r: dr r w_r = r^2 w_r dt for the unknown p2w = p^2 w
     simpson = _log_simpson_weights(p.size, math.log(p[1] / p[0]))
-    quad_w = simpson * p * p
     pref = 1.0 / (4.0 * math.pi**2 * p)
     # r < p_min completion of the convolution, using w_r ~ p2w[0] / r^2 there:
     # int_0^{p_min} (1/r) K(p, r) dr ~ 2 p_min p V_p, as K(p, r) ~ 2 r p V_p
@@ -344,7 +308,6 @@ def _solve_on_grid(potential, p):
     p2w, info = gmres(
         op, vp, rtol=0.0, atol=_TOL * scale, restart=_KRYLOV_DIM, maxiter=_KRYLOV_CYCLES
     )
-    w = p2w / (p * p)
     g = vp - conv(p2w)
     residual = float(np.max(np.abs(p2w - g)))  # sup norm of (I + A) p2w - V_p
     if info != 0 or residual > _TOL * scale:
@@ -353,20 +316,27 @@ def _solve_on_grid(potential, p):
             f"after {matvecs} kernel products",
             last_delta=residual,
         )
-    return vp, w, g, quad_w, matvecs, residual
+    return p2w, g, simpson, matvecs, residual
 
 
-def _observables(potential, p, w, g, quad_w):
+def _observables(potential, p, p2w, g, simpson):
+    """g0_limit and the norms, from p2w = p^2 w alone.
+
+    w itself is never formed: on a grid far from unit scale (width 1e100 or
+    1e-104, say) p2w stays in range where w = p2w/p^2 or p^3 w^2 overflows,
+    and the norms would come out NaN.
+    """
     from scipy.special import sici
 
     k = max(1, int(np.searchsorted(p, 2.0 * p[0])))
     # p -> 0 limit of g by Richardson in p^2 (g is analytic in p^2)
     g0_limit = _small_p_limit(p, g, k)
     # same limit for p^2 w_p; equal to g0_limit up to the solve residual
-    w2_limit = _small_p_limit(p, p**2 * w, k)
+    w2_limit = _small_p_limit(p, p2w, k)
 
-    # ||grad w||_2^2 = (1/2 pi^2) int p^4 w_p^2 dp, small-p tail added analytically
-    grad_w2 = float(np.sum(quad_w * p**3 * w**2) / (2.0 * math.pi**2))
+    # ||grad w||_2^2 = (1/2 pi^2) int p^4 w_p^2 dp = (1/2 pi^2) int p p2w^2 dt,
+    # small-p tail added analytically
+    grad_w2 = float(np.sum(simpson * p * p2w**2) / (2.0 * math.pi**2))
     grad_w2 += w2_limit**2 * p[0] / (2.0 * math.pi**2)
 
     # position-space w on Gauss-Legendre nodes covering the potential support
@@ -374,7 +344,7 @@ def _observables(potential, p, w, g, quad_w):
     r = 0.5 * potential.range_cutoff * (x_gl + 1.0)
     r_w = 0.5 * potential.range_cutoff * wt_gl
     osc = np.sin(np.outer(r, p))
-    w_r = (osc @ (quad_w * w)) / (2.0 * math.pi**2 * r)
+    w_r = (osc @ (simpson * p2w)) / (2.0 * math.pi**2 * r)
     # analytic completion of int_0^{p_min}: w_p ~ w2_limit / p^2 there
     si, _ = sici(p[0] * r)
     w_r += w2_limit * si / (2.0 * math.pi**2 * r)
@@ -394,12 +364,10 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     max|p^2 w - g| exceeds _TOL * max|V_p|.
     """
     p = _momentum_grid(potential)
-    vp, w, g, quad_w, matvecs, residual = _solve_on_grid(potential, p)
-    g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, w, g, quad_w)
+    p2w, g, simpson, matvecs, residual = _solve_on_grid(potential, p)
+    g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, p2w, g, simpson)
     a = (v0 - vw1) / (4.0 * math.pi)
     return ScatteringSolution(
-        p_grid=p,
-        g_grid=g,
         a=a,
         g0=4.0 * math.pi * a,
         g0_limit=g0_limit,

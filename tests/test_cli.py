@@ -241,6 +241,40 @@ def test_extreme_potential_refused(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error: potential: V_0")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # V_0 ~ 16 on a grid from 1e-103: w = p^2 w / p^2 reaches 1e207, w^2 overflows
+        "potential: {amplitude: 1.0e-300, width: 1.0e100}\n",
+        # V_0 ~ 1.6e-111 on a grid to 1e107: p^3 overflows and w underflows
+        "potential: {amplitude: 1.0e200, width: 1.0e-104}\n",
+    ],
+    ids=["wide-shallow", "narrow-deep"],
+)
+@pytest.mark.parametrize("pipeline", ["scattering", "lattice", "energy-curve"])
+def test_extreme_scales_write_finite_reports(tmp_path, pipeline, text):
+    # in-process, so a numpy overflow warning fails the run as an error
+    cfg = _write_config(tmp_path, text)
+    code, out = _run(tmp_path, pipeline, "--config", cfg)
+    assert code in (0, 2, 3)
+    assert code != 0 or any(out.iterdir())
+    for path in out.iterdir():
+        assert not re.search(r"\b(NaN|Infinity|nan|inf)\b", path.read_text()), path.name
+
+
+@pytest.mark.parametrize("amplitude", [1e-8, 1e-16, 1e-20, 1e-30, 1e-60])
+def test_weak_coupling_lattice_gap_is_finite(tmp_path, amplitude):
+    # 4 rho g0 / p^2 falls far below the float epsilon on P_L, where a
+    # summand formed from h - 1 would round to 0.  The summand tends to
+    # (4 rho g0 / p^2)^2 / 16, so the gap tends to a limit free of g0
+    cfg = _write_config(tmp_path, f"potential: {{amplitude: {amplitude:.1e}}}\n")
+    code, out = _run(tmp_path, "lattice", "--config", cfg)
+    assert code == 0
+    rep = load_report(out / "lattice.json")["number_density"]
+    assert 0.0 < rep["lattice_per_volume"]
+    assert math.isclose(rep["rel_gap_annulus"], 2.3091241e-4, rel_tol=1e-6)
+
+
 def test_float_keys_take_yaml_exponent_strings(tmp_path):
     # YAML reads an exponent without a dot as a string; float keys accept it,
     # and the loaded config holds the cast number

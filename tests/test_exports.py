@@ -76,11 +76,6 @@ _LIBRARY_ONLY = (
     "expectation.matrix_element",
     "fock.free_state",
     "fock.strict_pair_create",
-    # the energy curve's region split (ROADMAP) is to call these, with the
-    # Dispersion that lambda_at takes and the -w_p it reads past P_L
-    "lattice.lambda_at",
-    "lattice.scaled_number_density_annulus",
-    "scattering.ScatteringSolution.w",
 )
 
 
@@ -315,7 +310,7 @@ def test_numpy_only_pipelines_load_no_scipy(pipeline, tmp_path):
 
 
 def test_scattering_skips_scipy_interpolate(tmp_path):
-    # the solve needs no spline: only ScatteringSolution.g does
+    # the solve interpolates nothing: its observables come off the grid
     modules = _imported("-m", "bosegas", "scattering", "--out", str(tmp_path))
     assert "scipy.sparse.linalg" in modules
     assert "scipy.interpolate" not in modules

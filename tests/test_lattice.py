@@ -1,4 +1,4 @@
-"""Momentum lattice: schedule, region labels, dispersion, and shell sums."""
+"""Momentum lattice: schedule, region labels, mode sets, and shell sums."""
 
 import math
 from dataclasses import dataclass
@@ -8,19 +8,16 @@ import pytest
 import scipy.fft
 
 from bosegas import lattice
-from bosegas.errors import BudgetExceeded, DivergentIntegrand, RegionUndefined
+from bosegas.errors import BudgetExceeded, DivergentIntegrand
 from bosegas.lattice import (
-    Dispersion,
     Mode,
     ModeSet,
     Region,
     Schedule,
-    lambda_at,
     load_toy_modes,
     number_density_summand,
     pl_number_density_comparison,
     radial_shell_sum,
-    scaled_number_density_annulus,
     shell_counts,
 )
 
@@ -72,7 +69,7 @@ def classify(schedule: Schedule, p) -> Region:
     Boundary placement: P_L is closed at both ends, P_I is half open (its
     upper bound eps_H included), P_H is open below.
     """
-    mag = lattice._magnitude(p)
+    mag = float(np.linalg.norm(p))
     if mag == 0.0:
         return Region.P0
     if mag < schedule.p_gap_top:
@@ -98,75 +95,6 @@ def test_classify_boundaries_exact():
     assert classify(s, s.eps_h) is Region.PI
     assert classify(s, s.eps_h * (1.0 + 1e-12)) is Region.PH
     assert classify(s, [s.eps_h, 0.0, 0.0]) is Region.PI
-
-
-# ---------------------------------------------------------------- dispersion
-
-
-def _flat_dispersion(g0=1.0, w=None):
-    return Dispersion(g0=g0, w_of=w if w is not None else (lambda mag: 0.0))
-
-
-def test_lambda_low_region_closed_form():
-    # 4 rho g0 / p^2 = 3 makes h = 2 and rho lambda = -1/3
-    rho, g0 = 1e-5, 1.0
-    p = math.sqrt(4.0 * rho * g0 / 3.0)
-    lam = lambda_at(_flat_dispersion(g0), rho, p, Region.PL)
-    assert math.isclose(rho * lam, -1.0 / 3.0, rel_tol=1e-14)
-
-
-def test_lambda_outer_regions_are_minus_w(gaussian_solution):
-    disp = Dispersion(g0=gaussian_solution.g0, w_of=gaussian_solution.w)
-    for mag in (0.5, 1.0, 3.0):
-        lam = lambda_at(disp, 1e-5, mag, Region.PH)
-        assert lam == -float(gaussian_solution.w(mag))
-    # w decays, so lambda -> 0 along the tail
-    assert abs(lambda_at(disp, 1e-5, 80.0, Region.PH)) < 1e-4
-
-
-@pytest.mark.parametrize("region", [Region.P0, Region.GAP])
-def test_lambda_undefined_regions(region):
-    with pytest.raises(RegionUndefined):
-        lambda_at(_flat_dispersion(), 1e-5, 0.01, region)
-
-
-def test_lambda_bounds_across_schedules(gaussian_solution):
-    """|lambda| <= g0/k^2 everywhere, |rho lambda| < 1 strictly, and the
-    low-region band -1/rho <= lambda <= -(g0/2) eta_L^2 / rho.
-
-    The band's upper end needs 4 g0 eta_L^2 small (eta_L = rho^eta), so the
-    sweep runs at eta = 0.24 where that holds throughout [1e-8, 1e-3]; with
-    the default eta = 1/200 it only kicks in at astronomically small rho.
-    """
-    sol = gaussian_solution
-    disp = Dispersion(g0=sol.g0, w_of=lambda m: float(sol.w(m)))
-    rng = np.random.default_rng(11)
-    worst_margin = 1.0
-    for rho in 10.0 ** rng.uniform(-8.0, -3.0, 12):
-        s = Schedule(rho, eta=0.24)
-        assert 4.0 * sol.g0 * s.eta_l**2 < 1.0  # band-validity condition
-        for frac in rng.uniform(0.0, 1.0, 8):
-            mag = s.p_gap_top + frac * (s.p_low_top - s.p_gap_top)
-            lam = lambda_at(disp, rho, mag, Region.PL)
-            assert abs(lam) <= sol.g0 / mag**2 * (1.0 + 1e-12)
-            assert -1.0 / rho <= lam <= -(sol.g0 / 2.0) * s.eta_l**2 / rho
-            worst_margin = min(worst_margin, 1.0 - abs(rho * lam))
-        for mag in np.exp(rng.uniform(math.log(s.eps_h), math.log(10.0), 8)):
-            lam = lambda_at(disp, rho, mag, Region.PH)
-            assert abs(lam) <= sol.g0 / s.eps_h**2 * (1.0 + 1e-12)
-            assert abs(lam) <= sol.g0 / mag**2 * (1.0 + 1e-12)
-            assert abs(rho * lam) < 1.0
-            worst_margin = min(worst_margin, 1.0 - abs(rho * lam))
-    # no sharp constant is pinned for the strict bound; just record slack
-    assert worst_margin > 0.0
-
-
-def test_lambda_low_region_monotone_in_magnitude():
-    rho = 1e-6
-    s = Schedule(rho)
-    mags = np.linspace(s.p_gap_top, s.p_low_top, 40)
-    lams = [lambda_at(_flat_dispersion(), rho, m, Region.PL) for m in mags]
-    assert all(x < y for x, y in zip(lams, lams[1:]))
 
 
 # ---------------------------------------------------------------- mode sets
@@ -271,20 +199,6 @@ def test_from_schedule_keys_resolve_at_low_density(rho):
 def test_from_schedule_budget_guard():
     with pytest.raises(BudgetExceeded):
         from_schedule(Schedule(1e-4), p_budget=1.0)
-
-
-def test_attach_dispersion_fills_labels(gaussian_solution):
-    # lambda_at gives every labelled mode of a schedule a negative lambda,
-    # and none to P0 and the gap
-    s = Schedule(0.05, eta=0.24)
-    ms = from_schedule(s, p_budget=3.0)
-    disp = Dispersion(g0=gaussian_solution.g0, w_of=lambda m: float(gaussian_solution.w(m)))
-    for m in ms:
-        if m.region in (Region.P0, Region.GAP):
-            with pytest.raises(RegionUndefined):
-                lambda_at(disp, s.rho, m.p, m.region)
-        else:
-            assert lambda_at(disp, s.rho, m.p, m.region) < 0.0
 
 
 def test_load_toy_modes_round_trip(tmp_path):
@@ -531,22 +445,29 @@ def test_radial_shell_sum_annulus_bounds():
 
 
 def test_number_density_summand_matches_lambda_form():
-    # (rho lambda)^2 / (1 - (rho lambda)^2) == (h-1)^2 / 4h on P_L
+    # (rho lambda)^2 / (1 - (rho lambda)^2) == (h-1)^2 / 4h on P_L, where
+    # rho lambda = (1 - h)/(1 + h) lies in (-1, 0) and |lambda| <= g0/p^2
     rho, g0 = 1e-6, 1.3
     f = number_density_summand(rho, g0)
     for mag in (0.002, 0.01, 0.03):
-        lam = lambda_at(_flat_dispersion(g0), rho, mag, Region.PL)
-        x = rho * lam
+        h = math.sqrt(1.0 + 4.0 * rho * g0 / mag**2)
+        x = (1.0 - h) / (1.0 + h)
+        assert -1.0 < x < 0.0 and -x <= rho * g0 / mag**2
         assert math.isclose(float(f(np.array([mag]))[0]), x**2 / (1.0 - x**2), rel_tol=1e-12)
+    # 4 rho g0 / p^2 = 3 makes h = 2, rho lambda = -1/3 and the summand 1/8
+    mag = math.sqrt(4.0 * rho * g0 / 3.0)
+    assert math.isclose(float(f(np.array([mag]))[0]), 0.125, rel_tol=1e-14)
 
 
-def test_scaled_number_density_annulus_limit():
-    # the k_hi truncation leaves a g0^2/(2 pi^2 k_hi) tail, so [1e-8, 1e8]
-    # should land within ~2e-8 relative of the closed form
+def test_number_density_summand_continuum_limit():
+    # at unit density scale the k_hi truncation leaves a g0^2/(2 pi^2 k_hi)
+    # tail, so [1e-8, 1e8] should land within ~2e-8 relative of the closed
+    # form g0^(3/2)/(3 pi^2) of the full-space integral
     g0 = 1.471269533883597
     target = g0**1.5 / (3.0 * math.pi**2)
-    narrow = scaled_number_density_annulus(g0, 1e-4, 1e4)
-    wide = scaled_number_density_annulus(g0, 1e-8, 1e8)
+    f = number_density_summand(1.0, g0)
+    narrow = lattice._radial_continuum(f, 1e-4, 1e4)
+    wide = lattice._radial_continuum(f, 1e-8, 1e8)
     assert abs(wide - target) / target < 5e-8
     # widening the annulus can only help
     assert abs(wide - target) <= abs(narrow - target)

@@ -81,7 +81,7 @@ def test_fourier_bounded_by_zero_momentum_value(gaussian_potential):
 def test_reference_solution_values(gaussian_potential, gaussian_solution):
     sol = gaussian_solution
     assert sol.converged
-    vp = fourier_at(gaussian_potential, sol.p_grid)
+    vp = fourier_at(gaussian_potential, _momentum_grid(gaussian_potential))
     assert sol.residual <= scattering._TOL * np.max(np.abs(vp))
     for key, want in _REF.items():
         assert math.isclose(getattr(sol, key), want, rel_tol=1e-9), key
@@ -152,18 +152,8 @@ def test_scattering_length_monotone_in_amplitude():
 
 def test_zero_potential_trivial_solution():
     sol = solve_scattering(Potential(0.0, 1.0))
-    assert np.all(sol.g_grid == 0.0)
-    assert sol.a == 0.0
+    assert sol.a == 0.0 and sol.g0_limit == 0.0
     assert sol.v0 == 0.0 and sol.vw1 == 0.0 and sol.vw2 == 0.0 and sol.grad_w2 == 0.0
-
-
-def test_g_profile_limits(gaussian_solution):
-    sol = gaussian_solution
-    # g_p = p^2 w_p extends continuously to g0 at p = 0 and decays at infinity
-    assert math.isclose(float(sol.g(1e-6)), sol.g0, rel_tol=1e-6)
-    assert float(sol.g(1e5)) == 0.0
-    mid = float(sol.g(1.0))
-    assert 0.0 < mid < sol.g0
 
 
 def test_truncated_iteration_flagged_not_converged(
@@ -245,7 +235,7 @@ def test_scattering_length_far_past_width_solves(amplitude, width):
     sol, ok = _passes_both_routes(pot)
     assert sol.a > 2.0 * width
     assert ok
-    assert sol.p_grid[0] < 1e-3 / width
+    assert _momentum_grid(pot)[0] < 1e-3 / width
 
 
 @pytest.mark.parametrize("amplitude, width", [(0.4, 50.0), (0.1, 50.0)])
@@ -256,7 +246,7 @@ def test_identities_hold_below_the_grid_rule(amplitude, width, monkeypatch):
     p_min = _momentum_grid(pot)[0]
     monkeypatch.setattr(scattering, "_LOW_END_BUDGET", scattering._LOW_END_BUDGET / 8000.0)
     sol = solve_scattering(pot)
-    assert math.isclose(sol.p_grid[0], p_min / 20.0, rel_tol=1e-12)
+    assert math.isclose(_momentum_grid(pot)[0], p_min / 20.0, rel_tol=1e-12)
     rep = check_scattering_identities(sol)
     assert rep.residual_gradient <= 1e-7
     assert rep.residual_length <= 1e-7
