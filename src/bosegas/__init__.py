@@ -2,7 +2,7 @@
 
 Modules:
     scattering     momentum-space GMRES solve of the zero-energy pair problem
-    lattice        momentum-lattice schedules, regions, dispersion, shell sums
+    lattice        momentum-lattice schedules, regions, mode sets, shell sums
     fock           occupation states, pair creations, closure sets, weights
     expectation    exact expectation values over weighted trial states
     semiclassical  continuum integrals and the order-rho^{5/2} constant ledger

@@ -11,13 +11,17 @@ data, fixed %.12e floats); with a fixed seed the bytes are reproducible run
 to run.
 
 Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
-budget exceeded, or an identity violation in a numerical step.
+budget exceeded, or an identity violation in a numerical step.  One table,
+_EXITS, maps each error a run refuses with to its exit code and stderr
+label; `main` looks up every refusal there, from config loading to the
+report, and check-all's own verdicts give exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import sys
@@ -31,6 +35,7 @@ from . import semiclassical as semi
 from .errors import (
     BudgetExceeded,
     ConfigInvalid,
+    EmptyAnnulus,
     IdentityViolation,
     NotConverged,
     RegionUndefined,
@@ -181,15 +186,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12e}"
-    return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(x) for x in row) for row in rows)
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """One line per dict row, floats as %.12e, under a header of the first row's keys."""
+    lines = [",".join(rows[0])]
+    lines.extend(
+        ",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row.values())
+        for row in rows
+    )
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -220,12 +223,16 @@ def _solve(cfg: dict):
     return solve_scattering(potential)
 
 
+def _shooting(cfg: dict, solution) -> tuple[float, float]:
+    """The shooting oracle's a and its relative gap to the solved a."""
+    shoot = shooting_scattering_length(_potential_from(cfg))
+    return shoot, abs(solution.a - shoot) / abs(shoot)
+
+
 def run_scattering(cfg: dict, out: Path) -> dict:
     solution = _solve(cfg)
     report = solution.report()
-    shoot = shooting_scattering_length(_potential_from(cfg))
-    report["shooting_a"] = shoot
-    report["shooting_rel_gap"] = abs(solution.a - shoot) / abs(shoot)
+    report["shooting_a"], report["shooting_rel_gap"] = _shooting(cfg, solution)
     report["ledger"] = semi.assemble_ledger(
         solution, identity_tol=cfg["tolerances"]["identity"]
     ).as_dict()
@@ -281,18 +288,14 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     occupancy_total = sum(mean_occupancies(trial).tolist())
     probe_modes = [ms.zero_index] + ms.nonzero_indices()[:1]
     occupancy_sums = {str(idx): sum(occupancy_distribution(trial, idx)) for idx in probe_modes}
-    pair_checks = []
     paired = [
         i
         for i in ms.nonzero_indices()
         if ms.neg_index(i) is not None
         and ms.modes[i].region in (Region.PL, Region.PI, Region.PH)
     ]
-    for a_i, u in enumerate(paired):
-        for v in paired[a_i + 1 :]:
-            chk = pair_correlator_check(trial, u, v)
-            if chk["exact_case"]:
-                pair_checks.append(chk["abs_gap"])
+    checks = (pair_correlator_check(trial, u, v) for u, v in itertools.combinations(paired, 2))
+    pair_checks = [chk["abs_gap"] for chk in checks if chk["exact_case"]]
     ratio_reports = {}
     # a mode without lambda is one no member occupies, where both reports are vacuous
     for u in (u for u in ms.indices_in(Region.PI) if ms.modes[u].lam is not None):
@@ -336,86 +339,55 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
     solution = _solve(cfg)
     g0 = solution.g0
     eta = cfg["schedule"]["eta"]
-    header = [
-        "rho",
-        "pl_lattice",
-        "pl_continuum_annulus",
-        "rel_gap_annulus",
-        "full_space_reference",
-        "rel_gap_full_space",
-        "n_modes",
-        "energy_leading",
-        "energy_second_order",
-        "energy_total",
-    ]
     rows = []
     for rho in cfg["sweep"]["rho_values"]:
         comp = pl_number_density_comparison(Schedule(rho=rho, eta=eta), g0)
-        lead = g0 * rho**2
-        second = semi.LHY_RATIO * g0**2.5 * rho**2.5
         rows.append(
-            [
-                rho,
-                comp["lattice_per_volume"],
-                comp["continuum_annulus"],
-                comp["rel_gap_annulus"],
-                comp["full_space_reference"],
-                comp["rel_gap_full_space"],
-                comp["n_modes"],
-                lead,
-                second,
-                semi.predicted_energy_density(rho, g0),
-            ]
+            {
+                "rho": rho,
+                "pl_lattice": comp["lattice_per_volume"],
+                "pl_continuum_annulus": comp["continuum_annulus"],
+                "rel_gap_annulus": comp["rel_gap_annulus"],
+                "full_space_reference": comp["full_space_reference"],
+                "rel_gap_full_space": comp["rel_gap_full_space"],
+                "n_modes": comp["n_modes"],
+                "energy_leading": g0 * rho**2,
+                "energy_second_order": semi.LHY_RATIO * g0**2.5 * rho**2.5,
+                "energy_total": semi.predicted_energy_density(rho, g0),
+            }
         )
-    _write_csv(out / "energy_curve.csv", header, rows)
+    _write_csv(out / "energy_curve.csv", rows)
     meta = {
         "g0": g0,
         "a": solution.a,
         "eta": eta,
         "rho_values": cfg["sweep"]["rho_values"],
-        "gaps_annulus": [row[3] for row in rows],
+        "gaps_annulus": [row["rel_gap_annulus"] for row in rows],
     }
     _write_json(out / "energy_curve.json", meta)
     return meta
 
 
+def _integrals() -> dict:
+    """The three continuum integrals, by report name."""
+    return {
+        "number_density": semi.integral_number_density(),
+        "kinetic": semi.integral_kinetic(),
+        "pair": semi.integral_pair(),
+    }
+
+
 def run_integrals(cfg: dict, out: Path) -> dict:
     g0 = 1.0  # each integral at unit coupling is its coefficient of g0^(3/2) or g0^(5/2)
-    nd = semi.integral_number_density()
-    kin = semi.integral_kinetic()
-    pair = semi.integral_pair()
-    header = [
-        "g0",
-        "number_density",
-        "number_density_closed",
-        "number_density_rel_residual",
-        "kinetic",
-        "kinetic_closed",
-        "kinetic_rel_residual",
-        "pair",
-        "pair_closed",
-        "pair_rel_residual",
-    ]
-    row = [
-        g0,
-        nd.value,
-        nd.closed_form,
-        nd.rel_residual,
-        kin.value,
-        kin.closed_form,
-        kin.rel_residual,
-        pair.value,
-        pair.closed_form,
-        pair.rel_residual,
-    ]
-    _write_csv(out / "integrals.csv", header, [row])
-    report = {
-        "g0": g0,
-        "number_density": {"value": nd.value, "closed_form": nd.closed_form},
-        "kinetic": {"value": kin.value, "closed_form": kin.closed_form},
-        "pair": {"value": pair.value, "closed_form": pair.closed_form},
-        "max_rel_residual": max(nd.rel_residual, kin.rel_residual, pair.rel_residual),
-    }
+    integrals = _integrals()
+    row = {"g0": g0}
+    for name, result in integrals.items():
+        row[name] = result.value
+        row[f"{name}_closed"] = result.closed_form
+        row[f"{name}_rel_residual"] = result.rel_residual
+    _write_csv(out / "integrals.csv", [row])
+    report = {n: {"value": r.value, "closed_form": r.closed_form} for n, r in integrals.items()}
+    report |= {"g0": g0, "max_rel_residual": max(r.rel_residual for r in integrals.values())}
     _write_json(out / "integrals.json", report)
     return report
 
@@ -456,11 +428,10 @@ def _boundary_battery(seed: int) -> dict:
         yield e, 1j * omega * e
 
     reports = bnd.kinetic_penalty(w, sample, resolution=_RESOLUTION)
-    by_name = dict(zip(["trig0", "trig1", "trig2", "const", "phase"], reports))
     isometry = {}
     penalty = {}
-    for name in ["const", "phase", "trig0", "trig1", "trig2"]:
-        pen = by_name[name]
+    # named in draw order, entered in name order
+    for name, pen in sorted(zip(["trig0", "trig1", "trig2", "const", "phase"], reports)):
         isometry[name] = {
             "extended": pen.isometry.extended,
             "periodic": pen.isometry.periodic,
@@ -519,18 +490,14 @@ def run_check_all(cfg: dict, out: Path) -> dict:
     identity_tol = cfg["tolerances"]["identity"]
     violations: list[dict] = []
 
-    def check(name: str, value: float, bound: float) -> None:
-        if not (value <= bound):
+    def check(name: str, value, bound: float, holds: bool | None = None) -> None:
+        """Record a violation unless `holds`, which defaults to value <= bound."""
+        if not (value <= bound if holds is None else holds):
             violations.append({"check": name, "value": value, "bound": bound})
 
     # scattering and the constant ledger
     solution = _solve(cfg)
-    shoot = shooting_scattering_length(_potential_from(cfg))
-    check(
-        "scattering.shooting_gap",
-        abs(solution.a - shoot) / abs(shoot),
-        _BOUNDS["shooting"],
-    )
+    check("scattering.shooting_gap", _shooting(cfg, solution)[1], _BOUNDS["shooting"])
     ledger = semi.assemble_ledger(solution, identity_tol=identity_tol)
     check("ledger.leading_imposed", ledger.leading_imposed_residual, _BOUNDS["milestone"])
     check("ledger.second_imposed", ledger.second_imposed_residual, _BOUNDS["milestone"])
@@ -544,11 +511,7 @@ def run_check_all(cfg: dict, out: Path) -> dict:
     check("ledger.second_raw", ledger.milestone_raw_residual, 10.0 * identity_tol)
 
     # continuum integrals
-    for name, result in (
-        ("number_density", semi.integral_number_density()),
-        ("kinetic", semi.integral_kinetic()),
-        ("pair", semi.integral_pair()),
-    ):
+    for name, result in _integrals().items():
         check(f"integral.{name}", result.rel_residual, _BOUNDS["integral"])
 
     # toy battery
@@ -574,15 +537,10 @@ def run_check_all(cfg: dict, out: Path) -> dict:
         for gap in battery["pair_correlator_gaps"]:
             check(f"{prefix}.pair_correlator", gap, _BOUNDS["recursion"])
         for idx, r in battery["ratio_bounds"].items():
-            if not r["holds"]:
-                violations.append(
-                    {"check": f"{prefix}.ratio_bound.{idx}", "value": r["worst_ratio"], "bound": 1.0}
-                )
+            check(f"{prefix}.ratio_bound.{idx}", r["worst_ratio"], 1.0, r["holds"])
         for idx, r in battery["low_monotonicity"].items():
-            if r["hypothesis_holds"] and not r["monotone"]:
-                violations.append(
-                    {"check": f"{prefix}.low_monotonicity.{idx}", "value": 1.0, "bound": 0.0}
-                )
+            holds = r["monotone"] or not r["hypothesis_holds"]
+            check(f"{prefix}.low_monotonicity.{idx}", 1.0, 0.0, holds)
         toy_rows.append(battery)
 
     # boundary battery
@@ -590,23 +548,9 @@ def run_check_all(cfg: dict, out: Path) -> dict:
     check("boundary.partition", bdry["partition_residual"], _BOUNDS["partition"])
     for name, iso in bdry["isometry"].items():
         check(f"boundary.isometry.{name}", iso["residual"], _BOUNDS["boundary_isometry"])
-    for name, pen in bdry["penalty"].items():
-        if not pen["holds_quarter_pi_sq"]:
-            violations.append(
-                {
-                    "check": f"boundary.penalty.{name}",
-                    "value": pen["implied_constant"],
-                    "bound": math.pi**2 / 16.0,
-                }
-            )
-    if not bdry["degenerate_penalty"]["holds_quarter_pi_sq"]:
-        violations.append(
-            {
-                "check": "boundary.penalty.degenerate",
-                "value": bdry["degenerate_penalty"]["implied_constant"],
-                "bound": math.pi**2 / 16.0,
-            }
-        )
+    for name, pen in {**bdry["penalty"], "degenerate": bdry["degenerate_penalty"]}.items():
+        value, holds = pen["implied_constant"], pen["holds_quarter_pi_sq"]
+        check(f"boundary.penalty.{name}", value, bdry["reference_constant"], holds)
     check(
         "boundary.collar_average",
         bdry["collar_average"]["max_gap"],
@@ -640,6 +584,15 @@ def run_check_all(cfg: dict, out: Path) -> dict:
 # entry point
 
 
+# the exit code and stderr label of each error a run refuses with
+_EXITS = {
+    ConfigInvalid: (2, "config error"),
+    EmptyAnnulus: (2, "config error"),
+    NotConverged: (3, "convergence failure"),
+    IdentityViolation: (3, "identity violation"),
+    BudgetExceeded: (3, "budget exceeded"),
+}
+
 _PIPELINES = {
     "scattering": run_scattering,
     "lattice": run_lattice,
@@ -664,29 +617,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         report = _PIPELINES[args.pipeline](cfg, out)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NotConverged as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return 3
-    except IdentityViolation as exc:
-        print(f"identity violation: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_EXITS) as exc:
+        code, label = next(_EXITS[t] for t in type(exc).__mro__ if t in _EXITS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     if args.pipeline == "check-all" and report["n_violations"]:
         print(
             f"check-all: {report['n_violations']} violation(s); see {out / 'check_all.json'}",

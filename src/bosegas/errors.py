@@ -42,5 +42,9 @@ class ConfigInvalid(BosegasError, ValueError):
     """A run configuration failed validation."""
 
 
+class EmptyAnnulus(BosegasError, ValueError):
+    """A shell sum's annulus holds no lattice shell at the schedule's spacing."""
+
+
 class DivergentIntegrand(BosegasError, ValueError):
     """A lattice summand evaluated to a non-finite value on an included mode."""

@@ -28,6 +28,10 @@ the scalar reference the tests hold the applicator to.  Component sums run
 left to right in (term, state) order, so their floating-point results do not
 depend on the vectorization.
 
+Both paths index one coupling table per mode set, `coupling_matrix`: V at
+every transfer |p_i - p_j|, each magnitude rounded to 12 decimals before V
+is sampled.  `expect_component` returns any of the six pieces, complex.
+
 Q_Psi statistics follow the three query forms (plain product moments,
 occupancy probabilities, conditional moments); the reports read two
 per-state tables, `mean_occupancies` (every Q_Psi(u)) and
@@ -49,7 +53,7 @@ from .fock import OccupationState, WeightedTrialState
 from .lattice import ModeSet, Region
 
 __all__ = [
-    "InteractionContext",
+    "coupling_matrix",
     "matrix_element",
     "q_psi",
     "q_psi_occupation",
@@ -71,28 +75,18 @@ __all__ = [
 COMPONENTS = ("kinetic", "HS1", "HS2", "HS3", "HA1", "HA2")
 
 
-class InteractionContext:
-    """Fourier-space pair potential sampled on a mode set, with caching."""
+def coupling_matrix(v_of: Callable[[float], float], mode_set: ModeSet) -> np.ndarray:
+    """(n, n) table of V at every momentum transfer |p_i - p_j| of the mode set.
 
-    def __init__(self, v_of: Callable[[float], float], mode_set: ModeSet):
-        self.mode_set = mode_set
-        self._v_of = v_of
-        self._cache: dict[float, float] = {}
-        self._p = mode_set.momentum_matrix()
-
-    def v_mag(self, mag: float) -> float:
-        key = round(float(mag), 12)
-        if key not in self._cache:
-            self._cache[key] = float(self._v_of(key))
-        return self._cache[key]
-
-    def v_between(self, i: int, j: int) -> float:
-        """V at the momentum transfer p_i - p_j."""
-        return self.v_mag(float(np.linalg.norm(self._p[i] - self._p[j])))
-
-    @property
-    def v0(self) -> float:
-        return self.v_mag(0.0)
+    Each magnitude is rounded to 12 decimals before V is sampled; the
+    diagonal is V_0.
+    """
+    p = mode_set.momentum_matrix()
+    table = np.empty((len(p), len(p)))
+    for i in range(len(p)):
+        for j in range(i, len(p)):
+            table[i, j] = table[j, i] = float(v_of(round(float(np.linalg.norm(p[i] - p[j])), 12)))
+    return table
 
 
 def matrix_element(
@@ -232,24 +226,17 @@ def _kinetic(state: WeightedTrialState) -> float:
     return total
 
 
-def _diagonal_interaction(state: WeightedTrialState, ctx: InteractionContext) -> float:
+def _diagonal_interaction(state: WeightedTrialState, coupling: np.ndarray) -> float:
     """Same-multiset part: V0 sum n(n-1) + sum_{u != v} (V_{u-v} + V0) n_u n_v."""
-    ms = state.mode_set
-    vol = ms.volume
-    n_modes = len(ms)
-    v0 = ctx.v0
-    vmat = np.empty((n_modes, n_modes))
-    for i in range(n_modes):
-        for j in range(i, n_modes):
-            vmat[i, j] = vmat[j, i] = ctx.v_between(i, j)
+    v0 = coupling[0, 0]
     counts = state.closure.counts_matrix().astype(float)
     same = np.sum(counts * (counts - 1.0), axis=1)
-    cross = np.einsum("si,ij,sj->s", counts, vmat, counts) - np.einsum(
+    cross = np.einsum("si,ij,sj->s", counts, coupling, counts) - np.einsum(
         "si,si->s", counts, counts
     ) * v0
     ntot = np.sum(counts, axis=1)
     cross += v0 * (ntot**2 - np.einsum("si,si->s", counts, counts))
-    return float(np.dot(state.probabilities(), v0 * same + cross)) / vol
+    return float(np.dot(state.probabilities(), v0 * same + cross)) / state.mode_set.volume
 
 
 def _sum_quadruples(state: WeightedTrialState, terms) -> complex:
@@ -268,7 +255,7 @@ def _sum_quadruples(state: WeightedTrialState, terms) -> complex:
     return total
 
 
-def _component_terms(state: WeightedTrialState, ctx: InteractionContext, component: str):
+def _component_terms(state: WeightedTrialState, coupling: np.ndarray, component: str):
     """Ordered quadruple terms (indices, V coefficient / |L|) for one piece."""
     ms = state.mode_set
     vol = ms.volume
@@ -280,7 +267,7 @@ def _component_terms(state: WeightedTrialState, ctx: InteractionContext, compone
             j = ms.neg_index(u)
             if j is None:
                 continue
-            vu = ctx.v_between(u, z) / vol
+            vu = coupling[u, z] / vol
             terms.append(((u, j, z, z), vu))
             terms.append(((z, z, u, j), vu))
     elif component == "HS3":
@@ -294,14 +281,14 @@ def _component_terms(state: WeightedTrialState, ctx: InteractionContext, compone
                 nv = ms.neg_index(v)
                 if nv is None:
                     continue
-                terms.append(((u, nu, v, nv), ctx.v_between(u, v) / vol))
+                terms.append(((u, nu, v, nv), coupling[u, v] / vol))
     elif component == "HA1":
         for v2 in nz:
             for v3 in nz:
                 v1 = ms.index_of(ms.modes[v2].p + ms.modes[v3].p)
                 if v1 is None or v1 == z:
                     continue
-                coeff = 2.0 * ctx.v_between(v2, z) / vol
+                coeff = 2.0 * coupling[v2, z] / vol
                 terms.append(((z, v1, v2, v3), coeff))
                 terms.append(((v3, v2, v1, z), coeff))
     elif component == "HA2":
@@ -317,25 +304,24 @@ def _component_terms(state: WeightedTrialState, ctx: InteractionContext, compone
                         continue
                     if sorted((v1, v2)) == sorted((v3, v4)):
                         continue
-                    terms.append(((v1, v2, v3, v4), ctx.v_between(v1, v3) / vol))
+                    terms.append(((v1, v2, v3, v4), coupling[v1, v3] / vol))
     else:
         raise ValueError(f"unknown component {component!r}")
     return terms
 
 
 def expect_component(
-    state: WeightedTrialState, component: str, ctx: InteractionContext
-) -> float:
-    """Exact expectation of one Hamiltonian piece; imaginary part must wash out."""
+    state: WeightedTrialState, component: str, coupling: np.ndarray
+) -> complex:
+    """Exact expectation of one Hamiltonian piece; its imaginary part must wash out."""
     if component == "kinetic":
-        return _kinetic(state)
+        return complex(_kinetic(state))
     if component == "HS1":
-        return _diagonal_interaction(state, ctx)
-    val = _sum_quadruples(state, _component_terms(state, ctx, component))
-    return float(val.real)
+        return complex(_diagonal_interaction(state, coupling))
+    return _sum_quadruples(state, _component_terms(state, coupling, component))
 
 
-def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> float:
+def brute_force_energy(state: WeightedTrialState, coupling: np.ndarray) -> float:
     """<H> from the raw (p, q, u) interaction sum plus the kinetic term.
 
     Deliberately organized unlike the component path: enumerate ordered
@@ -363,7 +349,7 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
                 j4 = ms.index_of(p12 - pmat[j3])
                 if j4 is None:
                     continue
-                vu = ctx.v_mag(float(np.linalg.norm(pmat[j1] - pmat[j3])))
+                vu = coupling[j1, j3]
                 key = (min(j1, j2), max(j1, j2), min(j3, j4), max(j3, j4))
                 if key not in sums:
                     src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
@@ -381,19 +367,16 @@ def brute_force_energy(state: WeightedTrialState, ctx: InteractionContext) -> fl
     return kin + float(total.real)
 
 
-def energy_report(state: WeightedTrialState, ctx: InteractionContext) -> EnergyReport:
+def energy_report(state: WeightedTrialState, coupling: np.ndarray) -> EnergyReport:
     """Run both evaluation paths and report the decomposition residual."""
     parts = {}
     imag = 0.0
     for comp in COMPONENTS:
-        if comp in ("kinetic", "HS1"):
-            parts[comp] = expect_component(state, comp, ctx)
-        else:
-            raw = _sum_quadruples(state, _component_terms(state, ctx, comp))
-            parts[comp] = float(raw.real)
-            imag = max(imag, abs(float(raw.imag)))
+        val = expect_component(state, comp, coupling)
+        parts[comp] = float(val.real)
+        imag = max(imag, abs(float(val.imag)))
     total = sum(parts.values())
-    brute = brute_force_energy(state, ctx)
+    brute = brute_force_energy(state, coupling)
     scale = max(abs(total), abs(brute), 1e-300)
     return EnergyReport(
         kinetic=parts["kinetic"],

@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DivergentIntegrand
+from .errors import BudgetExceeded, DivergentIntegrand, EmptyAnnulus
 
 __all__ = [
     "Region",
@@ -477,7 +477,10 @@ def radial_shell_sum(
     m_lo = max(math.ceil(lo2 - 1e-9), 1)
     m_hi = math.floor(hi2 + 1e-9)
     if m_hi < m_lo:
-        raise ValueError("annulus contains no lattice shells")
+        raise EmptyAnnulus(
+            f"the annulus {p_lo:.6g} <= |p| <= {p_hi:.6g} at rho = {schedule.rho!r}, "
+            f"eta = {schedule.eta!r} contains no lattice shells"
+        )
     counts = shell_counts(m_hi, m_lo)
     ms = np.arange(m_lo, m_hi + 1)
     occupied = counts > 0

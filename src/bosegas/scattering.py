@@ -41,7 +41,8 @@ using the independent small-p limit of g_p = p^2 w_p on the second one.
 `shooting_scattering_length` is the position-space oracle for a: it
 integrates the radial equation -u'' + V u = 0 with the 8th-order
 Dormand-Prince pair DOP853 (scipy's solve_ivp) at rtol 1e-12 and atol 1e-14
-and reads a off the free asymptote u = c (r - a).
+from r = 1e-9 width and reads a off the free asymptote u = c (r - a); where
+that read-off's roundoff floor passes 1e-4 of a it refuses with NotConverged.
 
 scipy is imported inside the functions that call it, not at module level:
 the CLI imports this module at every start, and the trial-state and
@@ -397,21 +398,37 @@ def shooting_scattering_length(potential: Potential) -> float:
     """Scattering length from the radial ODE -u'' + V u = 0, u(0) = 0.
 
     Beyond the potential range u(r) = c (r - a), so a = r - u/u' there; the
-    integration ends at 1.25 range_cutoff.  This is a position-space route
-    entirely independent of the momentum solver.  The integrator is the
-    8th-order Dormand-Prince pair DOP853 at rtol 1e-12 and atol 1e-14, with
-    V evaluated on floats; on the tested potentials it lands within 1e-12
-    relative of an RK4 variable-phase reference.
+    integration starts at u = r = 1e-9 width, where u' = 1, and ends at
+    r_max = 1.25 range_cutoff.  This is a position-space route entirely
+    independent of the momentum solver.  The integrator is the 8th-order
+    Dormand-Prince pair DOP853 at rtol 1e-12 and atol 1e-14, with V evaluated
+    on floats; on the tested potentials it lands within 1e-12 relative of an
+    RK4 variable-phase reference.
+
+    The read-off subtracts two numbers near r_max, so it resolves a no more
+    finely than the roundoff floor eps r_max / |a|, and the integration error
+    adds up to 160 such floors on weak Gaussians (amplitude width^2 from 1e-5
+    to 1e-15 at widths 0.05, 1 and 20).  A floor past 1e-4 could leave 2 % of
+    a unresolved: there, at amplitude width^2 below about 2.2e-11, it raises
+    NotConverged.
     """
     from scipy.integrate import solve_ivp
 
     r_max = 1.25 * potential.range_cutoff
+    r_0 = 1e-9 * potential.width
 
     def rhs(r, y):
         return [y[1], potential.v_at(float(r)) * y[0]]
 
-    sol = solve_ivp(rhs, (1e-9, r_max), [1e-9, 1.0], rtol=1e-12, atol=1e-14, method="DOP853")
+    sol = solve_ivp(rhs, (r_0, r_max), [r_0, 1.0], rtol=1e-12, atol=1e-14, method="DOP853")
     if not sol.success:
         raise NotConverged("radial shooting integration failed")
     u, du = sol.y[0, -1], sol.y[1, -1]
-    return float(r_max - u / du)
+    a = float(r_max - u / du)
+    floor = np.finfo(float).eps * r_max
+    if not abs(a) * 1e-4 > floor:
+        raise NotConverged(
+            f"radial shooting: a = {a:.3e}, read off as r - u/u' at r = {r_max:.3e}, "
+            f"lies within 1e4 times the read-off's roundoff eps r = {floor:.3e}"
+        )
+    return a

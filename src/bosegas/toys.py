@@ -32,7 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .expectation import InteractionContext
+import numpy as np
+
+from .expectation import coupling_matrix
 from .fock import WeightedTrialState, generate_M, weight_f
 from .lattice import ModeSet
 
@@ -50,8 +52,9 @@ class ToyCase:
     v_of: Callable[[float], float]
     note: str = ""
 
-    def context(self) -> InteractionContext:
-        return InteractionContext(self.v_of, self.mode_set)
+    def context(self) -> np.ndarray:
+        """The case's pair coupling V at every momentum transfer of its modes."""
+        return coupling_matrix(self.v_of, self.mode_set)
 
 
 def gaussian_coupling(amplitude: float, decay: float = 0.3) -> Callable[[float], float]:

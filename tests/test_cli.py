@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from bosegas import boundary as bnd
+from bosegas import cli
 from bosegas.cli import load_config, main
+from bosegas.toys import toy_by_name
 from conftest import load_report
 
 _CLOSED = {
@@ -142,6 +145,99 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
     assert rep["violations"] == []
 
 
+class _FailingPenalty:
+    """A kinetic-penalty report whose bound never holds."""
+
+    def __init__(self, report):
+        self._report = report
+
+    def __getattr__(self, name):
+        return getattr(self._report, name)
+
+    def holds_with(self, constant):
+        return False
+
+
+def _fail_penalty(monkeypatch, degenerate):
+    real = bnd.kinetic_penalty
+
+    def penalty(w, sample, **kw):
+        reports = real(w, sample, **kw)
+        failing = (w.ell == w.period / 2.0) == degenerate
+        return [_FailingPenalty(r) for r in reports] if failing else reports
+
+    monkeypatch.setattr(bnd, "kinetic_penalty", penalty)
+
+
+def _set_flags(monkeypatch, name, **flags):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: {**real(*args), **flags})
+
+
+# each kind of check-all verdict, and how to make it fail
+_FORCE = {
+    "bound": lambda mp: mp.setitem(cli._BOUNDS, "partition", -1.0),
+    "ratio_bound": lambda mp: _set_flags(mp, "occupation_ratio_report", holds=False),
+    "low_monotonicity": lambda mp: _set_flags(
+        mp, "pl_occupation_monotonicity", hypothesis_holds=True, monotone=False
+    ),
+    "penalty": lambda mp: _fail_penalty(mp, degenerate=False),
+    "penalty.degenerate": lambda mp: _fail_penalty(mp, degenerate=True),
+}
+
+
+def _expected_records(kind, rep):
+    (toy,) = rep["toys"]
+    bdry = rep["boundary"]
+    prefix = f"toy.{toy['name']}"
+    quarter_pi_sq = math.pi**2 / 16.0
+
+    def record(check, value, bound):
+        return {"check": check, "value": value, "bound": bound}
+
+    def by_index(reports):
+        return sorted(reports.items(), key=lambda item: int(item[0]))
+
+    return {
+        "bound": [record("boundary.partition", bdry["partition_residual"], -1.0)],
+        "ratio_bound": [
+            record(f"{prefix}.ratio_bound.{idx}", r["worst_ratio"], 1.0)
+            for idx, r in by_index(toy["ratio_bounds"])
+        ],
+        "low_monotonicity": [
+            record(f"{prefix}.low_monotonicity.{idx}", 1.0, 0.0)
+            for idx, _ in by_index(toy["low_monotonicity"])
+        ],
+        "penalty": [
+            record(f"boundary.penalty.{name}", pen["implied_constant"], quarter_pi_sq)
+            for name, pen in bdry["penalty"].items()
+        ],
+        "penalty.degenerate": [
+            record(
+                "boundary.penalty.degenerate",
+                bdry["degenerate_penalty"]["implied_constant"],
+                quarter_pi_sq,
+            )
+        ],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", list(_FORCE))
+def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
+    # one toy with low and intermediate towers keeps the run short
+    monkeypatch.setattr(cli, "builtin_toy_suite", lambda: [toy_by_name("pl-pi-mix")])
+    _FORCE[kind](monkeypatch)
+    code, out = _run(tmp_path, "check-all")
+    rep = load_report(out / "check_all.json")
+    want = _expected_records(kind, rep)
+    assert want
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"check-all: {len(want)} violation(s); see {out / 'check_all.json'}\n"
+    )
+    assert rep["n_violations"] == len(want)
+    assert rep["violations"] == want
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -261,6 +357,35 @@ def test_extreme_scales_write_finite_reports(tmp_path, pipeline, text):
     for path in out.iterdir():
         assert not re.search(r"\b(NaN|Infinity|nan|inf)\b", path.read_text()), path.name
 
+
+def test_unresolvable_shooting_exits_3(tmp_path, capsys):
+    # a / r_max = 1e-101: the shooting oracle cannot read a off its asymptote
+    cfg = _write_config(tmp_path, "potential: {amplitude: 1.0e-300, width: 1.0e100}\n")
+    code, out = _run(tmp_path, "scattering", "--config", cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("convergence failure: radial shooting:")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "pipeline, text, rho",
+    [
+        ("lattice", "schedule: {rho: 0.01}\n", "0.01"),
+        ("lattice", "schedule: {rho: 0.1}\n", "0.1"),
+        ("lattice", "schedule: {rho: 0.5}\n", "0.5"),
+        ("energy-curve", "sweep: {rho_values: [1.0e-4, 0.5]}\n", "0.5"),
+    ],
+    ids=["lattice-0.01", "lattice-0.1", "lattice-0.5", "energy-curve-0.5"],
+)
+def test_empty_low_annulus_exits_2(tmp_path, capsys, pipeline, text, rho):
+    # at eta = 1/200 the P_L annulus of these densities holds no lattice shell
+    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert f"rho = {rho}," in err and "eta = 0.005" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
 
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-16, 1e-20, 1e-30, 1e-60])
 def test_weak_coupling_lattice_gap_is_finite(tmp_path, amplitude):

@@ -8,9 +8,9 @@ import pytest
 
 from bosegas.errors import ZeroConditionProbability
 from bosegas.expectation import (
-    InteractionContext,
     _sum_quadruples,
     brute_force_energy,
+    coupling_matrix,
     energy_report,
     matrix_element,
     mean_occupancies,
@@ -141,10 +141,10 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
 
 def test_condensate_only_energy_is_direct_term():
     trial = _condensate_trial(n=5, volume=10.0)
-    ctx = InteractionContext(lambda mag: math.exp(-0.3 * mag**2), trial.mode_set)
-    rep = energy_report(trial, ctx)
+    coupling = coupling_matrix(lambda mag: math.exp(-0.3 * mag**2), trial.mode_set)
+    rep = energy_report(trial, coupling)
     # HS1 carries the full V_0 N (N-1) / |Lambda|; both routes agree exactly
-    assert math.isclose(rep.hs1, ctx.v0 * 5 * 4 / 10.0, rel_tol=1e-12)
+    assert math.isclose(rep.hs1, coupling[0, 0] * 5 * 4 / 10.0, rel_tol=1e-12)
     assert rep.kinetic == 0.0
     assert rep.hs2 == rep.hs3 == rep.ha1 == rep.ha2 == 0.0
     assert math.isclose(rep.total, rep.hs1, rel_tol=1e-14)
@@ -199,13 +199,13 @@ def test_ha2_skips_pairs_matched_by_mode_key():
     )
     assert ms.neg_index(3) == 4
     trial = weight_f(generate_M(ms, 4, 2))
-    rep = energy_report(trial, InteractionContext(gaussian_coupling(0.9), ms))
+    rep = energy_report(trial, coupling_matrix(gaussian_coupling(0.9), ms))
     assert rep.hs3 != 0.0
     assert rep.ha2 == 0.0
     assert rep.decomposition_residual <= 1e-10
 
 
-def _brute_force_reference(state, ctx):
+def _brute_force_reference(state, coupling):
     """brute_force_energy with one applicator call per ordered triple."""
     ms = state.mode_set
     closure = state.closure
@@ -224,7 +224,7 @@ def _brute_force_reference(state, ctx):
                 j4 = ms.index_of(p12 - pmat[j3])
                 if j4 is None:
                     continue
-                vu = ctx.v_mag(float(np.linalg.norm(pmat[j1] - pmat[j3])))
+                vu = coupling[j1, j3]
                 src, dst, amp = closure.apply_quartic(j1, j2, j3, j4)
                 if len(src) == 0:
                     continue
@@ -245,8 +245,29 @@ def test_brute_force_matches_per_triple_reference(toy_trials):
     big = replace(toy_by_name("soft-coincidence"), n=30)
     cases.append((big, build_trial(big)))
     for case, trial in cases:
-        ctx = case.context()
-        assert brute_force_energy(trial, ctx) == _brute_force_reference(trial, ctx), case.name
+        table = case.context()
+        assert brute_force_energy(trial, table) == _brute_force_reference(trial, table), case.name
+
+
+def test_coupling_matrix_samples_rounded_transfers():
+    # each |p_i - p_j| is rounded to 12 decimals before V is sampled, so the
+    # transfers 0, 0.1 and 0.2 reach V as those decimals, whatever the norm's
+    # last bits; the table is symmetric with V_0 on the diagonal
+    seen = []
+
+    def v_of(mag):
+        seen.append(mag)
+        return math.exp(-mag)
+
+    ms = ModeSet.toy(
+        [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (-0.1, 0.0, 0.0)], ["P0", "PL", "PL"], volume=10.0,
+        lams=[None, -0.5, -0.5],
+    )
+    table = coupling_matrix(v_of, ms)
+    assert set(seen) == {0.0, 0.1, 0.2}
+    assert np.array_equal(table, table.T)
+    assert table[1, 2] == math.exp(-0.2) and table[0, 1] == math.exp(-0.1)
+    assert np.all(np.diag(table) == 1.0)
 
 
 def test_brute_force_uses_independent_route(toy_trials):

@@ -123,6 +123,22 @@ def test_shooting_matches_variable_phase_reference(amplitude, width):
     assert abs(shot - ref) <= 1e-12 * ref
 
 
+def test_shooting_starts_at_the_width_scale():
+    # a ~ 1.3e-112 at width 1e-104: a start at r = 1e-9 lay past the end of
+    # the integration and missed a by 100 %; a start at 1e-9 width resolves it
+    pot = Potential(1.0e200, 1.0e-104)
+    sol = solve_scattering(pot)
+    assert abs(sol.a - shooting_scattering_length(pot)) <= 1e-5 * sol.a
+
+
+@pytest.mark.parametrize(
+    "amplitude, width", [(1.0e-300, 1.0e100), (1.0e-12, 1.0)], ids=["wide-shallow", "weak"]
+)
+def test_shooting_refuses_below_its_roundoff_floor(amplitude, width):
+    # the read-off's roundoff floor eps r_max / |a| is 2e85 and 2e-3, past 1e-4
+    with pytest.raises(NotConverged, match="radial shooting"):
+        shooting_scattering_length(Potential(amplitude, width))
+
 def test_exact_identities_hold(gaussian_solution):
     rep = check_scattering_identities(gaussian_solution)
     assert rep.residual_gradient < 1e-6
