@@ -11,10 +11,10 @@ data, fixed %.12e floats); with a fixed seed the bytes are reproducible run
 to run.
 
 Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
-budget exceeded, or an identity violation in a numerical step.  One table,
-_EXITS, maps each error a run refuses with to its exit code and stderr
-label; `main` looks up every refusal there, from config loading to the
-report, and check-all's own verdicts give exit 1.
+budget exceeded, a divergent integrand, or an identity violation in a
+numerical step.  One table, _EXITS, maps each error a run refuses with to
+its exit code and stderr label; `main` looks up every refusal there, from
+config loading to the report, and check-all's own verdicts give exit 1.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from . import semiclassical as semi
 from .errors import (
     BudgetExceeded,
     ConfigInvalid,
+    DivergentIntegrand,
     EmptyAnnulus,
     IdentityViolation,
     NotConverged,
@@ -591,6 +592,7 @@ _EXITS = {
     NotConverged: (3, "convergence failure"),
     IdentityViolation: (3, "identity violation"),
     BudgetExceeded: (3, "budget exceeded"),
+    DivergentIntegrand: (3, "divergent integrand"),
 }
 
 _PIPELINES = {

@@ -18,6 +18,9 @@ independent ways:
   * brute-force path — the raw sum (1/|L|) sum_{p,q,u} V_u a+_p a+_q
     a_{p-u} a_{q+u}, enumerated directly over ordered (p, q, p-u) triples.
 
+Both paths find the fourth leg of a quadruple through `ModeSet.conserving`,
+in the mode set's integer coordinates; no momentum is summed here.
+
 The two paths share one quartic-operator applicator,
 `ClosureSet.apply_quartic`, which maps every member state at once through
 occupancy shifts and the closure's one member lookup, `ClosureSet.shift`.
@@ -261,50 +264,31 @@ def _component_terms(state: WeightedTrialState, coupling: np.ndarray, component:
     vol = ms.volume
     z = ms.zero_index
     nz = ms.nonzero_indices()
+    pairs = [(u, ms.neg_index(u)) for u in nz if ms.neg_index(u) is not None]
     terms = []
     if component == "HS2":
-        for u in nz:
-            j = ms.neg_index(u)
-            if j is None:
-                continue
+        for u, nu in pairs:
             vu = coupling[u, z] / vol
-            terms.append(((u, j, z, z), vu))
-            terms.append(((z, z, u, j), vu))
+            terms += [((u, nu, z, z), vu), ((z, z, u, nu), vu)]
     elif component == "HS3":
-        for u in nz:
-            nu = ms.neg_index(u)
-            if nu is None:
-                continue
-            for v in nz:
-                if v == u or v == nu:
-                    continue
-                nv = ms.neg_index(v)
-                if nv is None:
-                    continue
-                terms.append(((u, nu, v, nv), coupling[u, v] / vol))
+        for u, nu in pairs:
+            terms += [((u, nu, v, nv), coupling[u, v] / vol) for v, nv in pairs if v not in (u, nu)]
     elif component == "HA1":
         for v2 in nz:
             for v3 in nz:
-                v1 = ms.index_of(ms.modes[v2].p + ms.modes[v3].p)
-                if v1 is None or v1 == z:
-                    continue
-                coeff = 2.0 * coupling[v2, z] / vol
-                terms.append(((z, v1, v2, v3), coeff))
-                terms.append(((v3, v2, v1, z), coeff))
+                v1 = ms.conserving(v2, v3, z)
+                if v1 is not None and v1 != z:
+                    coeff = 2.0 * coupling[v2, z] / vol
+                    terms += [((z, v1, v2, v3), coeff), ((v3, v2, v1, z), coeff)]
     elif component == "HA2":
         for v1 in nz:
-            p1 = ms.modes[v1].p
             for v2 in nz:
                 if ms.neg_index(v1) == v2:
                     continue
-                p12 = p1 + ms.modes[v2].p
                 for v3 in nz:
-                    v4 = ms.index_of(p12 - ms.modes[v3].p)
-                    if v4 is None or v4 == z:
-                        continue
-                    if sorted((v1, v2)) == sorted((v3, v4)):
-                        continue
-                    terms.append(((v1, v2, v3, v4), coupling[v1, v3] / vol))
+                    v4 = ms.conserving(v1, v2, v3)
+                    if v4 is not None and v4 != z and sorted((v1, v2)) != sorted((v3, v4)):
+                        terms.append(((v1, v2, v3, v4), coupling[v1, v3] / vol))
     else:
         raise ValueError(f"unknown component {component!r}")
     return terms
@@ -340,13 +324,11 @@ def brute_force_energy(state: WeightedTrialState, coupling: np.ndarray) -> float
 
     total = 0.0 + 0.0j
     n_modes = len(ms)
-    pmat = ms.momentum_matrix()
     sums = {}
     for j1 in range(n_modes):
         for j2 in range(n_modes):
-            p12 = pmat[j1] + pmat[j2]
             for j3 in range(n_modes):
-                j4 = ms.index_of(p12 - pmat[j3])
+                j4 = ms.conserving(j1, j2, j3)
                 if j4 is None:
                     continue
                 vu = coupling[j1, j3]

@@ -207,8 +207,9 @@ def _creations(mode_set: ModeSet) -> _Creations:
     """Strict outer pairs, strict low pairs, then soft (u; i, j) pairs.
 
     Soft products are the unordered high-region pairs i <= j with p_i + p_j
-    = u.  A low mode without a partner is never occupied (only a strict
-    creation fills a low mode), so it has no soft row.
+    = u, each j the mode set's `conserving(u, 0, i)`.  A low mode without a
+    partner is never occupied (only a strict creation fills a low mode), so
+    it has no soft row.
     """
     z = mode_set.zero_index
     outer, low, soft = [], [], []
@@ -225,7 +226,7 @@ def _creations(mode_set: ModeSet) -> _Creations:
         if nu is None:
             continue
         for i in mode_set.indices_in(Region.PH):
-            j = mode_set.index_of(mode_set.modes[u].p - mode_set.modes[i].p)
+            j = mode_set.conserving(u, z, i)
             if j is not None and j >= i and mode_set.modes[j].region is Region.PH:
                 soft.append((_SOFT, z, u, i, j, u, nu))
     rows = np.array(outer + low + soft, dtype=np.int64).reshape(-1, 7)

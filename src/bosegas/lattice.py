@@ -173,16 +173,17 @@ class Mode:
     lam: float | None = None
 
 
-def _key(p, unit: float) -> tuple:
-    return tuple((np.divide(p, unit).round(9) + 0.0).tolist())
-
-
 class ModeSet:
     """Explicit collection of modes with manual labels and optional lambdas.
 
-    A set must list the zero mode.  Lookup keys round momenta to 9 decimals
-    in a power-of-two unit above the largest component, so they stay
-    distinct at any lattice spacing.
+    A set must list the zero mode.  Each momentum is rounded once, when the
+    set is built, to integer coordinates n = rint(p / unit * 1e9) in Z^3,
+    with unit the power of two above the largest component, so modes stay
+    distinct at any lattice spacing.  Momentum conservation is decided in
+    these integers alone: `conserving(a, b, c)` is the mode at
+    p_a + p_b - p_c, and `neg_index(i)` is `conserving(0, 0, i)` with 0 the
+    zero mode.  `index_of` is the one float entry point; it rounds a
+    momentum into the same coordinates.
     """
 
     def __init__(self, modes: Sequence[Mode], volume: float | None = None):
@@ -190,19 +191,22 @@ class ModeSet:
         self.volume = volume
         top = max((float(np.max(np.abs(m.p))) for m in self.modes), default=0.0)
         self._unit = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-        self._by_key = {}
-        for m in self.modes:
-            k = _key(m.p, self._unit)
-            if k in self._by_key:
+        self._coords = [self._coordinates(m.p) for m in self.modes]
+        self._by_coords = {}
+        for m, n in zip(self.modes, self._coords):
+            if n in self._by_coords:
                 raise ValueError(f"duplicate mode momentum {m.p}")
-            self._by_key[k] = m.index
+            self._by_coords[n] = m.index
         zero = self.index_of((0.0, 0.0, 0.0))
         if zero is None:
             raise ValueError("mode set must contain the zero mode")
         if self.modes[zero].region is not Region.P0:
             raise ValueError("zero mode must carry the P0 label")
         self.zero_index = zero
-        self._neg = [self.index_of(-np.asarray(m.p)) for m in self.modes]
+        self._neg = [self.conserving(zero, zero, m.index) for m in self.modes]
+
+    def _coordinates(self, p) -> tuple:
+        return tuple(int(x) for x in np.rint(np.divide(p, self._unit) * 1e9))
 
     @classmethod
     def toy(
@@ -226,7 +230,12 @@ class ModeSet:
         return iter(self.modes)
 
     def index_of(self, p) -> int | None:
-        return self._by_key.get(_key(p, self._unit))
+        return self._by_coords.get(self._coordinates(p))
+
+    def conserving(self, a: int, b: int, c: int) -> int | None:
+        """Index of the mode at p_a + p_b - p_c, None when the set has none."""
+        na, nb, nc = self._coords[a], self._coords[b], self._coords[c]
+        return self._by_coords.get(tuple(x + y - z for x, y, z in zip(na, nb, nc)))
 
     def neg_index(self, i: int) -> int | None:
         return self._neg[i]

@@ -361,25 +361,28 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     """Solve the discretized scattering equation (I + A) g = V_p by GMRES.
 
     The unknown is g = p^2 w on the grid of _momentum_grid.  Raises
-    NotConverged when GMRES reports failure or the sup-norm residual
-    max|p^2 w - g| exceeds _TOL * max|V_p|.
+    NotConverged when GMRES reports failure, when the sup-norm residual
+    max|p^2 w - g| exceeds _TOL * max|V_p|, or when an observable is not
+    finite, naming it: a NaN is refused here, never scored downstream.
     """
     p = _momentum_grid(potential)
     p2w, g, simpson, matvecs, residual = _solve_on_grid(potential, p)
     g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, p2w, g, simpson)
     a = (v0 - vw1) / (4.0 * math.pi)
-    return ScatteringSolution(
-        a=a,
-        g0=4.0 * math.pi * a,
-        g0_limit=g0_limit,
-        v0=v0,
-        vw1=vw1,
-        vw2=vw2,
-        grad_w2=grad_w2,
-        converged=True,
-        iterations=matvecs,
-        residual=residual,
-    )
+    observables = {
+        "a": a,
+        "g0": 4.0 * math.pi * a,
+        "g0_limit": g0_limit,
+        "v0": v0,
+        "vw1": vw1,
+        "vw2": vw2,
+        "grad_w2": grad_w2,
+        "residual": residual,
+    }
+    bad = [name for name, value in observables.items() if not math.isfinite(value)]
+    if bad:
+        raise NotConverged(f"scattering solve: non-finite {', '.join(bad)}")
+    return ScatteringSolution(**observables, converged=True, iterations=matvecs)
 
 
 def check_scattering_identities(solution: ScatteringSolution) -> IdentityReport:

@@ -21,9 +21,11 @@ at least one case and every closure mechanism fires somewhere:
   * a zero-coupling control where the energy must collapse to the kinetic
     term exactly.
 
-Momenta sit on coarse dyadic grids where possible so conservation holds in
-floating point without leaning on key rounding; the one legacy non-dyadic
-case keeps regression continuity with hand-checked numbers.
+Momenta sit on coarse dyadic grids where possible, so their components,
+squares and differences are exact in floating point; the one legacy
+non-dyadic case keeps regression continuity with hand-checked numbers.
+Momentum conservation needs no such care: the mode set decides it in
+integer coordinates (`ModeSet.conserving`).
 """
 
 from __future__ import annotations

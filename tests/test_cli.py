@@ -5,10 +5,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bosegas import boundary as bnd
-from bosegas import cli
+from bosegas import cli, lattice, scattering
 from bosegas.cli import load_config, main
 from bosegas.toys import toy_by_name
 from conftest import load_report
@@ -104,6 +105,31 @@ def test_trial_state_pipeline_mode_file(tmp_path):
     assert code == 0
     rep = load_report(out / "trial_state.json")
     assert rep["closure_size"] == 3
+
+
+def test_mode_file_off_by_roundoff_conserves_momentum(tmp_path):
+    # -p is written 6e-10 off the negative of +p; both round to the lattice
+    # points +-0.75, so every conservation query must pair them as neg_index
+    # does.  A float sum p_+ + p_- = 6e-10 once missed the zero mode in brute
+    # force alone, for a residual of 2.45e-2
+    pairs = {
+        "noisy": "0.7500000003 0 0 PI -0.4\n-0.7499999997 0 0 PI -0.4\n",
+        "grid": "0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n",
+    }
+    energy = {}
+    for name, lines in pairs.items():
+        modes = tmp_path / f"{name}.txt"
+        modes.write_text("# volume = 25\n0 0 0 P0\n" + lines)
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(f"toy_modes: {modes}\ntrial:\n  n: 4\n")
+        out = tmp_path / name
+        assert main(["trial-state", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = load_report(out / "trial_state.json")
+        assert rep["closure_size"] == 3
+        energy[name] = rep["energy"]
+    assert energy["noisy"]["decomposition_residual"] <= 1e-10
+    for key in ("total", "brute_force_total"):
+        assert abs(energy["noisy"][key] - energy["grid"][key]) <= 1e-12, key
 
 
 def test_energy_curve_gap_shrinks(tmp_path):
@@ -365,6 +391,41 @@ def test_unresolvable_shooting_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err.startswith("convergence failure: radial shooting:")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("pipeline", ["lattice", "energy-curve"])
+def test_divergent_integrand_exits_3(tmp_path, monkeypatch, capsys, pipeline):
+    # no known schedule makes the P_L summand non-finite; an infinite one
+    # stands in for it
+    monkeypatch.setattr(
+        lattice, "number_density_summand", lambda rho, g0: lambda mags: np.full_like(mags, np.inf)
+    )
+    code, out = _run(tmp_path, pipeline)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("divergent integrand:")
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("pipeline", ["scattering", "lattice", "energy-curve", "check-all"])
+def test_non_finite_observable_exits_3(tmp_path, monkeypatch, capsys, pipeline):
+    # a NaN norm is refused by the solve that made it, never scored as an
+    # identity miss nor written by the pipelines that check no identity
+    observables = scattering._observables
+
+    def nan_vw1(*args):
+        g0_limit, grad_w2, _, vw2, v0 = observables(*args)
+        return g0_limit, grad_w2, math.nan, vw2, v0
+
+    monkeypatch.setattr(scattering, "_observables", nan_vw1)
+    code, out = _run(tmp_path, pipeline)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("convergence failure: scattering solve: non-finite")
+    assert "vw1" in err
+    for path in out.iterdir():
+        assert not re.search(r"\bNaN\b", path.read_text()), path.name
 
 
 @pytest.mark.parametrize(

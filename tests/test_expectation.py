@@ -26,7 +26,7 @@ from bosegas.expectation import (
 )
 from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
 from bosegas.lattice import ModeSet, Region
-from bosegas.toys import build_trial, gaussian_coupling, toy_by_name
+from bosegas.toys import build_trial, builtin_toy_suite, gaussian_coupling, toy_by_name
 from conftest import closure_members
 
 # Frozen component table for the soft-coincidence toy (6 particles, 27 states).
@@ -203,6 +203,39 @@ def test_ha2_skips_pairs_matched_by_mode_key():
     assert rep.hs3 != 0.0
     assert rep.ha2 == 0.0
     assert rep.decomposition_residual <= 1e-10
+
+
+def _off_grid_copy(case, rng):
+    """The case with every nonzero momentum component moved by under 0.45
+    key steps (unit * 1e-9), the largest ones outward so the unit stays: a
+    copy whose modes round to the case's integer coordinates."""
+    ms = case.mode_set
+    pmat = ms.momentum_matrix()
+    top = float(np.max(np.abs(pmat)))
+    step = math.ldexp(1.0, math.frexp(top)[1]) * 1e-9
+    shift = rng.uniform(-0.45, 0.45, pmat.shape) * step
+    largest = np.abs(pmat) == top
+    shift[largest] = np.abs(shift[largest]) * np.sign(pmat[largest])
+    moved = np.where(pmat != 0.0, pmat + shift, 0.0)
+    copy = ModeSet.toy(moved, [m.region for m in ms], volume=ms.volume, lams=[m.lam for m in ms])
+    assert all(copy.index_of(m.p) == m.index for m in ms)
+    return replace(case, mode_set=copy)
+
+
+@pytest.mark.parametrize("name", [case.name for case in builtin_toy_suite()])
+def test_off_grid_copies_conserve_momentum_by_key(name):
+    # conservation follows the modes' integer coordinates, not float sums:
+    # offsets that each round away can add up past half a key step in
+    # p_a + p_b - p_c, and must still find the same closure and keep both
+    # energy routes on the same quadruples
+    case = toy_by_name(name)
+    size = len(build_trial(case))
+    rng = np.random.default_rng(list(name.encode()))
+    for _ in range(5):
+        copy = _off_grid_copy(case, rng)
+        trial = build_trial(copy)
+        assert len(trial) == size
+        assert energy_report(trial, copy.context()).decomposition_residual <= 1e-10
 
 
 def _brute_force_reference(state, coupling):

@@ -314,3 +314,53 @@ def test_scattering_skips_scipy_interpolate(tmp_path):
     modules = _imported("-m", "bosegas", "scattering", "--out", str(tmp_path))
     assert "scipy.sparse.linalg" in modules
     assert "scipy.interpolate" not in modules
+
+
+def _momentum_lookups() -> list[str]:
+    """module:line of every `index_of` and of every + or - with a momentum
+    operand, in each module of src/bosegas but `lattice`.  A momentum is a
+    `.p` attribute, a row of `momentum_matrix()`, or a name bound to either;
+    a difference inside a `norm(...)` call is a transfer magnitude (the
+    coupling table samples V there) and finds no mode, so it does not count."""
+    found = []
+    for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
+        if path.stem == "lattice":
+            continue
+        tree = ast.parse(path.read_text())
+
+        def is_momentum(node):
+            if isinstance(node, ast.Attribute) and node.attr == "p":
+                return True
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "momentum_matrix":
+                return True
+            if isinstance(node, ast.Subscript):
+                return is_momentum(node.value)
+            return isinstance(node, ast.Name) and node.id in bound
+
+        bound: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and is_momentum(node.value):
+                bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        in_norm = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "norm"
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            lookup = isinstance(node, ast.Attribute) and node.attr == "index_of"
+            summed = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+                and id(node) not in in_norm
+                and (is_momentum(node.left) or is_momentum(node.right))
+            )
+            if lookup or summed:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_momentum_conservation_is_decided_in_lattice_alone():
+    # ModeSet.conserving answers every p_a + p_b - p_c query in integer mode
+    # coordinates; a float momentum sum elsewhere is a second key
+    assert _momentum_lookups() == []

@@ -157,6 +157,29 @@ def test_toy_mode_set_indexing():
     assert ms.momentum_matrix().shape == (3, 3)
 
 
+def test_conserving_decides_in_integer_coordinates():
+    # modes 0, +-a, +-b, +-(a + b), each nonzero component written 0.4 key
+    # steps (1e-9 at unit 1) off its lattice point: p_a + p_b - p_c = p_d
+    # must hold exactly when p_d + p_c - p_b = p_a, as it does on the lattice
+    rng = np.random.default_rng(7)
+    a, b = np.array([0.25, 0.5, 0.0]), np.array([0.125, -0.375, 0.75])
+    exact = [np.zeros(3), a, -a, b, -b, a + b, -(a + b)]
+    offsets = [np.where(p != 0.0, rng.choice([-0.4e-9, 0.4e-9], 3), 0.0) for p in exact]
+    ms = ModeSet.toy(
+        [p + d for p, d in zip(exact, offsets)], ["P0"] + ["PI"] * 6, volume=10.0
+    )
+    assert [ms.index_of(p) for p in exact] == list(range(7))
+    found = 0
+    for i, j, k, m in np.ndindex(7, 7, 7, 7):
+        assert (ms.conserving(i, j, k) == m) == (ms.conserving(m, k, j) == i)
+    for i, j, k in np.ndindex(7, 7, 7):
+        target = ms.conserving(i, j, k)
+        assert target == ms.index_of(exact[i] + exact[j] - exact[k])
+        found += target is not None
+    assert found == 175  # of the 343 triples, as on the exact lattice
+    assert [ms.neg_index(i) for i in range(7)] == [0, 2, 1, 4, 3, 6, 5]
+
+
 def test_toy_mode_set_rejects_duplicates_and_missing_zero():
     with pytest.raises(ValueError):
         ModeSet.toy([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)], ["P0", "PL", "PL"])
