@@ -264,22 +264,36 @@ def _component_terms(state: WeightedTrialState, coupling: np.ndarray, component:
     vol = ms.volume
     z = ms.zero_index
     nz = ms.nonzero_indices()
-    pairs = [(u, ms.neg_index(u)) for u in nz if ms.neg_index(u) is not None]
     terms = []
     if component == "HS2":
-        for u, nu in pairs:
+        for u in nz:
+            j = ms.neg_index(u)
+            if j is None:
+                continue
             vu = coupling[u, z] / vol
-            terms += [((u, nu, z, z), vu), ((z, z, u, nu), vu)]
+            terms.append(((u, j, z, z), vu))
+            terms.append(((z, z, u, j), vu))
     elif component == "HS3":
-        for u, nu in pairs:
-            terms += [((u, nu, v, nv), coupling[u, v] / vol) for v, nv in pairs if v not in (u, nu)]
+        for u in nz:
+            nu = ms.neg_index(u)
+            if nu is None:
+                continue
+            for v in nz:
+                if v == u or v == nu:
+                    continue
+                nv = ms.neg_index(v)
+                if nv is None:
+                    continue
+                terms.append(((u, nu, v, nv), coupling[u, v] / vol))
     elif component == "HA1":
         for v2 in nz:
             for v3 in nz:
                 v1 = ms.conserving(v2, v3, z)
-                if v1 is not None and v1 != z:
-                    coeff = 2.0 * coupling[v2, z] / vol
-                    terms += [((z, v1, v2, v3), coeff), ((v3, v2, v1, z), coeff)]
+                if v1 is None or v1 == z:
+                    continue
+                coeff = 2.0 * coupling[v2, z] / vol
+                terms.append(((z, v1, v2, v3), coeff))
+                terms.append(((v3, v2, v1, z), coeff))
     elif component == "HA2":
         for v1 in nz:
             for v2 in nz:
@@ -287,8 +301,11 @@ def _component_terms(state: WeightedTrialState, coupling: np.ndarray, component:
                     continue
                 for v3 in nz:
                     v4 = ms.conserving(v1, v2, v3)
-                    if v4 is not None and v4 != z and sorted((v1, v2)) != sorted((v3, v4)):
-                        terms.append(((v1, v2, v3, v4), coupling[v1, v3] / vol))
+                    if v4 is None or v4 == z:
+                        continue
+                    if sorted((v1, v2)) == sorted((v3, v4)):
+                        continue
+                    terms.append(((v1, v2, v3, v4), coupling[v1, v3] / vol))
     else:
         raise ValueError(f"unknown component {component!r}")
     return terms

@@ -173,27 +173,60 @@ class Mode:
     lam: float | None = None
 
 
+def _lattice_step(parts: np.ndarray, tol: float) -> float | None:
+    """The largest step s with every part within tol of a multiple of s.
+
+    Such an s divides the smallest part m, so the candidates are m / k for
+    k = 1 .. 64, down to 8 tol (three residuals then stay below half a step,
+    so p_a + p_b - p_c rounds to its lattice point); a candidate fits when
+    the intervals (x - tol) / n .. (x + tol) / n, n = rint(x k / m), share
+    a point, and the middle of their overlap is the step.  None when no
+    candidate fits.
+    """
+    if parts.size == 0:
+        return None
+    m = float(parts.min())
+    for k in range(1, 65):
+        if m / k <= 8.0 * tol:
+            break
+        n = np.rint(parts * (k / m))
+        lo, hi = float(np.max((parts - tol) / n)), float(np.min((parts + tol) / n))
+        if lo <= hi:
+            return 0.5 * (lo + hi)
+    return None
+
+
 class ModeSet:
     """Explicit collection of modes with manual labels and optional lambdas.
 
-    A set must list the zero mode.  Each momentum is rounded once, when the
-    set is built, to integer coordinates n = rint(p / unit * 1e9) in Z^3,
-    with unit the power of two above the largest component, so modes stay
-    distinct at any lattice spacing.  Momentum conservation is decided in
-    these integers alone: `conserving(a, b, c)` is the mode at
-    p_a + p_b - p_c, and `neg_index(i)` is `conserving(0, 0, i)` with 0 the
-    zero mode.  `index_of` is the one float entry point; it rounds a
-    momentum into the same coordinates.
+    A set must list the zero mode.  It picks one scale when it is built:
+    its lattice step, the largest step that every momentum component lies
+    within half a key step of a multiple of (2 pi / L on the torus, a dyadic
+    or decimal step for the toys), or else the key step unit * 1e-9, with
+    unit the power of two above the largest component.  A mode's integer
+    coordinates are n = rint(p / scale); two momenta are one mode when these
+    agree.  `conserving(a, b, c)` is the mode at rint((p_a + p_b - p_c) /
+    scale), on a lattice step n_a + n_b - n_c exactly, however the momenta
+    were rounded when written; `neg_index(i)` is `conserving(0, 0, i)`.
+    `index_of`, the one float entry point, finds the mode whose lattice
+    point lies within a key step of p.
     """
 
     def __init__(self, modes: Sequence[Mode], volume: float | None = None):
         self.modes = list(modes)
         self.volume = volume
-        top = max((float(np.max(np.abs(m.p))) for m in self.modes), default=0.0)
-        self._unit = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-        self._coords = [self._coordinates(m.p) for m in self.modes]
+        for m in self.modes:
+            if not np.all(np.isfinite(m.p)):
+                raise ValueError(f"mode {m.index}: momentum must be finite, got {m.p}")
+        parts = np.abs(np.array([m.p for m in self.modes], dtype=float)).ravel()
+        top = float(parts.max(initial=0.0))
+        key_step = 1e-9 * (math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0)
+        self._scale = _lattice_step(parts[parts > 0.5 * key_step], 0.5 * key_step) or key_step
+        self._near = key_step / self._scale
+        self._q = [tuple(np.divide(m.p, self._scale).tolist()) for m in self.modes]
         self._by_coords = {}
-        for m, n in zip(self.modes, self._coords):
+        for m, q in zip(self.modes, self._q):
+            n = tuple(map(round, q))
             if n in self._by_coords:
                 raise ValueError(f"duplicate mode momentum {m.p}")
             self._by_coords[n] = m.index
@@ -204,9 +237,6 @@ class ModeSet:
             raise ValueError("zero mode must carry the P0 label")
         self.zero_index = zero
         self._neg = [self.conserving(zero, zero, m.index) for m in self.modes]
-
-    def _coordinates(self, p) -> tuple:
-        return tuple(int(x) for x in np.rint(np.divide(p, self._unit) * 1e9))
 
     @classmethod
     def toy(
@@ -230,12 +260,16 @@ class ModeSet:
         return iter(self.modes)
 
     def index_of(self, p) -> int | None:
-        return self._by_coords.get(self._coordinates(p))
+        q = np.divide(p, self._scale)
+        n = np.rint(q)
+        if np.max(np.abs(q - n)) > self._near:
+            return None
+        return self._by_coords.get(tuple(int(x) for x in n))
 
     def conserving(self, a: int, b: int, c: int) -> int | None:
         """Index of the mode at p_a + p_b - p_c, None when the set has none."""
-        na, nb, nc = self._coords[a], self._coords[b], self._coords[c]
-        return self._by_coords.get(tuple(x + y - z for x, y, z in zip(na, nb, nc)))
+        qa, qb, qc = self._q[a], self._q[b], self._q[c]
+        return self._by_coords.get(tuple(round(x + y - z) for x, y, z in zip(qa, qb, qc)))
 
     def neg_index(self, i: int) -> int | None:
         return self._neg[i]

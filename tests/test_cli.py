@@ -11,7 +11,7 @@ import pytest
 from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering
 from bosegas.cli import load_config, main
-from bosegas.toys import toy_by_name
+from bosegas.toys import build_trial, toy_by_name
 from conftest import load_report
 
 _CLOSED = {
@@ -130,6 +130,31 @@ def test_mode_file_off_by_roundoff_conserves_momentum(tmp_path):
     assert energy["noisy"]["decomposition_residual"] <= 1e-10
     for key in ("total", "brute_force_total"):
         assert abs(energy["noisy"][key] - energy["grid"][key]) <= 1e-12, key
+
+
+def test_mode_file_on_a_two_pi_over_five_lattice_keeps_the_closure(tmp_path):
+    # soft-two-channel written once on its dyadic grid and once times
+    # 8 pi / 5 at full precision, so its quarter step becomes 2 pi / 5: the
+    # soft rows (u; i, j) with p_i + p_j = p_u must survive the scaling
+    case = toy_by_name("soft-two-channel")
+    closures = {}
+    for name, factor in (("grid", 1.0), ("scaled", 8.0 * math.pi / 5.0)):
+        lines = [f"# volume = {case.mode_set.volume!r}"]
+        for m in case.mode_set:
+            px, py, pz = (float(x) * factor for x in m.p)
+            lam = "" if m.lam is None else f" {m.lam!r}"
+            lines.append(f"{px!r} {py!r} {pz!r} {m.region.value}{lam}")
+        modes = tmp_path / f"{name}.txt"
+        modes.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(f"toy_modes: {modes}\ntrial:\n  n: {case.n}\n  m_c: {case.m_c}\n")
+        out = tmp_path / name
+        assert main(["trial-state", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = load_report(out / "trial_state.json")
+        assert rep["closure_size"] == len(build_trial(case))
+        assert rep["energy"]["decomposition_residual"] <= 1e-10
+        closures[name] = (out / "closure.txt").read_text()
+    assert closures["scaled"] == closures["grid"]
 
 
 def test_energy_curve_gap_shrinks(tmp_path):

@@ -205,10 +205,16 @@ def test_ha2_skips_pairs_matched_by_mode_key():
     assert rep.decomposition_residual <= 1e-10
 
 
+def _copy_at(case, momenta):
+    ms = case.mode_set
+    copy = ModeSet.toy(momenta, [m.region for m in ms], volume=ms.volume, lams=[m.lam for m in ms])
+    return replace(case, mode_set=copy)
+
+
 def _off_grid_copy(case, rng):
     """The case with every nonzero momentum component moved by under 0.45
     key steps (unit * 1e-9), the largest ones outward so the unit stays: a
-    copy whose modes round to the case's integer coordinates."""
+    copy whose modes round to the case's lattice points."""
     ms = case.mode_set
     pmat = ms.momentum_matrix()
     top = float(np.max(np.abs(pmat)))
@@ -216,23 +222,24 @@ def _off_grid_copy(case, rng):
     shift = rng.uniform(-0.45, 0.45, pmat.shape) * step
     largest = np.abs(pmat) == top
     shift[largest] = np.abs(shift[largest]) * np.sign(pmat[largest])
-    moved = np.where(pmat != 0.0, pmat + shift, 0.0)
-    copy = ModeSet.toy(moved, [m.region for m in ms], volume=ms.volume, lams=[m.lam for m in ms])
-    assert all(copy.index_of(m.p) == m.index for m in ms)
-    return replace(case, mode_set=copy)
+    copy = _copy_at(case, np.where(pmat != 0.0, pmat + shift, 0.0))
+    assert all(copy.mode_set.index_of(m.p) == m.index for m in ms)
+    return copy
 
 
 @pytest.mark.parametrize("name", [case.name for case in builtin_toy_suite()])
 def test_off_grid_copies_conserve_momentum_by_key(name):
-    # conservation follows the modes' integer coordinates, not float sums:
-    # offsets that each round away can add up past half a key step in
-    # p_a + p_b - p_c, and must still find the same closure and keep both
-    # energy routes on the same quadruples
+    # conservation follows the modes' lattice points, not float sums or
+    # per-mode key rounding: offsets that each round away can add up past
+    # half a key step in p_a + p_b - p_c, and momenta scaled by 8 pi / 5
+    # (a quarter becomes 2 pi / 5) lie off every decimal grid, where keys
+    # rounded mode by mode would lose p + p = 2p.  Every copy must find the
+    # same closure and keep both energy routes on the same quadruples
     case = toy_by_name(name)
     size = len(build_trial(case))
     rng = np.random.default_rng(list(name.encode()))
-    for _ in range(5):
-        copy = _off_grid_copy(case, rng)
+    scaled = _copy_at(case, case.mode_set.momentum_matrix() * (8.0 * math.pi / 5.0))
+    for copy in [_off_grid_copy(case, rng) for _ in range(5)] + [scaled]:
         trial = build_trial(copy)
         assert len(trial) == size
         assert energy_report(trial, copy.context()).decomposition_residual <= 1e-10

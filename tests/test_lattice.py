@@ -180,6 +180,43 @@ def test_conserving_decides_in_integer_coordinates():
     assert [ms.neg_index(i) for i in range(7)] == [0, 2, 1, 4, 3, 6, 5]
 
 
+@pytest.mark.parametrize("rho", [0.02, 3e-4, 1e-6, 1e-10])
+def test_from_schedule_conserving_matches_integer_lattice(rho):
+    # momenta n * 2 pi / L written at full precision lie off every decimal
+    # grid; rounding each to a key grid would not add up (s -> 314159265,
+    # 2s -> 628318531 in key steps at s = 2 pi / 5), so conserving must
+    # agree with n_a + n_b - n_c on every triple, doubles included
+    s = Schedule(rho, eta=0.24)
+    ms = from_schedule(s, p_budget=2 * s.spacing)
+    lattice = [tuple(int(x) for x in np.rint(m.p / s.spacing)) for m in ms]
+    where = {n: i for i, n in enumerate(lattice)}
+    for a, b, c in np.ndindex(len(ms), len(ms), len(ms)):
+        n = tuple(x + y - z for x, y, z in zip(lattice[a], lattice[b], lattice[c]))
+        assert ms.conserving(a, b, c) == where.get(n)
+    doubles = [m.index for m in ms if ms.index_of(2 * m.p) is not None]
+    assert len(doubles) == 7  # the zero mode and the six axis modes
+    for i in doubles:
+        assert ms.conserving(i, i, ms.zero_index) == ms.index_of(2 * ms.modes[i].p)
+
+
+def test_mode_set_without_a_common_step_rounds_sums_on_the_key_grid():
+    # 1 and sqrt 2 share no lattice step, so conservation falls back to the
+    # float sum p_a + p_b - p_c, rounded once to the key grid
+    r = math.sqrt(2.0)
+    xs = [0.0, 1.0, -1.0, r, -r, 1.0 + r, -1.0 - r]
+    ms = ModeSet.toy([(x, 0.0, 0.0) for x in xs], ["P0"] + ["PI"] * 6)
+    assert ms.conserving(1, 3, 0) == 5 and ms.conserving(5, 0, 3) == 1
+    assert ms.conserving(1, 1, 0) is None
+    assert [ms.neg_index(i) for i in range(7)] == [0, 2, 1, 4, 3, 6, 5]
+    assert ms.index_of((1.0 + 1e-12, 0.0, 0.0)) == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_toy_mode_set_rejects_non_finite_momenta(bad):
+    with pytest.raises(ValueError, match=r"mode 2: momentum must be finite"):
+        ModeSet.toy([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, bad, 0.0)], ["P0", "PI", "PI"])
+
+
 def test_toy_mode_set_rejects_duplicates_and_missing_zero():
     with pytest.raises(ValueError):
         ModeSet.toy([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)], ["P0", "PL", "PL"])
