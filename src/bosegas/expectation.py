@@ -19,7 +19,7 @@ independent ways:
     a_{p-u} a_{q+u}, enumerated directly over ordered (p, q, p-u) triples.
 
 Both paths find the fourth leg of a quadruple through `ModeSet.conserving`,
-in the mode set's integer coordinates; no momentum is summed here.
+on the mode set's lattice step; no momentum is summed here.
 
 The two paths share one quartic-operator applicator,
 `ClosureSet.apply_quartic`, which maps every member state at once through

@@ -24,8 +24,8 @@ at least one case and every closure mechanism fires somewhere:
 Momenta sit on coarse dyadic grids where possible, so their components,
 squares and differences are exact in floating point; the one legacy
 non-dyadic case keeps regression continuity with hand-checked numbers.
-Momentum conservation needs no such care: the mode set decides it in
-integer coordinates (`ModeSet.conserving`).
+Momentum conservation needs no such care: the mode set decides it on its
+lattice step (`ModeSet.conserving`).
 """
 
 from __future__ import annotations

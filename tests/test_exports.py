@@ -361,6 +361,6 @@ def _momentum_lookups() -> list[str]:
 
 
 def test_momentum_conservation_is_decided_in_lattice_alone():
-    # ModeSet.conserving answers every p_a + p_b - p_c query in integer mode
-    # coordinates; a float momentum sum elsewhere is a second key
+    # ModeSet.conserving answers every p_a + p_b - p_c query on the mode
+    # set's lattice step; a float momentum sum elsewhere is a second key
     assert _momentum_lookups() == []

@@ -149,7 +149,7 @@ def test_toy_mode_set_indexing():
     assert len(ms) == 3
     assert ms.zero_index == 0
     assert ms.neg_index(1) == 2 and ms.neg_index(2) == 1
-    # lookup keys round to 9 decimals
+    # lookup finds the mode whose lattice point lies within a key step
     assert ms.index_of([0.5 + 1e-12, 0.0, 0.0]) == 1
     assert ms.index_of([0.25, 0.0, 0.0]) is None
     assert ms.nonzero_indices() == [1, 2]
