@@ -1,6 +1,7 @@
 """Momentum lattice: schedule, region labels, mode sets, and shell sums."""
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,6 +440,61 @@ def test_shell_counts_roundoff_guard(monkeypatch):
         shell_counts(60, 5)
     # an error outside the kept window is not looked at
     assert np.array_equal(shell_counts(60, 8), full[8:])
+
+
+def _ball_points(m: int) -> int:
+    """#{n in Z^3 : |n|^2 <= m}, column by column: each (x, y) with
+    x^2 + y^2 <= m holds 2 isqrt(m - x^2 - y^2) + 1 values of z."""
+    if m < 0:
+        return 0
+    r = math.isqrt(m)
+    y2 = np.arange(-r, r + 1, dtype=np.int64) ** 2
+    total = 0
+    for x in range(-r, r + 1):
+        rest = m - x * x - y2
+        rest = rest[rest >= 0]
+        z = np.floor(np.sqrt(rest)).astype(np.int64)
+        z -= z * z > rest  # float sqrt may land one above or below isqrt
+        z += (z + 1) * (z + 1) <= rest
+        total += int(np.sum(2 * z + 1))
+    return total
+
+
+def test_shell_counts_without_sched_getaffinity(monkeypatch):
+    # off Linux os has no sched_getaffinity; the thread count falls back
+    # to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    counts = shell_counts(60)
+    assert list(counts[:11]) == _R3
+    assert int(np.sum(counts)) == _ball_points(60) == 1_935
+
+
+def test_shell_counts_single_precision_margin_at_low_density(monkeypatch):
+    """The rho = 1e-8 P_L window: the inverse transforms return float32, every
+    value kept lies within 0.1 of its integer (2.5x below the 0.25 guard),
+    and the counts add up to the lattice points between the two spheres."""
+    s = Schedule(1e-8)
+    m_lo = math.ceil((s.p_gap_top / s.spacing) ** 2)
+    m_hi = math.floor((s.p_low_top / s.spacing) ** 2)
+    assert (m_lo, m_hi) == (9_779_282, 14_135_361)
+    kept = np.arange(m_lo // 4, m_hi // 4 + 1)
+    irfft2 = scipy.fft.irfft2
+    dtypes, margins = [], []
+
+    def spy(*args, **kwargs):
+        out = irfft2(*args, **kwargs)
+        dtypes.append(out.dtype)
+        # every k = m div 4 of the window holds an unfolded count in all
+        # four residue classes
+        vals = out.ravel()[lattice._crt_index(kept, out.shape)].astype(float)
+        margins.append(float(np.max(np.abs(vals - np.rint(vals)))))
+        return out
+
+    monkeypatch.setattr(scipy.fft, "irfft2", spy)
+    counts = shell_counts(m_hi, m_lo)
+    assert dtypes == [np.float32] * 4
+    assert max(margins) < 0.1
+    assert int(np.sum(counts)) == _ball_points(m_hi) - _ball_points(m_lo - 1)
 
 
 def test_shell_counts_per_shell_at_large_shape():
