@@ -41,11 +41,15 @@ odd, and the Chinese-remainder index map k -> (k mod n1, k mod n2) (Agarwal
 and Cooley 1977) makes each cyclic convolution of length n a 2-D cyclic
 convolution on Z_{n1} x Z_{n2}, computed as one real 2-D FFT product whose
 transforms are threaded over every core this process may run on.  The
-transforms run in single precision (float32 tables, complex64 spectra):
-every value must round to its integer with a margin below 0.25, and the
-largest distance measured is 0.016 at rho = 1e-8 and 0.031 at m = 6e7 (2e-11
-and 7e-11 in double precision), so the counts are exact.  Shell counts stop
-at m = 6e7 (rho of about 2.7e-9 at the default eta) with BudgetExceeded.
+transforms run in single precision (float32 tables, complex64 spectra, a
+float32 class window): every value must round to its integer with a margin
+below 0.25, and the largest distance measured is 0.016 at rho = 1e-8 and
+0.031 at m = 6e7 (2e-11 and 7e-11 in double precision), so the counts are
+exact.  Shell counts stop at m = 6e7 (rho of about 2.7e-9 at the default
+eta) with BudgetExceeded.  At most three spectrum-sized arrays are alive at
+once, and the radial summand runs in blocks of shells into one float64 term
+per occupied shell, so on the rho = 1e-8 P_L window the traced peak is
+80 MiB inside `shell_counts` and 63 MiB in the sum after it.
 
 scipy is imported inside the functions that call it (the spectra,
 `shell_counts`, the continuum quadrature), not at module level: the CLI
@@ -342,6 +346,8 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
 
 
 _SHELL_BUDGET = 60_000_000
+# shells per block of the radial summand
+_SUM_BLOCK = 1 << 16
 
 
 def _square_class(parity: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,11 +448,15 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     stay in cache where one transform of length n would not.  The tables
     are float32, so the transforms run in single precision (complex64
     spectra, float32 inverses).
-    The float window is rounded back to integers before the factor 3, and
+    The float32 window is rounded back to integers before the factor 3, and
     BudgetExceeded is raised when any value lies 0.25 or more from its
     integer, so FFT roundoff can never change a count unseen.  The largest
     distance measured is 0.016 on the rho = 1e-8 P_L window and 0.031 at
-    m_max = 6e7, from m_min = 1 or 4e7.
+    m_max = 6e7, from m_min = 1 or 4e7.  The guard sees such an error only
+    while float32 spacing is below 0.25, so a value of 2^21 or more raises
+    BudgetExceeded too.  The largest measured on m = 4e7 .. 6e7 is 140,208
+    (about 2^17.1, r_3 at m = 56,619,419); the largest count there, 219,744,
+    is three times a class value.
     """
     from scipy.fft import irfft2
 
@@ -464,7 +474,7 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     # layout positions of k = k_min .. k_max, where every class window lies
     # (int32: n1 n2 < 2^31 within the shell budget)
     where = _crt_index(np.arange(k_min, k_max + 1, dtype=np.int32), shape)
-    raw = np.empty(m_max + 1 - m_min)
+    raw = np.empty(m_max + 1 - m_min, dtype=np.float32)
 
     def convolve_class(c: int, product: np.ndarray) -> None:
         first = (c - m_min) % 4
@@ -475,20 +485,30 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
 
     # the spectra set the peak memory: each is an (n1, n2 div 2 + 1)
     # complex64 array (19 MB on the rho = 1e-8 window, 83 MB at m_max = 6e7
-    # from 4e7), built when first needed, and a spectrum's last product
-    # overwrites it, so at most three are alive beside one table or one
-    # inverse transform, the float window and the layout positions
-    fa0 = _single_spectrum(0, k_max, shape, workers)
+    # from 4e7).  Each product overwrites one factor, which is released
+    # before the next spectrum is built, so at most three spectrum-sized
+    # arrays are alive (two spectra beside one table or one inverse), with
+    # the float32 window and the layout positions; A_0 is built twice for it
     fr0 = _pair_spectrum(0, k_max, shape, workers)
-    convolve_class(0, fa0 * fr0)
+    fa0 = _single_spectrum(0, k_max, shape, workers)
+    convolve_class(0, np.multiply(fa0, fr0, out=fa0))
+    del fa0
     fa1 = _single_spectrum(1, k_max, shape, workers)
     convolve_class(1, np.multiply(fa1, fr0, out=fr0))
     del fr0
     fr2 = _pair_spectrum(1, k_max, shape, workers)
-    convolve_class(2, np.multiply(fa0, fr2, out=fa0))
-    del fa0
-    convolve_class(3, np.multiply(fa1, fr2, out=fr2))
-    del fa1, fr2
+    convolve_class(3, np.multiply(fa1, fr2, out=fa1))
+    del fa1
+    fa0 = _single_spectrum(0, k_max, shape, workers)
+    convolve_class(2, np.multiply(fa0, fr2, out=fr2))
+    del fa0, fr2
+    # from 2^21 up float32 spacing is 0.25 or more: the guard below is blind
+    top = float(raw.max())
+    if top >= 2.0**21:
+        raise BudgetExceeded(
+            f"shell counts: class value {top:.7g} >= 2^21 at m_max={m_max}; "
+            "float32 roundoff not measurable"
+        )
     counts = np.rint(raw)
     raw -= counts  # the roundoff, in place
     margin = float(np.max(np.abs(raw, out=raw)))
@@ -537,12 +557,20 @@ def radial_shell_sum(
             f"eta = {schedule.eta!r} contains no lattice shells"
         )
     counts = shell_counts(m_hi, m_lo)
-    occupied = counts > 0
-    mags = np.sqrt(np.flatnonzero(occupied) + float(m_lo)) * step
-    vals = radial(mags)
-    if not np.all(np.isfinite(vals)):
-        raise DivergentIntegrand("radial summand not finite inside the annulus")
-    lattice = float(np.sum(counts[occupied] * vals)) / schedule.volume
+    # the summand block by block into one array of the occupied shells'
+    # terms: each term is the same elementwise product as in one pass, so
+    # their sum is too, with only one block of temporaries alive
+    terms = np.empty(np.count_nonzero(counts))
+    filled = 0
+    for start in range(0, counts.size, _SUM_BLOCK):
+        block = counts[start : start + _SUM_BLOCK]
+        shells = np.flatnonzero(block)
+        vals = radial(np.sqrt(shells + float(m_lo + start)) * step)
+        if not np.all(np.isfinite(vals)):
+            raise DivergentIntegrand("radial summand not finite inside the annulus")
+        np.multiply(block[shells], vals, out=terms[filled : filled + shells.size])
+        filled += shells.size
+    lattice = float(np.sum(terms)) / schedule.volume
     continuum = _radial_continuum(lambda k: float(radial(np.array([k]))[0]), p_lo, p_hi)
     gap = abs(lattice - continuum) / abs(continuum) if continuum != 0.0 else math.inf
     return ShellSumResult(

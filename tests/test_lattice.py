@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,6 +443,25 @@ def test_shell_counts_roundoff_guard(monkeypatch):
     assert np.array_equal(shell_counts(60, 8), full[8:])
 
 
+def test_shell_counts_refuses_values_past_float32_resolution(monkeypatch):
+    """From 2^21 up float32 spacing is 0.25 or more, so the roundoff guard
+    cannot see an error there: a class value that large is refused, even one
+    that lands on an integer."""
+    full = shell_counts(60)
+    irfft2 = scipy.fft.irfft2
+
+    def past_2_21(*args, **kwargs):
+        # k = 1 is m = 5, 6 and 7 in the window from 5, as in the guard test
+        out = irfft2(*args, **kwargs)
+        out.ravel()[lattice._crt_index(1, out.shape)] += 2.0**21
+        return out
+
+    monkeypatch.setattr(scipy.fft, "irfft2", past_2_21)
+    with pytest.raises(BudgetExceeded, match=r"2\^21"):
+        shell_counts(60, 5)
+    assert np.array_equal(shell_counts(60, 8), full[8:])
+
+
 def _ball_points(m: int) -> int:
     """#{n in Z^3 : |n|^2 <= m}, column by column: each (x, y) with
     x^2 + y^2 <= m holds 2 isqrt(m - x^2 - y^2) + 1 values of z."""
@@ -558,6 +578,97 @@ def test_radial_shell_sum_annulus_bounds():
     assert math.isclose(res.lattice_per_volume, 32.0 / s.volume, rel_tol=1e-12)
     with pytest.raises(ValueError):
         radial_shell_sum(s, lambda mags: np.ones_like(mags), 1.001 * step, 1.002 * step)
+
+
+def _one_shot_sum(schedule, radial, p_lo, p_hi) -> float:
+    """The lattice sum of `radial_shell_sum` as one pass over the whole window."""
+    step = schedule.spacing
+    m_lo = max(math.ceil((p_lo / step) ** 2 - 1e-9), 1)
+    m_hi = math.floor((p_hi / step) ** 2 + 1e-9)
+    counts = shell_counts(m_hi, m_lo)
+    occupied = counts > 0
+    mags = np.sqrt(np.flatnonzero(occupied) + float(m_lo)) * step
+    return float(np.sum(counts[occupied] * radial(mags))) / schedule.volume
+
+
+def _shell_edges(step: float, m_lo: int, m_hi: int) -> tuple[float, float]:
+    # half a shell outside m_lo .. m_hi, so rounding cannot move either edge
+    return math.sqrt(m_lo - 0.5) * step, math.sqrt(m_hi + 0.5) * step
+
+
+@pytest.mark.parametrize("shells", ["rho=1e-7", 2 * lattice._SUM_BLOCK, 2 * lattice._SUM_BLOCK + 1])
+def test_radial_shell_sum_blockwise_is_bit_exact(shells):
+    """The blockwise sum equals the one-pass sum to the last bit, on the
+    rho = 1e-7 P_L window (314,193 shells) and on windows of a whole and not
+    a whole number of blocks."""
+    if shells == "rho=1e-7":
+        s = Schedule(1e-7)
+        p_lo, p_hi = s.p_gap_top, s.p_low_top
+    else:
+        s = Schedule(1e-6)
+        p_lo, p_hi = _shell_edges(s.spacing, 100_000, 100_000 + shells - 1)
+    f = number_density_summand(s.rho, 1.471269533883597)
+    res = radial_shell_sum(s, f, p_lo, p_hi)
+    assert res.lattice_per_volume == _one_shot_sum(s, f, p_lo, p_hi)
+
+
+def test_radial_shell_sum_refuses_non_finite_last_block():
+    # 2 blocks and one shell: the last block is the shell m_hi alone
+    s = Schedule(1e-6)
+    step = s.spacing
+    m_lo = 100_000
+    m_hi = m_lo + 2 * lattice._SUM_BLOCK
+    assert shell_counts(m_hi, m_hi)[0] > 0
+    edge = math.sqrt(m_hi - 0.5) * step
+    sizes = []
+
+    def radial(mags):
+        sizes.append(np.size(mags))
+        return np.where(mags > edge, np.inf, 1.0)
+
+    with pytest.raises(DivergentIntegrand):
+        radial_shell_sum(s, radial, *_shell_edges(step, m_lo, m_hi))
+    assert len(sizes) == 3 and sizes[-1] == 1
+
+
+def test_pl_sum_traced_peaks_at_rho_1e_7(monkeypatch):
+    """Traced memory of the rho = 1e-7 P_L sum in its two phases.  Inside
+    shell_counts at most three spectrum-sized arrays (two spectra and a table
+    or an inverse) are alive beside the float32 window, so its peak stays
+    under four spectra and a 4-byte window.  After it the summand runs block
+    by block into the occupied shells' float64 terms, so that phase stays
+    under 2.5 times the int64 counts."""
+    s = Schedule(1e-7)
+    f = number_density_summand(s.rho, 1.471269533883597)
+    # import scipy.fft and quad's modules before tracing
+    warm = Schedule(1e-5)
+    radial_shell_sum(warm, f, warm.p_gap_top, warm.p_low_top)
+    counting = lattice.shell_counts
+    seen = {}
+
+    def traced(m_max, m_min=0):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        counts = counting(m_max, m_min)
+        after, peak = tracemalloc.get_traced_memory()
+        seen.update(window=(m_max, m_min), counts=counts, peak=peak - before, after=after)
+        tracemalloc.reset_peak()
+        return counts
+
+    monkeypatch.setattr(lattice, "shell_counts", traced)
+    tracemalloc.start()
+    try:
+        radial_shell_sum(s, f, s.p_gap_top, s.p_low_top)
+        radial_peak = tracemalloc.get_traced_memory()[1] - seen["after"]
+    finally:
+        tracemalloc.stop()
+    m_max, m_min = seen["window"]
+    n1, n2 = lattice._crt_shape(2 * (m_max // 4) + 1 - m_min // 4)
+    assert (n1, n2) == (512, 729)
+    spectrum = n1 * (n2 // 2 + 1) * np.dtype(np.complex64).itemsize
+    counts = seen["counts"]
+    assert seen["peak"] < 4 * spectrum + 4 * counts.size
+    assert radial_peak < 2.5 * counts.nbytes
 
 
 def test_number_density_summand_matches_lambda_form():
