@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,8 @@ DEFAULT_CONFIG = {
     "schedule": {"rho": 1.0e-5, "eta": 0.005},
     "toy": "soft-coincidence",
     "toy_modes": None,
-    "trial": {"n": 6, "m_c": 2, "volume": None},
+    # None: the builtin toy's own value, or n = 6 and m_c = 2 for a mode file
+    "trial": {"n": None, "m_c": None, "volume": None},
     "sweep": {"rho_values": [1.0e-4, 1.0e-5, 1.0e-6, 1.0e-7, 1.0e-8]},
     "tolerances": {"identity": 1.0e-6},
     "budgets": {"closure": 200_000},
@@ -155,8 +157,10 @@ def load_config(path: str | None) -> dict:
         "toy_modes must be a file path",
     )
     trial = cfg["trial"]
-    _require(_cast(trial, "n", "trial.n", int) >= 0, "trial.n must be >= 0")
-    _require(_cast(trial, "m_c", "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
+    if trial["n"] is not None:
+        _require(_cast(trial, "n", "trial.n", int) >= 0, "trial.n must be >= 0")
+    if trial["m_c"] is not None:
+        _require(_cast(trial, "m_c", "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
     if trial["volume"] is not None:
         _require(_cast(trial, "volume", "trial.volume") > 0.0, "trial.volume must be > 0")
     rhos = cfg["sweep"]["rho_values"]
@@ -254,12 +258,15 @@ def run_lattice(cfg: dict, out: Path) -> dict:
 
 
 def _resolve_toy(cfg: dict) -> ToyCase:
+    """The mode file's case, or the builtin toy with trial.n / trial.m_c
+    where the config sets them."""
+    trial = cfg["trial"]
     if cfg["toy_modes"] is not None:
         path = Path(cfg["toy_modes"])
         if not path.exists():
             raise ConfigInvalid(f"toy_modes file {str(path)!r} does not exist")
         try:
-            mode_set = load_toy_modes(path, volume=cfg["trial"]["volume"])
+            mode_set = load_toy_modes(path, volume=trial["volume"])
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
         if mode_set.volume is None:
@@ -268,16 +275,22 @@ def _resolve_toy(cfg: dict) -> ToyCase:
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
-            n=cfg["trial"]["n"],
-            m_c=cfg["trial"]["m_c"],
+            n=6 if trial["n"] is None else trial["n"],
+            m_c=2 if trial["m_c"] is None else trial["m_c"],
             v_of=lambda mag: fourier_at(potential, mag),
             note="loaded from file",
         )
     try:
-        return toy_by_name(str(cfg["toy"]))
+        case = toy_by_name(str(cfg["toy"]))
     except KeyError as exc:
         known = ", ".join(c.name for c in builtin_toy_suite())
         raise ConfigInvalid(f"unknown toy {cfg['toy']!r}; builtin: {known}") from exc
+    if trial["volume"] is not None:
+        raise ConfigInvalid(
+            f"trial.volume does not apply to builtin toy {case.name!r}: its mode set carries its own volume"
+        )
+    own = {key: trial[key] for key in ("n", "m_c") if trial[key] is not None}
+    return replace(case, **own)
 
 
 def _trial_battery(case: ToyCase, *, budget: int) -> dict:

@@ -24,6 +24,9 @@ on the mode set's lattice step; no momentum is summed here.
 The two paths share one quartic-operator applicator,
 `ClosureSet.apply_quartic`, which maps every member state at once through
 occupancy shifts and the closure's one member lookup, `ClosureSet.shift`.
+The lookup computes each move once per closure and hands every later caller
+the same read-only array, so the two routes, P(u,v) and the recursion
+verifier share one lookup per move; the memo is freed with its closure.
 What they keep apart are their term lists: the component table of
 `_component_terms` against the raw (p, q, u) triples.  Their agreement
 (decomposition residual) is the module's own oracle; `matrix_element` stays

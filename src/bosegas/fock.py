@@ -102,7 +102,9 @@ class ClosureSet:
     all-condensate state and the rows follow breadth-first order (a level's
     rows in order of parent row, then creation-table entry).  `shift` is the
     one member lookup: every query of the form "which member is this state
-    with these occupancies moved?" goes through it.
+    with these occupancies moved?" goes through it.  Each distinct move is
+    computed once per closure and kept, read-only, in a memo that is freed
+    with the closure.
     """
 
     def __init__(self, mode_set: ModeSet, n: int, m_c: int, counts):
@@ -111,6 +113,7 @@ class ClosureSet:
         self.m_c = m_c
         self._counts = np.array(counts, dtype=np.int64)
         self._counts.setflags(write=False)
+        self._moves: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -144,15 +147,23 @@ class ClosureSet:
 
         A column driven below 0 or to its cap leaves the closure: no member
         holds that count, and the shifted radix key could alias a member's.
+        The move is keyed by its nonzero entries in column order, so equal
+        moves share one result whatever their key order.  Each is computed
+        once per closure and returned read-only from the closure's own memo,
+        which goes when the closure does.
         """
+        move = tuple(sorted((j, d) for j, d in delta.items() if d))
+        found = self._moves.get(move)
+        if found is not None:
+            return found
         caps, weights, keys, order, sorted_keys = self._radix
         counts = self._counts
         inside = np.ones(len(counts), dtype=bool)
         step = 0
-        for j, d in delta.items():
+        for j, d in move:
             if d > 0:
                 inside &= counts[:, j] < caps[j] - d
-            elif d < 0:
+            else:
                 inside &= counts[:, j] >= -d
             step += d * weights[j]
         # a fixed step keeps the keys' order: search the targets ascending,
@@ -161,7 +172,10 @@ class ClosureSet:
         pos = np.minimum(np.searchsorted(sorted_keys, tgt), len(sorted_keys) - 1)
         hit = np.empty_like(order)
         hit[order] = np.where(sorted_keys[pos] == tgt, order[pos], -1)
-        return np.where(inside, hit, -1)
+        found = np.where(inside, hit, -1)
+        found.setflags(write=False)
+        self._moves[move] = found
+        return found
 
     def apply_quartic(self, j1: int, j2: int, j3: int, j4: int):
         """a+_{j1} a+_{j2} a_{j3} a_{j4} applied to every member state at once.
@@ -247,7 +261,8 @@ def generate_M(
     within about a budget's worth of rows.  A creation applies when no
     count goes negative and its low-region guard holds on the parent:
     max(n(k), n(-k)) < m_c for a strict low pair, n(u) = n(-u) for a soft
-    one.  New rows are kept in (parent, creation) first-seen order.  The
+    one.  New rows are kept in (parent, creation) first-seen order, each
+    known by its raw bytes, taken for a whole slice in one call.  The
     high-region magnitude window for soft products is carried by the region
     labels themselves (modes beyond the truncation are labeled Truncated,
     not PH, and are skipped for every creation).
@@ -261,7 +276,8 @@ def generate_M(
     chunk = max(1, budget // max(1, len(table.kind)))
     root = np.zeros((1, len(mode_set)), dtype=np.int64)
     root[0, mode_set.zero_index] = n
-    seen = {bytes(root[0])}
+    row_key = np.dtype((np.void, root.itemsize * root.shape[1]))
+    seen = set(root.view(row_key).ravel().tolist())
     levels = [root]
     size = 1
     while len(levels[-1]):
@@ -279,7 +295,7 @@ def generate_M(
                 cand[rows, table.take[op, s]] -= 1
                 cand[rows, table.give[op, s]] += 1
             fresh = []
-            for r, key in enumerate(map(bytes, cand)):
+            for r, key in enumerate(cand.view(row_key).ravel().tolist()):
                 if key not in seen:
                     if size >= budget:
                         raise BudgetExceeded(f"closure exceeds budget {budget}")

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,36 @@ def test_trial_state_pipeline_builtin_toy(tmp_path):
     assert max(rep["recursion_max_error"].values()) <= 1e-12
     closure = (out / "closure.txt").read_text().strip().split("\n")
     assert len(closure) == 3
+
+
+@pytest.mark.parametrize("n, size", [(100, 51), (0, 1), (1, 1), (3, 2)])
+def test_trial_state_builtin_toy_honors_trial_n(tmp_path, n, size):
+    # one intermediate pair: floor(n / 2) + 1 rungs
+    cfg = _write_config(tmp_path, f"toy: pi-pair\ntrial: {{n: {n}}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 0
+    rep = load_report(out / "trial_state.json")
+    assert (rep["particle_count"], rep["closure_size"]) == (n, size)
+
+
+def test_trial_state_builtin_toy_honors_trial_m_c(tmp_path):
+    # the low-pair cap binds: m_c = 1 stops the tower at its first rung
+    case = toy_by_name("pl-pair-deep")
+    for m_c in (case.m_c, 1):
+        cfg = _write_config(tmp_path, f"toy: pl-pair-deep\ntrial: {{m_c: {m_c}}}\n")
+        code, out = _run(tmp_path, "trial-state", "--config", cfg)
+        assert code == 0
+        rep = load_report(out / "trial_state.json")
+        assert rep["particle_count"] == case.n
+        assert rep["closure_size"] == len(build_trial(replace(case, m_c=m_c)))
+
+
+def test_trial_state_builtin_toy_refuses_trial_volume(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "toy: pi-pair\ntrial: {volume: 25.0}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 2
+    assert "config error: trial.volume" in capsys.readouterr().err
+    assert not (out / "trial_state.json").exists()
 
 
 def test_trial_state_pipeline_mode_file(tmp_path):

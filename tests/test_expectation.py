@@ -24,7 +24,14 @@ from bosegas.expectation import (
     q_psi_occupation,
     statistics_report,
 )
-from bosegas.fock import free_state, generate_M, strict_pair_create, weight_f
+from bosegas.fock import (
+    ClosureSet,
+    free_state,
+    generate_M,
+    strict_pair_create,
+    weight_f,
+    weight_recursion_report,
+)
 from bosegas.lattice import ModeSet, Region
 from bosegas.toys import build_trial, builtin_toy_suite, gaussian_coupling, toy_by_name
 from conftest import closure_members
@@ -456,6 +463,37 @@ def test_p_uv_matches_state_by_state_reference(toy_trials):
                     assert p_uv(trial, u, v) == _p_uv_reference(trial, u, v), (name, u, v)
                     checked += 1
     assert checked > 0
+
+
+def test_memoized_moves_match_fresh_lookups(toy_trials, monkeypatch):
+    # every move the energy routes, P(u,v) and the recursion verifier make
+    # returns the array a fresh closure computes on its first lookup
+    calls = []
+    lookup = ClosureSet.shift
+
+    def spy(closure, delta):
+        found = lookup(closure, delta)
+        calls.append((closure, dict(delta), found))
+        return found
+
+    monkeypatch.setattr(ClosureSet, "shift", spy)
+    for case, trial in toy_trials.values():
+        energy_report(trial, case.context())
+        weight_recursion_report(trial)
+        paired = [i for i in trial.mode_set.nonzero_indices() if trial.mode_set.neg_index(i) is not None]
+        for u in paired:
+            for v in paired:
+                if u != v:
+                    p_uv(trial, u, v)
+    monkeypatch.undo()
+    assert len(calls) > len(toy_trials)
+    fresh = {}
+    for closure, delta, found in calls:
+        if closure not in fresh:
+            fresh[closure] = ClosureSet(closure.mode_set, closure.n, closure.m_c, closure.counts_matrix())
+        assert not found.flags.writeable
+        assert closure.shift(delta) is found
+        assert np.array_equal(found, fresh[closure].shift(delta)), delta
 
 
 def test_pair_correlator_degenerate_inputs(toy_trials):

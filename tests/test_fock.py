@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -237,10 +238,20 @@ def _bfs_reference(ms, n, m_c):
     return np.array([s.counts for s in states], dtype=np.int64)
 
 
+def _outer_pairs(count):
+    """The zero mode and `count` intermediate pairs on one axis."""
+    ks = sorted(range(-count, count + 1), key=lambda k: k != 0)
+    return ModeSet.toy([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
+
+
 def test_generation_order_matches_state_by_state_bfs(toy_trials):
     # weights and energies are left-to-right sums over rows: the order counts
     cases = [case for case, _ in toy_trials.values()]
     cases += [replace(toy_by_name("soft-coincidence"), n=30), replace(toy_by_name("line-harmonics"), n=40)]
+    # 12 outer pairs, N = 8: levels of 1, 12, 78, 364 and 1365 states; at
+    # the budget of 1820 a slice is 1820 // 12 = 151 parent rows, so level
+    # 3's rows are walked in 3 slices and level 4's in 10
+    cases.append(replace(toy_by_name("pi-pair"), name="twelve-pairs", mode_set=_outer_pairs(12), n=8))
     for case in cases:
         want = _bfs_reference(case.mode_set, case.n, case.m_c)
         got = generate_M(case.mode_set, case.n, case.m_c).counts_matrix()
@@ -293,6 +304,31 @@ def test_shift_out_of_range_never_aliases():
     assert np.array_equal(clo.shift({}), [0, 1, 2])
 
 
+def test_shift_memo_shares_one_read_only_array():
+    case = toy_by_name("soft-coincidence")
+    clo = generate_M(case.mode_set, case.n, case.m_c)
+    z = clo.mode_set.zero_index
+    u = clo.mode_set.nonzero_indices()[0]
+    nu = clo.mode_set.neg_index(u)
+    first = clo.shift({z: -2, u: 1, nu: 1})
+    # the same move in another key order, with zero entries, or as a Counter
+    assert clo.shift({nu: 1, u: 1, z: -2}) is first
+    spare = [j for j in range(len(clo.mode_set)) if j not in (z, u, nu)]
+    assert clo.shift({u: 1, spare[0]: 0, z: -2, nu: 1, spare[1]: 0}) is first
+    assert clo.shift(Counter({nu: 1, z: -2, u: 1})) is first
+    assert np.array_equal(first, _shift_reference(clo, {z: -2, u: 1, nu: 1}))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
+    assert clo.shift({}) is clo.shift({u: 0})
+    assert clo.shift({z: 2, u: -1, nu: -1}) is not first
+    # the memo belongs to its closure: a fresh one computes its own array
+    fresh = ClosureSet(clo.mode_set, clo.n, clo.m_c, clo.counts_matrix())
+    again = fresh.shift({z: -2, u: 1, nu: 1})
+    assert again is not first
+    assert np.array_equal(again, first)
+
+
 def test_radix_past_62_bits_raises_budget_exceeded():
     # 32 modes each holding 3 particles: the radix is 4^32 = 2^64
     ms = ModeSet.toy(
@@ -319,8 +355,7 @@ def test_closure_budget_bounds_allocation():
     # 40 outer pairs, N = 20: levels 0-2 hold 861 states, level 3 would add
     # 11480 from 32800 candidate rows; the budget of 1000 must stop the
     # generator at a few budgets' worth of rows, not a whole level's
-    ks = sorted(range(-40, 41), key=lambda k: k != 0)
-    ms = ModeSet.toy([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
+    ms = _outer_pairs(40)
     budget = 1000
     row_bytes = 8 * len(ms)
     tracemalloc.start()
