@@ -39,10 +39,11 @@ and `check_scattering_identities` reports how well the numerics honor them,
 using the independent small-p limit of g_p = p^2 w_p on the second one.
 
 `shooting_scattering_length` is the position-space oracle for a: it
-integrates the radial equation -u'' + V u = 0 with the 8th-order
-Dormand-Prince pair DOP853 (scipy's solve_ivp) at rtol 1e-12 and atol 1e-14
-from r = 1e-9 width and reads a off the free asymptote u = c (r - a); where
-that read-off's roundoff floor passes 1e-4 of a it refuses with NotConverged.
+integrates the zero-energy variable-phase equation b' = U e^{-x^2/2} (x - b)^2
+in width units with the 8th-order Dormand-Prince pair DOP853 (scipy's
+solve_ivp) at rtol 1e-12 and reads a = b(12) width.  The equation subtracts
+no two close numbers and is scale-free, so no coupling or width loses a's
+digits to cancellation.
 
 scipy is imported inside the functions that call it, not at module level:
 the CLI imports this module at every start, and the trial-state and
@@ -122,18 +123,10 @@ class Potential:
     def range_cutoff(self) -> float:
         return 10.0 * self.width
 
-    def v_at(self, r):
-        """Pointwise V(r), zero beyond range_cutoff.
-
-        A float r gives a float through math.exp, at a fraction of numpy's
-        per-call cost (the shooting ODE evaluates V once per stage); any
-        other r gives an array.
-        """
-        scalar = isinstance(r, float)
-        r = r if scalar else np.asarray(r, dtype=float)
-        out = self.amplitude * (math.exp if scalar else np.exp)(-0.5 * (r / self.width) ** 2)
-        if scalar:
-            return out if r <= self.range_cutoff else 0.0
+    def v_at(self, r) -> np.ndarray:
+        """Pointwise V(r) as an array, zero beyond range_cutoff."""
+        r = np.asarray(r, dtype=float)
+        out = self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
         return np.where(r <= self.range_cutoff, out, 0.0)
 
 
@@ -398,40 +391,32 @@ def check_scattering_identities(solution: ScatteringSolution) -> IdentityReport:
 
 
 def shooting_scattering_length(potential: Potential) -> float:
-    """Scattering length from the radial ODE -u'' + V u = 0, u(0) = 0.
+    """Scattering length from the zero-energy variable-phase equation.
 
-    Beyond the potential range u(r) = c (r - a), so a = r - u/u' there; the
-    integration starts at u = r = 1e-9 width, where u' = 1, and ends at
-    r_max = 1.25 range_cutoff.  This is a position-space route entirely
-    independent of the momentum solver.  The integrator is the 8th-order
-    Dormand-Prince pair DOP853 at rtol 1e-12 and atol 1e-14, with V evaluated
-    on floats; on the tested potentials it lands within 1e-12 relative of an
-    RK4 variable-phase reference.
+    In width units x = r/width, with U = amplitude width^2, the phase
+    function b(x) of the radial equation -u'' + V u = 0 obeys
 
-    The read-off subtracts two numbers near r_max, so it resolves a no more
-    finely than the roundoff floor eps r_max / |a|, and the integration error
-    adds up to 160 such floors on weak Gaussians (amplitude width^2 from 1e-5
-    to 1e-15 at widths 0.05, 1 and 20).  A floor past 1e-4 could leave 2 % of
-    a unresolved: there, at amplitude width^2 below about 2.2e-11, it raises
-    NotConverged.
+        b'(x) = U e^{-x^2/2} (x - b)^2 ,    b(0) = 0 ,
+
+    and b tends to a/width past the potential range; at x = 12 V has fallen
+    below 1e-31 of its height, so a = b(12) width.  This is a position-space
+    route entirely independent of the momentum solver.  The integrator is the
+    8th-order Dormand-Prince pair DOP853 at rtol 1e-12, with atol 1e-14 U
+    (1e-14 past U = 1) floored at the least normal double, so that U = 0
+    gives a = 0, and a first step of 1e-3; on the tested potentials it lands
+    within 1e-12 relative of an RK4 variable-phase reference.
     """
     from scipy.integrate import solve_ivp
 
-    r_max = 1.25 * potential.range_cutoff
-    r_0 = 1e-9 * potential.width
+    coupling = potential.amplitude * potential.width**2
 
-    def rhs(r, y):
-        return [y[1], potential.v_at(float(r)) * y[0]]
+    def rhs(x, b):
+        return coupling * math.exp(-0.5 * x * x) * (x - b) ** 2
 
-    sol = solve_ivp(rhs, (r_0, r_max), [r_0, 1.0], rtol=1e-12, atol=1e-14, method="DOP853")
+    atol = max(1e-14 * min(1.0, coupling), np.finfo(float).tiny)
+    sol = solve_ivp(
+        rhs, (0.0, 12.0), [0.0], method="DOP853", rtol=1e-12, atol=atol, first_step=1e-3
+    )
     if not sol.success:
-        raise NotConverged("radial shooting integration failed")
-    u, du = sol.y[0, -1], sol.y[1, -1]
-    a = float(r_max - u / du)
-    floor = np.finfo(float).eps * r_max
-    if not abs(a) * 1e-4 > floor:
-        raise NotConverged(
-            f"radial shooting: a = {a:.3e}, read off as r - u/u' at r = {r_max:.3e}, "
-            f"lies within 1e4 times the read-off's roundoff eps r = {floor:.3e}"
-        )
-    return a
+        raise NotConverged("variable-phase integration failed")
+    return float(sol.y[0, -1]) * potential.width
