@@ -49,7 +49,6 @@ creation preimages, found through the same member lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,7 +65,6 @@ __all__ = [
     "q_psi_conditional",
     "mean_occupancies",
     "occupancy_distribution",
-    "EnergyReport",
     "expect_component",
     "brute_force_energy",
     "energy_report",
@@ -189,36 +187,6 @@ def occupancy_distribution(state: WeightedTrialState, u: int) -> list[float]:
     probs = state.probabilities()[order]
     ends = np.searchsorted(col[order], np.arange(state.closure.n + 2)).tolist()
     return [float(np.sum(probs[a:b])) for a, b in zip(ends, ends[1:])]
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Per-component energies plus the independent whole-sum cross-check."""
-
-    kinetic: float
-    hs1: float
-    hs2: float
-    hs3: float
-    ha1: float
-    ha2: float
-    total: float
-    brute_force_total: float
-    decomposition_residual: float
-    imag_residue: float
-
-    def as_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "HS1": self.hs1,
-            "HS2": self.hs2,
-            "HS3": self.hs3,
-            "HA1": self.ha1,
-            "HA2": self.ha2,
-            "total": self.total,
-            "brute_force_total": self.brute_force_total,
-            "decomposition_residual": self.decomposition_residual,
-            "imag_residue": self.imag_residue,
-        }
 
 
 def _kinetic(state: WeightedTrialState) -> float:
@@ -369,8 +337,12 @@ def brute_force_energy(state: WeightedTrialState, coupling: np.ndarray) -> float
     return kin + float(total.real)
 
 
-def energy_report(state: WeightedTrialState, coupling: np.ndarray) -> EnergyReport:
-    """Run both evaluation paths and report the decomposition residual."""
+def energy_report(state: WeightedTrialState, coupling: np.ndarray) -> dict:
+    """Per-component energies next to the independent whole-sum cross-check.
+
+    Keys: the `COMPONENTS`, then total, brute_force_total, the relative
+    decomposition_residual between the two, and the largest imag_residue.
+    """
     parts = {}
     imag = 0.0
     for comp in COMPONENTS:
@@ -380,18 +352,13 @@ def energy_report(state: WeightedTrialState, coupling: np.ndarray) -> EnergyRepo
     total = sum(parts.values())
     brute = brute_force_energy(state, coupling)
     scale = max(abs(total), abs(brute), 1e-300)
-    return EnergyReport(
-        kinetic=parts["kinetic"],
-        hs1=parts["HS1"],
-        hs2=parts["HS2"],
-        hs3=parts["HS3"],
-        ha1=parts["HA1"],
-        ha2=parts["HA2"],
-        total=total,
-        brute_force_total=brute,
-        decomposition_residual=abs(total - brute) / scale,
-        imag_residue=imag,
-    )
+    return {
+        **parts,
+        "total": total,
+        "brute_force_total": brute,
+        "decomposition_residual": abs(total - brute) / scale,
+        "imag_residue": imag,
+    }
 
 
 def p_uv(state: WeightedTrialState, u_idx: int, v_idx: int) -> complex:

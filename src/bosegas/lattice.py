@@ -75,7 +75,6 @@ __all__ = [
     "Schedule",
     "Mode",
     "ModeSet",
-    "ShellSumResult",
     "shell_counts",
     "radial_shell_sum",
     "pl_number_density_comparison",
@@ -523,28 +522,19 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class ShellSumResult:
-    """Exact lattice sum vs continuum integral over one momentum annulus."""
-
-    lattice_per_volume: float
-    continuum_per_volume: float
-    rel_gap: float
-    n_modes: int
-    spacing: float
-
-
 def radial_shell_sum(
     schedule: Schedule,
     radial: Callable[[np.ndarray], np.ndarray],
     p_lo: float,
     p_hi: float,
-) -> ShellSumResult:
+) -> dict:
     """(1/|Lambda|) sum over lattice modes with p_lo <= |p| <= p_hi, exactly.
 
     `radial` must accept a vector of magnitudes.  The continuum companion is
     the same-annulus integral (2 pi)^-3 int radial(|k|) d^3 k, so the gap
-    isolates the pure discretization error O(|Lambda|^-1/3).
+    isolates the pure discretization error O(|Lambda|^-1/3).  Returns
+    lattice_per_volume, continuum_annulus, their rel_gap_annulus, the
+    n_modes summed and the lattice spacing.
     """
     step = schedule.spacing
     lo2 = (p_lo / step) ** 2
@@ -573,13 +563,13 @@ def radial_shell_sum(
     lattice = float(np.sum(terms)) / schedule.volume
     continuum = _radial_continuum(lambda k: float(radial(np.array([k]))[0]), p_lo, p_hi)
     gap = abs(lattice - continuum) / abs(continuum) if continuum != 0.0 else math.inf
-    return ShellSumResult(
-        lattice_per_volume=lattice,
-        continuum_per_volume=continuum,
-        rel_gap=gap,
-        n_modes=int(np.sum(counts)),
-        spacing=step,
-    )
+    return {
+        "lattice_per_volume": lattice,
+        "continuum_annulus": continuum,
+        "rel_gap_annulus": gap,
+        "n_modes": int(np.sum(counts)),
+        "spacing": step,
+    }
 
 
 def number_density_summand(rho: float, g0: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -623,11 +613,7 @@ def pl_number_density_comparison(schedule: Schedule, g0: float) -> dict:
     full_space = rho**1.5 * g0**1.5 / (3.0 * math.pi**2)
     return {
         "rho": rho,
-        "lattice_per_volume": res.lattice_per_volume,
-        "continuum_annulus": res.continuum_per_volume,
-        "rel_gap_annulus": res.rel_gap,
+        **res,
         "full_space_reference": full_space,
-        "rel_gap_full_space": abs(res.lattice_per_volume - full_space) / full_space,
-        "n_modes": res.n_modes,
-        "spacing": res.spacing,
+        "rel_gap_full_space": abs(res["lattice_per_volume"] - full_space) / full_space,
     }

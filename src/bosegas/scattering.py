@@ -64,7 +64,6 @@ from .errors import InvalidPotential, NotConverged
 __all__ = [
     "Potential",
     "ScatteringSolution",
-    "IdentityReport",
     "fourier_at",
     "solve_scattering",
     "check_scattering_identities",
@@ -171,7 +170,6 @@ class ScatteringSolution:
         return {"V0": self.v0, "VW1": self.vw1, "VW2": self.vw2, "GradW2": self.grad_w2}
 
     def report(self) -> dict:
-        rep = check_scattering_identities(self)
         return {
             "a": self.a,
             "g0": self.g0,
@@ -180,19 +178,8 @@ class ScatteringSolution:
             "converged": self.converged,
             "iterations": self.iterations,
             "residual": self.residual,
-            "identity_residuals": {
-                "gradient": rep.residual_gradient,
-                "length": rep.residual_length,
-            },
+            "identity_residuals": check_scattering_identities(self),
         }
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the two exact scattering identities."""
-
-    residual_gradient: float  # | ||grad w||^2 - ||Vw||_1 + ||Vw^2||_1 |
-    residual_length: float    # | V0 - ||Vw||_1 - g0_limit |
 
 
 def _log_simpson_weights(n: int, t_step: float) -> np.ndarray:
@@ -378,16 +365,20 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     return ScatteringSolution(**observables, converged=True, iterations=matvecs)
 
 
-def check_scattering_identities(solution: ScatteringSolution) -> IdentityReport:
-    """Residuals of the gradient and scattering-length identities.
+def check_scattering_identities(solution: ScatteringSolution) -> dict[str, float]:
+    """Residuals of the gradient and scattering-length identities:
+
+        gradient  | ||grad w||^2 - ||Vw||_1 + ||Vw^2||_1 |
+        length    | V0 - ||Vw||_1 - g0_limit |
 
     The length identity V0 - ||Vw||_1 = g0 is scored against the momentum-side
     extrapolation g0_limit, so it cross-checks the position-space quadratures
     against the small-p limit of the solved equation.
     """
-    res_grad = abs(solution.grad_w2 - solution.vw1 + solution.vw2)
-    res_len = abs(solution.v0 - solution.vw1 - solution.g0_limit)
-    return IdentityReport(residual_gradient=res_grad, residual_length=res_len)
+    return {
+        "gradient": abs(solution.grad_w2 - solution.vw1 + solution.vw2),
+        "length": abs(solution.v0 - solution.vw1 - solution.g0_limit),
+    }
 
 
 def shooting_scattering_length(potential: Potential) -> float:

@@ -59,7 +59,6 @@ __all__ = [
     "integral_number_density",
     "integral_kinetic",
     "integral_pair",
-    "ConstantLedger",
     "assemble_ledger",
     "predicted_energy_density",
     "LHY_RATIO",
@@ -154,65 +153,22 @@ def integral_pair() -> IntegralResult:
     )
 
 
-@dataclass(frozen=True)
-class ConstantLedger:
-    """Per-component energy-density coefficients and their telescoped sums.
+def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> dict:
+    """Fill both coefficient columns from solved norms and telescope them.
 
     Raw sums carry the solved norms and are good to quadrature accuracy;
     imposed sums re-evaluate the same table after eliminating V0 and W2
     through the two identities, so they test the coefficient algebra alone
     and must hit the closed forms at float precision.
-    """
-
-    g0: float
-    norms: dict
-    leading: dict
-    second_order: dict
-    leading_sum: float
-    leading_residual: float
-    leading_sum_imposed: float
-    leading_imposed_residual: float
-    second_sum_raw: float
-    second_sum_imposed: float
-    milestone_raw_residual: float
-    second_imposed_residual: float
-    final_coefficient: float
-    final_residual: float
-    depletion_coefficient: float
-
-    def as_dict(self) -> dict:
-        return {
-            "g0": self.g0,
-            "norms": dict(self.norms),
-            "leading": dict(self.leading),
-            "second_order": dict(self.second_order),
-            "leading_sum": self.leading_sum,
-            "leading_residual": self.leading_residual,
-            "leading_sum_imposed": self.leading_sum_imposed,
-            "leading_imposed_residual": self.leading_imposed_residual,
-            "second_sum_raw": self.second_sum_raw,
-            "second_sum_imposed": self.second_sum_imposed,
-            "milestone_raw_residual": self.milestone_raw_residual,
-            "second_imposed_residual": self.second_imposed_residual,
-            "final_coefficient": self.final_coefficient,
-            "final_residual": self.final_residual,
-            "depletion_coefficient": self.depletion_coefficient,
-            # half-width of the condensate-density band rho0 +- eps_band rho^(3/2)
-            "eps_band": 0.01,
-        }
-
-
-def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> ConstantLedger:
-    """Fill both coefficient columns from solved norms and telescope them.
 
     Refuses to proceed when the scattering identities fail at identity_tol:
     the telescoped sums are meaningless without them.
     """
-    report = check_scattering_identities(solution)
-    if not (report.residual_gradient <= identity_tol and report.residual_length <= identity_tol):
+    residuals = check_scattering_identities(solution)
+    if not (residuals["gradient"] <= identity_tol and residuals["length"] <= identity_tol):
         raise IdentityViolation(
             "scattering identities fail: "
-            f"gradient {report.residual_gradient:.3e}, length {report.residual_length:.3e}"
+            f"gradient {residuals['gradient']:.3e}, length {residuals['length']:.3e}"
         )
     g0 = solution.g0
     g32 = g0**1.5 / math.pi**2
@@ -249,23 +205,25 @@ def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> Con
     # substituting the condensate density for rho in the leading term moves
     # 2 g0 * depletion = (2/3 pi^2) g0^(5/2) down into the second-order column
     final = second_imposed - 2.0 * g0**2.5 / (3.0 * math.pi**2)
-    return ConstantLedger(
-        g0=g0,
-        norms={"V0": v0, "VW1": w1, "VW2": w2, "GradW2": grad2},
-        leading=leading,
-        second_order=second,
-        leading_sum=leading_sum,
-        leading_residual=abs(leading_sum - g0) / g0,
-        leading_sum_imposed=leading_sum_imposed,
-        leading_imposed_residual=abs(leading_sum_imposed - g0) / g0,
-        second_sum_raw=second_raw,
-        second_sum_imposed=second_imposed,
-        milestone_raw_residual=abs(second_raw - milestone) / milestone,
-        second_imposed_residual=abs(second_imposed - milestone) / milestone,
-        final_coefficient=final,
-        final_residual=abs(final - final_closed) / final_closed,
-        depletion_coefficient=g0**1.5 / (3.0 * math.pi**2),
-    )
+    return {
+        "g0": g0,
+        "norms": solution.norms(),
+        "leading": leading,
+        "second_order": second,
+        "leading_sum": leading_sum,
+        "leading_residual": abs(leading_sum - g0) / g0,
+        "leading_sum_imposed": leading_sum_imposed,
+        "leading_imposed_residual": abs(leading_sum_imposed - g0) / g0,
+        "second_sum_raw": second_raw,
+        "second_sum_imposed": second_imposed,
+        "milestone_raw_residual": abs(second_raw - milestone) / milestone,
+        "second_imposed_residual": abs(second_imposed - milestone) / milestone,
+        "final_coefficient": final,
+        "final_residual": abs(final - final_closed) / final_closed,
+        "depletion_coefficient": g0**1.5 / (3.0 * math.pi**2),
+        # half-width of the condensate-density band rho0 +- eps_band rho^(3/2)
+        "eps_band": 0.01,
+    }
 
 
 def predicted_energy_density(rho: float, g0: float) -> float:

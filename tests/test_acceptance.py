@@ -74,11 +74,11 @@ def test_01_radial_integrals(announce):
 
 def test_02_coefficient_ledger_milestones(announce, gaussian_solution):
     led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
-    g0 = led.g0
+    g0 = led["g0"]
     milestone = 26.0 * g0**2.5 / (15.0 * math.pi**2)
     final = 16.0 * g0**2.5 / (15.0 * math.pi**2)
-    r_mid = abs(led.second_sum_imposed - milestone) / milestone
-    r_fin = abs(led.final_coefficient - final) / final
+    r_mid = abs(led["second_sum_imposed"] - milestone) / milestone
+    r_fin = abs(led["final_coefficient"] - final) / final
     ok = r_mid <= 1e-12 and r_fin <= 1e-12
     announce(
         2,
@@ -113,8 +113,8 @@ def test_04_scattering_two_routes(announce, gaussian_potential, gaussian_solutio
     gap = abs(gaussian_solution.a - a_ode) / abs(a_ode)
     ok = (
         gap <= 1e-4
-        and rep.residual_gradient < 1e-6
-        and rep.residual_length < 1e-6
+        and rep["gradient"] < 1e-6
+        and rep["length"] < 1e-6
         and dt < 5.0
     )
     announce(
@@ -122,7 +122,7 @@ def test_04_scattering_two_routes(announce, gaussian_potential, gaussian_solutio
         "momentum-space a vs position-space shooting, with exact identities",
         ok,
         f"route gap {gap:.2e} (<=1e-4), identity residuals "
-        f"{rep.residual_gradient:.2e}/{rep.residual_length:.2e} (<1e-6), "
+        f"{rep['gradient']:.2e}/{rep['length']:.2e} (<1e-6), "
         f"{dt:.2f} s (<5 s)",
     )
 
@@ -134,8 +134,8 @@ def test_05_toy_energy_two_routes(announce, toy_trials):
         sizes_ok &= len(trial.mode_set) <= 9 and trial.closure.n <= 6
         sizes_ok &= len(trial.closure) <= 10_000
         rep = energy_report(trial, case.context())
-        scale = max(1.0, abs(rep.brute_force_total))
-        worst = max(worst, abs(rep.total - rep.brute_force_total) / scale)
+        scale = max(1.0, abs(rep["brute_force_total"]))
+        worst = max(worst, abs(rep["total"] - rep["brute_force_total"]) / scale)
     dt = time.perf_counter() - t0
     ok = len(toy_trials) >= 20 and sizes_ok and worst <= 1e-10 and dt < 10.0
     announce(
@@ -212,7 +212,7 @@ def test_07_moment_sum_rules_and_bounds(announce, toy_trials):
             worst_occ = max(worst_occ, abs(s - 1.0))
         for u in ms.indices_in(Region.PI):
             ratio_ok &= occupation_ratio_report(trial, u, ms.modes[u].lam)["holds"]
-        worst_imag = max(worst_imag, energy_report(trial, case.context()).imag_residue)
+        worst_imag = max(worst_imag, energy_report(trial, case.context())["imag_residue"])
     ok = worst_n <= 1e-12 and worst_occ <= 1e-12 and ratio_ok and worst_imag < 1e-12
     announce(
         7,

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import csv
+import json
 import math
 import re
 from dataclasses import replace
@@ -12,6 +13,8 @@ import pytest
 from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering
 from bosegas.cli import load_config, main
+from bosegas.expectation import energy_report
+from bosegas.semiclassical import assemble_ledger
 from bosegas.toys import build_trial, toy_by_name
 from conftest import load_report
 
@@ -56,6 +59,11 @@ def test_scattering_pipeline(tmp_path):
     assert rep["shooting_rel_gap"] < 1e-4
     assert rep["identity_residuals"]["gradient"] < 1e-6
     assert rep["ledger"]["final_residual"] <= 1e-12
+    # the ledger block is the library's return, written as is
+    cfg = load_config(None)
+    solution = scattering.solve_scattering(scattering.Potential(**cfg["potential"]))
+    ledger = assemble_ledger(solution, identity_tol=cfg["tolerances"]["identity"])
+    assert rep["ledger"] == json.loads(json.dumps(ledger))
 
 
 def test_scattering_pipeline_past_born_radius(tmp_path):
@@ -88,6 +96,16 @@ def test_trial_state_pipeline_builtin_toy(tmp_path):
     assert max(rep["recursion_max_error"].values()) <= 1e-12
     closure = (out / "closure.txt").read_text().strip().split("\n")
     assert len(closure) == 3
+
+
+def test_trial_state_energy_block_is_energy_report(tmp_path):
+    code, out = _run(tmp_path, "trial-state")
+    assert code == 0
+    cfg = load_config(None)
+    case = toy_by_name(cfg["toy"])
+    trial = build_trial(case, budget=cfg["budgets"]["closure"])
+    energy = energy_report(trial, case.context())
+    assert load_report(out / "trial_state.json")["energy"] == json.loads(json.dumps(energy))
 
 
 @pytest.mark.parametrize("n, size", [(100, 51), (0, 1), (1, 1), (3, 2)])
@@ -342,6 +360,7 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
         "budgets:\n  closure: 1000.5\n",
         "seed: true\n",
         "seed: 7.5\n",
+        "seed: -5\n",                     # numpy's generators take no negative seed
         "potential:\n  amplitude: true\n",  # bool for a float key
         "trial:\n  n: \"6\"\n",             # string for an integer key
         "potential:\n  amplitude: .inf\n",  # non-finite float keys
@@ -362,6 +381,21 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, "boundary", "--seed", "-1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
+    assert not (out / "boundary.json").exists()
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"], ids=["file", "below-a-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, target):
+    (tmp_path / "afile").write_text("")
+    code = main(["integrals", "--out", str(tmp_path / target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out '{tmp_path / target}'")
 
 
 @pytest.mark.parametrize(

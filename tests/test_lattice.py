@@ -365,8 +365,8 @@ def test_radial_shell_sum_matches_explicit_modes():
     count = lattice_sum(ms, lambda m: float(inside(m))).total
     explicit = lattice_sum(ms, lambda m: f(np.array([_magnitude(m)]))[0] if inside(m) else 0.0)
     res = radial_shell_sum(s, f, math.sqrt(m_lo) * step, math.sqrt(m_hi) * step)
-    assert res.n_modes == count > 30_000
-    assert math.isclose(res.lattice_per_volume, explicit.per_volume, rel_tol=1e-12)
+    assert res["n_modes"] == count > 30_000
+    assert math.isclose(res["lattice_per_volume"], explicit.per_volume, rel_tol=1e-12)
 
 
 def test_shell_counts_reference_and_brute_force():
@@ -574,8 +574,8 @@ def test_radial_shell_sum_annulus_bounds():
     step = s.spacing
     res = radial_shell_sum(s, lambda mags: np.ones_like(mags), step, 2.0 * step)
     # shells m = 1..4: 6 + 12 + 8 + 6 = 32 vectors
-    assert res.n_modes == 32
-    assert math.isclose(res.lattice_per_volume, 32.0 / s.volume, rel_tol=1e-12)
+    assert res["n_modes"] == 32
+    assert math.isclose(res["lattice_per_volume"], 32.0 / s.volume, rel_tol=1e-12)
     with pytest.raises(ValueError):
         radial_shell_sum(s, lambda mags: np.ones_like(mags), 1.001 * step, 1.002 * step)
 
@@ -609,7 +609,7 @@ def test_radial_shell_sum_blockwise_is_bit_exact(shells):
         p_lo, p_hi = _shell_edges(s.spacing, 100_000, 100_000 + shells - 1)
     f = number_density_summand(s.rho, 1.471269533883597)
     res = radial_shell_sum(s, f, p_lo, p_hi)
-    assert res.lattice_per_volume == _one_shot_sum(s, f, p_lo, p_hi)
+    assert res["lattice_per_volume"] == _one_shot_sum(s, f, p_lo, p_hi)
 
 
 def test_radial_shell_sum_refuses_non_finite_last_block():

@@ -134,8 +134,8 @@ def test_shooting_starts_at_the_width_scale():
 
 def test_exact_identities_hold(gaussian_solution):
     rep = check_scattering_identities(gaussian_solution)
-    assert rep.residual_gradient < 1e-6
-    assert rep.residual_length < 1e-6
+    assert rep["gradient"] < 1e-6
+    assert rep["length"] < 1e-6
 
 
 def test_born_bounds(gaussian_solution):
@@ -176,7 +176,7 @@ def test_truncated_iteration_flagged_not_converged(
     sol = solve_scattering(gaussian_potential)
     assert sol.iterations < gaussian_solution.iterations
     rep = check_scattering_identities(sol)
-    assert max(rep.residual_gradient, rep.residual_length) > 1e-6
+    assert max(rep["gradient"], rep["length"]) > 1e-6
     # a relative tolerance below roundoff: GMRES fails, and the error carries
     # the sup-norm residual max|p^2 w - g| that the solve ended with
     monkeypatch.setattr(scattering, "_TOL", 1e-30)
@@ -213,8 +213,8 @@ def test_strong_coupling_matches_shooting(amplitude):
     a_ode = shooting_scattering_length(pot)
     assert abs(sol.a - a_ode) <= 1e-4 * abs(a_ode)
     rep = check_scattering_identities(sol)
-    assert rep.residual_gradient < 1e-6
-    assert rep.residual_length < 1e-6
+    assert rep["gradient"] < 1e-6
+    assert rep["length"] < 1e-6
 
 
 def _passes_both_routes(pot):
@@ -222,7 +222,7 @@ def _passes_both_routes(pot):
     sol = solve_scattering(pot)
     rep = check_scattering_identities(sol)
     gap = abs(sol.a - shooting_scattering_length(pot)) / sol.a
-    return sol, max(rep.residual_gradient, rep.residual_length, gap) <= 1e-6
+    return sol, max(rep["gradient"], rep["length"], gap) <= 1e-6
 
 
 @pytest.mark.parametrize("width", [0.05, 1.0, 10.0, 50.0])
@@ -260,8 +260,8 @@ def test_identities_hold_below_the_grid_rule(amplitude, width, monkeypatch):
     sol = solve_scattering(pot)
     assert math.isclose(_momentum_grid(pot)[0], p_min / 20.0, rel_tol=1e-12)
     rep = check_scattering_identities(sol)
-    assert rep.residual_gradient <= 1e-7
-    assert rep.residual_length <= 1e-7
+    assert rep["gradient"] <= 1e-7
+    assert rep["length"] <= 1e-7
 
 
 _SMALL_GRID = np.geomspace(1e-2, 1e2, 101)

@@ -45,14 +45,14 @@ def test_integral_closed_forms(func, key):
 
 def test_ledger_milestones_with_identities_imposed(gaussian_solution):
     led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
-    g0 = led.g0
+    g0 = led["g0"]
     milestone = 26.0 * g0**2.5 / (15.0 * math.pi**2)
     final = 16.0 * g0**2.5 / (15.0 * math.pi**2)
-    assert led.leading_imposed_residual <= 1e-12
-    assert abs(led.second_sum_imposed - milestone) / milestone <= 1e-12
-    assert abs(led.final_coefficient - final) / final <= 1e-12
-    assert led.second_imposed_residual <= 1e-12
-    assert led.final_residual <= 1e-12
+    assert led["leading_imposed_residual"] <= 1e-12
+    assert abs(led["second_sum_imposed"] - milestone) / milestone <= 1e-12
+    assert abs(led["final_coefficient"] - final) / final <= 1e-12
+    assert led["second_imposed_residual"] <= 1e-12
+    assert led["final_residual"] <= 1e-12
 
 
 def test_ledger_raw_sums_bounded_by_identity_residuals(gaussian_solution):
@@ -62,23 +62,23 @@ def test_ledger_raw_sums_bounded_by_identity_residuals(gaussian_solution):
 
     led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
     rep = check_scattering_identities(gaussian_solution)
-    slack = (rep.residual_gradient + rep.residual_length) / led.g0
-    assert led.leading_residual <= 1.5 * slack + 1e-15
-    assert led.milestone_raw_residual <= 10.0 * (rep.residual_gradient + rep.residual_length)
+    slack = (rep["gradient"] + rep["length"]) / led["g0"]
+    assert led["leading_residual"] <= 1.5 * slack + 1e-15
+    assert led["milestone_raw_residual"] <= 10.0 * (rep["gradient"] + rep["length"])
     # and still far better than the tolerance of anything downstream
-    assert led.leading_residual < 1e-9
-    assert led.milestone_raw_residual < 1e-9
+    assert led["leading_residual"] < 1e-9
+    assert led["milestone_raw_residual"] < 1e-9
 
 
 def test_ledger_component_tables_telescope(gaussian_solution):
     led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
-    assert set(led.leading) == set(led.second_order) == {
+    assert set(led["leading"]) == set(led["second_order"]) == {
         "kinetic", "HS1", "HS2", "HS3", "HA1", "HA2",
     }
-    assert math.isclose(sum(led.leading.values()), led.leading_sum, rel_tol=1e-15)
-    assert math.isclose(sum(led.second_order.values()), led.second_sum_raw, rel_tol=1e-15)
+    assert math.isclose(sum(led["leading"].values()), led["leading_sum"], rel_tol=1e-15)
+    assert math.isclose(sum(led["second_order"].values()), led["second_sum_raw"], rel_tol=1e-15)
     # asymmetric components contribute nothing at leading order
-    assert led.leading["HA1"] == led.leading["HA2"] == 0.0
+    assert led["leading"]["HA1"] == led["leading"]["HA2"] == 0.0
 
 
 def test_ledger_refuses_broken_identities(gaussian_solution):
@@ -91,10 +91,10 @@ def test_condensate_density_band(gaussian_solution):
     # condensate density rho - g0^(3/2) rho^(3/2)/(3 pi^2) at the reference g0
     led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
     rho = 1e-6
-    assert math.isclose(led.depletion_coefficient, led.g0**1.5 / (3.0 * math.pi**2), rel_tol=1e-15)
-    rho0 = rho - led.depletion_coefficient * rho**1.5
+    assert math.isclose(led["depletion_coefficient"], led["g0"]**1.5 / (3.0 * math.pi**2), rel_tol=1e-15)
+    rho0 = rho - led["depletion_coefficient"] * rho**1.5
     assert math.isclose(rho0, 9.999397277557458e-07, rel_tol=1e-12)
-    assert led.as_dict()["eps_band"] == 0.01
+    assert led["eps_band"] == 0.01
 
 
 # ---------------------------------------------------------------- constants
