@@ -25,9 +25,9 @@ same folding identity pin the constant: the cross term integrates to zero
 (integrate (q^2)' d|phi|^2/dx by parts; q vanishes at both ends and the
 folded second derivative integrates to zero over a period), and
 q'(x)^2 + q'(x+L)^2 is the constant (pi/4ell)^2 on the fold.  So equality
-holds with C = pi^2/16 exactly, for every smooth periodic phi.  The bound
-is stated here with C unspecified; kinetic_penalty reports the measured
-ratio rather than asserting the sharp value.
+holds with C = pi^2/16 exactly, for every smooth periodic phi.
+kinetic_penalty reports the measured ratio and whether the bound holds at
+that sharp constant, QUARTER_PI_SQ.
 
 Every integral is a composite Simpson sum, and a window and a resolution
 fix just six grids: the three smooth panels of [-ell, L+ell] split at the
@@ -52,14 +52,16 @@ __all__ = [
     "window_q",
     "window_q_prime",
     "collar_indicator",
-    "IsometryReport",
     "check_isometry",
     "isometry_3d_separable",
-    "PenaltyReport",
     "kinetic_penalty",
+    "QUARTER_PI_SQ",
     "shifted_collar_average",
     "trig_polynomial",
 ]
+
+# the sharp constant C of the kinetic bound
+QUARTER_PI_SQ = math.pi**2 / 16.0
 
 
 @dataclass(frozen=True)
@@ -175,30 +177,20 @@ def _windowed_density(q, phi):
     return q**2 * _density(phi)
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    extended: float
-    periodic: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.extended - self.periodic)
-
-    @property
-    def rel_residual(self) -> float:
-        scale = max(abs(self.periodic), 1.0)
-        return self.residual / scale
+def _isometry(extended: float, periodic: float) -> dict:
+    return {"extended": extended, "periodic": periodic, "residual": abs(extended - periodic)}
 
 
-def check_isometry(w: Window, phi, *, resolution: int = 1 << 14) -> IsometryReport:
+def check_isometry(w: Window, phi, *, resolution: int = 1 << 14) -> dict:
     """Compare int q^2 |phi|^2 over [-ell, L+ell] with int |phi|^2 over [0, L].
 
     phi(xs) returns the samples of an L-periodic function; it is evaluated
     directly on the extended interval, once on each of four Simpson grids:
     the three smooth panels of [-ell, L+ell] and the period [0, L].  The
     window is sampled once per panel.  resolution counts Simpson
-    subintervals per grid.  kinetic_penalty reports the same pair from the
-    same integrands; this form serves callers that have no derivative.
+    subintervals per grid.  Returns extended, periodic and their residual,
+    the pair kinetic_penalty reports from the same integrands; this form
+    serves callers that have no derivative.
     """
     extended = sum(
         _simpson(_windowed_density(window_q(w, xs), phi(xs)), h)
@@ -206,7 +198,7 @@ def check_isometry(w: Window, phi, *, resolution: int = 1 << 14) -> IsometryRepo
     )
     xs, h = _nodes(0.0, w.period, resolution)
     periodic = _simpson(_density(phi(xs)), h)
-    return IsometryReport(extended=extended, periodic=periodic)
+    return _isometry(extended, periodic)
 
 
 def isometry_3d_separable(w: Window, factors, *, resolution: int = 1 << 12) -> dict:
@@ -218,44 +210,27 @@ def isometry_3d_separable(w: Window, factors, *, resolution: int = 1 << 12) -> d
     if len(factors) != 3:
         raise ValueError("need exactly three 1-D factors")
     reports = [check_isometry(w, phi, resolution=resolution) for phi in factors]
-    extended = math.prod(r.extended for r in reports)
-    periodic = math.prod(r.periodic for r in reports)
+    extended = math.prod(r["extended"] for r in reports)
+    periodic = math.prod(r["periodic"] for r in reports)
     return {
-        "extended": extended,
-        "periodic": periodic,
-        "residual": abs(extended - periodic),
-        "per_axis": [(r.extended, r.periodic) for r in reports],
+        **_isometry(extended, periodic),
+        "per_axis": [(r["extended"], r["periodic"]) for r in reports],
     }
 
 
-@dataclass(frozen=True)
-class PenaltyReport:
-    lhs: float
-    periodic_kinetic: float
-    collar_mass: float
-    ell: float
-    isometry: IsometryReport
-
-    @property
-    def excess(self) -> float:
-        """Kinetic cost of windowing: lhs minus the periodic kinetic term."""
-        return self.lhs - self.periodic_kinetic
-
-    @property
-    def implied_constant(self) -> float:
-        """C such that lhs = periodic kinetic + C ell^-2 collar mass.
-
-        nan when phi carries no mass on the collar.
-        """
-        if self.collar_mass <= 0.0:
-            return math.nan
-        return self.excess * self.ell**2 / self.collar_mass
-
-    def holds_with(self, constant: float) -> bool:
-        """lhs <= periodic kinetic + constant ell^-2 collar mass, up to 1e-9 relative."""
-        rhs = self.periodic_kinetic + constant / self.ell**2 * self.collar_mass
-        scale = max(abs(self.lhs), abs(rhs), 1.0)
-        return self.lhs <= rhs + 1e-9 * scale
+def _penalty(lhs: float, kin: float, mass: float, ell: float) -> dict:
+    """Both sides of the bound for one function.  implied_constant is the C
+    with lhs = periodic kinetic + C ell^-2 collar mass (nan when phi carries
+    no collar mass); holds_quarter_pi_sq compares the sides at C =
+    QUARTER_PI_SQ, up to 1e-9 relative."""
+    rhs = kin + QUARTER_PI_SQ / ell**2 * mass
+    return {
+        "lhs": lhs,
+        "periodic_kinetic": kin,
+        "collar_mass": mass,
+        "implied_constant": (lhs - kin) * ell**2 / mass if mass > 0.0 else math.nan,
+        "holds_quarter_pi_sq": lhs <= rhs + 1e-9 * max(abs(lhs), abs(rhs), 1.0),
+    }
 
 
 def _extended_terms(w: Window, xs, h: float, sample):
@@ -278,7 +253,7 @@ def _masses(xs, h: float, sample):
     )
 
 
-def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[PenaltyReport]:
+def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[tuple[dict, dict]]:
     """Evaluate both sides of the windowed kinetic-energy bound.
 
     lhs  = int_{-ell}^{L+ell} |(q phi)'|^2
@@ -286,15 +261,17 @@ def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[Pen
 
     with the collar mass int chi |phi|^2 taken over one period.  sample(xs)
     yields one pair (phi(xs), phi'(xs)) per function, each function
-    L-periodic; the result holds one report per pair, in order.  A
-    generator keeps one function's samples alive at a time.
+    L-periodic; the result holds one (isometry, penalty) pair of reports
+    per function, in order.  A generator keeps one function's samples alive
+    at a time.
 
     One pass covers the window's six Simpson grids, each built once: the
     three smooth panels of [-ell, L+ell], the period [0, L], and the two
     collar arcs [0, ell] and [L-ell, L].  sample is called once per grid
     and q, q' once per panel, so functions sampled together share both.
-    Each report carries the isometry pair of check_isometry, from the same
-    samples and the same integrands.
+    The isometry report is check_isometry's, from the same samples and the
+    same integrands; the penalty report holds lhs, periodic_kinetic,
+    collar_mass, implied_constant and holds_quarter_pi_sq.
     """
     extended_lhs = sum(
         _extended_terms(w, xs, h, sample) for xs, h in _extended_grids(w, resolution)
@@ -306,12 +283,9 @@ def kinetic_penalty(w: Window, sample, *, resolution: int = 1 << 14) -> list[Pen
         + _masses(*_nodes(w.period - w.ell, w.period, resolution), sample)[:, 0]
     )
     return [
-        PenaltyReport(
-            lhs=float(lhs),
-            periodic_kinetic=float(kin),
-            collar_mass=float(mass),
-            ell=w.ell,
-            isometry=IsometryReport(extended=float(extended), periodic=float(periodic)),
+        (
+            _isometry(float(extended), float(periodic)),
+            _penalty(float(lhs), float(kin), float(mass), w.ell),
         )
         for (extended, lhs), (periodic, kin), mass in zip(extended_lhs, periodic_kin, collar)
     ]

@@ -1,20 +1,23 @@
 """Command-line driver: config parsing, pipeline orchestration, reports.
 
 Subcommands: scattering | lattice | trial-state | energy-curve | integrals |
-boundary | check-all, one `run_*(cfg, out)` each in the table _PIPELINES.
-Configuration is YAML with nested blocks; every value has a default so all
-pipelines run without a config file, and `--seed` overrides the config's
-`seed` before any pipeline reads it.  The settings no input varies, the
-boundary window and check-all's bounds, are constants beside their one
-reader.  Reports are JSON (machine summaries, sorted keys) and CSV (plot
-data, fixed %.12e floats); with a fixed seed the bytes are reproducible run
-to run.
+boundary | check-all, one `run_*(cfg)` each in the table _PIPELINES.
+`run_*(cfg)` returns its files; `main` writes them.  Configuration is YAML
+with nested blocks; every value has a default so all pipelines run without
+a config file, and `--seed` overrides the config's `seed` before any
+pipeline reads it.  The settings no input varies, the boundary window and
+check-all's bounds, are constants beside their one reader.  Reports are
+JSON (machine summaries, sorted keys), CSV (plot data, fixed %.12e floats)
+and trial-state's closure text; with a fixed seed the bytes are
+reproducible run to run.  `main` renders every file of a run before it
+writes any, so a pipeline that refuses writes none.
 
 Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
 budget exceeded, a divergent integrand, or an identity violation in a
 numerical step.  One table, _EXITS, maps each error a run refuses with to
 its exit code and stderr label; `main` looks up every refusal there, from
-config loading to the report, and check-all's own verdicts give exit 1.
+config loading to the report (a report path it cannot write is a config
+error), and check-all's own verdicts give exit 1.
 """
 
 from __future__ import annotations
@@ -184,21 +187,22 @@ def load_config(path: str | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report writers
+# report rendering
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    """One line per dict row, floats as %.12e, under a header of the first row's keys."""
-    lines = [",".join(rows[0])]
-    lines.extend(
-        ",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row.values())
-        for row in rows
-    )
-    path.write_text("\n".join(lines) + "\n")
+def _render(content) -> str:
+    """A report file's text: text as is; a list of row dicts as CSV (floats as
+    %.12e, under a header of the first row's keys); a dict as sorted JSON."""
+    if isinstance(content, str):
+        return content
+    if isinstance(content, list):
+        lines = [",".join(content[0])]
+        lines.extend(
+            ",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row.values())
+            for row in content
+        )
+        return "\n".join(lines) + "\n"
+    return json.dumps(content, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +238,22 @@ def _shooting(cfg: dict, solution) -> tuple[float, float]:
     return shoot, abs(solution.a - shoot) / abs(shoot)
 
 
-def run_scattering(cfg: dict, out: Path) -> dict:
+def run_scattering(cfg: dict) -> dict:
     solution = _solve(cfg)
     report = solution.report()
     report["shooting_a"], report["shooting_rel_gap"] = _shooting(cfg, solution)
     report["ledger"] = semi.assemble_ledger(solution, identity_tol=cfg["tolerances"]["identity"])
-    _write_json(out / "scattering.json", report)
-    return report
+    return {"scattering.json": report}
 
 
-def run_lattice(cfg: dict, out: Path) -> dict:
+def run_lattice(cfg: dict) -> dict:
     schedule = Schedule(rho=cfg["schedule"]["rho"], eta=cfg["schedule"]["eta"])
     solution = _solve(cfg)
-    report = {
-        "schedule": schedule.as_dict(),
-        "number_density": pl_number_density_comparison(schedule, solution.g0),
-        "g0": solution.g0,
-    }
-    _write_json(out / "lattice.json", report)
-    return report
+    # the sum first: it refuses a rho past the shell budget before the
+    # schedule's volume can overflow
+    number_density = pl_number_density_comparison(schedule, solution.g0)
+    report = {"schedule": schedule.as_dict(), "number_density": number_density, "g0": solution.g0}
+    return {"lattice.json": report}
 
 
 def _resolve_toy(cfg: dict) -> ToyCase:
@@ -308,15 +309,14 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     ]
     checks = (pair_correlator_check(trial, u, v) for u, v in itertools.combinations(paired, 2))
     pair_checks = [chk["abs_gap"] for chk in checks if chk["exact_case"]]
-    ratio_reports = {}
     # a mode without lambda is one no member occupies, where both reports are vacuous
-    for u in (u for u in ms.indices_in(Region.PI) if ms.modes[u].lam is not None):
-        r = occupation_ratio_report(trial, u, ms.modes[u].lam)
-        ratio_reports[str(u)] = {"holds": r["holds"], "worst_ratio": r["worst_ratio"]}
-    monotone_reports = {}
-    for u in (u for u in ms.indices_in(Region.PL) if ms.modes[u].lam is not None):
-        r = pl_occupation_monotonicity(trial, u)
-        monotone_reports[str(u)] = {k: r[k] for k in ("hypothesis_holds", "monotone")}
+    def with_lam(region):
+        return [u for u in ms.indices_in(region) if ms.modes[u].lam is not None]
+
+    ratio_reports = {
+        str(u): occupation_ratio_report(trial, u, ms.modes[u].lam) for u in with_lam(Region.PI)
+    }
+    monotone_reports = {str(u): pl_occupation_monotonicity(trial, u) for u in with_lam(Region.PL)}
     return {
         "name": case.name,
         "note": case.note,
@@ -334,7 +334,7 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
     }
 
 
-def run_trial_state(cfg: dict, out: Path) -> dict:
+def run_trial_state(cfg: dict) -> dict:
     case = _resolve_toy(cfg)
     try:
         battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
@@ -342,12 +342,10 @@ def run_trial_state(cfg: dict, out: Path) -> dict:
         # only a mode file can leave lambda unset, or zero, on a mode the closure fills
         raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
     trial = battery.pop("trial")
-    (out / "closure.txt").write_text(export_closure(trial))
-    _write_json(out / "trial_state.json", battery)
-    return battery
+    return {"closure.txt": export_closure(trial), "trial_state.json": battery}
 
 
-def run_energy_curve(cfg: dict, out: Path) -> dict:
+def run_energy_curve(cfg: dict) -> dict:
     solution = _solve(cfg)
     g0 = solution.g0
     eta = cfg["schedule"]["eta"]
@@ -368,7 +366,6 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
                 "energy_total": semi.predicted_energy_density(rho, g0),
             }
         )
-    _write_csv(out / "energy_curve.csv", rows)
     meta = {
         "g0": g0,
         "a": solution.a,
@@ -376,8 +373,7 @@ def run_energy_curve(cfg: dict, out: Path) -> dict:
         "rho_values": cfg["sweep"]["rho_values"],
         "gaps_annulus": [row["rel_gap_annulus"] for row in rows],
     }
-    _write_json(out / "energy_curve.json", meta)
-    return meta
+    return {"energy_curve.csv": rows, "energy_curve.json": meta}
 
 
 def _integrals() -> dict:
@@ -389,19 +385,17 @@ def _integrals() -> dict:
     }
 
 
-def run_integrals(cfg: dict, out: Path) -> dict:
+def run_integrals(cfg: dict) -> dict:
     g0 = 1.0  # each integral at unit coupling is its coefficient of g0^(3/2) or g0^(5/2)
     integrals = _integrals()
     row = {"g0": g0}
     for name, result in integrals.items():
-        row[name] = result.value
-        row[f"{name}_closed"] = result.closed_form
-        row[f"{name}_rel_residual"] = result.rel_residual
-    _write_csv(out / "integrals.csv", [row])
-    report = {n: {"value": r.value, "closed_form": r.closed_form} for n, r in integrals.items()}
-    report |= {"g0": g0, "max_rel_residual": max(r.rel_residual for r in integrals.values())}
-    _write_json(out / "integrals.json", report)
-    return report
+        row[name] = result["value"]
+        row[f"{name}_closed"] = result["closed_form"]
+        row[f"{name}_rel_residual"] = result["rel_residual"]
+    report = {n: {k: r[k] for k in ("value", "closed_form")} for n, r in integrals.items()}
+    report |= {"g0": g0, "max_rel_residual": max(r["rel_residual"] for r in integrals.values())}
+    return {"integrals.csv": [row], "integrals.json": report}
 
 
 # the boundary battery's window, trigonometric degree and Simpson subintervals
@@ -439,25 +433,11 @@ def _boundary_battery(seed: int) -> dict:
         e = phase(x)
         yield e, 1j * omega * e
 
-    reports = bnd.kinetic_penalty(w, sample, resolution=_RESOLUTION)
-    isometry = {}
-    penalty = {}
+    pairs = bnd.kinetic_penalty(w, sample, resolution=_RESOLUTION)
     # named in draw order, entered in name order
-    for name, pen in sorted(zip(["trig0", "trig1", "trig2", "const", "phase"], reports)):
-        isometry[name] = {
-            "extended": pen.isometry.extended,
-            "periodic": pen.isometry.periodic,
-            "residual": pen.isometry.residual,
-        }
-        penalty[name] = {
-            "lhs": pen.lhs,
-            "periodic_kinetic": pen.periodic_kinetic,
-            "collar_mass": pen.collar_mass,
-            "implied_constant": pen.implied_constant,
-            "holds_quarter_pi_sq": pen.holds_with(math.pi**2 / 16.0),
-        }
+    named = sorted(zip(["trig0", "trig1", "trig2", "const", "phase"], pairs))
     degenerate = bnd.Window(ell=w.period / 2.0, period=w.period)
-    (pen_deg,) = bnd.kinetic_penalty(degenerate, trig0, resolution=_RESOLUTION)
+    ((_, pen_deg),) = bnd.kinetic_penalty(degenerate, trig0, resolution=_RESOLUTION)
 
     def trig0_phi(x):
         return next(trig0(x))[0]
@@ -467,22 +447,17 @@ def _boundary_battery(seed: int) -> dict:
     return {
         "window": {"ell": w.ell, "period": w.period},
         "partition_residual": partition,
-        "isometry": isometry,
-        "penalty": penalty,
-        "degenerate_penalty": {
-            "implied_constant": pen_deg.implied_constant,
-            "holds_quarter_pi_sq": pen_deg.holds_with(math.pi**2 / 16.0),
-        },
+        "isometry": {name: iso for name, (iso, _) in named},
+        "penalty": {name: pen for name, (_, pen) in named},
+        "degenerate_penalty": {k: pen_deg[k] for k in ("implied_constant", "holds_quarter_pi_sq")},
         "separable_3d_residual": sep["residual"],
         "collar_average": avg,
-        "reference_constant": math.pi**2 / 16.0,
+        "reference_constant": bnd.QUARTER_PI_SQ,
     }
 
 
-def run_boundary(cfg: dict, out: Path) -> dict:
-    report = _boundary_battery(cfg["seed"])
-    _write_json(out / "boundary.json", report)
-    return report
+def run_boundary(cfg: dict) -> dict:
+    return {"boundary.json": _boundary_battery(cfg["seed"])}
 
 
 # check-all's bounds, by the name of the checks that use them
@@ -498,7 +473,7 @@ _BOUNDS = {
 }
 
 
-def run_check_all(cfg: dict, out: Path) -> dict:
+def run_check_all(cfg: dict) -> dict:
     identity_tol = cfg["tolerances"]["identity"]
     violations: list[dict] = []
 
@@ -521,7 +496,7 @@ def run_check_all(cfg: dict, out: Path) -> dict:
 
     # continuum integrals
     for name, result in _integrals().items():
-        check(f"integral.{name}", result.rel_residual, _BOUNDS["integral"])
+        check(f"integral.{name}", result["rel_residual"], _BOUNDS["integral"])
 
     # toy battery
     budget = cfg["budgets"]["closure"]
@@ -585,8 +560,7 @@ def run_check_all(cfg: dict, out: Path) -> dict:
         "boundary": bdry,
         "lattice_gaps": {"1e-4": gaps[0], "1e-5": gaps[1]},
     }
-    _write_json(out / "check_all.json", report)
-    return report
+    return {"check_all.json": report}
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +609,20 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
-        report = _PIPELINES[args.pipeline](cfg, out)
+        files = _PIPELINES[args.pipeline](cfg)
+        texts = {name: _render(content) for name, content in files.items()}
+        for name, text in texts.items():
+            try:
+                (out / name).write_text(text)
+            except OSError as exc:
+                raise ConfigInvalid(f"cannot write report {str(out / name)!r}: {exc}") from exc
     except tuple(_EXITS) as exc:
         code, label = next(_EXITS[t] for t in type(exc).__mro__ if t in _EXITS)
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    if args.pipeline == "check-all" and report["n_violations"]:
-        print(
-            f"check-all: {report['n_violations']} violation(s); see {out / 'check_all.json'}",
-            file=sys.stderr,
-        )
+    n = files["check_all.json"]["n_violations"] if args.pipeline == "check-all" else 0
+    if n:
+        print(f"check-all: {n} violation(s); see {out / 'check_all.json'}", file=sys.stderr)
         return 1
     return 0
 

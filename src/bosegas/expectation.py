@@ -436,7 +436,7 @@ def occupation_ratio_report(state: WeightedTrialState, u_idx: int, lam_u: float)
     ok = not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs)))
     ratios = lhs[rhs > 0] / rhs[rhs > 0]
     worst = float(np.max(ratios)) if len(ratios) else None
-    return {"holds": ok, "worst_ratio": worst, "occupancy_probs": probs}
+    return {"holds": ok, "worst_ratio": worst}
 
 
 def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
@@ -445,8 +445,8 @@ def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     The decrease of Q({u,m}) in m is only guaranteed when
     rho^2 lam_u^2 (1 + c m_c rho / eps_H) < 1, here with the constant c = 1
     and eps_H = 1; rho = N / |L|, m_c and lam_u are read from the state.
-    The hypothesis value is returned so callers can skip rather than fail
-    when it does not apply.
+    Whether the hypothesis holds is returned beside the verdict, so callers
+    can skip rather than fail when it does not apply.
     """
     closure = state.closure
     ms = state.mode_set
@@ -455,12 +455,7 @@ def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     hyp = rho**2 * lam_u**2 * (1.0 + closure.m_c * rho)
     probs = occupancy_distribution(state, u_idx)
     monotone = all(b <= a + 1e-15 for a, b in zip(probs, probs[1:]))
-    return {
-        "hypothesis_value": hyp,
-        "hypothesis_holds": hyp < 1.0,
-        "monotone": monotone,
-        "occupancy_probs": probs,
-    }
+    return {"hypothesis_holds": hyp < 1.0, "monotone": monotone}
 
 
 def statistics_report(state: WeightedTrialState, g0: float) -> dict:

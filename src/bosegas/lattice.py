@@ -82,6 +82,8 @@ __all__ = [
 ]
 
 DEFAULT_ETA = 1.0 / 200.0
+# the box length is L = rho^-_BOX_EXPONENT
+_BOX_EXPONENT = 25.0 / 24.0
 
 
 class Region(str, Enum):
@@ -110,7 +112,7 @@ class Schedule:
 
     @property
     def box_length(self) -> float:
-        return self.rho ** (-25.0 / 24.0)
+        return self.rho**-_BOX_EXPONENT
 
     @property
     def volume(self) -> float:
@@ -535,7 +537,17 @@ def radial_shell_sum(
     isolates the pure discretization error O(|Lambda|^-1/3).  Returns
     lattice_per_volume, continuum_annulus, their rel_gap_annulus, the
     n_modes summed and the lattice spacing.
+
+    A top shell (p_hi / step)^2 past budget + 1 raises BudgetExceeded naming
+    rho, read in logs before the box volume, the shell index or the box
+    length can overflow; shell_counts checks the exact index.
     """
+    log_top = 2.0 * (math.log10(p_hi / (2.0 * math.pi)) - _BOX_EXPONENT * math.log10(schedule.rho))
+    if log_top > math.log10(_SHELL_BUDGET + 2):
+        raise BudgetExceeded(
+            f"rho = {schedule.rho!r}: the annulus reaches shell m = 10^{log_top:.1f}, "
+            f"past the shell budget m <= {_SHELL_BUDGET}"
+        )
     step = schedule.spacing
     lo2 = (p_lo / step) ** 2
     hi2 = (p_hi / step) ** 2

@@ -11,7 +11,8 @@ dimensionless forms (x = 4/q^2 below, so h = sqrt(1+x)):
 
 The substitution pulls out the whole g0 dependence as the power g0^(3/2) or
 g0^(5/2), so each integral is computed once, at the unit coupling g0 = 1:
-the functions below return those coefficients.
+the functions below return those coefficients, each as value,
+closed_form and their rel_residual.
 
 Each integrand is evaluated in an algebraically equivalent form with no
 subtractive cancellation anywhere on (0, inf):
@@ -49,13 +50,11 @@ trial-state and boundary pipelines never integrate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IdentityViolation
 from .scattering import ScatteringSolution, check_scattering_identities
 
 __all__ = [
-    "IntegralResult",
     "integral_number_density",
     "integral_kinetic",
     "integral_pair",
@@ -70,16 +69,6 @@ LHY_RATIO = 16.0 / (15.0 * math.pi**2)
 _TAIL_CUT = 1.0e3
 # (2 pi)^-3 times the solid angle 4 pi: d^3k = 4 pi k^2 dk
 _SHELL = 1.0 / (2.0 * math.pi**2)
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    closed_form: float
-
-    @property
-    def rel_residual(self) -> float:
-        return abs(self.value - self.closed_form) / abs(self.closed_form)
 
 
 def _hx(q: float):
@@ -105,7 +94,15 @@ def _quad_with_tail(radial, tail_coeffs) -> float:
     return v1 + v2 + tail
 
 
-def integral_number_density() -> IntegralResult:
+def _result(value: float, closed_form: float) -> dict:
+    return {
+        "value": value,
+        "closed_form": closed_form,
+        "rel_residual": abs(value - closed_form) / abs(closed_form),
+    }
+
+
+def integral_number_density() -> dict:
     """Condensate-depletion integral at unit coupling; closed form 1/(3 pi^2).
 
     At coupling g0 the integral is g0^(3/2) times this coefficient.
@@ -115,13 +112,10 @@ def integral_number_density() -> IntegralResult:
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h) ** 2)
 
-    return IntegralResult(
-        value=_quad_with_tail(radial, (1.0, -4.0, 15.0)) * _SHELL,
-        closed_form=1.0 / (3.0 * math.pi**2),
-    )
+    return _result(_quad_with_tail(radial, (1.0, -4.0, 15.0)) * _SHELL, 1.0 / (3.0 * math.pi**2))
 
 
-def integral_kinetic() -> IntegralResult:
+def integral_kinetic() -> dict:
     """Kinetic-excess integral at unit coupling; closed form -8/(5 pi^2).
 
     At coupling g0 the integral is g0^(5/2) times this coefficient.
@@ -131,13 +125,10 @@ def integral_kinetic() -> IntegralResult:
         x, h = _hx(q)
         return -(2.0 / (q * q)) * (5.0 + 3.0 * h + x) / (h * (1.0 + h) * (1.0 + h + 0.5 * x))
 
-    return IntegralResult(
-        value=_quad_with_tail(radial, (-4.0, 15.0, -56.0)) * _SHELL,
-        closed_form=-8.0 / (5.0 * math.pi**2),
-    )
+    return _result(_quad_with_tail(radial, (-4.0, 15.0, -56.0)) * _SHELL, -8.0 / (5.0 * math.pi**2))
 
 
-def integral_pair() -> IntegralResult:
+def integral_pair() -> dict:
     """Pair-coupling integral at unit coupling; closed form 1/pi^2.
 
     At coupling g0 the integral is g0^(3/2) times this coefficient.
@@ -147,10 +138,7 @@ def integral_pair() -> IntegralResult:
         x, h = _hx(q)
         return 4.0 / (q * q * h * (1.0 + h))
 
-    return IntegralResult(
-        value=_quad_with_tail(radial, (2.0, -6.0, 20.0)) * _SHELL,
-        closed_form=1.0 / math.pi**2,
-    )
+    return _result(_quad_with_tail(radial, (2.0, -6.0, 20.0)) * _SHELL, 1.0 / math.pi**2)
 
 
 def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> dict:

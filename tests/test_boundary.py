@@ -35,6 +35,11 @@ def _phi(sample):
     return lambda xs: next(sample(xs))[0]
 
 
+def _rel_residual(rep):
+    """An isometry report's residual relative to its periodic mass, or to 1."""
+    return rep["residual"] / max(abs(rep["periodic"]), 1.0)
+
+
 # ---------------------------------------------------------------- window
 
 
@@ -121,8 +126,8 @@ def test_window_validation():
 def test_isometry_constant_function():
     w = _default_window()
     rep = check_isometry(w, lambda xs: np.ones_like(xs))
-    assert math.isclose(rep.periodic, w.period, rel_tol=1e-14)
-    assert rep.rel_residual <= 1e-14
+    assert math.isclose(rep["periodic"], w.period, rel_tol=1e-14)
+    assert _rel_residual(rep) <= 1e-14
 
 
 def test_isometry_pure_phase():
@@ -133,28 +138,28 @@ def test_isometry_pure_phase():
         return np.cos(3.0 * k * xs) + 0.5
 
     rep = check_isometry(w, phi)
-    assert rep.rel_residual <= 1e-10
+    assert _rel_residual(rep) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_isometry_random_trig_polynomials(seed):
     w = _default_window()
     rep = check_isometry(w, _phi(_trig(w, seed)))
-    assert rep.rel_residual < 1e-8
+    assert _rel_residual(rep) < 1e-8
 
 
 def test_isometry_degenerate_window():
     w = Window(ell=0.5, period=1.0)  # collar covers the whole box
-    assert check_isometry(w, _phi(_trig(w, 9))).rel_residual < 1e-8
+    assert _rel_residual(check_isometry(w, _phi(_trig(w, 9)))) < 1e-8
 
 
 def test_isometry_simpson_order():
     # halving the step cuts the residual ~16x until float noise
     w = _default_window()
     phi = _phi(_trig(w, 42))
-    r64 = check_isometry(w, phi, resolution=64).residual
-    r128 = check_isometry(w, phi, resolution=128).residual
-    r256 = check_isometry(w, phi, resolution=256).residual
+    r64 = check_isometry(w, phi, resolution=64)["residual"]
+    r128 = check_isometry(w, phi, resolution=128)["residual"]
+    r256 = check_isometry(w, phi, resolution=256)["residual"]
     assert r256 > 1e-12  # still far from noise
     assert 8.0 < r64 / r128 < 40.0
     assert 8.0 < r128 / r256 < 40.0
@@ -179,13 +184,15 @@ def test_isometry_3d_separable_products():
 
 def test_penalty_constant_function():
     w = _default_window()
-    (rep,) = kinetic_penalty(w, lambda xs: [(np.ones_like(xs), np.zeros_like(xs))])
+    ((_, rep),) = kinetic_penalty(w, lambda xs: [(np.ones_like(xs), np.zeros_like(xs))])
     # gradient cost comes entirely from the window ramps
-    assert rep.periodic_kinetic == 0.0
-    assert rep.collar_mass > 0.0
-    assert math.isclose(rep.implied_constant, _QUARTER_PI_SQ, rel_tol=1e-10)
-    assert rep.holds_with(_QUARTER_PI_SQ)
-    assert not rep.holds_with(_QUARTER_PI_SQ * 0.999)
+    assert rep["periodic_kinetic"] == 0.0
+    assert rep["collar_mass"] > 0.0
+    assert math.isclose(rep["implied_constant"], _QUARTER_PI_SQ, rel_tol=1e-10)
+    assert rep["holds_quarter_pi_sq"]
+    # the bound is tight: a constant 0.1% below pi^2/16 fails it, up to 1e-9 relative
+    rhs = rep["periodic_kinetic"] + _QUARTER_PI_SQ * 0.999 / w.ell**2 * rep["collar_mass"]
+    assert not rep["lhs"] <= rhs + 1e-9 * max(abs(rep["lhs"]), abs(rhs), 1.0)
 
 
 @pytest.mark.parametrize("ell", [0.05, 0.1, 0.25, 0.5])
@@ -195,19 +202,19 @@ def test_penalty_holds_across_windows(ell, seed):
     C = pi^2/16, for every tested (phi, ell) pair including the plateau-free
     window; the measured implied constant never exceeds the bound."""
     w = Window(ell=ell, period=1.0)
-    (rep,) = kinetic_penalty(w, _trig(w, seed))
-    assert rep.holds_with(_QUARTER_PI_SQ)
-    assert rep.implied_constant <= _QUARTER_PI_SQ + 1e-9
+    ((_, rep),) = kinetic_penalty(w, _trig(w, seed))
+    assert rep["holds_quarter_pi_sq"]
+    assert rep["implied_constant"] <= _QUARTER_PI_SQ + 1e-9
     # periodic contributions enter at full strength, never amplified
-    assert rep.lhs <= rep.periodic_kinetic + _QUARTER_PI_SQ / ell**2 * rep.collar_mass + 1e-9
+    assert rep["lhs"] <= rep["periodic_kinetic"] + _QUARTER_PI_SQ / ell**2 * rep["collar_mass"] + 1e-9
 
 
 def test_penalty_constant_is_attained():
     # equality (not just a bound) for smooth periodic inputs: the cross term
     # integrates to zero, so the implied constant sits exactly at pi^2/16
     w = _default_window()
-    (rep,) = kinetic_penalty(w, _trig(w, 77))
-    assert abs(rep.implied_constant - _QUARTER_PI_SQ) < 1e-11
+    ((_, rep),) = kinetic_penalty(w, _trig(w, 77))
+    assert abs(rep["implied_constant"] - _QUARTER_PI_SQ) < 1e-11
 
 
 def test_penalty_no_collar_mass_reports_nan():
@@ -232,9 +239,9 @@ def test_penalty_no_collar_mass_reports_nan():
         )
         return out
 
-    (rep,) = kinetic_penalty(w, lambda xs: [(bump(xs), dbump(xs))])
-    assert rep.collar_mass <= 1e-13
-    assert math.isnan(rep.implied_constant)
+    ((_, rep),) = kinetic_penalty(w, lambda xs: [(bump(xs), dbump(xs))])
+    assert rep["collar_mass"] <= 1e-13
+    assert math.isnan(rep["implied_constant"])
 
 
 def test_shifted_collar_average():
@@ -345,15 +352,15 @@ def test_one_pass_equals_per_callable_route(ell, resolution):
     sample, refs = _battery_functions(w.period, seed=11)
     reports = kinetic_penalty(w, sample, resolution=resolution)
     assert len(reports) == len(refs) == 5
-    for rep, (phi, dphi) in zip(reports, refs):
+    for (iso, rep), (phi, dphi) in zip(reports, refs):
         ext, per, lhs, kin, collar = _ref_integrals(w, phi, dphi, resolution)
-        assert rep.isometry.extended == ext
-        assert rep.isometry.periodic == per
-        assert rep.lhs == lhs
-        assert rep.periodic_kinetic == kin
-        assert rep.collar_mass == collar
+        assert iso["extended"] == ext
+        assert iso["periodic"] == per
+        assert rep["lhs"] == lhs
+        assert rep["periodic_kinetic"] == kin
+        assert rep["collar_mass"] == collar
         iso = check_isometry(w, phi, resolution=resolution)
-        assert (iso.extended, iso.periodic) == (ext, per)
+        assert (iso["extended"], iso["periodic"]) == (ext, per)
 
 
 def test_trig_family_rows_equal_single_polynomials():

@@ -245,26 +245,15 @@ def test_check_all_passes_and_is_deterministic(tmp_path):
     assert rep["violations"] == []
 
 
-class _FailingPenalty:
-    """A kinetic-penalty report whose bound never holds."""
-
-    def __init__(self, report):
-        self._report = report
-
-    def __getattr__(self, name):
-        return getattr(self._report, name)
-
-    def holds_with(self, constant):
-        return False
-
-
 def _fail_penalty(monkeypatch, degenerate):
     real = bnd.kinetic_penalty
 
     def penalty(w, sample, **kw):
         reports = real(w, sample, **kw)
-        failing = (w.ell == w.period / 2.0) == degenerate
-        return [_FailingPenalty(r) for r in reports] if failing else reports
+        if (w.ell == w.period / 2.0) != degenerate:
+            return reports
+        # each penalty report as one whose bound never holds
+        return [(iso, {**pen, "holds_quarter_pi_sq": False}) for iso, pen in reports]
 
     monkeypatch.setattr(bnd, "kinetic_penalty", penalty)
 
@@ -396,6 +385,20 @@ def test_unusable_out_exits_2(tmp_path, capsys, target):
     code = main(["integrals", "--out", str(tmp_path / target)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: --out '{tmp_path / target}'")
+
+
+@pytest.mark.parametrize(
+    "pipeline, report", [("integrals", "integrals.json"), ("trial-state", "closure.txt")]
+)
+def test_unwritable_report_exits_2(tmp_path, capsys, pipeline, report):
+    # a directory where the report goes: --out is usable, the write is not
+    out = tmp_path / "o1"
+    (out / report).mkdir(parents=True)
+    code = main([pipeline, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write report '{out / report}'")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -548,6 +551,23 @@ def test_empty_low_annulus_exits_2(tmp_path, capsys, pipeline, text, rho):
     assert code == 2
     assert err.startswith("config error:")
     assert f"rho = {rho}," in err and "eta = 0.005" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("rho", ["1.0e-99", "1.0e-200", "1.0e-300"])
+@pytest.mark.parametrize(
+    "pipeline, text",
+    [("lattice", "schedule: {{rho: {}}}\n"), ("energy-curve", "sweep: {{rho_values: [{}]}}\n")],
+    ids=["lattice", "energy-curve"],
+)
+def test_density_past_shell_reach_exits_3(tmp_path, capsys, pipeline, text, rho):
+    # far below rho = 2.7e-9 the box volume, the top shell index and the box
+    # length overflow a double; the shell budget refuses first
+    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text.format(rho)))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"budget exceeded: rho = {float(rho)!r}:")
     assert "Traceback" not in err
     assert not any(out.iterdir())
 

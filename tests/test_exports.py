@@ -1,9 +1,9 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, every definition in the package has
 a caller in the package, every record field is read in the package, every
-parameter default is overridden by some call in the package, and the CLI
-imports no more of scipy than it uses: none at start, none in trial-state or
-boundary."""
+parameter default is overridden by some call in the package, only `cli.main`
+writes files, and the CLI imports no more of scipy than it uses: none at
+start, none in trial-state or boundary."""
 
 import ast
 import importlib
@@ -263,6 +263,46 @@ def test_every_default_is_set_by_a_call():
     # a default that no caller in the package overrides is a constant in
     # disguise: it belongs in the body, or the parameter goes
     assert _unset_defaults() == set(_DEFAULT_ONLY)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """An open() whose mode writes: a literal mode with w, a, x or +, or a
+    mode that is no literal.  Without a mode, open reads."""
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    # open(path, mode) and Path.open(mode)
+    modes += call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def _file_writes() -> list[str]:
+    """module.function:line of every write_text or write_bytes call and every
+    open() for writing in src/bosegas, by the top-level definition around it
+    (module-level code by its module alone)."""
+    found = []
+    for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named else path.stem
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("write_text", "write_bytes") or (
+                    name == "open" and _opens_for_writing(node)
+                ):
+                    found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_reports_are_written_in_main_alone():
+    # one write path: each pipeline returns its files and cli.main writes them
+    writes = _file_writes()
+    assert writes
+    assert {w.split(":")[0] for w in writes} == {"cli.main"}, writes
 
 
 def _source_env() -> dict:

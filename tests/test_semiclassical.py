@@ -37,7 +37,7 @@ def test_integral_closed_forms(func, key):
     res = func()
     dt = time.perf_counter() - t0
     assert dt < 1.0
-    assert math.isclose(res.value, _CLOSED[key], rel_tol=1e-9)
+    assert math.isclose(res["value"], _CLOSED[key], rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------- ledger
