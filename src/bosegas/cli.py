@@ -10,7 +10,9 @@ check-all's bounds, are constants beside their one reader.  Reports are
 JSON (machine summaries, sorted keys), CSV (plot data, fixed %.12e floats)
 and trial-state's closure text; with a fixed seed the bytes are
 reproducible run to run.  `main` renders every file of a run before it
-writes any, so a pipeline that refuses writes none.
+writes any, so a pipeline that refuses writes none, and it writes them all
+or none: every file goes to a temporary name first, and the renames follow
+only once every write has succeeded.
 
 Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
 budget exceeded, a divergent integrand, or an identity violation in a
@@ -24,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,7 +58,14 @@ from .expectation import (
     pl_occupation_monotonicity,
 )
 from .fock import export_closure, weight_recursion_report
-from .lattice import DEFAULT_ETA, Region, Schedule, load_toy_modes, pl_number_density_comparison
+from .lattice import (
+    DEFAULT_ETA,
+    Region,
+    Schedule,
+    check_shell_reach,
+    load_toy_modes,
+    pl_number_density_comparison,
+)
 from .scattering import (
     Potential,
     check_scattering_identities,
@@ -246,11 +257,18 @@ def run_scattering(cfg: dict) -> dict:
     return {"scattering.json": report}
 
 
+def _pl_schedules(cfg: dict, rhos) -> list[Schedule]:
+    """The schedule of each rho at the config's eta, each P_L annulus checked
+    against the shell budget before any solve or sum."""
+    schedules = [Schedule(rho=rho, eta=cfg["schedule"]["eta"]) for rho in rhos]
+    for schedule in schedules:
+        check_shell_reach(schedule, schedule.p_low_top)
+    return schedules
+
+
 def run_lattice(cfg: dict) -> dict:
-    schedule = Schedule(rho=cfg["schedule"]["rho"], eta=cfg["schedule"]["eta"])
+    (schedule,) = _pl_schedules(cfg, [cfg["schedule"]["rho"]])
     solution = _solve(cfg)
-    # the sum first: it refuses a rho past the shell budget before the
-    # schedule's volume can overflow
     number_density = pl_number_density_comparison(schedule, solution.g0)
     report = {"schedule": schedule.as_dict(), "number_density": number_density, "g0": solution.g0}
     return {"lattice.json": report}
@@ -346,12 +364,14 @@ def run_trial_state(cfg: dict) -> dict:
 
 
 def run_energy_curve(cfg: dict) -> dict:
+    schedules = _pl_schedules(cfg, cfg["sweep"]["rho_values"])
     solution = _solve(cfg)
     g0 = solution.g0
     eta = cfg["schedule"]["eta"]
     rows = []
-    for rho in cfg["sweep"]["rho_values"]:
-        comp = pl_number_density_comparison(Schedule(rho=rho, eta=eta), g0)
+    for schedule in schedules:
+        rho = schedule.rho
+        comp = pl_number_density_comparison(schedule, g0)
         rows.append(
             {
                 "rho": rho,
@@ -611,11 +631,23 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
         files = _PIPELINES[args.pipeline](cfg)
         texts = {name: _render(content) for name, content in files.items()}
-        for name, text in texts.items():
-            try:
-                (out / name).write_text(text)
-            except OSError as exc:
-                raise ConfigInvalid(f"cannot write report {str(out / name)!r}: {exc}") from exc
+        # all reports or none: each is written to a temporary name beside
+        # it, and the renames start once every write has succeeded and no
+        # report path is a directory, where its rename would fail
+        staged = {}
+        try:
+            for name, text in texts.items():
+                target = out / name
+                staged[target] = out / f".{name}.{os.getpid()}.tmp"
+                staged[target].write_text(text)
+                if target.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            for target, tmp in staged.items():
+                tmp.replace(target)
+        except OSError as exc:
+            for tmp in staged.values():
+                tmp.unlink(missing_ok=True)
+            raise ConfigInvalid(f"cannot write report {str(target)!r}: {exc}") from exc
     except tuple(_EXITS) as exc:
         code, label = next(_EXITS[t] for t in type(exc).__mro__ if t in _EXITS)
         print(f"{label}: {exc}", file=sys.stderr)

@@ -76,6 +76,7 @@ __all__ = [
     "Mode",
     "ModeSet",
     "shell_counts",
+    "check_shell_reach",
     "radial_shell_sum",
     "pl_number_density_comparison",
     "load_toy_modes",
@@ -524,6 +525,20 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     return counts
 
 
+def check_shell_reach(schedule: Schedule, p_hi: float) -> None:
+    """Refuse an annulus up to p_hi whose top shell (p_hi / step)^2 lies past
+    the shell budget + 1, with BudgetExceeded naming rho.  The test is read
+    in logs, before the box volume, the shell index or the box length can
+    overflow, and needs no solve, so a caller can refuse a schedule before
+    any work on it."""
+    log_top = 2.0 * (math.log10(p_hi / (2.0 * math.pi)) - _BOX_EXPONENT * math.log10(schedule.rho))
+    if log_top > math.log10(_SHELL_BUDGET + 2):
+        raise BudgetExceeded(
+            f"rho = {schedule.rho!r}: the annulus reaches shell m = 10^{log_top:.1f}, "
+            f"past the shell budget m <= {_SHELL_BUDGET}"
+        )
+
+
 def radial_shell_sum(
     schedule: Schedule,
     radial: Callable[[np.ndarray], np.ndarray],
@@ -538,16 +553,10 @@ def radial_shell_sum(
     lattice_per_volume, continuum_annulus, their rel_gap_annulus, the
     n_modes summed and the lattice spacing.
 
-    A top shell (p_hi / step)^2 past budget + 1 raises BudgetExceeded naming
-    rho, read in logs before the box volume, the shell index or the box
-    length can overflow; shell_counts checks the exact index.
+    A top shell past the budget raises BudgetExceeded (`check_shell_reach`);
+    shell_counts checks the exact index.
     """
-    log_top = 2.0 * (math.log10(p_hi / (2.0 * math.pi)) - _BOX_EXPONENT * math.log10(schedule.rho))
-    if log_top > math.log10(_SHELL_BUDGET + 2):
-        raise BudgetExceeded(
-            f"rho = {schedule.rho!r}: the annulus reaches shell m = 10^{log_top:.1f}, "
-            f"past the shell budget m <= {_SHELL_BUDGET}"
-        )
+    check_shell_reach(schedule, p_hi)
     step = schedule.spacing
     lo2 = (p_lo / step) ** 2
     hi2 = (p_hi / step) ** 2

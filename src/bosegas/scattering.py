@@ -18,11 +18,14 @@ Radial symmetry collapses the 3-d convolution to a 1-d pair kernel,
 
 with s the width.  In this factored form K keeps its relative precision at
 any ratio r/p, and it falls below e^-40 of its scale once |p - r| reaches
-sqrt(80)/s; past that radius it is exactly 0, so it is built on its support
-only, in row blocks mirrored by their transposes, and kept dense for the
-products.  On a log-spaced grid the equation for g = p^2 w reads
-(I + A) g = V_p with a dense A, and GMRES solves it in a few kernel products
-at any coupling strength, past the radius where the Born series diverges.
+sqrt(80)/s; past that radius it is exactly 0.  So only its support is built
+and kept: one rectangle per block of 64 rows, from the diagonal to the
+support edge of the block's last row, which each product applies together
+with its transpose.  On the 2049-point grid that is 1.04M to 1.32M entries
+(8.3 to 10.6 MB) in place of the 4.2M (33.6 MB) of the dense matrix.  On a
+log-spaced grid the equation for g = p^2 w reads (I + A) g = V_p, and
+GMRES solves it in a few kernel products at any coupling strength, past
+the radius where the Born series diverges.
 The grid follows from the potential alone: it ends at 1e3/width and starts
 low enough for an upper bound on a, so a scattering length far past the
 width solves too.
@@ -81,10 +84,13 @@ _KRYLOV_DIM = 40
 _KRYLOV_CYCLES = 2
 # pair kernel rows per block: each block is one rectangle of 64 rows by the
 # columns up to its last row's support edge, at most 64 x 1563 entries on the
-# coupling-sweep and {0.4, 50} grids.  Its temporaries (two float rectangles,
-# a mask and an |p_j - p_i| rectangle) peak 2.3-2.6 MB above the 33.6 MB
-# kernel at n = 2049, under tracemalloc.  16 to 64 rows run about as fast;
-# 128 rows take a fifth longer and 256 rows two thirds longer (default grid).
+# coupling-sweep and {0.4, 50} grids, and the 33 rectangles are the kernel:
+# 8.3 MB on the default grid and 10.6 MB on {0.4, 50}, where the solve peaks
+# at 9.2 and 11.4 MB under tracemalloc.  Fewer rows store less (7.8 MB at
+# 16) and more rows more (10.4 MB at 256), but a warm _solve_on_grid is
+# fastest at 64 and 128 rows: 11.8 ms on the default grid against 13.5-15.3
+# ms at 16-32 rows and 17.2 ms at 256, and 29.8 ms on {0.4, 50} against
+# 31.5-38.8 ms.
 _KERNEL_BLOCK_ROWS = 64
 
 
@@ -195,8 +201,9 @@ def _small_p_limit(p: np.ndarray, f: np.ndarray, k: int) -> float:
     return float(f[0] - (f[k] - f[0]) * p[0] ** 2 / (p[k] ** 2 - p[0] ** 2))
 
 
-def _pair_kernel(potential, p) -> np.ndarray:
-    """K[i, j] = int_{|p_i - p_j|}^{p_i + p_j} q V_q dq on an ascending grid p.
+def _pair_kernel(potential, p) -> list[tuple[int, np.ndarray]]:
+    """K[i, j] = int_{|p_i - p_j|}^{p_i + p_j} q V_q dq on an ascending grid p,
+    as the row blocks of its upper support.
 
     In closed form, with A = V_0 and s = width,
 
@@ -211,19 +218,20 @@ def _pair_kernel(potential, p) -> np.ndarray:
 
     K is symmetric, and it is evaluated once per pair off a diagonal square:
     each block of _KERNEL_BLOCK_ROWS rows [first, last) is one dense
-    rectangle [first, last) x [first, hi[last - 1]), whose columns reach the
-    support edge of its last row, and its transpose fills the mirrored
-    columns.  The rectangle's leading square holds the pairs j < i too; they
-    come out bit-equal to their mirror images, as p_i - p_j = -(p_j - p_i)
-    and p_i p_j = p_j p_i in floats, so the block and its transpose agree
-    where they overlap.
+    rectangle R = K[first:last, first:end], whose columns reach the support
+    edge end = hi[last - 1] of its last row.  Each comes back as (first, R);
+    the rows past `last` of columns [first, last) are R[:, last - first:].T,
+    and every entry outside the rectangles and their mirrors is 0.0.  The
+    rectangle's leading square holds the pairs j < i too; they come out
+    bit-equal to their mirror images, as p_i - p_j = -(p_j - p_i) and
+    p_i p_j = p_j p_i in floats.  `_kernel_product` applies the blocks.
     """
     n = p.size
     s2 = potential.width**2
     scale = float(fourier_at(potential, 0.0)) / s2
     x_cut = math.sqrt(80.0) / potential.width
     hi = np.minimum(np.searchsorted(p, p + x_cut, side="right") + 1, n)
-    kern = np.zeros((n, n))
+    blocks = []
     for first in range(0, n, _KERNEL_BLOCK_ROWS):
         last = min(first + _KERNEL_BLOCK_ROWS, n)
         end = hi[last - 1]
@@ -240,9 +248,20 @@ def _pair_kernel(potential, p) -> np.ndarray:
         prods *= diffs
         prods *= -scale
         prods[outside] = 0.0
-        kern[first:last, first:end] = prods
-        kern[first:end, first:last] = prods.T
-    return kern
+        blocks.append((first, prods))
+    return blocks
+
+
+def _kernel_product(blocks, x: np.ndarray) -> np.ndarray:
+    """K @ x from the row blocks of `_pair_kernel`: each rectangle R at row
+    `first` adds R @ x[first:end] to its own rows, and its part past the
+    diagonal square, transposed, adds to the rows [last, end) below it."""
+    y = np.zeros_like(x)
+    for first, rect in blocks:
+        last, end = first + rect.shape[0], first + rect.shape[1]
+        y[first:last] += rect @ x[first:end]
+        y[last:end] += rect[:, last - first :].T @ x[first:last]
+    return y
 
 
 def _momentum_grid(potential: Potential) -> np.ndarray:
@@ -266,7 +285,7 @@ def _solve_on_grid(potential, p):
     from scipy.sparse.linalg import LinearOperator, gmres
 
     vp = fourier_at(potential, p)
-    kern = _pair_kernel(potential, p)
+    blocks = _pair_kernel(potential, p)
     # Simpson in t = log r: dr r w_r = r^2 w_r dt for the unknown p2w = p^2 w
     simpson = _log_simpson_weights(p.size, math.log(p[1] / p[0]))
     pref = 1.0 / (4.0 * math.pi**2 * p)
@@ -275,7 +294,7 @@ def _solve_on_grid(potential, p):
     tail = p[0] * vp / (2.0 * math.pi**2)
 
     def conv(p2w):
-        return pref * (kern @ (simpson * p2w)) + tail * p2w[0]
+        return pref * _kernel_product(blocks, simpson * p2w) + tail * p2w[0]
 
     matvecs = 0
 
@@ -324,7 +343,8 @@ def _observables(potential, p, p2w, g, simpson):
     x_gl, wt_gl = _legendre(256)
     r = 0.5 * potential.range_cutoff * (x_gl + 1.0)
     r_w = 0.5 * potential.range_cutoff * wt_gl
-    osc = np.sin(np.outer(r, p))
+    osc = np.outer(r, p)
+    np.sin(osc, out=osc)
     w_r = (osc @ (simpson * p2w)) / (2.0 * math.pi**2 * r)
     # analytic completion of int_0^{p_min}: w_p ~ w2_limit / p^2 there
     si, _ = sici(p[0] * r)

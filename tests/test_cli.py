@@ -401,6 +401,29 @@ def test_unwritable_report_exits_2(tmp_path, capsys, pipeline, report):
     assert "Traceback" not in err
 
 
+def _tree(path: Path) -> dict:
+    # every entry below path by relative name: a file's bytes, a directory's None
+    return {
+        str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+        for p in sorted(path.rglob("*"))
+    }
+
+
+def test_failed_report_write_leaves_out_as_it_was(tmp_path, capsys):
+    # trial-state renders closure.txt first; the directory at trial_state.json
+    # refuses the second report, and the first must not be left behind
+    out = tmp_path / "o2"
+    (out / "trial_state.json").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    before = _tree(out)
+    code = main(["trial-state", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write report '{out / 'trial_state.json'}'")
+    assert _tree(out) == before
+    assert not (out / "closure.txt").exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -570,6 +593,30 @@ def test_density_past_shell_reach_exits_3(tmp_path, capsys, pipeline, text, rho)
     assert err.startswith(f"budget exceeded: rho = {float(rho)!r}:")
     assert "Traceback" not in err
     assert not any(out.iterdir())
+
+@pytest.mark.parametrize(
+    "pipeline, text",
+    [
+        ("lattice", "schedule: {rho: 1.0e-99}\n"),
+        ("energy-curve", "sweep: {rho_values: [1.0e-8, 1.0e-99]}\n"),
+    ],
+    ids=["lattice", "energy-curve"],
+)
+def test_density_past_shell_reach_refused_before_the_solve(
+    tmp_path, capsys, monkeypatch, pipeline, text
+):
+    # the shell reach is a function of the schedule alone: every rho is
+    # checked before the scattering solve or any earlier rho's sum runs
+    def no_solve(potential):
+        raise AssertionError("solve_scattering called before the shell-reach check")
+
+    monkeypatch.setattr(cli, "solve_scattering", no_solve)
+    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("budget exceeded: rho = 1e-99:")
+    assert not any(out.iterdir())
+
 
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-16, 1e-20, 1e-30, 1e-60])
 def test_weak_coupling_lattice_gap_is_finite(tmp_path, amplitude):
