@@ -62,9 +62,9 @@ from .lattice import (
     DEFAULT_ETA,
     Region,
     Schedule,
-    check_shell_reach,
     load_toy_modes,
     pl_number_density_comparison,
+    shell_window,
 )
 from .scattering import (
     Potential,
@@ -259,10 +259,11 @@ def run_scattering(cfg: dict) -> dict:
 
 def _pl_schedules(cfg: dict, rhos) -> list[Schedule]:
     """The schedule of each rho at the config's eta, each P_L annulus checked
-    against the shell budget before any solve or sum."""
+    against the shell budget and for at least one shell before any solve or
+    sum."""
     schedules = [Schedule(rho=rho, eta=cfg["schedule"]["eta"]) for rho in rhos]
     for schedule in schedules:
-        check_shell_reach(schedule, schedule.p_low_top)
+        shell_window(schedule, schedule.p_gap_top, schedule.p_low_top)
     return schedules
 
 

@@ -33,23 +33,26 @@ and compared against the continuum integral (2 pi)^-3 int F d^3k over the
 same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  Since a
 square is 0 or 1 mod 4, r_3 splits by the residue of m mod 4 into four
 convolutions of one-square by two-square tables, each indexed by k = m div 4
-(see `shell_counts`).  For the shells m_lo .. m_hi any cyclic length
+(see `shell_counts`).  A two-square table is symmetric under x <-> y, so
+it is built over the pairs with y >= x only, each off-diagonal pair counted
+twice.  For the shells m_lo .. m_hi any cyclic length
 n >= 2 (m_hi div 4) + 1 - (m_lo div 4) is exact: each linear product ends at
 2 (m_hi div 4), and the terms past n fold back below m_lo div 4, outside
 every class window.  The length is n = n1 n2 with n1 a power of two and n2
 odd, and the Chinese-remainder index map k -> (k mod n1, k mod n2) (Agarwal
-and Cooley 1977) makes each cyclic convolution of length n a 2-D cyclic
-convolution on Z_{n1} x Z_{n2}, computed as one real 2-D FFT product whose
-transforms are threaded over every core this process may run on.  The
-transforms run in single precision (float32 tables, complex64 spectra, a
-float32 class window): every value must round to its integer with a margin
-below 0.25, and the largest distance measured is 0.016 at rho = 1e-8 and
-0.031 at m = 6e7 (2e-11 and 7e-11 in double precision), so the counts are
-exact.  Shell counts stop at m = 6e7 (rho of about 2.7e-9 at the default
-eta) with BudgetExceeded.  At most three spectrum-sized arrays are alive at
-once, and the radial summand runs in blocks of shells into one float64 term
-per occupied shell, so on the rho = 1e-8 P_L window the traced peak is
-80 MiB inside `shell_counts` and 63 MiB in the sum after it.
+and Cooley 1977; k mod n1 is the mask k & (n1 - 1)) makes each cyclic
+convolution of length n a 2-D cyclic convolution on Z_{n1} x Z_{n2},
+computed as one real 2-D FFT product whose transforms are threaded over
+every core this process may run on.  The transforms run in single precision
+(float32 tables, complex64 spectra, a float32 class window): every value
+must round to its integer with a margin below 0.25, and the largest
+distance measured is 0.016 at rho = 1e-8 and 0.031 at m = 6e7 (2e-11 and
+7e-11 in double precision), so the counts are exact.  Shell counts stop at
+m = 6e7 (rho of about 2.7e-9 at the default eta) with BudgetExceeded.  At
+most three spectrum-sized arrays are alive at once, and the radial summand
+runs in blocks of shells, in place, into one float64 term per occupied
+shell, so on the rho = 1e-8 P_L window the traced peak is 80 MiB inside
+`shell_counts` and 63 MiB in the sum after it.
 
 scipy is imported inside the functions that call it (the spectra,
 `shell_counts`, the continuum quadrature), not at module level: the CLI
@@ -77,6 +80,7 @@ __all__ = [
     "ModeSet",
     "shell_counts",
     "check_shell_reach",
+    "shell_window",
     "radial_shell_sum",
     "pl_number_density_comparison",
     "load_toy_modes",
@@ -390,9 +394,11 @@ def _crt_shape(n_min: int) -> tuple[int, int]:
 def _crt_index(k, shape: tuple[int, int]):
     """Flat position of cyclic index k in the (n1, n2) layout: the CRT map
     k -> (k mod n1, k mod n2), a bijection of Z_{n1 n2} onto Z_{n1} x Z_{n2}
-    for coprime n1, n2 under which cyclic convolution stays cyclic."""
+    for coprime n1, n2 under which cyclic convolution stays cyclic.  n1 is
+    a power of two (`_crt_shape`) and every key is >= 0, so k mod n1 is the
+    mask k & (n1 - 1)."""
     n1, n2 = shape
-    return k % n1 * n2 + k % n2
+    return (k & (n1 - 1)) * n2 + k % n2
 
 
 def _single_spectrum(parity: int, k_max: int, shape: tuple[int, int], workers: int) -> np.ndarray:
@@ -409,18 +415,27 @@ def _pair_spectrum(parity: int, k_max: int, shape: tuple[int, int], workers: int
     """rfft2 of the pair table R, the self-convolution of A for k <= k_max.
 
     R(k) = #{(x, y) of the parity : x^2 div 4 + y^2 div 4 = k} is built one
-    numpy row per x >= 0 over the quarter plane: the indices along a row are
-    distinct (and stay so under the CRT map, as k <= k_max < n1 n2), so one
-    fancy-index add per row is exact.
+    numpy row per x >= 0 over the quarter plane, visiting only y >= x: R is
+    symmetric under x <-> y, so each off-diagonal pair adds 2 w_x w_y and the
+    diagonal w_x^2.  The rows stop at the first x whose row holds no y >= x.
+    Every table value is a small integer, exact in float32 in any order of
+    addition, and the indices along a row are distinct (and stay so under
+    the CRT map, as k <= k_max < n1 n2), so one fancy-index add per row is
+    exact.
     """
     from scipy.fft import rfft2
 
     k, w = _square_class(parity, k_max)
     ends = np.searchsorted(k, k_max - k, side="right")
+    twice = 2.0 * w
     table = np.zeros(shape, dtype=np.float32)
     flat = table.ravel()
     for i, j in enumerate(ends.tolist()):
-        flat[_crt_index(k[i] + k[:j], shape)] += w[i] * w[:j]
+        if j <= i:
+            break
+        vals = w[i] * twice[i:j]
+        vals[0] = w[i] * w[i]
+        flat[_crt_index(k[i] + k[i:j], shape)] += vals
     return rfft2(table, workers=workers)
 
 
@@ -442,14 +457,16 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     k - n <= 2 k_max - n.  With k_min = m_min div 4 every class window
     starts at k >= k_min, so any n >= n_min = 2 k_max + 1 - k_min, which
     also exceeds k_max, folds below all four and the window m_min .. m_max
-    is exact.  The length is n = n1 n2 with n1 = 2^a and n2 odd (coprime,
-    see `_crt_shape`), and the CRT map k -> (k mod n1, k mod n2) turns the
-    cyclic convolution of length n into a 2-D cyclic convolution on
-    Z_{n1} x Z_{n2}: each is one real 2-D FFT product (rfft2 / irfft2,
-    threaded over the cores this process may run on), whose short lanes
-    stay in cache where one transform of length n would not.  The tables
-    are float32, so the transforms run in single precision (complex64
-    spectra, float32 inverses).
+    is exact.  The pair tables R_0, R_2 are built over y >= x alone (see
+    `_pair_spectrum`).  The length is n = n1 n2 with n1 = 2^a and n2 odd
+    (coprime, see `_crt_shape`), and the CRT map k -> (k mod n1, k mod n2)
+    (`_crt_index`, a mask and one remainder) turns the cyclic convolution
+    of length n into a 2-D cyclic convolution on Z_{n1} x Z_{n2}: each is
+    one real 2-D FFT product (rfft2 / irfft2, threaded over the cores this
+    process may run on), whose short lanes stay in cache where one
+    transform of length n would not.  The tables are float32, so the
+    transforms run in single precision (complex64 spectra, float32
+    inverses).
     The float32 window is rounded back to integers before the factor 3, and
     BudgetExceeded is raised when any value lies 0.25 or more from its
     integer, so FFT roundoff can never change a count unseen.  The largest
@@ -539,6 +556,24 @@ def check_shell_reach(schedule: Schedule, p_hi: float) -> None:
         )
 
 
+def shell_window(schedule: Schedule, p_lo: float, p_hi: float) -> tuple[int, int]:
+    """The shells m_lo .. m_hi of the annulus p_lo <= |p| <= p_hi (m_lo >= 1,
+    the zero mode left out), after `check_shell_reach` has refused a top
+    shell past the budget.  An annulus with no shell raises EmptyAnnulus.
+    Both refusals are functions of the schedule alone, so a caller can run
+    this before any work on it."""
+    check_shell_reach(schedule, p_hi)
+    step = schedule.spacing
+    m_lo = max(math.ceil((p_lo / step) ** 2 - 1e-9), 1)
+    m_hi = math.floor((p_hi / step) ** 2 + 1e-9)
+    if m_hi < m_lo:
+        raise EmptyAnnulus(
+            f"the annulus {p_lo:.6g} <= |p| <= {p_hi:.6g} at rho = {schedule.rho!r}, "
+            f"eta = {schedule.eta!r} contains no lattice shells"
+        )
+    return m_lo, m_hi
+
+
 def radial_shell_sum(
     schedule: Schedule,
     radial: Callable[[np.ndarray], np.ndarray],
@@ -553,20 +588,12 @@ def radial_shell_sum(
     lattice_per_volume, continuum_annulus, their rel_gap_annulus, the
     n_modes summed and the lattice spacing.
 
-    A top shell past the budget raises BudgetExceeded (`check_shell_reach`);
+    The shell window comes from `shell_window`: a top shell past the budget
+    raises BudgetExceeded and an annulus with no shell EmptyAnnulus;
     shell_counts checks the exact index.
     """
-    check_shell_reach(schedule, p_hi)
+    m_lo, m_hi = shell_window(schedule, p_lo, p_hi)
     step = schedule.spacing
-    lo2 = (p_lo / step) ** 2
-    hi2 = (p_hi / step) ** 2
-    m_lo = max(math.ceil(lo2 - 1e-9), 1)
-    m_hi = math.floor(hi2 + 1e-9)
-    if m_hi < m_lo:
-        raise EmptyAnnulus(
-            f"the annulus {p_lo:.6g} <= |p| <= {p_hi:.6g} at rho = {schedule.rho!r}, "
-            f"eta = {schedule.eta!r} contains no lattice shells"
-        )
     counts = shell_counts(m_hi, m_lo)
     # the summand block by block into one array of the occupied shells'
     # terms: each term is the same elementwise product as in one pass, so
@@ -576,7 +603,11 @@ def radial_shell_sum(
     for start in range(0, counts.size, _SUM_BLOCK):
         block = counts[start : start + _SUM_BLOCK]
         shells = np.flatnonzero(block)
-        vals = radial(np.sqrt(shells + float(m_lo + start)) * step)
+        # sqrt(m) step, formed in place in the one float copy of the shells
+        mags = shells + float(m_lo + start)
+        np.sqrt(mags, out=mags)
+        mags *= step
+        vals = radial(mags)
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegrand("radial summand not finite inside the annulus")
         np.multiply(block[shells], vals, out=terms[filled : filled + shells.size])
@@ -604,14 +635,18 @@ def number_density_summand(rho: float, g0: float) -> Callable[[np.ndarray], np.n
 
     def f(mags: np.ndarray) -> np.ndarray:
         # x = 4 rho g0 / u^2, then (x / (1 + h))^2 / (4 h) in place: a copy
-        # of the magnitudes (so a float is accepted too) holds every step
+        # of the magnitudes (a 0-d array for a float) holds every step, h and
+        # one scratch array t the rest, with the same operations in the same
+        # order as the one-line formula
         x = np.array(mags, dtype=float)
         x *= x
         np.divide(4.0 * rho * g0, x, out=x)
-        h = np.sqrt(1.0 + x)
-        x /= 1.0 + h
+        h = np.add(x, 1.0, out=np.empty_like(x))
+        np.sqrt(h, out=h)
+        t = np.add(h, 1.0, out=np.empty_like(x))
+        x /= t
         x *= x
-        x /= 4.0 * h
+        x /= np.multiply(h, 4.0, out=t)
         return x
 
     return f

@@ -618,6 +618,33 @@ def test_density_past_shell_reach_refused_before_the_solve(
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "pipeline, text",
+    [
+        ("lattice", "schedule: {rho: 0.5}\n"),
+        ("energy-curve", "sweep: {rho_values: [1.0e-8, 0.5]}\n"),
+    ],
+    ids=["lattice", "energy-curve"],
+)
+def test_empty_low_annulus_refused_before_the_solve(tmp_path, capsys, monkeypatch, pipeline, text):
+    # the shell window is a function of the schedule alone: an empty P_L
+    # annulus is refused before the scattering solve or any rho's shell count
+    def no_solve(potential):
+        raise AssertionError("solve_scattering called before the empty-annulus check")
+
+    def no_counts(m_max, m_min=0):
+        raise AssertionError("shell_counts called before the empty-annulus check")
+
+    monkeypatch.setattr(cli, "solve_scattering", no_solve)
+    monkeypatch.setattr(lattice, "shell_counts", no_counts)
+    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "rho = 0.5," in err and "contains no lattice shells" in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-16, 1e-20, 1e-30, 1e-60])
 def test_weak_coupling_lattice_gap_is_finite(tmp_path, amplitude):
     # 4 rho g0 / p^2 falls far below the float epsilon on P_L, where a

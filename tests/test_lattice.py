@@ -536,6 +536,84 @@ def test_shell_counts_per_shell_at_large_shape():
         assert counts[m - m_lo] == int(np.sum(r2[rest])), m
 
 
+def _quarter_plane_table(parity: int, k_max: int, shape: tuple[int, int]) -> np.ndarray:
+    """The pair table R of one parity as the plain loop over the quarter
+    plane: every (x, y) with x, y >= 0, one row per x, at the CRT position
+    (k mod n1) n2 + k mod n2 taken from the definition."""
+    n1, n2 = shape
+    k, w = lattice._square_class(parity, k_max)
+    ends = np.searchsorted(k, k_max - k, side="right")
+    table = np.zeros(shape, dtype=np.float32)
+    flat = table.ravel()
+    for i, j in enumerate(ends.tolist()):
+        keys = k[i] + k[:j]
+        flat[keys % n1 * n2 + keys % n2] += w[i] * w[:j]
+    return table
+
+
+@pytest.mark.parametrize(
+    "m_max, m_min",
+    [(0, 0), (7, 0), (11, 0), (15, 0), (1_140_180, 825_988), (14_135_361, 9_779_282)],
+    ids=["n1=1-k0", "n1=1-k1", "n1=1-k2", "n1=1-k3", "rho=1e-7", "rho=1e-8"],
+)
+def test_pair_table_over_the_triangle_is_the_quarter_plane_table(monkeypatch, m_max, m_min):
+    """The table `_pair_spectrum` transforms, built over y >= x with the
+    off-diagonal pairs doubled, is array-equal to the quarter-plane table in
+    both parities: on shapes with n1 = 1, on the rho = 1e-7 window's
+    (512, 729) and the rho = 1e-8 window's (1024, 4725)."""
+    k_max, k_min = m_max // 4, m_min // 4
+    shape = lattice._crt_shape(2 * k_max + 1 - k_min)
+    if m_max < 16:
+        assert shape[0] == 1
+    else:
+        assert shape == {1_140_180: (512, 729), 14_135_361: (1024, 4725)}[m_max]
+    tables = []
+
+    def keep_table(table, workers):
+        tables.append(table)
+        return table
+
+    # _pair_spectrum imports rfft2 from scipy.fft when called, so patch it there
+    monkeypatch.setattr(scipy.fft, "rfft2", keep_table)
+    for parity in (0, 1):
+        lattice._pair_spectrum(parity, k_max, shape, 1)
+        assert tables[-1].dtype == np.float32
+        assert np.array_equal(tables[-1], _quarter_plane_table(parity, k_max, shape)), parity
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int32, 2**31 - 1), (np.int64, 2**62)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (4, 35), (512, 729), (1024, 4725), (8192, 7203)])
+def test_crt_index_is_the_mod_map(dtype, top, shape):
+    # n1 is a power of two, so k mod n1 is a mask for every key k >= 0
+    n1, n2 = shape
+    rng = np.random.default_rng(n1 * n2)
+    k = np.concatenate([np.arange(64), rng.integers(0, top, size=4096)]).astype(dtype)
+    assert np.array_equal(lattice._crt_index(k, shape), k % n1 * n2 + k % n2)
+    assert lattice._crt_index(int(k[-1]), shape) == int(k[-1]) % n1 * n2 + int(k[-1]) % n2
+
+
+def test_shell_counts_quadruple_and_three_square_theorem():
+    """A number-theory oracle off the FFT route, on the rho = 1e-7 P_L
+    window: r_3(4m) = r_3(m) (a sum of three squares that is 0 mod 4 has
+    every square even), read against a second call on the quarter window,
+    and r_3(m) = 0 exactly when m = 4^a (8b + 7) (Legendre)."""
+    m_lo, m_hi = 825_988, 1_140_180
+    counts = shell_counts(m_hi, m_lo)
+    q_lo, q_hi = -(-m_lo // 4), m_hi // 4
+    quarter = shell_counts(q_hi, q_lo)
+    assert np.array_equal(counts[4 * q_lo - m_lo :: 4], quarter)
+    m = np.arange(m_lo, m_hi + 1)
+    odd = m.copy()
+    while True:
+        fours = odd % 4 == 0
+        if not fours.any():
+            break
+        odd[fours] //= 4
+    excluded = odd % 8 == 7
+    assert excluded.sum() > 40_000
+    assert np.array_equal(counts == 0, excluded)
+
+
 def test_crt_shape_is_coprime_and_tight():
     rng = np.random.default_rng(7)
     sampled = rng.integers(3001, 30_000_001, size=400).tolist()
@@ -684,6 +762,35 @@ def test_number_density_summand_matches_lambda_form():
     # 4 rho g0 / p^2 = 3 makes h = 2, rho lambda = -1/3 and the summand 1/8
     mag = math.sqrt(4.0 * rho * g0 / 3.0)
     assert math.isclose(float(f(np.array([mag]))[0]), 0.125, rel_tol=1e-14)
+
+
+def test_number_density_summand_is_the_one_line_formula():
+    """The in-place summand returns the one-line expression bit for bit, on
+    a 2^16 block of P_L magnitudes, on a block spanning strong to weak
+    coupling, and on a float (a 0-d array, as the continuum quadrature
+    passes)."""
+    rho, g0 = 1e-7, 1.471269533883597
+    f = number_density_summand(rho, g0)
+
+    def formula(u):
+        x = 4.0 * rho * g0 / (u * u)
+        h = np.sqrt(1.0 + x)
+        y = x / (1.0 + h)
+        return y * y / (4.0 * h)
+
+    step = Schedule(rho).spacing
+    blocks = [
+        np.sqrt(np.arange(1 << 16) + 825_988.0) * step,
+        np.geomspace(1e-12, 1e6, 1 << 16),
+    ]
+    for mags in blocks:
+        vals = f(mags)
+        assert vals.shape == mags.shape
+        assert np.array_equal(vals, formula(mags))
+    for mag in (1e-9, step, 0.01, 3.0):
+        val = f(mag)
+        assert val.ndim == 0
+        assert val == formula(np.float64(mag))
 
 
 def test_number_density_summand_continuum_limit():
