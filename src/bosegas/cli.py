@@ -140,6 +140,11 @@ def _cast(block: dict, key: str, where: str, cast=float):
     return block[key]
 
 
+# libyaml's parser where PyYAML was built with it: the same safe resolver and
+# the same dicts as SafeLoader, parsed in C (0.03-0.05 ms against 0.2-0.7 ms)
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | None) -> dict:
     """Parse, merge with defaults, validate every numeric domain, and store
     each number cast to its type (float, or int for the integer keys)."""
@@ -150,7 +155,7 @@ def load_config(path: str | None) -> dict:
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config {path!r}: {exc}") from exc
         try:
-            loaded = yaml.safe_load(text)
+            loaded = yaml.load(text, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"config {path!r} is not valid YAML: {exc}") from exc
         if loaded is None:

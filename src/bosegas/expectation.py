@@ -417,22 +417,37 @@ def pair_correlator_check(state: WeightedTrialState, u_idx: int, v_idx: int) -> 
     }
 
 
+def _power(x: float, k: int) -> float:
+    """x**k in Python floats for x >= 0 or k even, and inf where it leaves the
+    doubles: an infinite right side is a bound that holds."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 def occupation_ratio_report(state: WeightedTrialState, u_idx: int, lam_u: float) -> dict:
     """Geometric occupancy decay at an intermediate mode.
 
     Checks Q({u,m}) <= (lam_u rho)^(2i) Q({u,m-i}) for all m >= i >= 1, with
     rho = N / |L| from the state; the underlying argument needs only that no
     state holds more than N condensate particles, so it is exact at any
-    scale.  worst_ratio is None when no pair has a positive right side.
+    scale.  A power (lam_u rho)^(2i) past the largest double is taken as
+    inf, so a long tower is checked rather than refused.  worst_ratio is
+    None when no pair has a positive right side.
     """
     n = state.closure.n
     rho = n / state.mode_set.volume
     probs = occupancy_distribution(state, u_idx)
-    ratio2 = (lam_u * rho) ** 2
+    ratio2 = _power(lam_u * rho, 2)
     m, i = np.tril_indices(n)  # m - 1 and i - 1 over all 1 <= i <= m <= N
     q = np.array(probs)
     lhs = q[m + 1]
-    rhs = np.array([ratio2**k for k in range(n + 1)])[i + 1] * q[m - i]
+    powers = np.array([_power(ratio2, k) for k in range(n + 1)])
+    # r^{2i} Q is 0 where Q is, even where r^{2i} is too large for a double
+    prior = q[m - i]
+    rhs = np.zeros_like(prior)
+    np.multiply(powers[i + 1], prior, out=rhs, where=prior != 0.0)
     ok = not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs)))
     ratios = lhs[rhs > 0] / rhs[rhs > 0]
     worst = float(np.max(ratios)) if len(ratios) else None

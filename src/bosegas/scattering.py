@@ -43,10 +43,10 @@ using the independent small-p limit of g_p = p^2 w_p on the second one.
 
 `shooting_scattering_length` is the position-space oracle for a: it
 integrates the zero-energy variable-phase equation b' = U e^{-x^2/2} (x - b)^2
-in width units with the 8th-order Dormand-Prince pair DOP853 (scipy's
-solve_ivp) at rtol 1e-12 and reads a = b(12) width.  The equation subtracts
-no two close numbers and is scale-free, so no coupling or width loses a's
-digits to cancellation.
+in width units with the 8th-order Dormand-Prince pair DOP853, stepped in
+scipy's compiled `dop853` at rtol 1e-13 with a cap of 1e7 steps per run,
+and reads a = b(12) width.  The equation subtracts no two close numbers and
+is scale-free, so no coupling or width loses a's digits to cancellation.
 
 scipy is imported inside the functions that call it, not at module level:
 the CLI imports this module at every start, and the trial-state and
@@ -57,6 +57,7 @@ boundary pipelines never solve (trial-state needs only `Potential` and
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -92,6 +93,13 @@ _KRYLOV_CYCLES = 2
 # ms at 16-32 rows and 17.2 ms at 256, and 29.8 ms on {0.4, 50} against
 # 31.5-38.8 ms.
 _KERNEL_BLOCK_ROWS = 64
+# step cap of one compiled DOP853 run of the variable-phase oracle.  U = 1e9
+# takes 31,883 steps in one run, and from U ~ 1e10 on the stiffness test
+# ends most runs well before the cap.  scipy's default of 500 stops U = 1e6
+# and a cap of 1e6 stops U = 1e14; under 1e7, U = 1e14 and 1e15 resolve
+_SHOOTING_STEPS = 10_000_000
+# DOP853's return code for a run its stiffness test interrupted
+_STIFF = -4
 
 
 @cache
@@ -343,9 +351,16 @@ def _observables(potential, p, p2w, g, simpson):
     x_gl, wt_gl = _legendre(256)
     r = 0.5 * potential.range_cutoff * (x_gl + 1.0)
     r_w = 0.5 * potential.range_cutoff * wt_gl
+    weights = simpson * p2w
+    # past the last nonzero weight (p2w underflows to 0.0 where V_p does,
+    # 18 % of the columns on the coupling-sweep grids) the sine is not taken:
+    # a finite r p times an exact zero adds nothing, so w_r is bit for bit
+    # the full table's, from the same (256, 2049) product
+    nonzero = np.flatnonzero(weights)
+    support = nonzero[-1] + 1 if nonzero.size else 0
     osc = np.outer(r, p)
-    np.sin(osc, out=osc)
-    w_r = (osc @ (simpson * p2w)) / (2.0 * math.pi**2 * r)
+    np.sin(osc[:, :support], out=osc[:, :support])
+    w_r = (osc @ weights) / (2.0 * math.pi**2 * r)
     # analytic completion of int_0^{p_min}: w_p ~ w2_limit / p^2 there
     si, _ = sici(p[0] * r)
     w_r += w2_limit * si / (2.0 * math.pi**2 * r)
@@ -412,22 +427,43 @@ def shooting_scattering_length(potential: Potential) -> float:
     and b tends to a/width past the potential range; at x = 12 V has fallen
     below 1e-31 of its height, so a = b(12) width.  This is a position-space
     route entirely independent of the momentum solver.  The integrator is the
-    8th-order Dormand-Prince pair DOP853 at rtol 1e-12, with atol 1e-14 U
+    8th-order Dormand-Prince pair DOP853, stepped in scipy's compiled
+    `dop853` (`scipy.integrate.ode`), at rtol 1e-13, with atol 1e-14 U
     (1e-14 past U = 1) floored at the least normal double, so that U = 0
-    gives a = 0, and a first step of 1e-3; on the tested potentials it lands
-    within 1e-12 relative of an RK4 variable-phase reference.
+    gives a = 0, a first step of 1e-3 and a cap of _SHOOTING_STEPS = 1e7
+    steps per run.  From U ~ 1e10 on, DOP853's stiffness test ends a run
+    early (return code -4), and the integration resumes from where it
+    stopped: U = 1e12 resolves in 28 runs and 0.93M steps.  A run that
+    stops for any other reason (the step cap, a step below roundoff) raises
+    NotConverged, and no warning escapes.  On the tested potentials a lands
+    within 1e-14 relative of an RK4 variable-phase reference (rtol 1e-12
+    missed it by 8.9e-13 at U = 1).
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
     coupling = potential.amplitude * potential.width**2
 
     def rhs(x, b):
-        return coupling * math.exp(-0.5 * x * x) * (x - b) ** 2
+        # Python floats: a trial step's (x - b)^2 past the doubles is inf,
+        # which DOP853 rejects, not an exception or a numpy warning
+        d = x - b.item()
+        return coupling * math.exp(-0.5 * x * x) * (d * d)
 
     atol = max(1e-14 * min(1.0, coupling), np.finfo(float).tiny)
-    sol = solve_ivp(
-        rhs, (0.0, 12.0), [0.0], method="DOP853", rtol=1e-12, atol=atol, first_step=1e-3
+    solver = ode(rhs).set_integrator(
+        "dop853", rtol=1e-13, atol=atol, first_step=1e-3, nsteps=_SHOOTING_STEPS
     )
-    if not sol.success:
-        raise NotConverged("variable-phase integration failed")
-    return float(sol.y[0, -1]) * potential.width
+    solver.set_initial_value([0.0], 0.0)
+    with warnings.catch_warnings():
+        # a run that stops warns; its return code carries the reason
+        warnings.simplefilter("ignore", UserWarning)
+        b = solver.integrate(12.0)
+        while solver.get_return_code() == _STIFF:
+            b = solver.integrate(12.0)
+    code = solver.get_return_code()
+    if code != 1:
+        raise NotConverged(
+            f"variable-phase integration stopped at x = {solver.t:.6g} of 12 "
+            f"(DOP853 return code {code})"
+        )
+    return float(b[0]) * potential.width

@@ -84,21 +84,14 @@ def _pair(x, y, z, label, lam):
     return [(x, y, z, label, lam), (-x, -y, -z, label, lam)]
 
 
-def builtin_toy_suite() -> list[ToyCase]:
+def _catalog() -> dict[str, tuple]:
+    """name -> (entries, volume, n, m_c, v_of, note) of every builtin case, in
+    suite order; no ModeSet is built here (see `_case`)."""
     zero = (0.0, 0.0, 0.0, "P0", None)
-    cases: list[ToyCase] = []
+    specs: dict[str, tuple] = {}
 
     def add(name, entries, volume, n, m_c, v_of, note=""):
-        cases.append(
-            ToyCase(
-                name=name,
-                mode_set=_modes(entries, volume),
-                n=n,
-                m_c=m_c,
-                v_of=v_of,
-                note=note,
-            )
-        )
+        specs[name] = (entries, volume, n, m_c, v_of, note)
 
     add(
         "condensate",
@@ -337,7 +330,18 @@ def builtin_toy_suite() -> list[ToyCase]:
         _zero_coupling,
         "control: energy must equal the kinetic term exactly",
     )
-    return cases
+    return specs
+
+
+def _case(name: str, spec: tuple) -> ToyCase:
+    entries, volume, n, m_c, v_of, note = spec
+    return ToyCase(
+        name=name, mode_set=_modes(entries, volume), n=n, m_c=m_c, v_of=v_of, note=note
+    )
+
+
+def builtin_toy_suite() -> list[ToyCase]:
+    return [_case(name, spec) for name, spec in _catalog().items()]
 
 
 def build_trial(toy: ToyCase, *, budget: int = 200_000) -> WeightedTrialState:
@@ -346,7 +350,8 @@ def build_trial(toy: ToyCase, *, budget: int = 200_000) -> WeightedTrialState:
 
 
 def toy_by_name(name: str) -> ToyCase:
-    for case in builtin_toy_suite():
-        if case.name == name:
-            return case
-    raise KeyError(f"no builtin toy named {name!r}")
+    """The builtin case `name`, with only its own ModeSet built."""
+    spec = _catalog().get(name)
+    if spec is None:
+        raise KeyError(f"no builtin toy named {name!r}")
+    return _case(name, spec)

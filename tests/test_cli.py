@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering
@@ -116,6 +117,19 @@ def test_trial_state_builtin_toy_honors_trial_n(tmp_path, n, size):
     assert code == 0
     rep = load_report(out / "trial_state.json")
     assert (rep["particle_count"], rep["closure_size"]) == (n, size)
+
+
+@pytest.mark.parametrize("toy, n", [("pi-pair", 260), ("two-pi-pairs", 320)])
+def test_trial_state_long_tower_ratio_bound_does_not_overflow(tmp_path, toy, n):
+    # (lambda rho)^(2i) passes the largest double before i reaches n here;
+    # an infinite right side is a bound that holds, so the run reports it
+    cfg = _write_config(tmp_path, f"toy: {toy}\ntrial: {{n: {n}}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", cfg)
+    assert code == 0
+    assert (out / "closure.txt").is_file()
+    rep = load_report(out / "trial_state.json")
+    assert rep["particle_count"] == n
+    assert rep["ratio_bounds"] and all(r["holds"] for r in rep["ratio_bounds"].values())
 
 
 def test_trial_state_builtin_toy_honors_trial_m_c(tmp_path):
@@ -370,6 +384,19 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_parser_is_libyaml_with_the_safe_loaders_dicts():
+    # the C parser where PyYAML has it, and the same dicts as SafeLoader
+    if yaml.__with_libyaml__:
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+    text = (
+        "potential: {amplitude: 0.25, width: 2}\nschedule:\n  rho: 1e-05\n"
+        "sweep:\n  rho_values: [1.0e-4, 1.0e-6]\ntoy: pi-pair\ntrial: {n: 6, m_c: null}\n"
+        "seed: 7\nflag: yes\nwhen: 2001-12-14\n"
+    )
+    fast, safe = yaml.load(text, Loader=cli._YAML_LOADER), yaml.safe_load(text)
+    assert fast == safe and repr(fast) == repr(safe)
 
 
 def test_negative_seed_option_exits_2(tmp_path, capsys):

@@ -621,3 +621,52 @@ def test_statistics_report_shape(toy_trials):
     # report-only: targets are the rho -> 0 limits, no assertion on the gap
     assert rep["scaled_low_target"] == 1.0 / (3.0 * math.pi**2)
     assert math.isfinite(rep["scaled_low_total"])
+
+
+def test_toy_by_name_builds_only_its_own_mode_set(monkeypatch):
+    from bosegas import toys
+
+    built = []
+    real = toys._modes
+    monkeypatch.setattr(toys, "_modes", lambda *args: built.append(args) or real(*args))
+    case = toy_by_name("zero-coupling")
+    assert len(built) == 1 and case.name == "zero-coupling"
+    with pytest.raises(KeyError):
+        toy_by_name("no-such-toy")
+    assert len(built) == 1
+
+
+def test_toy_by_name_is_the_suite_case(toy_suite):
+    # every builtin, looked up alone, is the suite's case: same modes,
+    # volume, particle count, cap, note and coupling
+    mags = (0.0, 0.25, 1.0, 2.5)
+    for case in toy_suite:
+        alone = toy_by_name(case.name)
+        assert (alone.n, alone.m_c, alone.note) == (case.n, case.m_c, case.note)
+        assert alone.mode_set.volume == case.mode_set.volume
+        assert np.array_equal(alone.mode_set.momentum_matrix(), case.mode_set.momentum_matrix())
+        assert [m.region for m in alone.mode_set.modes] == [m.region for m in case.mode_set.modes]
+        assert [m.lam for m in alone.mode_set.modes] == [m.lam for m in case.mode_set.modes]
+        assert [alone.v_of(x) for x in mags] == [case.v_of(x) for x in mags]
+
+
+def test_occupation_ratio_powers_past_the_doubles_are_a_holding_bound():
+    # (lam rho)^2 = 1e6 on pi-pair at N = 120 (volume 25): the powers run
+    # past 1.8e308 by i = 52, and every right side taken there is inf or 0
+    case = toy_by_name("pi-pair")
+    trial = build_trial(replace(case, n=120))
+    u = case.mode_set.indices_in(Region.PI)[0]
+    lam = 1e3 * case.mode_set.volume / 120
+    rep = occupation_ratio_report(trial, u, lam)
+    assert rep["holds"] is True
+    assert rep["worst_ratio"] is not None and 0.0 <= rep["worst_ratio"] < 1.0
+    # where nothing overflows, the report is the one-line Python-float form's
+    lam_u = case.mode_set.modes[u].lam
+    q = np.array(occupancy_distribution(trial, u))
+    ratio2 = (lam_u * 120 / case.mode_set.volume) ** 2
+    m, i = np.tril_indices(120)
+    lhs, rhs = q[m + 1], np.array([ratio2**k for k in range(121)])[i + 1] * q[m - i]
+    assert occupation_ratio_report(trial, u, lam_u) == {
+        "holds": not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs))),
+        "worst_ratio": float(np.max(lhs[rhs > 0] / rhs[rhs > 0])),
+    }

@@ -14,7 +14,9 @@ from bosegas.errors import InvalidPotential, NotConverged
 from bosegas.scattering import (
     Potential,
     _kernel_product,
+    _legendre,
     _momentum_grid,
+    _observables,
     _pair_kernel,
     _solve_on_grid,
     check_scattering_identities,
@@ -119,11 +121,64 @@ def _variable_phase_length(amplitude, width, steps):
 def test_shooting_matches_variable_phase_reference(amplitude, width):
     # RK4 at 4096 and 8192 steps, Richardson-extrapolated in h^4: the
     # reference moves by at most 3e-14 relative up to 65536 steps.  Shooting
-    # lands within 1.3e-13, 3.0e-14, 3.7e-14 and 1.7e-14 of it here
+    # lands within 2.5e-15, 1.3e-15, 4.8e-15 and 8.1e-15 of it here (at
+    # rtol 1e-12 the second case missed by 8.9e-13)
     coarse, fine = (_variable_phase_length(amplitude, width, n) for n in (4096, 8192))
     ref = (16.0 * fine - coarse) / 15.0
     shot = shooting_scattering_length(Potential(amplitude, width))
     assert abs(shot - ref) <= 1e-12 * ref
+
+
+def test_shooting_integration_that_stops_raises_not_converged(monkeypatch):
+    # a step cap of 10 stops U = 1 long before x = 12: the compiled run's
+    # UserWarning stays inside (filterwarnings = error would raise it) and
+    # the failure comes out typed, naming where the run stopped
+    monkeypatch.setattr(scattering, "_SHOOTING_STEPS", 10)
+    with pytest.raises(NotConverged, match=r"stopped at x = .* of 12 \(DOP853 return code -2\)"):
+        shooting_scattering_length(Potential(1.0, 1.0))
+
+
+def test_shooting_resumes_past_the_stiffness_test():
+    # at U = 1e10 DOP853's stiffness test ends runs early (return code -4);
+    # the integration resumes where each stopped, and lands on the value
+    # scipy's solve_ivp DOP853 at rtol 1e-12, which has no such test, gave
+    # in 56,186 steps: 6.384860227176834 (4e-13 relative)
+    a = shooting_scattering_length(Potential(1.0e10, 1.0))
+    assert math.isclose(a, 6.384860227176834, rel_tol=1e-11)
+
+
+def _observables_full_table(potential, p, p2w, g, simpson):
+    # _observables' position-space w_r with the sine taken over every column
+    from scipy.special import sici
+
+    k = max(1, int(np.searchsorted(p, 2.0 * p[0])))
+    g0_limit = scattering._small_p_limit(p, g, k)
+    w2_limit = scattering._small_p_limit(p, p2w, k)
+    grad_w2 = float(np.sum(simpson * p * p2w**2) / (2.0 * math.pi**2))
+    grad_w2 += w2_limit**2 * p[0] / (2.0 * math.pi**2)
+    x_gl, wt_gl = _legendre(256)
+    r = 0.5 * potential.range_cutoff * (x_gl + 1.0)
+    r_w = 0.5 * potential.range_cutoff * wt_gl
+    w_r = (np.sin(np.outer(r, p)) @ (simpson * p2w)) / (2.0 * math.pi**2 * r)
+    w_r += w2_limit * sici(p[0] * r)[0] / (2.0 * math.pi**2 * r)
+    v_r = potential.v_at(r)
+    vw1 = float(4.0 * math.pi * np.sum(r_w * r**2 * v_r * w_r))
+    vw2 = float(4.0 * math.pi * np.sum(r_w * r**2 * v_r * w_r**2))
+    return g0_limit, grad_w2, vw1, vw2, float(fourier_at(potential, 0.0))
+
+
+@pytest.mark.parametrize(
+    "amplitude, width", [(0.1, 1.0), (0.4, 50.0), (1e-300, 1e100), (1e200, 1e-104), (1e3, 1.0)]
+)
+def test_observables_sine_over_the_support_is_the_full_table(amplitude, width):
+    # columns past the last nonzero Simpson weight carry r p unsined; times
+    # an exact zero they add nothing, so the norms are bit for bit equal
+    pot = Potential(amplitude, width)
+    p = _momentum_grid(pot)
+    p2w, g, simpson, _, _ = _solve_on_grid(pot, p)
+    assert np.count_nonzero(simpson * p2w) < p.size
+    full = _observables_full_table(pot, p, p2w, g, simpson)
+    assert _observables(pot, p, p2w, g, simpson) == full
 
 
 def test_shooting_starts_at_the_width_scale():
