@@ -42,17 +42,19 @@ every class window.  The length is n = n1 n2 with n1 a power of two and n2
 odd, and the Chinese-remainder index map k -> (k mod n1, k mod n2) (Agarwal
 and Cooley 1977; k mod n1 is the mask k & (n1 - 1)) makes each cyclic
 convolution of length n a 2-D cyclic convolution on Z_{n1} x Z_{n2},
-computed as one real 2-D FFT product whose transforms are threaded over
+computed as one real 2-D FFT product, its inverse a column pass in place
+on the product and a real row pass, whose transforms are threaded over
 every core this process may run on.  The transforms run in single precision
 (float32 tables, complex64 spectra, a float32 class window): every value
 must round to its integer with a margin below 0.25, and the largest
 distance measured is 0.016 at rho = 1e-8 and 0.031 at m = 6e7 (2e-11 and
 7e-11 in double precision), so the counts are exact.  Shell counts stop at
 m = 6e7 (rho of about 2.7e-9 at the default eta) with BudgetExceeded.  At
-most three spectrum-sized arrays are alive at once, and the radial summand
-runs in blocks of shells, in place, into one float64 term per occupied
-shell, so on the rho = 1e-8 P_L window the traced peak is 80 MiB inside
-`shell_counts` and 63 MiB in the sum after it.
+most three spectrum-sized arrays are alive at once, the class windows are
+gathered block by block, and the radial summand runs in blocks of shells,
+in place, into one float64 term per occupied shell, so on the rho = 1e-8
+P_L window the traced peak is 73 MiB inside `shell_counts` and 63 MiB in
+the sum after it.
 
 scipy is imported inside the functions that call it (the spectra,
 `shell_counts`, the continuum quadrature), not at module level: the CLI
@@ -352,7 +354,8 @@ def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float
 
 
 _SHELL_BUDGET = 60_000_000
-# shells per block of the radial summand
+# shells per block of the radial summand, and entries per block of the
+# shell-count class-window gathers
 _SUM_BLOCK = 1 << 16
 
 
@@ -462,8 +465,9 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     (coprime, see `_crt_shape`), and the CRT map k -> (k mod n1, k mod n2)
     (`_crt_index`, a mask and one remainder) turns the cyclic convolution
     of length n into a 2-D cyclic convolution on Z_{n1} x Z_{n2}: each is
-    one real 2-D FFT product (rfft2 / irfft2, threaded over the cores this
-    process may run on), whose short lanes stay in cache where one
+    one real 2-D FFT product (rfft2, and back by ifft down the columns in
+    place on the product and irfft along the rows, threaded over the cores
+    this process may run on), whose short lanes stay in cache where one
     transform of length n would not.  The tables are float32, so the
     transforms run in single precision (complex64 spectra, float32
     inverses).
@@ -477,7 +481,7 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     (about 2^17.1, r_3 at m = 56,619,419); the largest count there, 219,744,
     is three times a class value.
     """
-    from scipy.fft import irfft2
+    from scipy.fft import ifft, irfft
 
     if m_max > _SHELL_BUDGET:
         raise BudgetExceeded(f"shell budget: m_max={m_max} > {_SHELL_BUDGET}")
@@ -490,24 +494,32 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    # layout positions of k = k_min .. k_max, where every class window lies
-    # (int32: n1 n2 < 2^31 within the shell budget)
-    where = _crt_index(np.arange(k_min, k_max + 1, dtype=np.int32), shape)
     raw = np.empty(m_max + 1 - m_min, dtype=np.float32)
 
     def convolve_class(c: int, product: np.ndarray) -> None:
         first = (c - m_min) % 4
         window = raw[first::4]
-        k0 = (m_min + first) // 4 - k_min
-        out = irfft2(product, shape, overwrite_x=True, workers=workers)
-        window[:] = out.ravel()[where[k0 : k0 + window.size]]
+        k0 = (m_min + first) // 4
+        # irfft2 in its two passes: irfft2 copies the whole spectrum before
+        # its last pass, while the column pass alone runs in place on the
+        # product.  n1 is a power of two, so its 1 / n1 scaling is exact
+        # and the result is bit for bit irfft2's
+        ifft(product, axis=0, overwrite_x=True, workers=workers)
+        out = irfft(product, shape[1], axis=1, overwrite_x=True, workers=workers).ravel()
+        # the window in blocks, each with the layout positions of its own k
+        # (int32: n1 n2 < 2^31 within the shell budget)
+        for start in range(0, window.size, _SUM_BLOCK):
+            block = window[start : start + _SUM_BLOCK]
+            k = np.arange(k0 + start, k0 + start + block.size, dtype=np.int32)
+            block[:] = out[_crt_index(k, shape)]
 
     # the spectra set the peak memory: each is an (n1, n2 div 2 + 1)
     # complex64 array (19 MB on the rho = 1e-8 window, 83 MB at m_max = 6e7
     # from 4e7).  Each product overwrites one factor, which is released
-    # before the next spectrum is built, so at most three spectrum-sized
-    # arrays are alive (two spectra beside one table or one inverse), with
-    # the float32 window and the layout positions; A_0 is built twice for it
+    # before the next spectrum is built, and the inverse takes no copy of
+    # it, so at most three spectrum-sized arrays are alive (two spectra
+    # beside one table or one inverse), with the float32 window and one
+    # block of layout positions; A_0 is built twice for it
     fr0 = _pair_spectrum(0, k_max, shape, workers)
     fa0 = _single_spectrum(0, k_max, shape, workers)
     convolve_class(0, np.multiply(fa0, fr0, out=fa0))

@@ -426,17 +426,18 @@ def test_shell_counts_rejects_empty_window():
 
 def test_shell_counts_roundoff_guard(monkeypatch):
     full = shell_counts(60)
-    irfft2 = scipy.fft.irfft2
+    irfft = scipy.fft.irfft
 
     def off_by_0_3(*args, **kwargs):
-        # each residue class c runs its own transform, indexed by k = m div 4
-        # in the CRT layout: k = 1 is m = 4 + c, so m = 5, 6 and 7 take the error
-        out = irfft2(*args, **kwargs)
+        # each residue class c runs its own inverse, indexed by k = m div 4
+        # in the CRT layout, whose real row pass returns the (n1, n2) array:
+        # k = 1 is m = 4 + c, so m = 5, 6 and 7 take the error
+        out = irfft(*args, **kwargs)
         out.ravel()[lattice._crt_index(1, out.shape)] += 0.3
         return out
 
-    # shell_counts imports irfft2 from scipy.fft when called, so patch it there
-    monkeypatch.setattr(scipy.fft, "irfft2", off_by_0_3)
+    # shell_counts imports irfft from scipy.fft when called, so patch it there
+    monkeypatch.setattr(scipy.fft, "irfft", off_by_0_3)
     with pytest.raises(BudgetExceeded, match="0.3"):
         shell_counts(60, 5)
     # an error outside the kept window is not looked at
@@ -448,15 +449,15 @@ def test_shell_counts_refuses_values_past_float32_resolution(monkeypatch):
     cannot see an error there: a class value that large is refused, even one
     that lands on an integer."""
     full = shell_counts(60)
-    irfft2 = scipy.fft.irfft2
+    irfft = scipy.fft.irfft
 
     def past_2_21(*args, **kwargs):
         # k = 1 is m = 5, 6 and 7 in the window from 5, as in the guard test
-        out = irfft2(*args, **kwargs)
+        out = irfft(*args, **kwargs)
         out.ravel()[lattice._crt_index(1, out.shape)] += 2.0**21
         return out
 
-    monkeypatch.setattr(scipy.fft, "irfft2", past_2_21)
+    monkeypatch.setattr(scipy.fft, "irfft", past_2_21)
     with pytest.raises(BudgetExceeded, match=r"2\^21"):
         shell_counts(60, 5)
     assert np.array_equal(shell_counts(60, 8), full[8:])
@@ -498,11 +499,11 @@ def test_shell_counts_single_precision_margin_at_low_density(monkeypatch):
     m_hi = math.floor((s.p_low_top / s.spacing) ** 2)
     assert (m_lo, m_hi) == (9_779_282, 14_135_361)
     kept = np.arange(m_lo // 4, m_hi // 4 + 1)
-    irfft2 = scipy.fft.irfft2
+    irfft = scipy.fft.irfft
     dtypes, margins = [], []
 
     def spy(*args, **kwargs):
-        out = irfft2(*args, **kwargs)
+        out = irfft(*args, **kwargs)
         dtypes.append(out.dtype)
         # every k = m div 4 of the window holds an unfolded count in all
         # four residue classes
@@ -510,25 +511,54 @@ def test_shell_counts_single_precision_margin_at_low_density(monkeypatch):
         margins.append(float(np.max(np.abs(vals - np.rint(vals)))))
         return out
 
-    monkeypatch.setattr(scipy.fft, "irfft2", spy)
+    monkeypatch.setattr(scipy.fft, "irfft", spy)
     counts = shell_counts(m_hi, m_lo)
     assert dtypes == [np.float32] * 4
     assert max(margins) < 0.1
     assert int(np.sum(counts)) == _ball_points(m_hi) - _ball_points(m_lo - 1)
 
 
-def test_shell_counts_per_shell_at_large_shape():
-    """r_3(m) shell by shell against sum_z r_2(m - z^2) on the rho = 1e-7 P_L
-    window, whose CRT layout is a full 2-D (512, 729): a permuted gather or a
-    misplaced table entry moves single shells, which a sum would miss."""
-    m_lo, m_hi = 825_988, 1_140_180
-    assert lattice._crt_shape(2 * (m_hi // 4) + 1 - m_lo // 4) == (512, 729)
+def test_shell_counts_column_pass_runs_in_place(monkeypatch):
+    """Each class inverse starts with its column pass on the product itself.
+    scipy's irfft2 copies the whole spectrum before its last pass, a copy
+    (19 MB on the rho = 1e-8 window) that tracemalloc does not see, so a
+    scipy whose ifft copied would bring it back unseen."""
+    ifft = scipy.fft.ifft
+    shared = []
+
+    def spy(x, *args, **kwargs):
+        out = ifft(x, *args, **kwargs)
+        shared.append(np.shares_memory(out, x))
+        return out
+
+    # shell_counts imports ifft from scipy.fft when called, so patch it there
+    monkeypatch.setattr(scipy.fft, "ifft", spy)
+    shell_counts(7_418, 5_893)
+    assert shared == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "m_lo, m_hi, shape",
+    [(5_893, 7_418, (64, 35)), (825_988, 1_140_180, (512, 729))],
+    ids=["rho=1e-5", "rho=1e-7"],
+)
+def test_shell_counts_per_shell_at_large_shape(m_lo, m_hi, shape):
+    """r_3(m) shell by shell against sum_z r_2(m - z^2) on the rho = 1e-5 and
+    1e-7 P_L windows, whose CRT layouts are full 2-D, (64, 35) with n1 > n2
+    and (512, 729) with n1 < n2: a permuted gather or a misplaced table
+    entry moves single shells, which a sum would miss.  The rho = 1e-7 class
+    windows cross a gather block, whose edge shells are checked too."""
+    assert lattice._crt_shape(2 * (m_hi // 4) + 1 - m_lo // 4) == shape
     counts = shell_counts(m_hi, m_lo)
     r = math.isqrt(m_hi)
     sq = np.arange(-r, r + 1) ** 2
     r2 = np.bincount((sq[:, None] + sq[None, :]).ravel())
     rng = np.random.default_rng(20261018)
+    # a gather block of _SUM_BLOCK class-window entries spans 4 _SUM_BLOCK
+    # shells: take the shells on both sides of the first block's end
+    block = 4 * lattice._SUM_BLOCK
     edges = [*range(m_lo, m_lo + 4), *range(m_hi - 3, m_hi + 1)]
+    edges += [m for m in range(m_lo + block - 4, m_lo + block + 4) if m <= m_hi]
     shells = np.concatenate([edges, rng.integers(m_lo + 4, m_hi - 3, size=192)])
     assert set((shells % 4).tolist()) == {0, 1, 2, 3}
     for m in shells.tolist():
