@@ -46,6 +46,7 @@ from .errors import (
     DivergentIntegrand,
     EmptyAnnulus,
     IdentityViolation,
+    InvalidPotential,
     NotConverged,
     RegionUndefined,
 )
@@ -57,7 +58,7 @@ from .expectation import (
     pair_correlator_check,
     pl_occupation_monotonicity,
 )
-from .fock import export_closure, weight_recursion_report
+from .fock import CLOSURE_BUDGET, export_closure, weight_recursion_report
 from .lattice import (
     DEFAULT_ETA,
     Region,
@@ -86,7 +87,7 @@ DEFAULT_CONFIG = {
     "trial": {"n": None, "m_c": None, "volume": None},
     "sweep": {"rho_values": [1.0e-4, 1.0e-5, 1.0e-6, 1.0e-7, 1.0e-8]},
     "tolerances": {"identity": 1.0e-6},
-    "budgets": {"closure": 200_000},
+    "budgets": {"closure": CLOSURE_BUDGET},
     "seed": 20260813,
 }
 
@@ -239,7 +240,7 @@ _V0_MIN = 1.0e-120
 
 def _solve(cfg: dict):
     potential = _potential_from(cfg)
-    v0 = fourier_at(potential, 0.0)
+    v0 = potential.v0
     if v0 < _V0_MIN:
         raise ConfigInvalid(
             f"potential: V_0 = amplitude (2 pi width^2)^(3/2) = {v0:.3e} is below "
@@ -316,8 +317,9 @@ def _resolve_toy(cfg: dict) -> ToyCase:
     return replace(case, **own)
 
 
-def _trial_battery(case: ToyCase, *, budget: int) -> dict:
-    """Everything check-all scores per toy, in one deterministic dict."""
+def _trial_battery(case: ToyCase, *, budget: int) -> tuple:
+    """The case's trial state, and everything check-all scores on it in one
+    deterministic dict."""
     trial = build_trial(case, budget=budget)
     ms = case.mode_set
     energy = energy_report(trial, case.context())
@@ -341,7 +343,7 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
         str(u): occupation_ratio_report(trial, u, ms.modes[u].lam) for u in with_lam(Region.PI)
     }
     monotone_reports = {str(u): pl_occupation_monotonicity(trial, u) for u in with_lam(Region.PL)}
-    return {
+    return trial, {
         "name": case.name,
         "note": case.note,
         "closure_size": len(trial),
@@ -354,18 +356,16 @@ def _trial_battery(case: ToyCase, *, budget: int) -> dict:
         "pair_correlator_gaps": pair_checks,
         "ratio_bounds": ratio_reports,
         "low_monotonicity": monotone_reports,
-        "trial": trial,
     }
 
 
 def run_trial_state(cfg: dict) -> dict:
     case = _resolve_toy(cfg)
     try:
-        battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
+        trial, battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
     except RegionUndefined as exc:
         # only a mode file can leave lambda unset, or zero, on a mode the closure fills
         raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
-    trial = battery.pop("trial")
     return {"closure.txt": export_closure(trial), "trial_state.json": battery}
 
 
@@ -528,8 +528,7 @@ def run_check_all(cfg: dict) -> dict:
     budget = cfg["budgets"]["closure"]
     toy_rows = []
     for case in builtin_toy_suite():
-        battery = _trial_battery(case, budget=budget)
-        battery.pop("trial")
+        _, battery = _trial_battery(case, budget=budget)
         prefix = f"toy.{case.name}"
         energy = battery["energy"]
         check(f"{prefix}.decomposition", energy["decomposition_residual"], _BOUNDS["decomposition"])
@@ -597,6 +596,7 @@ def run_check_all(cfg: dict) -> dict:
 _EXITS = {
     ConfigInvalid: (2, "config error"),
     EmptyAnnulus: (2, "config error"),
+    InvalidPotential: (2, "config error"),
     NotConverged: (3, "convergence failure"),
     IdentityViolation: (3, "identity violation"),
     BudgetExceeded: (3, "budget exceeded"),

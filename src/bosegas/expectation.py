@@ -429,25 +429,23 @@ def _power(x: float, k: int) -> float:
 def occupation_ratio_report(state: WeightedTrialState, u_idx: int, lam_u: float) -> dict:
     """Geometric occupancy decay at an intermediate mode.
 
-    Checks Q({u,m}) <= (lam_u rho)^(2i) Q({u,m-i}) for all m >= i >= 1, with
-    rho = N / |L| from the state; the underlying argument needs only that no
-    state holds more than N condensate particles, so it is exact at any
-    scale.  A power (lam_u rho)^(2i) past the largest double is taken as
-    inf, so a long tower is checked rather than refused.  worst_ratio is
-    None when no pair has a positive right side.
+    The bound is Q({u,m}) <= r^(2i) Q({u,m-i}) for all m >= i >= 1, with
+    r = lam_u rho and rho = N / |L| from the state; the underlying argument
+    needs only that no state holds more than N condensate particles, so it
+    is exact at any scale.  Only the adjacent steps Q({u,m}) <= r^2 Q({u,m-1}),
+    m = 1 .. N, are checked: every term is >= 0, so multiplying the i steps
+    from m - i + 1 to m gives the bound at (m, i), and the N steps decide it.
+    An r^2 past the largest double is taken as inf, a bound that holds.
+    worst_ratio is the largest Q({u,m}) / (r^2 Q({u,m-1})), None when no
+    step has a positive right side.
     """
     n = state.closure.n
     rho = n / state.mode_set.volume
-    probs = occupancy_distribution(state, u_idx)
-    ratio2 = _power(lam_u * rho, 2)
-    m, i = np.tril_indices(n)  # m - 1 and i - 1 over all 1 <= i <= m <= N
-    q = np.array(probs)
-    lhs = q[m + 1]
-    powers = np.array([_power(ratio2, k) for k in range(n + 1)])
-    # r^{2i} Q is 0 where Q is, even where r^{2i} is too large for a double
-    prior = q[m - i]
+    q = np.array(occupancy_distribution(state, u_idx))
+    lhs, prior = q[1:], q[:-1]
+    # r^2 Q is 0 where Q is, even where r^2 is too large for a double
     rhs = np.zeros_like(prior)
-    np.multiply(powers[i + 1], prior, out=rhs, where=prior != 0.0)
+    np.multiply(_power(lam_u * rho, 2), prior, out=rhs, where=prior != 0.0)
     ok = not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs)))
     ratios = lhs[rhs > 0] / rhs[rhs > 0]
     worst = float(np.max(ratios)) if len(ratios) else None

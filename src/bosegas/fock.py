@@ -54,7 +54,11 @@ __all__ = [
     "weight_f",
     "weight_recursion_report",
     "export_closure",
+    "CLOSURE_BUDGET",
 ]
+
+# the default cap on closure members, also the config's budgets.closure
+CLOSURE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,7 @@ def generate_M(
     n: int,
     m_c: int,
     *,
-    budget: int = 1_000_000,
+    budget: int = CLOSURE_BUDGET,
 ) -> ClosureSet:
     """Breadth-first closure from the all-condensate state, level by level.
 

@@ -81,7 +81,6 @@ __all__ = [
     "Mode",
     "ModeSet",
     "shell_counts",
-    "check_shell_reach",
     "shell_window",
     "radial_shell_sum",
     "pl_number_density_comparison",
@@ -130,15 +129,8 @@ class Schedule:
         return 2.0 * math.pi / self.box_length
 
     @property
-    def eps_l(self) -> float:
-        return self.rho**self.eta
-
-    @property
-    def eta_l(self) -> float:
-        return self.rho**self.eta
-
-    @property
-    def eps_h(self) -> float:
+    def eps(self) -> float:
+        """rho^eta, the one value of eps_L, eta_L and eps_H."""
         return self.rho**self.eta
 
     @property
@@ -148,12 +140,12 @@ class Schedule:
     @property
     def p_gap_top(self) -> float:
         # also the closed lower edge of P_L
-        return self.eps_l * math.sqrt(self.rho)
+        return self.eps * math.sqrt(self.rho)
 
     @property
     def p_low_top(self) -> float:
         # closed upper edge of P_L, open lower edge of P_I
-        return math.sqrt(self.rho) / self.eta_l
+        return math.sqrt(self.rho) / self.eps
 
     @property
     def n_particles(self) -> int:
@@ -165,13 +157,14 @@ class Schedule:
         return self.n_particles - self.rho * self.volume
 
     def as_dict(self) -> dict:
+        eps = self.eps
         return {
             "rho": self.rho,
             "eta": self.eta,
             "box_length": self.box_length,
-            "eps_L": self.eps_l,
-            "eta_L": self.eta_l,
-            "eps_H": self.eps_h,
+            "eps_L": eps,
+            "eta_L": eps,
+            "eps_H": eps,
             "m_c": self.m_c,
             "n_particles": self.n_particles,
             "n_rounding": self.n_rounding,
@@ -225,16 +218,34 @@ class ModeSet:
     were rounded when written; `neg_index(i)` is `conserving(0, 0, i)`.
     `index_of`, the one float entry point, finds the mode whose lattice
     point lies within a key step of p.
+
+    Mode i, built from momenta[i], labels[i] and lams[i], has index i.  A
+    momentum component that is not finite, or so large that |p|^2 or
+    |p_i - p_j|^2 may overflow a double, raises ValueError.
     """
 
-    def __init__(self, modes: Sequence[Mode], volume: float | None = None):
-        self.modes = list(modes)
+    def __init__(
+        self,
+        momenta: Sequence,
+        labels: Sequence[Region | str],
+        volume: float | None = None,
+        lams: Sequence[float | None] | None = None,
+    ):
+        self.modes = [
+            Mode(i, np.asarray(p, dtype=float), Region(lab), None if lams is None else lams[i])
+            for i, (p, lab) in enumerate(zip(momenta, labels))
+        ]
         self.volume = volume
         for m in self.modes:
             if not np.all(np.isfinite(m.p)):
                 raise ValueError(f"mode {m.index}: momentum must be finite, got {m.p}")
         parts = np.abs(np.array([m.p for m in self.modes], dtype=float)).ravel()
         top = float(parts.max(initial=0.0))
+        # |p|^2 <= 3 top^2 and |p_i - p_j|^2 <= 3 (2 top)^2, in Python floats
+        if not math.isfinite(12.0 * top * top):
+            raise ValueError(
+                f"momentum component {top:.6g}: |p|^2 or |p_i - p_j|^2 overflows a double"
+            )
         key_step = 1e-9 * (math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0)
         self._scale = _lattice_step(parts[parts > 0.5 * key_step], 0.5 * key_step) or key_step
         self._near = key_step / self._scale
@@ -252,21 +263,6 @@ class ModeSet:
             raise ValueError("zero mode must carry the P0 label")
         self.zero_index = zero
         self._neg = [self.conserving(zero, zero, m.index) for m in self.modes]
-
-    @classmethod
-    def toy(
-        cls,
-        momenta: Sequence,
-        labels: Sequence[Region | str],
-        volume: float | None = None,
-        lams: Sequence[float | None] | None = None,
-    ) -> "ModeSet":
-        modes = []
-        for i, (p, lab) in enumerate(zip(momenta, labels)):
-            region = Region(lab)
-            lam = None if lams is None else lams[i]
-            modes.append(Mode(index=i, p=np.asarray(p, dtype=float), region=region, lam=lam))
-        return cls(modes, volume=volume)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -330,7 +326,7 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
     vol = volume if volume is not None else file_volume
     if vol is not None and not (vol > 0.0 and math.isfinite(vol)):
         raise ValueError(f"volume must be finite and > 0, got {vol}")
-    return ModeSet.toy(momenta, labels, volume=vol, lams=lams)
+    return ModeSet(momenta, labels, volume=vol, lams=lams)
 
 
 def _radial_continuum(radial: Callable[[float], float], k_lo: float, k_hi: float) -> float:
@@ -554,27 +550,19 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     return counts
 
 
-def check_shell_reach(schedule: Schedule, p_hi: float) -> None:
-    """Refuse an annulus up to p_hi whose top shell (p_hi / step)^2 lies past
-    the shell budget + 1, with BudgetExceeded naming rho.  The test is read
-    in logs, before the box volume, the shell index or the box length can
-    overflow, and needs no solve, so a caller can refuse a schedule before
-    any work on it."""
+def shell_window(schedule: Schedule, p_lo: float, p_hi: float) -> tuple[int, int]:
+    """The shells m_lo .. m_hi of the annulus p_lo <= |p| <= p_hi (m_lo >= 1,
+    the zero mode left out).  A top shell (p_hi / step)^2 past the shell
+    budget + 1 raises BudgetExceeded naming rho, a test read in logs before
+    the box volume, the shell index or the box length can overflow; an
+    annulus with no shell raises EmptyAnnulus.  Both refusals are functions
+    of the schedule alone, so a caller can run this before any work on it."""
     log_top = 2.0 * (math.log10(p_hi / (2.0 * math.pi)) - _BOX_EXPONENT * math.log10(schedule.rho))
     if log_top > math.log10(_SHELL_BUDGET + 2):
         raise BudgetExceeded(
             f"rho = {schedule.rho!r}: the annulus reaches shell m = 10^{log_top:.1f}, "
             f"past the shell budget m <= {_SHELL_BUDGET}"
         )
-
-
-def shell_window(schedule: Schedule, p_lo: float, p_hi: float) -> tuple[int, int]:
-    """The shells m_lo .. m_hi of the annulus p_lo <= |p| <= p_hi (m_lo >= 1,
-    the zero mode left out), after `check_shell_reach` has refused a top
-    shell past the budget.  An annulus with no shell raises EmptyAnnulus.
-    Both refusals are functions of the schedule alone, so a caller can run
-    this before any work on it."""
-    check_shell_reach(schedule, p_hi)
     step = schedule.spacing
     m_lo = max(math.ceil((p_lo / step) ** 2 - 1e-9), 1)
     m_hi = math.floor((p_hi / step) ** 2 + 1e-9)

@@ -100,6 +100,9 @@ _KERNEL_BLOCK_ROWS = 64
 _SHOOTING_STEPS = 10_000_000
 # DOP853's return code for a run its stiffness test interrupted
 _STIFF = -4
+# log(2 pi), and the log of the largest double
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @cache
@@ -120,7 +123,9 @@ class Potential:
     width        width sigma, positive
 
     V is treated as exactly zero beyond range_cutoff = 10 width, where it has
-    fallen below e^-50 of its height.
+    fallen below e^-50 of its height.  width^2 and the integral V_0 =
+    amplitude (2 pi width^2)^{3/2} must be finite doubles, tested in logs
+    before either is formed, a relative 1e-6 below the largest double.
     """
 
     amplitude: float
@@ -131,6 +136,19 @@ class Potential:
             raise InvalidPotential("gaussian amplitude must be nonnegative and finite")
         if not 0 < self.width < math.inf:
             raise InvalidPotential("gaussian width must be positive and finite")
+        # (2 pi width^2)^{3/2} max(amplitude, 1) bounds V_0, the factor it is
+        # formed through, and width^2 once that is >= 1
+        log_w2 = 2.0 * math.log(self.width)
+        if 1.5 * (_LOG_2PI + log_w2) + math.log(max(self.amplitude, 1.0)) > _LOG_MAX - 1e-6:
+            raise InvalidPotential(
+                f"gaussian {{amplitude {self.amplitude!r}, width {self.width!r}}}: V_0 = "
+                "amplitude (2 pi width^2)^(3/2) or a factor of it overflows a double"
+            )
+
+    @property
+    def v0(self) -> float:
+        """V_0 = amplitude (2 pi width^2)^{3/2}, the integral of V and V_p at p = 0."""
+        return self.amplitude * (2.0 * math.pi * self.width**2) ** 1.5
 
     @property
     def range_cutoff(self) -> float:
@@ -153,8 +171,7 @@ def fourier_at(potential: Potential, p) -> np.ndarray:
     p = np.atleast_1d(p)
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
-    amp = potential.amplitude * (2.0 * math.pi * potential.width**2) ** 1.5
-    out = amp * np.exp(-0.5 * (p * potential.width) ** 2)
+    out = potential.v0 * np.exp(-0.5 * (p * potential.width) ** 2)
     return float(out[0]) if scalar else out
 
 
@@ -170,7 +187,6 @@ class ScatteringSolution:
     """
 
     a: float
-    g0: float
     g0_limit: float
     v0: float
     vw1: float
@@ -179,6 +195,11 @@ class ScatteringSolution:
     converged: bool
     iterations: int
     residual: float
+
+    @property
+    def g0(self) -> float:
+        """The coupling g0 = 4 pi a."""
+        return 4.0 * math.pi * self.a
 
     def norms(self) -> dict[str, float]:
         return {"V0": self.v0, "VW1": self.vw1, "VW2": self.vw2, "GradW2": self.grad_w2}
@@ -236,7 +257,7 @@ def _pair_kernel(potential, p) -> list[tuple[int, np.ndarray]]:
     """
     n = p.size
     s2 = potential.width**2
-    scale = float(fourier_at(potential, 0.0)) / s2
+    scale = potential.v0 / s2
     x_cut = math.sqrt(80.0) / potential.width
     hi = np.minimum(np.searchsorted(p, p + x_cut, side="right") + 1, n)
     blocks = []
@@ -282,7 +303,7 @@ def _momentum_grid(potential: Potential) -> np.ndarray:
     _LOW_END_BUDGET.  The bound is known before the solve, so one solve does.
     """
     p_min = 1e-3 / potential.width
-    v0 = float(fourier_at(potential, 0.0))
+    v0 = potential.v0
     a_max = min(v0 / (4.0 * math.pi), potential.range_cutoff)
     if v0 * (p_min * a_max) ** 3 > _LOW_END_BUDGET:
         p_min = (_LOW_END_BUDGET / v0) ** (1.0 / 3.0) / a_max
@@ -368,8 +389,7 @@ def _observables(potential, p, p2w, g, simpson):
     v_r = potential.v_at(r)
     vw1 = float(4.0 * math.pi * np.sum(r_w * r**2 * v_r * w_r))
     vw2 = float(4.0 * math.pi * np.sum(r_w * r**2 * v_r * w_r**2))
-    v0 = float(fourier_at(potential, 0.0))
-    return g0_limit, grad_w2, vw1, vw2, v0
+    return g0_limit, grad_w2, vw1, vw2, potential.v0
 
 
 def solve_scattering(potential: Potential) -> ScatteringSolution:
@@ -383,21 +403,14 @@ def solve_scattering(potential: Potential) -> ScatteringSolution:
     p = _momentum_grid(potential)
     p2w, g, simpson, matvecs, residual = _solve_on_grid(potential, p)
     g0_limit, grad_w2, vw1, vw2, v0 = _observables(potential, p, p2w, g, simpson)
-    a = (v0 - vw1) / (4.0 * math.pi)
-    observables = {
-        "a": a,
-        "g0": 4.0 * math.pi * a,
-        "g0_limit": g0_limit,
-        "v0": v0,
-        "vw1": vw1,
-        "vw2": vw2,
-        "grad_w2": grad_w2,
-        "residual": residual,
-    }
-    bad = [name for name, value in observables.items() if not math.isfinite(value)]
+    solution = ScatteringSolution(
+        (v0 - vw1) / (4.0 * math.pi), g0_limit, v0, vw1, vw2, grad_w2, True, matvecs, residual
+    )
+    names = ("a", "g0", "g0_limit", "v0", "vw1", "vw2", "grad_w2", "residual")
+    bad = [name for name in names if not math.isfinite(getattr(solution, name))]
     if bad:
         raise NotConverged(f"scattering solve: non-finite {', '.join(bad)}")
-    return ScatteringSolution(**observables, converged=True, iterations=matvecs)
+    return solution
 
 
 def check_scattering_identities(solution: ScatteringSolution) -> dict[str, float]:

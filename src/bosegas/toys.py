@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expectation import coupling_matrix
-from .fock import WeightedTrialState, generate_M, weight_f
+from .fock import CLOSURE_BUDGET, WeightedTrialState, generate_M, weight_f
 from .lattice import ModeSet
 
 __all__ = ["ToyCase", "gaussian_coupling", "builtin_toy_suite", "build_trial", "toy_by_name"]
@@ -77,7 +77,7 @@ def _modes(entries: Sequence[tuple], volume: float) -> ModeSet:
     momenta = [(e[0], e[1], e[2]) for e in entries]
     labels = [e[3] for e in entries]
     lams = [e[4] for e in entries]
-    return ModeSet.toy(momenta, labels, volume=volume, lams=lams)
+    return ModeSet(momenta, labels, volume=volume, lams=lams)
 
 
 def _pair(x, y, z, label, lam):
@@ -344,7 +344,7 @@ def builtin_toy_suite() -> list[ToyCase]:
     return [_case(name, spec) for name, spec in _catalog().items()]
 
 
-def build_trial(toy: ToyCase, *, budget: int = 200_000) -> WeightedTrialState:
+def build_trial(toy: ToyCase, *, budget: int = CLOSURE_BUDGET) -> WeightedTrialState:
     """Generate the closure for a case and attach the closed-form weights."""
     return weight_f(generate_M(toy.mode_set, toy.n, toy.m_c, budget=budget))
 

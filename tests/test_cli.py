@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import csv
+import inspect
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering
 from bosegas.cli import load_config, main
 from bosegas.expectation import energy_report
+from bosegas.fock import CLOSURE_BUDGET, generate_M
 from bosegas.semiclassical import assemble_ledger
 from bosegas.toys import build_trial, toy_by_name
 from conftest import load_report
@@ -119,17 +121,19 @@ def test_trial_state_builtin_toy_honors_trial_n(tmp_path, n, size):
     assert (rep["particle_count"], rep["closure_size"]) == (n, size)
 
 
-@pytest.mark.parametrize("toy, n", [("pi-pair", 260), ("two-pi-pairs", 320)])
+@pytest.mark.parametrize("toy, n", [("pi-pair", 260), ("two-pi-pairs", 320), ("pi-pair", 580)])
 def test_trial_state_long_tower_ratio_bound_does_not_overflow(tmp_path, toy, n):
     # (lambda rho)^(2i) passes the largest double before i reaches n here;
-    # an infinite right side is a bound that holds, so the run reports it
+    # the adjacent steps that decide the bound form no such power.  At
+    # pi-pair, N = 580, lambda rho = -9.28 and Q({u,m}) is 0.0 for m < 8
     cfg = _write_config(tmp_path, f"toy: {toy}\ntrial: {{n: {n}}}\n")
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 0
     assert (out / "closure.txt").is_file()
     rep = load_report(out / "trial_state.json")
     assert rep["particle_count"] == n
-    assert rep["ratio_bounds"] and all(r["holds"] for r in rep["ratio_bounds"].values())
+    bounds = rep["ratio_bounds"].values()
+    assert bounds and all(r["holds"] and r["worst_ratio"] < 1.0 for r in bounds)
 
 
 def test_trial_state_builtin_toy_honors_trial_m_c(tmp_path):
@@ -783,3 +787,49 @@ def test_trial_state_without_particles_writes_strict_json(tmp_path):
 def test_unknown_pipeline_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["no-such-pipeline", "--out", str(tmp_path / "r")])
+
+
+def test_one_closure_budget_default():
+    defaults = [
+        inspect.signature(fn).parameters["budget"].default for fn in (generate_M, build_trial)
+    ]
+    assert defaults == [CLOSURE_BUDGET, CLOSURE_BUDGET]
+    assert load_config(None)["budgets"]["closure"] == CLOSURE_BUDGET
+
+
+_PI_PAIR_MODES = "# volume = 25.0\n0 0 0 P0\n{p} 0 0 PI -0.4\n-{p} 0 0 PI -0.4\n"
+
+
+@pytest.mark.parametrize(
+    "pipeline, text, modes",
+    [
+        *[
+            (pipeline, f"potential: {{amplitude: {amp}, width: {width}}}\n", None)
+            for pipeline in ("scattering", "lattice", "energy-curve", "check-all")
+            for amp, width in (("1.0", "1.0e200"), ("1.0e200", "1.0e50"))
+        ],
+        ("trial-state", "potential: {amplitude: 1.0e300, width: 1.0e10}\n", "0.75"),
+        ("trial-state", "", "1.0e300"),
+    ],
+    ids=[
+        *[
+            f"{pipeline}-{kind}"
+            for pipeline in ("scattering", "lattice", "energy-curve", "check-all")
+            for kind in ("width2", "v0")
+        ],
+        "trial-state-v0",
+        "trial-state-momentum",
+    ],
+)
+def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
+    # width^2 = 1e400 and V_0 = 1.6e351 or 1.6e331 leave the doubles, and so
+    # does |p|^2 = 1e600: each is refused before any work, with no report
+    if modes is not None:
+        path = tmp_path / "modes.txt"
+        path.write_text(_PI_PAIR_MODES.format(p=modes))
+        text += f"toy_modes: {str(path)!r}\ntrial: {{n: 4}}\n"
+    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not any(out.iterdir())

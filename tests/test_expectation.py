@@ -1,6 +1,7 @@
 """Hamiltonian expectations on trial states: two routes, correlators, moments."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,7 +62,7 @@ _TWO_CHANNEL = {
 
 
 def _condensate_trial(n=5, volume=10.0):
-    ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=volume)
+    ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=volume)
     return weight_f(generate_M(ms, n, 2))
 
 
@@ -78,7 +79,7 @@ def occupancy_trials(toy_trials):
 
 
 def test_matrix_element_condensate_number_operator():
-    ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=1.0)
+    ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=1.0)
     alpha = free_state(ms, 6)
     z = ms.zero_index
     val = matrix_element(ms, alpha, (z, z, z, z), alpha)
@@ -107,7 +108,7 @@ def test_sum_quadruples_matches_raw_double_sum(toy_trials):
     trials.append(build_trial(replace(toy_by_name("line-harmonics"), n=12)))
     # an empty mode listed before an occupied one: hopping a particle into
     # it must not be mistaken for a hop into the next mode
-    gap_inside = ModeSet.toy(
+    gap_inside = ModeSet(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (0.05, 0.0, 0.0), (-0.75, 0.0, 0.0)],
         ["P0", "PI", "Gap", "PI"],
         volume=20.0,
@@ -198,7 +199,7 @@ def test_ha2_skips_pairs_matched_by_mode_key():
     # -(0.5, 0.1, 0) is listed with a 1e-12 offset that the mode key rounds
     # away: v1 + v2 = 0 must be found through the key, as brute force finds
     # it, or HA2 picks up a phantom copy of HS3's pair-to-pair terms
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0), (-0.25, 0.0, 0.0), (0.5, 0.1, 0.0), (-0.5, -0.1 - 1e-12, 0.0)],
         ["P0", "PL", "PL", "PI", "PI"],
         volume=20.0,
@@ -214,7 +215,7 @@ def test_ha2_skips_pairs_matched_by_mode_key():
 
 def _copy_at(case, momenta):
     ms = case.mode_set
-    copy = ModeSet.toy(momenta, [m.region for m in ms], volume=ms.volume, lams=[m.lam for m in ms])
+    copy = ModeSet(momenta, [m.region for m in ms], volume=ms.volume, lams=[m.lam for m in ms])
     return replace(case, mode_set=copy)
 
 
@@ -306,7 +307,7 @@ def test_coupling_matrix_samples_rounded_transfers():
         seen.append(mag)
         return math.exp(-mag)
 
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (-0.1, 0.0, 0.0)], ["P0", "PL", "PL"], volume=10.0,
         lams=[None, -0.5, -0.5],
     )
@@ -411,7 +412,7 @@ def test_pair_correlator_exact_cases(toy_trials):
 def test_pair_correlator_unpaired_momentum_is_zero():
     # 1.5 has no partner -1.5, so neither P(u, v) nor the direct sum has a
     # pair to create or annihilate there
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0), (1.5, 0.0, 0.0)],
         ["P0", "PI", "PI", "PH"],
         volume=20.0,
@@ -592,12 +593,25 @@ def test_occupation_ratio_bound_all_toys(occupancy_trials):
             probs = occupancy_distribution(trial, u)
             assert rep["holds"], (name, u)
             assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
-            # a quarter of lambda breaks the bound; both verdicts match the loop
+            # a quarter of lambda breaks the bound; both verdicts match the
+            # (m, i) loop, and so does worst_ratio wherever the bound holds.
+            # Where it fails, worst_ratio is the largest adjacent (i = 1)
+            # ratio, which exceeds 1
             for lam_u in (lam, lam / 4.0):
                 rep = occupation_ratio_report(trial, u, lam_u)
-                ref = _ratio_reference(probs, rho, lam_u)
-                assert (rep["holds"], rep["worst_ratio"]) == ref, (name, u, lam_u)
-                failing += not rep["holds"]
+                holds, worst = _ratio_reference(probs, rho, lam_u)
+                assert rep["holds"] == holds, (name, u, lam_u)
+                if holds:
+                    assert rep["worst_ratio"] == worst, (name, u, lam_u)
+                else:
+                    ratio2 = (lam_u * rho) ** 2
+                    adjacent = max(
+                        probs[m] / (ratio2 * probs[m - 1])
+                        for m in range(1, len(probs))
+                        if ratio2 * probs[m - 1] > 0
+                    )
+                    assert rep["worst_ratio"] == adjacent > 1.0, (name, u, lam_u)
+                    failing += 1
     assert failing > 0
 
 
@@ -651,8 +665,9 @@ def test_toy_by_name_is_the_suite_case(toy_suite):
 
 
 def test_occupation_ratio_powers_past_the_doubles_are_a_holding_bound():
-    # (lam rho)^2 = 1e6 on pi-pair at N = 120 (volume 25): the powers run
-    # past 1.8e308 by i = 52, and every right side taken there is inf or 0
+    # (lam rho)^2 = 1e6 on pi-pair at N = 120 (volume 25): the bound's powers
+    # (lam rho)^(2i) run past 1.8e308 by i = 52, and the adjacent steps,
+    # which form none of them, still decide it
     case = toy_by_name("pi-pair")
     trial = build_trial(replace(case, n=120))
     u = case.mode_set.indices_in(Region.PI)[0]
@@ -670,3 +685,19 @@ def test_occupation_ratio_powers_past_the_doubles_are_a_holding_bound():
         "holds": not np.any(lhs > rhs + 1e-15 * np.maximum(1.0, np.abs(rhs))),
         "worst_ratio": float(np.max(lhs[rhs > 0] / rhs[rhs > 0])),
     }
+
+
+def test_occupation_ratio_report_memory_is_linear_in_n():
+    # N = 4000 (2,001 states): the (m, i) triangle held 8M pairs, 427.5 MiB
+    # traced; the N adjacent steps need a few arrays of N + 1 values
+    case = toy_by_name("pi-pair")
+    trial = build_trial(replace(case, n=4000))
+    u = case.mode_set.indices_in(Region.PI)[0]
+    tracemalloc.start()
+    try:
+        rep = occupation_ratio_report(trial, u, case.mode_set.modes[u].lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["holds"] is True
+    assert peak < 10 * 2**20

@@ -34,7 +34,7 @@ _RECURSION_NAMES = (
 
 
 def _pair_set(label, lam=-0.4, volume=20.0):
-    return ModeSet.toy(
+    return ModeSet(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0)],
         ["P0", label, label],
         volume=volume,
@@ -84,7 +84,7 @@ def test_closure_low_pair_occupation_cap():
 
 
 def test_closure_condensate_only():
-    ms = ModeSet.toy([(0.0, 0.0, 0.0)], ["P0"], volume=10.0)
+    ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=10.0)
     clo = generate_M(ms, 5, 2)
     assert clo.counts_matrix().tolist() == [[5]]
 
@@ -241,7 +241,7 @@ def _bfs_reference(ms, n, m_c):
 def _outer_pairs(count):
     """The zero mode and `count` intermediate pairs on one axis."""
     ks = sorted(range(-count, count + 1), key=lambda k: k != 0)
-    return ModeSet.toy([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
+    return ModeSet([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
 
 
 def test_generation_order_matches_state_by_state_bfs(toy_trials):
@@ -287,7 +287,7 @@ def test_shift_matches_count_tuple_lookup(toy_trials):
 def test_shift_out_of_range_never_aliases():
     # modes 0, +q, an empty gap mode, -q; rows (4,0,0,0), (2,1,0,1), (0,2,0,2)
     lams = [None, -0.4, None, -0.4]
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (0.05, 0.0, 0.0), (-0.75, 0.0, 0.0)],
         ["P0", "PI", "Gap", "PI"],
         volume=20.0,
@@ -331,7 +331,7 @@ def test_shift_memo_shares_one_read_only_array():
 
 def test_radix_past_62_bits_raises_budget_exceeded():
     # 32 modes each holding 3 particles: the radix is 4^32 = 2^64
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(float(i), 0.0, 0.0) for i in range(-15, 17)],
         ["P0" if i == 0 else "PH" for i in range(-15, 17)],
         volume=10.0,
@@ -595,7 +595,7 @@ def test_export_sorts_rows_out_of_key_order():
     signs = rng.choice([-1.0, 1.0], 3)
     lines = rng.permutation(len(ms))
     modes = [ms.modes[i] for i in lines]
-    shuffled = ModeSet.toy(
+    shuffled = ModeSet(
         [m.p[axes] * signs for m in modes],
         [m.region for m in modes],
         volume=ms.volume,
@@ -611,7 +611,7 @@ def test_export_sorts_rows_out_of_key_order():
 def test_export_prefix_key_sorts_first():
     # (2, 0, 0) keys as ((0, 2),), a prefix of (2, 1, 0)'s ((0, 2), (1, 1)),
     # and sorts before it as the shorter tuple does; (2, 0, 1) follows both
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0), (-0.75, 0.0, 0.0)],
         ["P0", "PI", "PI"],
         volume=20.0,

@@ -35,7 +35,9 @@ def test_schedule_scales():
     assert math.isclose(s.box_length, (1e-4) ** (-25.0 / 24.0), rel_tol=1e-14)
     assert math.isclose(s.spacing, 2.0 * math.pi / s.box_length, rel_tol=1e-14)
     # the three small parameters share one value rho^eta
-    assert s.eps_l == s.eta_l == s.eps_h == (1e-4) ** 0.24
+    assert s.eps == (1e-4) ** 0.24
+    eps = s.as_dict()
+    assert eps["eps_L"] == eps["eta_L"] == eps["eps_H"] == s.eps
     assert s.m_c == max(2, math.floor((1e-4) ** (-0.24)))
     assert s.n_particles == round(1e-4 * s.volume)
     assert s.n_particles > 0
@@ -44,7 +46,7 @@ def test_schedule_scales():
 def test_schedule_region_edges_ordered():
     for rho in (1e-8, 1e-6, 1e-4, 1e-3):
         s = Schedule(rho)
-        assert 0.0 < s.p_gap_top < s.p_low_top < s.eps_h
+        assert 0.0 < s.p_gap_top < s.p_low_top < s.eps
 
 
 @pytest.mark.parametrize(
@@ -78,7 +80,7 @@ def classify(schedule: Schedule, p) -> Region:
         return Region.GAP
     if mag <= schedule.p_low_top:
         return Region.PL
-    if mag <= schedule.eps_h:
+    if mag <= schedule.eps:
         return Region.PI
     return Region.PH
 
@@ -94,9 +96,9 @@ def test_classify_boundaries_exact():
     assert classify(s, high) is Region.PL
     # P_I half open: lower end excluded, eps_H included
     assert classify(s, high * (1.0 + 1e-12)) is Region.PI
-    assert classify(s, s.eps_h) is Region.PI
-    assert classify(s, s.eps_h * (1.0 + 1e-12)) is Region.PH
-    assert classify(s, [s.eps_h, 0.0, 0.0]) is Region.PI
+    assert classify(s, s.eps) is Region.PI
+    assert classify(s, s.eps * (1.0 + 1e-12)) is Region.PH
+    assert classify(s, [s.eps, 0.0, 0.0]) is Region.PI
 
 
 # ---------------------------------------------------------------- mode sets
@@ -112,7 +114,7 @@ def from_schedule(
     est = (2 * nmax + 1) ** 3
     if est > 8 * max_modes:
         raise BudgetExceeded(f"{est} candidate vectors exceed the materialization budget")
-    modes = []
+    momenta, labels = [], []
     rng = range(-nmax, nmax + 1)
     # compare squared lattice norms, so the whole shell on the budget
     # sphere is kept or dropped together, whatever the rounding of |p|
@@ -127,10 +129,11 @@ def from_schedule(
                 region = classify(schedule, mag)
                 if k_c is not None and region is Region.PH and mag > k_c:
                     region = Region.TRUNCATED
-                modes.append(Mode(index=len(modes), p=p, region=region))
-                if len(modes) > max_modes:
+                momenta.append(p)
+                labels.append(region)
+                if len(momenta) > max_modes:
                     raise BudgetExceeded("materialized mode count exceeded max_modes")
-    return ModeSet(modes, volume=schedule.volume)
+    return ModeSet(momenta, labels, volume=schedule.volume)
 
 
 def _magnitude(m: Mode) -> float:
@@ -138,7 +141,7 @@ def _magnitude(m: Mode) -> float:
 
 
 def _toy_set(volume=8.0):
-    return ModeSet.toy(
+    return ModeSet(
         [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)],
         ["P0", "PL", "PL"],
         volume=volume,
@@ -167,7 +170,7 @@ def test_conserving_decides_in_integer_coordinates():
     a, b = np.array([0.25, 0.5, 0.0]), np.array([0.125, -0.375, 0.75])
     exact = [np.zeros(3), a, -a, b, -b, a + b, -(a + b)]
     offsets = [np.where(p != 0.0, rng.choice([-0.4e-9, 0.4e-9], 3), 0.0) for p in exact]
-    ms = ModeSet.toy(
+    ms = ModeSet(
         [p + d for p, d in zip(exact, offsets)], ["P0"] + ["PI"] * 6, volume=10.0
     )
     assert [ms.index_of(p) for p in exact] == list(range(7))
@@ -206,7 +209,7 @@ def test_mode_set_without_a_common_step_rounds_sums_on_the_key_grid():
     # float sum p_a + p_b - p_c, rounded once to the key grid
     r = math.sqrt(2.0)
     xs = [0.0, 1.0, -1.0, r, -r, 1.0 + r, -1.0 - r]
-    ms = ModeSet.toy([(x, 0.0, 0.0) for x in xs], ["P0"] + ["PI"] * 6)
+    ms = ModeSet([(x, 0.0, 0.0) for x in xs], ["P0"] + ["PI"] * 6)
     assert ms.conserving(1, 3, 0) == 5 and ms.conserving(5, 0, 3) == 1
     assert ms.conserving(1, 1, 0) is None
     assert [ms.neg_index(i) for i in range(7)] == [0, 2, 1, 4, 3, 6, 5]
@@ -216,14 +219,14 @@ def test_mode_set_without_a_common_step_rounds_sums_on_the_key_grid():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_toy_mode_set_rejects_non_finite_momenta(bad):
     with pytest.raises(ValueError, match=r"mode 2: momentum must be finite"):
-        ModeSet.toy([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, bad, 0.0)], ["P0", "PI", "PI"])
+        ModeSet([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, bad, 0.0)], ["P0", "PI", "PI"])
 
 
 def test_toy_mode_set_rejects_duplicates_and_missing_zero():
     with pytest.raises(ValueError):
-        ModeSet.toy([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)], ["P0", "PL", "PL"])
+        ModeSet([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)], ["P0", "PL", "PL"])
     with pytest.raises(ValueError):
-        ModeSet.toy([(0.5, 0.0, 0.0)], ["PL"])
+        ModeSet([(0.5, 0.0, 0.0)], ["PL"])
 
 
 def test_from_schedule_materializes_and_truncates():
