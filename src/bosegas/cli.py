@@ -68,6 +68,7 @@ from .lattice import (
     shell_window,
 )
 from .scattering import (
+    _LOG_MAX,
     Potential,
     check_scattering_identities,
     fourier_at,
@@ -295,11 +296,20 @@ def _resolve_toy(cfg: dict) -> ToyCase:
             raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
         if mode_set.volume is None:
             raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
+        n = 6 if trial["n"] is None else trial["n"]
+        # N max|p|^2 bounds the kinetic energy; test it in logs before it is formed
+        top = max(mode_set, key=lambda m: float(m.p @ m.p))
+        p2 = float(top.p @ top.p)
+        if n > 0 and p2 > 0.0 and math.log(n) + math.log(p2) > _LOG_MAX - 1e-6:
+            raise ConfigInvalid(
+                f"toy_modes file {str(path)!r}: N = {n} particles at momentum {top.p.tolist()} "
+                "give N |p|^2, a bound on the kinetic energy, past the largest double"
+            )
         potential = _potential_from(cfg)
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
-            n=6 if trial["n"] is None else trial["n"],
+            n=n,
             m_c=2 if trial["m_c"] is None else trial["m_c"],
             v_of=lambda mag: fourier_at(potential, mag),
             note="loaded from file",

@@ -78,6 +78,9 @@ __all__ = [
 
 COMPONENTS = ("kinetic", "HS1", "HS2", "HS3", "HA1", "HA2")
 
+# _left_sum adds this many rows per block
+_SUM_ROWS = 4096
+
 
 def coupling_matrix(v_of: Callable[[float], float], mode_set: ModeSet) -> np.ndarray:
     """(n, n) table of V at every momentum transfer |p_i - p_j| of the mode set.
@@ -128,9 +131,15 @@ def _left_sum(values: np.ndarray, start=0.0):
     """Sum along axis 0 strictly left to right, beginning at `start`.
 
     Bitwise equal to a Python `total += x` loop, unlike the pairwise np.sum.
+    The rows are added _SUM_ROWS at a time, each block's running total
+    carried into the next, so no copy longer than a block is made; an empty
+    `values` still passes through one (empty) block, which gives the result
+    its promoted dtype.
     """
-    head = np.full((1,) + values.shape[1:], start)
-    return np.add.accumulate(np.concatenate((head, values)))[-1]
+    carry = np.full((1,) + values.shape[1:], start)
+    for lo in range(0, max(len(values), 1), _SUM_ROWS):
+        carry = np.add.accumulate(np.concatenate((carry, values[lo : lo + _SUM_ROWS])))[-1:]
+    return carry[0]
 
 
 def q_psi(state: WeightedTrialState, momenta: Sequence[int]) -> float:

@@ -60,6 +60,9 @@ __all__ = [
 # the default cap on closure members, also the config's budgets.closure
 CLOSURE_BUDGET = 200_000
 
+# export_closure makes its text this many sorted rows at a time
+_EXPORT_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class OccupationState:
@@ -475,30 +478,44 @@ def export_closure(state: WeightedTrialState) -> str:
     """Line-oriented dump (canonical key, |f|^2, phase quadrant) for diffing.
 
     A row's key is its nonzero (j, c) pairs in column order; rows are
-    written in key order.  Each pair is coded j*cap + c, the codes packed
-    to the left and padded with -1, so one lexsort ranks the rows as the
-    key tuples compare: a key that is a prefix of another sorts first.
+    written in key order.  Each pair is coded by its rank among the pairs
+    the closure holds, filled in column by column, the codes packed to the
+    left and padded with -1, so one lexsort ranks the rows as the key tuples
+    compare: a key that is a prefix of another sorts first.  The text is
+    made in blocks of _EXPORT_ROWS sorted rows, so next to the blocks made
+    so far only one block's tokens and lines, the packed codes and a few
+    numbers per row are held; these are freed before the blocks are joined,
+    and the join's copy of the text sets the peak: about twice the text.
     """
-    w = state.weights
-    probs = state.probabilities()
-    quadrants = np.where(probs > 0, np.round(np.angle(w) / (math.pi / 2)).astype(np.int64) % 4, 0)
+    return "\n".join([*_export_blocks(state), ""])
+
+
+def _export_blocks(state: WeightedTrialState):
+    """export_closure's lines in key order, one string per block of rows."""
     counts = state.closure.counts_matrix()
-    cap = int(counts.max()) + 1
-    rows, cols = np.nonzero(counts)
-    codes = cols * cap + counts[rows, cols]
-    per_row = np.bincount(rows, minlength=len(counts))
-    ends = np.cumsum(per_row)
-    starts = ends - per_row
-    slot = np.arange(len(rows)) - starts[rows]
-    packed = np.full((len(counts), max(1, int(slot.max(initial=0)) + 1)), -1, dtype=np.int64)
-    packed[rows, slot] = codes
+    filled = np.zeros(len(counts), dtype=np.int64)
+    # every code is below counts.size, so the smallest type holding -size holds them all
+    width = max(1, int((counts != 0).sum(axis=1).max()))
+    packed = np.full((len(counts), width), -1, dtype=np.min_scalar_type(-counts.size))
+    table = []
+    for j, col in enumerate(counts.T):
+        rows = np.flatnonzero(col)
+        values, rank = np.unique(col[rows], return_inverse=True)
+        packed[rows, filled[rows]] = len(table) + rank
+        filled[rows] += 1
+        table += [f"{j},{c}" for c in values.tolist()]
     order = np.lexsort(packed.T[::-1])
-    uniq, inv = np.unique(codes, return_inverse=True)
-    table = [f"{c // cap},{c % cap}" for c in uniq.tolist()]
-    tokens = [table[t] for t in inv.tolist()]
-    starts, ends = starts.tolist(), ends.tolist()
-    lines = [
-        f"{';'.join(tokens[starts[r]:ends[r]])} |f|2={prob:.12e} phase={quadrant}"
-        for r, prob, quadrant in zip(order.tolist(), probs[order].tolist(), quadrants[order].tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    # the -1 pads pick the empty last token, and each row's count of pairs cuts them off
+    tokens = np.array([*table, ""], dtype=object)
+    probs = state.probabilities()
+    for lo in range(0, len(order), _EXPORT_ROWS):
+        rows = order[lo : lo + _EXPORT_ROWS]
+        prob = probs[rows]
+        turns = np.round(np.angle(state.weights[rows]) / (math.pi / 2)).astype(np.int64) % 4
+        lines = zip(
+            tokens[packed[rows]].tolist(),
+            filled[rows].tolist(),
+            prob.tolist(),
+            np.where(prob > 0, turns, 0).tolist(),
+        )
+        yield "\n".join([f"{';'.join(key[:k])} |f|2={p:.12e} phase={q}" for key, k, p, q in lines])

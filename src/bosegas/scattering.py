@@ -171,7 +171,9 @@ def fourier_at(potential: Potential, p) -> np.ndarray:
     p = np.atleast_1d(p)
     if np.any(p < 0):
         raise ValueError("momentum magnitude must be nonnegative")
-    out = potential.v0 * np.exp(-0.5 * (p * potential.width) ** 2)
+    # past |p| width ~ 1.3e154 the square overflows to inf and exp gives the right 0
+    with np.errstate(over="ignore"):
+        out = potential.v0 * np.exp(-0.5 * (p * potential.width) ** 2)
     return float(out[0]) if scalar else out
 
 

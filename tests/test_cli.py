@@ -800,6 +800,12 @@ def test_one_closure_budget_default():
 _PI_PAIR_MODES = "# volume = 25.0\n0 0 0 P0\n{p} 0 0 PI -0.4\n-{p} 0 0 PI -0.4\n"
 
 
+def _pi_pair_config(tmp_path, p, text):
+    path = tmp_path / "modes.txt"
+    path.write_text(_PI_PAIR_MODES.format(p=p))
+    return _write_config(tmp_path, f"toy_modes: {str(path)!r}\n{text}")
+
+
 @pytest.mark.parametrize(
     "pipeline, text, modes",
     [
@@ -808,8 +814,9 @@ _PI_PAIR_MODES = "# volume = 25.0\n0 0 0 P0\n{p} 0 0 PI -0.4\n-{p} 0 0 PI -0.4\n
             for pipeline in ("scattering", "lattice", "energy-curve", "check-all")
             for amp, width in (("1.0", "1.0e200"), ("1.0e200", "1.0e50"))
         ],
-        ("trial-state", "potential: {amplitude: 1.0e300, width: 1.0e10}\n", "0.75"),
-        ("trial-state", "", "1.0e300"),
+        ("trial-state", "potential: {amplitude: 1.0e300, width: 1.0e10}\n", ("0.75", 4)),
+        ("trial-state", "", ("1.0e300", 4)),
+        ("trial-state", "", ("3.0e153", 100)),
     ],
     ids=[
         *[
@@ -819,17 +826,38 @@ _PI_PAIR_MODES = "# volume = 25.0\n0 0 0 P0\n{p} 0 0 PI -0.4\n-{p} 0 0 PI -0.4\n
         ],
         "trial-state-v0",
         "trial-state-momentum",
+        "trial-state-kinetic",
     ],
 )
 def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
     # width^2 = 1e400 and V_0 = 1.6e351 or 1.6e331 leave the doubles, and so
-    # does |p|^2 = 1e600: each is refused before any work, with no report
+    # do |p|^2 = 1e600 and N |p|^2 = 100 * 9e306, the kinetic energy's bound:
+    # each is refused before any work, with no report
     if modes is not None:
-        path = tmp_path / "modes.txt"
-        path.write_text(_PI_PAIR_MODES.format(p=modes))
-        text += f"toy_modes: {str(path)!r}\ntrial: {{n: 4}}\n"
-    code, out = _run(tmp_path, pipeline, "--config", _write_config(tmp_path, text))
+        p, n = modes
+        config = _pi_pair_config(tmp_path, p, f"{text}trial: {{n: {n}}}\n")
+    else:
+        config = _write_config(tmp_path, text)
+    code, out = _run(tmp_path, pipeline, "--config", config)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
     assert not any(out.iterdir())
+
+
+def test_trial_state_kinetic_bound_inside_the_doubles_runs(tmp_path):
+    # N |p|^2 = 1e306: the report's energies stay finite
+    config = _pi_pair_config(tmp_path, "1.0e152", "trial: {n: 100}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 0
+    energy = load_report(out / "trial_state.json")["energy"]
+    assert all(math.isfinite(v) for v in energy.values())
+    assert energy["kinetic"] > 1e305
+
+
+def test_trial_state_transfer_past_the_square_overflow_is_silent(tmp_path, capsys):
+    # |p| width = 1e160 for the pair's transfers: V_p = 0 with nothing on stderr
+    config = _pi_pair_config(tmp_path, "1.0e150", "potential: {amplitude: 0.1, width: 1.0e10}\n")
+    code, _ = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 0
+    assert capsys.readouterr().err == ""

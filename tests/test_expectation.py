@@ -9,6 +9,8 @@ import pytest
 
 from bosegas.errors import ZeroConditionProbability
 from bosegas.expectation import (
+    _SUM_ROWS,
+    _left_sum,
     _sum_quadruples,
     brute_force_energy,
     coupling_matrix,
@@ -98,6 +100,33 @@ def test_matrix_element_pair_creation_amplitude():
     # occupancy mismatch kills the element
     assert matrix_element(ms, alpha, (1, 2, z, z), alpha) == 0.0
     assert matrix_element(ms, beta, (z, z, z, z), alpha) == 0.0
+
+
+def _left_sum_reference(values, start=0.0):
+    """_left_sum as one accumulate over the whole array behind `start`."""
+    head = np.full((1,) + values.shape[1:], start)
+    return np.add.accumulate(np.concatenate((head, values)))[-1]
+
+
+@pytest.mark.parametrize("length", [0, 1, _SUM_ROWS - 1, _SUM_ROWS, _SUM_ROWS + 1, 3 * _SUM_ROWS + 5])
+def test_left_sum_in_blocks_equals_one_accumulate(length):
+    # magnitudes over 16 decades, so a change of summation order shows in the bits
+    rng = np.random.default_rng(length)
+    for tail in ((), (3,)):
+        shape = (length, *tail)
+        real = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        cplx = real + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        for values, start in (
+            (real, 0.0),
+            (real, 0.3),
+            (real, 0.25 - 1.5j),
+            (cplx, 0.0),
+            (cplx, 0.0 + 0.0j),
+            (cplx, -2.5 + 1e-3j),
+        ):
+            got, want = _left_sum(values, start), _left_sum_reference(values, start)
+            assert (np.shape(got), got.dtype) == (np.shape(want), want.dtype)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (shape, start)
 
 
 def test_sum_quadruples_matches_raw_double_sum(toy_trials):

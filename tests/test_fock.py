@@ -10,6 +10,7 @@ import pytest
 
 from bosegas.errors import BudgetExceeded, RegionUndefined
 from bosegas.fock import (
+    _EXPORT_ROWS,
     ClosureSet,
     OccupationState,
     WeightedTrialState,
@@ -580,9 +581,31 @@ def _row_keys(closure):
     return [tuple((j, c) for j, c in enumerate(r) if c) for r in closure.counts_matrix().tolist()]
 
 
-def test_export_matches_tuple_sort_reference(toy_trials):
-    for name, (_, trial) in toy_trials.items():
+@pytest.fixture(scope="module")
+def soft_coincidence_240():
+    """50,103 states: the export writes them in many blocks."""
+    return build_trial(replace(toy_by_name("soft-coincidence"), n=240))
+
+
+def test_export_matches_tuple_sort_reference(toy_trials, soft_coincidence_240):
+    trials = {name: trial for name, (_, trial) in toy_trials.items()}
+    trials["soft-coincidence N=0"] = build_trial(replace(toy_by_name("soft-coincidence"), n=0))
+    trials["soft-coincidence N=240"] = soft_coincidence_240
+    assert len(soft_coincidence_240) > 10 * _EXPORT_ROWS
+    for name, trial in trials.items():
         assert export_closure(trial) == _export_reference(trial), name
+
+
+def test_export_peak_memory_is_within_three_texts(soft_coincidence_240):
+    # the joined text and the blocks it is joined from, not a list of
+    # tokens and lines over the whole closure
+    tracemalloc.start()
+    try:
+        text = export_closure(soft_coincidence_240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_export_sorts_rows_out_of_key_order():

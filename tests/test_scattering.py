@@ -74,6 +74,14 @@ def test_fourier_decays_at_large_momentum(gaussian_potential):
     assert abs(float(fourier_at(gaussian_potential, 50.0))) < 1e-12 * v0
 
 
+def test_fourier_past_the_square_overflow_is_a_silent_zero():
+    # (p width)^2 = 1e320 leaves the doubles and exp(-inf) = 0 is right; an
+    # overflow RuntimeWarning would fail here under filterwarnings = error
+    pot = Potential(0.1, 1.0e10)
+    assert fourier_at(pot, 1.0e150) == 0.0
+    assert np.array_equal(fourier_at(pot, np.array([0.0, 1.0e150])), [pot.v0, 0.0])
+
+
 def test_fourier_bounded_by_zero_momentum_value(gaussian_potential):
     # V nonnegative implies |V_p| <= V_0; sweep a seeded momentum sample
     v0 = float(fourier_at(gaussian_potential, 0.0))
