@@ -68,7 +68,6 @@ from .lattice import (
     shell_window,
 )
 from .scattering import (
-    _LOG_MAX,
     Potential,
     check_scattering_identities,
     fourier_at,
@@ -282,6 +281,15 @@ def run_lattice(cfg: dict) -> dict:
     return {"lattice.json": report}
 
 
+# the log of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log(x: float) -> float:
+    """log x, and -inf at x = 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def _resolve_toy(cfg: dict) -> ToyCase:
     """The mode file's case, or the builtin toy with trial.n / trial.m_c
     where the config sets them."""
@@ -297,15 +305,25 @@ def _resolve_toy(cfg: dict) -> ToyCase:
         if mode_set.volume is None:
             raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
         n = 6 if trial["n"] is None else trial["n"]
-        # N max|p|^2 bounds the kinetic energy; test it in logs before it is formed
-        top = max(mode_set, key=lambda m: float(m.p @ m.p))
-        p2 = float(top.p @ top.p)
-        if n > 0 and p2 > 0.0 and math.log(n) + math.log(p2) > _LOG_MAX - 1e-6:
-            raise ConfigInvalid(
-                f"toy_modes file {str(path)!r}: N = {n} particles at momentum {top.p.tolist()} "
-                "give N |p|^2, a bound on the kinetic energy, past the largest double"
-            )
         potential = _potential_from(cfg)
+        # every intermediate of the energy report is at most N max|p|^2 (the
+        # kinetic sums) plus C V_0 N^2 max(1, 1/|Lambda|), C = n_modes^3 + 3:
+        # brute force adds up to n_modes^3 terms, each V_u / |Lambda| <=
+        # V_0 / |Lambda| times an element sum of at most N^2, the components
+        # regroup those terms, and _diagonal_interaction's sums reach
+        # 3 V_0 N^2 before the division by |Lambda|.  Test it in logs
+        p2 = max(float(m.p @ m.p) for m in mode_set)
+        terms, vol, v0 = len(mode_set) ** 3 + 3, mode_set.volume, potential.v0
+        log_bound = np.logaddexp(
+            _log(n) + _log(p2),
+            math.log(terms) + _log(v0) + 2.0 * _log(n) + max(0.0, -math.log(vol)),
+        )
+        if log_bound > _LOG_MAX - 1e-6:
+            raise ConfigInvalid(
+                f"toy_modes file {str(path)!r}: N = {n} particles, max|p| = {math.sqrt(p2):.6g}, "
+                f"V_0 = {v0:.6g} and |Lambda| = {vol:.6g} give N max|p|^2 + {terms} V_0 N^2 "
+                "max(1, 1/|Lambda|), a bound on the energy terms, past the largest double"
+            )
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,

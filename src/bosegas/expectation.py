@@ -190,12 +190,17 @@ def occupancy_distribution(state: WeightedTrialState, u: int) -> list[float]:
 
     A stable sort lines each count's states up in row order, so every
     segment is the array that mask sums, and np.sum rounds it the same way.
+    Only the counts the column holds are summed; every other entry is the
+    0.0 an empty mask sums to.
     """
     col = state.closure.counts_matrix()[:, u]
     order = np.argsort(col, kind="stable")
     probs = state.probabilities()[order]
-    ends = np.searchsorted(col[order], np.arange(state.closure.n + 2)).tolist()
-    return [float(np.sum(probs[a:b])) for a, b in zip(ends, ends[1:])]
+    held, starts, sizes = np.unique(col[order], return_index=True, return_counts=True)
+    dist = [0.0] * (state.closure.n + 1)
+    for m, a, k in zip(held.tolist(), starts.tolist(), sizes.tolist()):
+        dist[m] = float(np.sum(probs[a : a + k]))
+    return dist
 
 
 def _kinetic(state: WeightedTrialState) -> float:
@@ -474,9 +479,10 @@ def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     ms = state.mode_set
     rho = closure.n / ms.volume
     lam_u = ms.modes[u_idx].lam
-    hyp = rho**2 * lam_u**2 * (1.0 + closure.m_c * rho)
-    probs = occupancy_distribution(state, u_idx)
-    monotone = all(b <= a + 1e-15 for a, b in zip(probs, probs[1:]))
+    # a square past the largest double is inf: a hypothesis that does not hold
+    hyp = _power(rho, 2) * _power(lam_u, 2) * (1.0 + closure.m_c * rho)
+    probs = np.array(occupancy_distribution(state, u_idx))
+    monotone = bool(np.all(probs[1:] <= probs[:-1] + 1e-15))
     return {"hypothesis_holds": hyp < 1.0, "monotone": monotone}
 
 

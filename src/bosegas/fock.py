@@ -356,10 +356,11 @@ def weight_f(closure: ClosureSet) -> WeightedTrialState:
     lam_arr = np.array([math.nan if m.lam is None else float(m.lam) for m in ms], dtype=float)
     counts = closure.counts_matrix()
     a0 = counts[:, z]
-    lgamma = np.array([math.lgamma(c + 1) for c in range(int(a0.max()) + 1)])
+    held, at = np.unique(a0, return_inverse=True)
+    lgamma = np.array([math.lgamma(c + 1) for c in held.tolist()])
     # terms join each state's log magnitude in one fixed order (condensate,
     # occupied modes by index, low-mode star factors): it fixes the rounding
-    log_mag = 0.5 * (a0 * math.log(volume) - lgamma[a0])
+    log_mag = 0.5 * (a0 * math.log(volume) - lgamma[at])
     i_pow = np.zeros(len(closure), dtype=np.int64)
     for i in range(len(ms)):
         occ = counts[:, i]

@@ -30,31 +30,12 @@ about 2e-17; at rho = 1e-5, rho w_p reads 1.311 just above the edge.
 Sums (1/|Lambda|) sum_{p in region} F(|p|) are evaluated exactly by counting
 integer lattice points shell by shell (r_3(m) = #{n in Z^3 : |n|^2 = m}),
 and compared against the continuum integral (2 pi)^-3 int F d^3k over the
-same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  Since a
-square is 0 or 1 mod 4, r_3 splits by the residue of m mod 4 into four
-convolutions of one-square by two-square tables, each indexed by k = m div 4
-(see `shell_counts`).  A two-square table is symmetric under x <-> y, so
-it is built over the pairs with y >= x only, each off-diagonal pair counted
-twice.  For the shells m_lo .. m_hi any cyclic length
-n >= 2 (m_hi div 4) + 1 - (m_lo div 4) is exact: each linear product ends at
-2 (m_hi div 4), and the terms past n fold back below m_lo div 4, outside
-every class window.  The length is n = n1 n2 with n1 a power of two and n2
-odd, and the Chinese-remainder index map k -> (k mod n1, k mod n2) (Agarwal
-and Cooley 1977; k mod n1 is the mask k & (n1 - 1)) makes each cyclic
-convolution of length n a 2-D cyclic convolution on Z_{n1} x Z_{n2},
-computed as one real 2-D FFT product, its inverse a column pass in place
-on the product and a real row pass, whose transforms are threaded over
-every core this process may run on.  The transforms run in single precision
-(float32 tables, complex64 spectra, a float32 class window): every value
-must round to its integer with a margin below 0.25, and the largest
-distance measured is 0.016 at rho = 1e-8 and 0.031 at m = 6e7 (2e-11 and
-7e-11 in double precision), so the counts are exact.  Shell counts stop at
-m = 6e7 (rho of about 2.7e-9 at the default eta) with BudgetExceeded.  At
-most three spectrum-sized arrays are alive at once, the class windows are
-gathered block by block, and the radial summand runs in blocks of shells,
-in place, into one float64 term per occupied shell, so on the rho = 1e-8
-P_L window the traced peak is 73 MiB inside `shell_counts` and 63 MiB in
-the sum after it.
+same annulus; the relative gap shrinks like O(|Lambda|^-1/3).  How the
+counts are computed, in single-precision FFTs with a roundoff guard, and
+where they stop is in `shell_counts`' docstring.  The radial summand runs in
+blocks of shells into one float64 term per occupied shell, so on the
+rho = 1e-8 P_L window the traced peak is 73 MiB inside `shell_counts` and
+63 MiB in the sum after it.
 
 scipy is imported inside the functions that call it (the spectra,
 `shell_counts`, the continuum quadrature), not at module level: the CLI
@@ -299,8 +280,8 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
     """Read a toy mode set: one `px py pz label [lambda]` per line.
 
     Blank lines and `#` comments are skipped.  A `# volume = V` comment sets
-    the box volume unless one is passed explicitly.  A non-finite momentum
-    component or volume raises ValueError.
+    the box volume unless one is passed explicitly.  A non-finite volume
+    raises ValueError, as `ModeSet` does for a non-finite momentum component.
     """
     momenta, labels, lams = [], [], []
     file_volume = None
@@ -317,10 +298,7 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
             parts = line.split()
             if len(parts) not in (4, 5):
                 raise ValueError(f"malformed mode line: {raw!r}")
-            p = [float(parts[0]), float(parts[1]), float(parts[2])]
-            if not all(map(math.isfinite, p)):
-                raise ValueError(f"momentum must be finite: {raw!r}")
-            momenta.append(p)
+            momenta.append([float(parts[0]), float(parts[1]), float(parts[2])])
             labels.append(Region(parts[3]))
             lams.append(float(parts[4]) if len(parts) == 5 else None)
     vol = volume if volume is not None else file_volume
@@ -459,12 +437,12 @@ def shell_counts(m_max: int, m_min: int = 0) -> np.ndarray:
     is exact.  The pair tables R_0, R_2 are built over y >= x alone (see
     `_pair_spectrum`).  The length is n = n1 n2 with n1 = 2^a and n2 odd
     (coprime, see `_crt_shape`), and the CRT map k -> (k mod n1, k mod n2)
-    (`_crt_index`, a mask and one remainder) turns the cyclic convolution
-    of length n into a 2-D cyclic convolution on Z_{n1} x Z_{n2}: each is
-    one real 2-D FFT product (rfft2, and back by ifft down the columns in
-    place on the product and irfft along the rows, threaded over the cores
-    this process may run on), whose short lanes stay in cache where one
-    transform of length n would not.  The tables are float32, so the
+    (`_crt_index`, a mask and one remainder; Agarwal and Cooley 1977) turns
+    the cyclic convolution of length n into a 2-D cyclic convolution on
+    Z_{n1} x Z_{n2}: each is one real 2-D FFT product (rfft2, and back by
+    ifft down the columns in place on the product and irfft along the rows,
+    threaded over the cores this process may run on), whose short lanes stay
+    in cache where one transform of length n would not.  The tables are float32, so the
     transforms run in single precision (complex64 spectra, float32
     inverses).
     The float32 window is rounded back to integers before the factor 3, and
@@ -576,14 +554,15 @@ def shell_window(schedule: Schedule, p_lo: float, p_hi: float) -> tuple[int, int
 
 def radial_shell_sum(
     schedule: Schedule,
-    radial: Callable[[np.ndarray], np.ndarray],
+    radial: Callable,
     p_lo: float,
     p_hi: float,
 ) -> dict:
     """(1/|Lambda|) sum over lattice modes with p_lo <= |p| <= p_hi, exactly.
 
-    `radial` must accept a vector of magnitudes.  The continuum companion is
-    the same-annulus integral (2 pi)^-3 int radial(|k|) d^3 k, so the gap
+    `radial` must accept a vector of magnitudes and a float, which the
+    continuum quadrature passes.  The continuum companion is the
+    same-annulus integral (2 pi)^-3 int radial(|k|) d^3 k, so the gap
     isolates the pure discretization error O(|Lambda|^-1/3).  Returns
     lattice_per_volume, continuum_annulus, their rel_gap_annulus, the
     n_modes summed and the lattice spacing.
@@ -603,17 +582,14 @@ def radial_shell_sum(
     for start in range(0, counts.size, _SUM_BLOCK):
         block = counts[start : start + _SUM_BLOCK]
         shells = np.flatnonzero(block)
-        # sqrt(m) step, formed in place in the one float copy of the shells
-        mags = shells + float(m_lo + start)
-        np.sqrt(mags, out=mags)
-        mags *= step
+        mags = np.sqrt(shells + float(m_lo + start)) * step
         vals = radial(mags)
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegrand("radial summand not finite inside the annulus")
         np.multiply(block[shells], vals, out=terms[filled : filled + shells.size])
         filled += shells.size
     lattice = float(np.sum(terms)) / schedule.volume
-    continuum = _radial_continuum(lambda k: float(radial(np.array([k]))[0]), p_lo, p_hi)
+    continuum = _radial_continuum(radial, p_lo, p_hi)
     gap = abs(lattice - continuum) / abs(continuum) if continuum != 0.0 else math.inf
     return {
         "lattice_per_volume": lattice,
@@ -633,21 +609,11 @@ def number_density_summand(rho: float, g0: float) -> Callable[[np.ndarray], np.n
     squared, not x, so a large x does not overflow.
     """
 
-    def f(mags: np.ndarray) -> np.ndarray:
-        # x = 4 rho g0 / u^2, then (x / (1 + h))^2 / (4 h) in place: a copy
-        # of the magnitudes (a 0-d array for a float) holds every step, h and
-        # one scratch array t the rest, with the same operations in the same
-        # order as the one-line formula
-        x = np.array(mags, dtype=float)
-        x *= x
-        np.divide(4.0 * rho * g0, x, out=x)
-        h = np.add(x, 1.0, out=np.empty_like(x))
-        np.sqrt(h, out=h)
-        t = np.add(h, 1.0, out=np.empty_like(x))
-        x /= t
-        x *= x
-        x /= np.multiply(h, 4.0, out=t)
-        return x
+    def f(mags):
+        x = 4.0 * rho * g0 / (mags * mags)
+        h = np.sqrt(1.0 + x)
+        y = x / (1.0 + h)
+        return y * y / (4.0 * h)
 
     return f
 

@@ -817,6 +817,7 @@ def _pi_pair_config(tmp_path, p, text):
         ("trial-state", "potential: {amplitude: 1.0e300, width: 1.0e10}\n", ("0.75", 4)),
         ("trial-state", "", ("1.0e300", 4)),
         ("trial-state", "", ("3.0e153", 100)),
+        ("trial-state", "potential: {amplitude: 1.0e305, width: 1.0}\n", ("0.75", 100)),
     ],
     ids=[
         *[
@@ -827,11 +828,13 @@ def _pi_pair_config(tmp_path, p, text):
         "trial-state-v0",
         "trial-state-momentum",
         "trial-state-kinetic",
+        "trial-state-interaction",
     ],
 )
 def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
     # width^2 = 1e400 and V_0 = 1.6e351 or 1.6e331 leave the doubles, and so
-    # do |p|^2 = 1e600 and N |p|^2 = 100 * 9e306, the kinetic energy's bound:
+    # do |p|^2 = 1e600 and the energy bound N max|p|^2 + 30 V_0 N^2 (at
+    # |Lambda| = 25) through N |p|^2 = 100 * 9e306 or 30 V_0 N^2 = 4.7e311:
     # each is refused before any work, with no report
     if modes is not None:
         p, n = modes
@@ -853,6 +856,50 @@ def test_trial_state_kinetic_bound_inside_the_doubles_runs(tmp_path):
     energy = load_report(out / "trial_state.json")["energy"]
     assert all(math.isfinite(v) for v in energy.values())
     assert energy["kinetic"] > 1e305
+
+
+@pytest.mark.parametrize("amplitude, code", [("3.5e301", 0), ("4.0e301", 2)])
+def test_trial_state_energy_bound_edge(tmp_path, capsys, amplitude, code):
+    # the pi-pair modes with N = 100 at |Lambda| = 25: the bound is
+    # N max|p|^2 + 30 V_0 N^2, 1.65e308 at V_0 = 5.5e302 (amplitude 3.5e301),
+    # which runs with every energy finite and nothing on stderr, and 1.89e308
+    # at V_0 = 6.3e302, which is refused
+    config = _pi_pair_config(
+        tmp_path, "0.75", f"potential: {{amplitude: {amplitude}, width: 1.0}}\ntrial: {{n: 100}}\n"
+    )
+    got, out = _run(tmp_path, "trial-state", "--config", config)
+    err = capsys.readouterr().err
+    assert got == code
+    if code:
+        assert err.startswith("config error:") and "V_0 = 6.29984e+302" in err
+        assert not any(out.iterdir())
+        return
+    assert err == ""
+    energy = load_report(out / "trial_state.json")["energy"]
+    assert all(math.isfinite(v) for v in energy.values())
+    assert energy["HS1"] > 1e305
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        "# volume = 18\n0 0 0 P0\n0.25 0 0 PL -1e200\n-0.25 0 0 PL -1e200\n",
+        "# volume = 1e-300\n0 0 0 P0\n0.25 0 0 PL -0.5\n-0.25 0 0 PL -0.5\n",
+    ],
+    ids=["lambda", "volume"],
+)
+def test_trial_state_monotonicity_hypothesis_past_the_doubles(tmp_path, capsys, modes):
+    # rho^2 lambda^2 leaves the doubles through lambda = -1e200 or through
+    # rho = N / |Lambda| = 4e300: the hypothesis does not hold, and the run
+    # writes its report with nothing on stderr
+    path = tmp_path / "modes.txt"
+    path.write_text(modes)
+    config = _write_config(tmp_path, f"toy_modes: {str(path)!r}\ntrial: {{n: 4}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    reports = load_report(out / "trial_state.json")["low_monotonicity"]
+    assert reports and not any(r["hypothesis_holds"] for r in reports.values())
 
 
 def test_trial_state_transfer_past_the_square_overflow_is_silent(tmp_path, capsys):

@@ -392,6 +392,28 @@ def test_occupation_distribution_sums_to_one(occupancy_trials):
             assert occupancy_distribution(trial, u) == probs, (name, u)
 
 
+@pytest.mark.parametrize("toy, n", [("condensate", 200_000), ("pi-pair", 100)])
+def test_occupancy_tables_work_over_the_held_counts(monkeypatch, toy, n):
+    """weight_f takes one lgamma per distinct condensate count, and
+    occupancy_distribution one np.sum per count its column holds, not one per
+    count 0 .. N: the condensate toy's one state holds one count each."""
+    lgammas = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: lgammas.append(x) or lgamma(x))
+    trial = build_trial(replace(toy_by_name(toy), n=n))
+    monkeypatch.undo()
+    counts = trial.closure.counts_matrix()
+    assert len(lgammas) == len(np.unique(counts[:, trial.mode_set.zero_index]))
+    sums = []
+    total = np.sum
+    monkeypatch.setattr(np, "sum", lambda *a, **k: sums.append(1) or total(*a, **k))
+    for u in range(len(trial.mode_set)):
+        sums.clear()
+        dist = occupancy_distribution(trial, u)
+        assert len(sums) == len(np.unique(counts[:, u])), u
+        assert len(dist) == n + 1 and math.isclose(sum(dist), 1.0, rel_tol=1e-12)
+
+
 def test_conditional_moment_identity(toy_trials):
     # unconditioned call reduces to q_psi; conditioning reweights a subset
     _, trial = toy_trials["soft-coincidence"]

@@ -2,8 +2,9 @@
 and yields the counts its tracer reads, every definition in the package has
 a caller in the package, every record field is read in the package, every
 parameter default is overridden by some call in the package, only `cli.main`
-writes files, and the CLI imports no more of scipy than it uses: none at
-start, none in trial-state or boundary."""
+writes files, the CLI imports no more of scipy than it uses: none at
+start, none in trial-state or boundary, and no module takes another
+module's private names."""
 
 import ast
 import importlib
@@ -404,3 +405,40 @@ def test_momentum_conservation_is_decided_in_lattice_alone():
     # ModeSet.conserving answers every p_a + p_b - p_c query on the mode
     # set's lattice step; a float momentum sum elsewhere is a second key
     assert _momentum_lookups() == []
+
+
+def _private_imports() -> list[str]:
+    """module:name of every underscore name a module of src/bosegas takes
+    from another package module: by `from .x import _y` or
+    `from bosegas.x import _y` at any depth, or as `x._y` on a package
+    module bound by `from . import x`.  Dunder names are not private."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "bosegas"
+            ):
+                found.extend(f"{path.stem}:{a.name}" for a in node.names if private(a.name))
+                if node.module is None or node.module == "bosegas":
+                    modules.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and private(node.attr)
+            ):
+                found.append(f"{path.stem}:{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name is its module's own detail: a second module that reads
+    # it couples to code that may change without notice
+    assert _private_imports() == []

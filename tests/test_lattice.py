@@ -798,10 +798,10 @@ def test_number_density_summand_matches_lambda_form():
 
 
 def test_number_density_summand_is_the_one_line_formula():
-    """The in-place summand returns the one-line expression bit for bit, on
+    """The summand returns the one-line expression bit for bit, on
     a 2^16 block of P_L magnitudes, on a block spanning strong to weak
-    coupling, and on a float (a 0-d array, as the continuum quadrature
-    passes)."""
+    coupling, and on a float, as the continuum quadrature passes, to a 0-d
+    value."""
     rho, g0 = 1e-7, 1.471269533883597
     f = number_density_summand(rho, g0)
 
@@ -824,6 +824,20 @@ def test_number_density_summand_is_the_one_line_formula():
         val = f(mag)
         assert val.ndim == 0
         assert val == formula(np.float64(mag))
+
+
+@pytest.mark.parametrize("rho", [1e-5, 1e-8])
+def test_radial_shell_sum_continuum_takes_the_summand_on_floats(rho):
+    """The continuum quadrature calls the summand on floats; its annulus
+    integral is bit for bit the one through one-element arrays, on the
+    default P_L window and at rho = 1e-8."""
+    s = Schedule(rho)
+    f = number_density_summand(rho, 1.471269533883597)
+    res = radial_shell_sum(s, f, s.p_gap_top, s.p_low_top)
+    via_arrays = lattice._radial_continuum(
+        lambda k: float(f(np.array([k]))[0]), s.p_gap_top, s.p_low_top
+    )
+    assert res["continuum_annulus"] == via_arrays
 
 
 def test_number_density_summand_continuum_limit():
