@@ -58,7 +58,7 @@ from .expectation import (
     pair_correlator_check,
     pl_occupation_monotonicity,
 )
-from .fock import CLOSURE_BUDGET, export_closure, weight_recursion_report
+from .fock import CLOSURE_BUDGET, MAX_PARTICLES, export_closure, weight_recursion_report
 from .lattice import (
     DEFAULT_ETA,
     Region,
@@ -178,7 +178,10 @@ def load_config(path: str | None) -> dict:
     )
     trial = cfg["trial"]
     if trial["n"] is not None:
-        _require(_cast(trial, "n", "trial.n", int) >= 0, "trial.n must be >= 0")
+        _require(
+            0 <= _cast(trial, "n", "trial.n", int) <= MAX_PARTICLES,
+            f"trial.n must lie in 0 .. {MAX_PARTICLES}",
+        )
     if trial["m_c"] is not None:
         _require(_cast(trial, "m_c", "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
     if trial["volume"] is not None:
@@ -306,7 +309,8 @@ def _resolve_toy(cfg: dict) -> ToyCase:
             raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
         n = 6 if trial["n"] is None else trial["n"]
         potential = _potential_from(cfg)
-        # every intermediate of the energy report is at most N max|p|^2 (the
+        # with the quartic amplitudes formed as float products, every
+        # intermediate of the energy report is at most N max|p|^2 (the
         # kinetic sums) plus C V_0 N^2 max(1, 1/|Lambda|), C = n_modes^3 + 3:
         # brute force adds up to n_modes^3 terms, each V_u / |Lambda| <=
         # V_0 / |Lambda| times an element sum of at most N^2, the components
@@ -354,7 +358,9 @@ def _trial_battery(case: ToyCase, *, budget: int) -> tuple:
     recursion = weight_recursion_report(trial)
     occupancy_total = sum(mean_occupancies(trial).tolist())
     probe_modes = [ms.zero_index] + ms.nonzero_indices()[:1]
-    occupancy_sums = {str(idx): sum(occupancy_distribution(trial, idx)) for idx in probe_modes}
+    occupancy_sums = {
+        str(idx): sum(occupancy_distribution(trial, idx)[1].tolist()) for idx in probe_modes
+    }
     paired = [
         i
         for i in ms.nonzero_indices()
@@ -406,6 +412,7 @@ def run_energy_curve(cfg: dict) -> dict:
     for schedule in schedules:
         rho = schedule.rho
         comp = pl_number_density_comparison(schedule, g0)
+        leading, second = g0 * rho**2, semi.LHY_RATIO * g0**2.5 * rho**2.5
         rows.append(
             {
                 "rho": rho,
@@ -415,9 +422,9 @@ def run_energy_curve(cfg: dict) -> dict:
                 "full_space_reference": comp["full_space_reference"],
                 "rel_gap_full_space": comp["rel_gap_full_space"],
                 "n_modes": comp["n_modes"],
-                "energy_leading": g0 * rho**2,
-                "energy_second_order": semi.LHY_RATIO * g0**2.5 * rho**2.5,
-                "energy_total": semi.predicted_energy_density(rho, g0),
+                "energy_leading": leading,
+                "energy_second_order": second,
+                "energy_total": leading + second,
             }
         )
     meta = {

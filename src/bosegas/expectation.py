@@ -41,9 +41,9 @@ is sampled.  `expect_component` returns any of the six pieces, complex.
 Q_Psi statistics follow the three query forms (plain product moments,
 occupancy probabilities, conditional moments); the reports read two
 per-state tables, `mean_occupancies` (every Q_Psi(u)) and
-`occupancy_distribution` (every Q({u,m}) of one mode), each bit-equal to
-its query.  P(u,v) gives the pair-to-pair correlator in closed form over
-creation preimages, found through the same member lookup.
+`occupancy_distribution` (Q({u,m}) of one mode over the counts it holds),
+each bit-equal to its query.  P(u,v) gives the pair-to-pair correlator in
+closed form over creation preimages, found through the same member lookup.
 """
 
 from __future__ import annotations
@@ -185,22 +185,24 @@ def mean_occupancies(state: WeightedTrialState) -> np.ndarray:
     return _left_sum(state.closure.counts_matrix() * state.probabilities()[:, None])
 
 
-def occupancy_distribution(state: WeightedTrialState, u: int) -> list[float]:
-    """[Q({u,m}) for m in 0..N], equal to `q_psi_occupation(state, [(u, m)])`.
+def occupancy_distribution(state: WeightedTrialState, u: int) -> tuple[int, np.ndarray]:
+    """(lo, q): q[i] = Q({u,lo+i}) = `q_psi_occupation(state, [(u, lo+i)])` for
+    lo+i from one below the least count column u holds to one above the
+    largest, clipped to 0..N; every other count's Q is 0.0.
 
-    A stable sort lines each count's states up in row order, so every
-    segment is the array that mask sums, and np.sum rounds it the same way.
-    Only the counts the column holds are summed; every other entry is the
-    0.0 an empty mask sums to.
+    A stable sort lines each held count's states up in row order, so each
+    segment is the array that mask sums, and np.sum rounds it the same way;
+    the other entries are the 0.0 an empty mask sums to.
     """
     col = state.closure.counts_matrix()[:, u]
     order = np.argsort(col, kind="stable")
     probs = state.probabilities()[order]
     held, starts, sizes = np.unique(col[order], return_index=True, return_counts=True)
-    dist = [0.0] * (state.closure.n + 1)
+    lo = max(int(held[0]) - 1, 0)
+    q = np.zeros(min(int(held[-1]) + 1, state.closure.n) - lo + 1)
     for m, a, k in zip(held.tolist(), starts.tolist(), sizes.tolist()):
-        dist[m] = float(np.sum(probs[a : a + k]))
-    return dist
+        q[m - lo] = np.sum(probs[a : a + k])
+    return lo, q
 
 
 def _kinetic(state: WeightedTrialState) -> float:
@@ -401,7 +403,8 @@ def p_uv(state: WeightedTrialState, u_idx: int, v_idx: int) -> complex:
     fv = state.weights[to_v[rows]]
     keep = (fu != 0.0) & (fv != 0.0)
     c = closure.counts_matrix()[rows[keep]] + 1
-    root = np.sqrt((c[:, u_idx] * c[:, nu] * c[:, v_idx] * c[:, nv]).astype(float))
+    # in floats, exact below 2^53: in int64 the product wraps once the counts pass 55,108
+    root = np.sqrt(c[:, u_idx] * c[:, nu] * (c[:, v_idx] * c[:, nv].astype(float)))
     return _left_sum(fu[keep] * fv[keep] * root, 0.0 + 0.0j)
 
 
@@ -455,7 +458,7 @@ def occupation_ratio_report(state: WeightedTrialState, u_idx: int, lam_u: float)
     """
     n = state.closure.n
     rho = n / state.mode_set.volume
-    q = np.array(occupancy_distribution(state, u_idx))
+    _, q = occupancy_distribution(state, u_idx)
     lhs, prior = q[1:], q[:-1]
     # r^2 Q is 0 where Q is, even where r^2 is too large for a double
     rhs = np.zeros_like(prior)
@@ -481,7 +484,7 @@ def pl_occupation_monotonicity(state: WeightedTrialState, u_idx: int) -> dict:
     lam_u = ms.modes[u_idx].lam
     # a square past the largest double is inf: a hypothesis that does not hold
     hyp = _power(rho, 2) * _power(lam_u, 2) * (1.0 + closure.m_c * rho)
-    probs = np.array(occupancy_distribution(state, u_idx))
+    _, probs = occupancy_distribution(state, u_idx)
     monotone = bool(np.all(probs[1:] <= probs[:-1] + 1e-15))
     return {"hypothesis_holds": hyp < 1.0, "monotone": monotone}
 

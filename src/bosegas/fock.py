@@ -55,10 +55,16 @@ __all__ = [
     "weight_recursion_report",
     "export_closure",
     "CLOSURE_BUDGET",
+    "MAX_PARTICLES",
 ]
 
 # the default cap on closure members, also the config's budgets.closure
 CLOSURE_BUDGET = 200_000
+
+# the largest particle count: every product of two counts kept in int64
+# (weight_recursion_report's a (a - 1) and a c, apply_quartic's n4 t3) stays
+# below 2^62
+MAX_PARTICLES = 2**31 - 1
 
 # export_closure makes its text this many sorted rows at a time
 _EXPORT_ROWS = 1024
@@ -111,14 +117,14 @@ class ClosureSet:
     one member lookup: every query of the form "which member is this state
     with these occupancies moved?" goes through it.  Each distinct move is
     computed once per closure and kept, read-only, in a memo that is freed
-    with the closure.
+    with the closure.  An int64 `counts` array is held as is, read-only.
     """
 
     def __init__(self, mode_set: ModeSet, n: int, m_c: int, counts):
         self.mode_set = mode_set
         self.n = n
         self.m_c = m_c
-        self._counts = np.array(counts, dtype=np.int64)
+        self._counts = np.asarray(counts, dtype=np.int64)
         self._counts.setflags(write=False)
         self._moves: dict[tuple, np.ndarray] = {}
 
@@ -131,7 +137,7 @@ class ClosureSet:
 
     @cached_property
     def _radix(self):
-        """Mixed-radix int64 keys of the member rows, with their sort order.
+        """Column caps, mixed-radix weights, and the rows' key order and sorted keys.
 
         Built on first use, so a closure that is never evaluated never pays
         for it or meets the 62-bit limit.
@@ -147,7 +153,7 @@ class ClosureSet:
                 raise BudgetExceeded("occupancy radix exceeds 62-bit capacity")
         keys = counts @ weights
         order = np.argsort(keys)
-        return caps.tolist(), weights.tolist(), keys, order, keys[order]
+        return caps.tolist(), weights.tolist(), order, keys[order]
 
     def shift(self, delta: dict) -> np.ndarray:
         """Member index of every row with delta[j] added at column j, else -1.
@@ -163,7 +169,7 @@ class ClosureSet:
         found = self._moves.get(move)
         if found is not None:
             return found
-        caps, weights, keys, order, sorted_keys = self._radix
+        caps, weights, order, sorted_keys = self._radix
         counts = self._counts
         inside = np.ones(len(counts), dtype=bool)
         step = 0
@@ -190,20 +196,21 @@ class ClosureSet:
         Returns (src, dst, amp): the operator maps member row src[i] onto
         member row dst[i] with amplitude amp[i], the product of the sqrt(n)
         factors taken operator by operator.  src is ascending; elements that
-        vanish or leave the closure are dropped.
+        vanish or leave the closure are dropped.  The four-count product is
+        formed in floats, exact below 2^53: in int64 it wraps from N = 55,110.
         """
         counts = self._counts
         n4 = counts[:, j4]
         t3 = counts[:, j3] - int(j3 == j4)
         t2 = counts[:, j2] + (1 - int(j2 == j4) - int(j2 == j3))
         t1 = counts[:, j1] + (1 + int(j1 == j2) - int(j1 == j4) - int(j1 == j3))
-        prod = n4 * t3 * t2 * t1
+        prod = n4 * t3 * (t2 * t1.astype(float))
         delta = {}
         for j, d in ((j1, 1), (j2, 1), (j3, -1), (j4, -1)):
             delta[j] = delta.get(j, 0) + d
         dst = self.shift(delta)
         src = np.flatnonzero((prod > 0) & (dst >= 0))
-        return src, dst[src], np.sqrt(prod[src].astype(float))
+        return src, dst[src], np.sqrt(prod[src])
 
 
 _OUTER, _LOW, _SOFT = range(3)
@@ -274,8 +281,8 @@ def generate_M(
     labels themselves (modes beyond the truncation are labeled Truncated,
     not PH, and are skipped for every creation).
     """
-    if n < 0:
-        raise ValueError("need a nonnegative particle count")
+    if not 0 <= n <= MAX_PARTICLES:
+        raise ValueError(f"need a particle count in 0 .. {MAX_PARTICLES}, got {n}")
     table = _creations(mode_set)
     need = 1 + (table.take[:, 0] == table.take[:, 1])
     unguarded_low = table.kind != _LOW

@@ -59,7 +59,6 @@ __all__ = [
     "integral_kinetic",
     "integral_pair",
     "assemble_ledger",
-    "predicted_energy_density",
     "LHY_RATIO",
 ]
 
@@ -212,9 +211,3 @@ def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> dic
         # half-width of the condensate-density band rho0 +- eps_band rho^(3/2)
         "eps_band": 0.01,
     }
-
-
-def predicted_energy_density(rho: float, g0: float) -> float:
-    """Upper-bound energy per volume: g0 rho^2 + (16/15 pi^2) g0^(5/2) rho^(5/2)."""
-    return g0 * rho**2 + LHY_RATIO * g0**2.5 * rho**2.5
-

@@ -16,7 +16,7 @@ from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering
 from bosegas.cli import load_config, main
 from bosegas.expectation import energy_report
-from bosegas.fock import CLOSURE_BUDGET, generate_M
+from bosegas.fock import CLOSURE_BUDGET, MAX_PARTICLES, generate_M
 from bosegas.semiclassical import assemble_ledger
 from bosegas.toys import build_trial, toy_by_name
 from conftest import load_report
@@ -38,6 +38,16 @@ def _write_config(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(text)
     return str(path)
+
+
+def _assert_cross_checked(report):
+    """A trial-state report, read through load_report, meets its own oracles:
+    the two energy routes agree, every recursion identity and occupancy sum
+    rule holds, and every pair-correlator gap is finite."""
+    assert report["energy"]["decomposition_residual"] <= 1e-10
+    assert all(err <= 1e-12 for err in report["recursion_max_error"].values())
+    assert all(abs(s - 1.0) <= 1e-12 for s in report["occupancy_sum_rules"].values())
+    assert all(math.isfinite(gap) for gap in report["pair_correlator_gaps"])
 
 
 def test_integrals_pipeline_csv(tmp_path):
@@ -235,6 +245,12 @@ def test_energy_curve_gap_shrinks(tmp_path):
     assert gaps[1] < gaps[0]
     totals = [float(r["energy_total"]) for r in rows]
     assert totals[0] > totals[1] > 0.0
+    for row, total in zip(rows, totals):
+        leading, second = float(row["energy_leading"]), float(row["energy_second_order"])
+        # the total is leading + second order, to the CSV's 12 digits, and
+        # the second-order term is a small positive correction
+        assert math.isclose(total, leading + second, rel_tol=1e-12)
+        assert 0.0 < second < leading
     assert load_report(out / "energy_curve.json")["rho_values"] == [1e-4, 1e-5]
 
 
@@ -818,6 +834,8 @@ def _pi_pair_config(tmp_path, p, text):
         ("trial-state", "", ("1.0e300", 4)),
         ("trial-state", "", ("3.0e153", 100)),
         ("trial-state", "potential: {amplitude: 1.0e305, width: 1.0}\n", ("0.75", 100)),
+        ("trial-state", "toy: condensate\ntrial: {n: 1.0e+30}\n", None),
+        ("trial-state", f"toy: condensate\ntrial: {{n: {MAX_PARTICLES + 1}}}\n", None),
     ],
     ids=[
         *[
@@ -829,12 +847,15 @@ def _pi_pair_config(tmp_path, p, text):
         "trial-state-momentum",
         "trial-state-kinetic",
         "trial-state-interaction",
+        "trial-state-n-float",
+        "trial-state-n-past-max",
     ],
 )
 def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
     # width^2 = 1e400 and V_0 = 1.6e351 or 1.6e331 leave the doubles, and so
     # do |p|^2 = 1e600 and the energy bound N max|p|^2 + 30 V_0 N^2 (at
-    # |Lambda| = 25) through N |p|^2 = 100 * 9e306 or 30 V_0 N^2 = 4.7e311:
+    # |Lambda| = 25) through N |p|^2 = 100 * 9e306 or 30 V_0 N^2 = 4.7e311,
+    # and a trial.n past MAX_PARTICLES leaves the int64 count products:
     # each is refused before any work, with no report
     if modes is not None:
         p, n = modes
@@ -845,7 +866,10 @@ def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
-    assert not any(out.iterdir())
+    if "toy: condensate" in text:
+        assert f"trial.n must lie in 0 .. {MAX_PARTICLES}" in err
+    # a config refused on load leaves --out unmade
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_trial_state_kinetic_bound_inside_the_doubles_runs(tmp_path):
@@ -853,7 +877,9 @@ def test_trial_state_kinetic_bound_inside_the_doubles_runs(tmp_path):
     config = _pi_pair_config(tmp_path, "1.0e152", "trial: {n: 100}\n")
     code, out = _run(tmp_path, "trial-state", "--config", config)
     assert code == 0
-    energy = load_report(out / "trial_state.json")["energy"]
+    report = load_report(out / "trial_state.json")
+    _assert_cross_checked(report)
+    energy = report["energy"]
     assert all(math.isfinite(v) for v in energy.values())
     assert energy["kinetic"] > 1e305
 
@@ -875,7 +901,9 @@ def test_trial_state_energy_bound_edge(tmp_path, capsys, amplitude, code):
         assert not any(out.iterdir())
         return
     assert err == ""
-    energy = load_report(out / "trial_state.json")["energy"]
+    report = load_report(out / "trial_state.json")
+    _assert_cross_checked(report)
+    energy = report["energy"]
     assert all(math.isfinite(v) for v in energy.values())
     assert energy["HS1"] > 1e305
 
@@ -905,6 +933,39 @@ def test_trial_state_monotonicity_hypothesis_past_the_doubles(tmp_path, capsys, 
 def test_trial_state_transfer_past_the_square_overflow_is_silent(tmp_path, capsys):
     # |p| width = 1e160 for the pair's transfers: V_p = 0 with nothing on stderr
     config = _pi_pair_config(tmp_path, "1.0e150", "potential: {amplitude: 0.1, width: 1.0e10}\n")
-    code, _ = _run(tmp_path, "trial-state", "--config", config)
+    code, out = _run(tmp_path, "trial-state", "--config", config)
     assert code == 0
     assert capsys.readouterr().err == ""
+    _assert_cross_checked(load_report(out / "trial_state.json"))
+
+
+@pytest.mark.parametrize("n", [55_110, 2_000_000, MAX_PARTICLES])
+def test_condensate_past_the_int64_four_count_product(tmp_path, capsys, n):
+    # N^2 (N - 1)^2 passes 2^63 from N = 55,110, where int64 wraps; formed in
+    # floats, the brute force still matches the components, and the
+    # occupancy table is a window of two counts, not N + 1
+    config = _write_config(tmp_path, f"toy: condensate\ntrial: {{n: {n}}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = load_report(out / "trial_state.json")
+    assert report["particle_count"] == n
+    _assert_cross_checked(report)
+
+
+def test_pl_pair_shallow_at_max_particles(tmp_path, capsys):
+    # three states with a condensate of 2^31 - 5 .. 2^31 - 1: the two energy
+    # routes agree, the occupancy sums hold, and the one exact pair gap is
+    # finite.  The strict-low recursion identity is off by ~5e-7 here:
+    # weight_f's log magnitudes carry lgamma(N) ~ 4e10 at double precision
+    config = _write_config(tmp_path, f"toy: pl-pair-shallow\ntrial: {{n: {MAX_PARTICLES}}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = load_report(out / "trial_state.json")
+    assert (report["particle_count"], report["closure_size"]) == (MAX_PARTICLES, 3)
+    assert report["energy"]["decomposition_residual"] <= 1e-10
+    assert all(abs(s - 1.0) <= 1e-12 for s in report["occupancy_sum_rules"].values())
+    assert report["pair_correlator_gaps"] and all(
+        math.isfinite(gap) for gap in report["pair_correlator_gaps"]
+    )

@@ -11,6 +11,7 @@ import pytest
 from bosegas.errors import BudgetExceeded, RegionUndefined
 from bosegas.fock import (
     _EXPORT_ROWS,
+    MAX_PARTICLES,
     ClosureSet,
     OccupationState,
     WeightedTrialState,
@@ -88,6 +89,34 @@ def test_closure_condensate_only():
     ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=10.0)
     clo = generate_M(ms, 5, 2)
     assert clo.counts_matrix().tolist() == [[5]]
+
+
+def test_closure_particle_count_domain():
+    # 0 .. MAX_PARTICLES, where every two-count product kept in int64 stays
+    # below 2^62
+    ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=10.0)
+    assert generate_M(ms, MAX_PARTICLES, 2).counts_matrix().tolist() == [[MAX_PARTICLES]]
+    assert MAX_PARTICLES * (MAX_PARTICLES - 1) < 2**62
+    for n in (-1, MAX_PARTICLES + 1):
+        with pytest.raises(ValueError):
+            generate_M(ms, n, 2)
+
+
+def test_closure_holds_the_generated_matrix_without_a_copy(monkeypatch):
+    made = []
+    concatenate = np.concatenate
+
+    def spy(*args, **kwargs):
+        made.append(concatenate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "concatenate", spy)
+    case = toy_by_name("soft-coincidence")
+    clo = generate_M(case.mode_set, case.n, case.m_c)
+    monkeypatch.undo()
+    # the last concatenation joins the levels: the closure holds it as is
+    assert np.shares_memory(clo.counts_matrix(), made[-1])
+    assert not clo.counts_matrix().flags.writeable
 
 
 def test_closure_coincidence_toy_size():

@@ -13,7 +13,6 @@ from bosegas.semiclassical import (
     integral_kinetic,
     integral_number_density,
     integral_pair,
-    predicted_energy_density,
 )
 
 _CLOSED = {
@@ -107,11 +106,3 @@ def test_second_order_constant_identities():
     rhs = 512.0 * math.sqrt(math.pi) / 15.0
     assert abs(lhs - rhs) / rhs <= 1e-12
     assert abs(mid - rhs) / rhs <= 1e-12
-
-
-def test_predicted_energy_density_formula():
-    rho, g0 = 1e-5, 1.4712695338835973
-    expect = g0 * rho**2 + LHY_RATIO * g0**2.5 * rho**2.5
-    assert math.isclose(predicted_energy_density(rho, g0), expect, rel_tol=1e-15)
-    # second-order term is a small positive correction in the dilute regime
-    assert 0.0 < predicted_energy_density(rho, g0) - g0 * rho**2 < g0 * rho**2
