@@ -5,11 +5,13 @@ boundary | check-all, one `run_*(cfg)` each in the table _PIPELINES.
 `run_*(cfg)` returns its files; `main` writes them.  Configuration is YAML
 with nested blocks; every value has a default so all pipelines run without
 a config file, and `--seed` overrides the config's `seed` before any
-pipeline reads it.  The settings no input varies, the boundary window and
-check-all's bounds, are constants beside their one reader.  Reports are
-JSON (machine summaries, sorted keys), CSV (plot data, fixed %.12e floats)
-and trial-state's closure text; with a fixed seed the bytes are
-reproducible run to run.  `main` renders every file of a run before it
+pipeline reads it.  The settings no input varies, the boundary window,
+check-all's bounds, the ledger's identity tolerance
+(`semiclassical.IDENTITY_TOL`) and the closure budget (`fock.CLOSURE_BUDGET`),
+are constants beside their one reader.  Reports are JSON (machine
+summaries, sorted keys), CSV (plot data, fixed %.12e floats) and
+trial-state's closure text; with a fixed seed the bytes are reproducible
+run to run.  `main` renders every file of a run before it
 writes any, so a pipeline that refuses writes none, and it writes them all
 or none: every file goes to a temporary name first, and the renames follow
 only once every write has succeeded.
@@ -58,7 +60,7 @@ from .expectation import (
     pair_correlator_check,
     pl_occupation_monotonicity,
 )
-from .fock import CLOSURE_BUDGET, MAX_PARTICLES, export_closure, weight_recursion_report
+from .fock import MAX_PARTICLES, export_closure, weight_recursion_report
 from .lattice import (
     DEFAULT_ETA,
     Region,
@@ -86,8 +88,6 @@ DEFAULT_CONFIG = {
     # None: the builtin toy's own value, or n = 6 and m_c = 2 for a mode file
     "trial": {"n": None, "m_c": None, "volume": None},
     "sweep": {"rho_values": [1.0e-4, 1.0e-5, 1.0e-6, 1.0e-7, 1.0e-8]},
-    "tolerances": {"identity": 1.0e-6},
-    "budgets": {"closure": CLOSURE_BUDGET},
     "seed": 20260813,
 }
 
@@ -194,14 +194,6 @@ def load_config(path: str | None) -> dict:
     rhos = cfg["sweep"]["rho_values"] = [_num(r, "sweep.rho_values entry") for r in rhos]
     for r in rhos:
         _require(0.0 < r < 1.0, "sweep.rho_values entries must lie in (0, 1)")
-    _require(
-        _cast(cfg["tolerances"], "identity", "tolerances.identity") > 0.0,
-        "tolerances.identity must be > 0",
-    )
-    _require(
-        _cast(cfg["budgets"], "closure", "budgets.closure", int) > 0,
-        "budgets.closure must be > 0",
-    )
     _require(type(cfg["seed"]) is int, "seed must be an integer")
     return cfg
 
@@ -262,7 +254,7 @@ def run_scattering(cfg: dict) -> dict:
     solution = _solve(cfg)
     report = solution.report()
     report["shooting_a"], report["shooting_rel_gap"] = _shooting(cfg, solution)
-    report["ledger"] = semi.assemble_ledger(solution, identity_tol=cfg["tolerances"]["identity"])
+    report["ledger"] = semi.assemble_ledger(solution)
     return {"scattering.json": report}
 
 
@@ -349,10 +341,10 @@ def _resolve_toy(cfg: dict) -> ToyCase:
     return replace(case, **own)
 
 
-def _trial_battery(case: ToyCase, *, budget: int) -> tuple:
+def _trial_battery(case: ToyCase) -> tuple:
     """The case's trial state, and everything check-all scores on it in one
     deterministic dict."""
-    trial = build_trial(case, budget=budget)
+    trial = build_trial(case)
     ms = case.mode_set
     energy = energy_report(trial, case.context())
     recursion = weight_recursion_report(trial)
@@ -396,7 +388,7 @@ def _trial_battery(case: ToyCase, *, budget: int) -> tuple:
 def run_trial_state(cfg: dict) -> dict:
     case = _resolve_toy(cfg)
     try:
-        trial, battery = _trial_battery(case, budget=cfg["budgets"]["closure"])
+        trial, battery = _trial_battery(case)
     except RegionUndefined as exc:
         # only a mode file can leave lambda unset, or zero, on a mode the closure fills
         raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
@@ -535,7 +527,8 @@ _BOUNDS = {
 
 
 def run_check_all(cfg: dict) -> dict:
-    identity_tol = cfg["tolerances"]["identity"]
+    # the lattice probe's annuli, checked before any other work
+    probes = _pl_schedules(cfg, (1.0e-4, 1.0e-5))
     violations: list[dict] = []
 
     def check(name: str, value, bound: float, holds: bool | None = None) -> None:
@@ -546,24 +539,23 @@ def run_check_all(cfg: dict) -> dict:
     # scattering and the constant ledger
     solution = _solve(cfg)
     check("scattering.shooting_gap", _shooting(cfg, solution)[1], _BOUNDS["shooting"])
-    ledger = semi.assemble_ledger(solution, identity_tol=identity_tol)
+    ledger = semi.assemble_ledger(solution)
     check("ledger.leading_imposed", ledger["leading_imposed_residual"], _BOUNDS["milestone"])
     check("ledger.second_imposed", ledger["second_imposed_residual"], _BOUNDS["milestone"])
     check("ledger.final_coefficient", ledger["final_residual"], _BOUNDS["milestone"])
     # raw sums inherit the quadrature error of the solved norms
     raw_bound = 1.5 * sum(check_scattering_identities(solution).values()) / solution.g0
     check("ledger.leading_raw", ledger["leading_residual"], raw_bound)
-    check("ledger.second_raw", ledger["milestone_raw_residual"], 10.0 * identity_tol)
+    check("ledger.second_raw", ledger["milestone_raw_residual"], 10.0 * semi.IDENTITY_TOL)
 
     # continuum integrals
     for name, result in _integrals().items():
         check(f"integral.{name}", result["rel_residual"], _BOUNDS["integral"])
 
     # toy battery
-    budget = cfg["budgets"]["closure"]
     toy_rows = []
     for case in builtin_toy_suite():
-        _, battery = _trial_battery(case, budget=budget)
+        _, battery = _trial_battery(case)
         prefix = f"toy.{case.name}"
         energy = battery["energy"]
         check(f"{prefix}.decomposition", energy["decomposition_residual"], _BOUNDS["decomposition"])
@@ -602,12 +594,7 @@ def run_check_all(cfg: dict) -> dict:
     )
 
     # light lattice convergence probe (the full sweep lives in energy-curve)
-    g0 = solution.g0
-    eta = cfg["schedule"]["eta"]
-    gaps = [
-        pl_number_density_comparison(Schedule(rho=r, eta=eta), g0)["rel_gap_annulus"]
-        for r in (1.0e-4, 1.0e-5)
-    ]
+    gaps = [pl_number_density_comparison(s, solution.g0)["rel_gap_annulus"] for s in probes]
     check("lattice.gap_shrinks", gaps[1], gaps[0])
 
     report = {

@@ -27,7 +27,7 @@ class RegionUndefined(BosegasError):
 
 
 class BudgetExceeded(BosegasError):
-    """An enumeration grew past its configured budget."""
+    """An enumeration grew past its budget."""
 
 
 class ZeroConditionProbability(BosegasError):

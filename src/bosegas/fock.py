@@ -58,7 +58,7 @@ __all__ = [
     "MAX_PARTICLES",
 ]
 
-# the default cap on closure members, also the config's budgets.closure
+# the cap on closure members
 CLOSURE_BUDGET = 200_000
 
 # the largest particle count: every product of two counts kept in int64
@@ -261,16 +261,13 @@ def _creations(mode_set: ModeSet) -> _Creations:
     return _Creations(rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 5:7])
 
 
-def generate_M(
-    mode_set: ModeSet,
-    n: int,
-    m_c: int,
-    *,
-    budget: int = CLOSURE_BUDGET,
-) -> ClosureSet:
+def generate_M(mode_set: ModeSet, n: int, m_c: int) -> ClosureSet:
     """Breadth-first closure from the all-condensate state, level by level.
 
-    Every creation-table row is tried on a slice of frontier rows at once,
+    A closure past CLOSURE_BUDGET members raises BudgetExceeded.  An outer
+    pair's creation is unguarded, so its tower alone holds floor(N/2) + 1
+    states, and a tower past the budget is refused before any walk.  Every
+    creation-table row is tried on a slice of frontier rows at once,
     slices taken in row order and sized so that their candidates stay
     within about a budget's worth of rows.  A creation applies when no
     count goes negative and its low-region guard holds on the parent:
@@ -283,7 +280,12 @@ def generate_M(
     """
     if not 0 <= n <= MAX_PARTICLES:
         raise ValueError(f"need a particle count in 0 .. {MAX_PARTICLES}, got {n}")
+    budget = CLOSURE_BUDGET
     table = _creations(mode_set)
+    if np.any(table.kind == _OUTER) and n // 2 + 1 > budget:
+        raise BudgetExceeded(
+            f"closure exceeds budget {budget}: an outer tower alone holds {n // 2 + 1} states"
+        )
     need = 1 + (table.take[:, 0] == table.take[:, 1])
     unguarded_low = table.kind != _LOW
     unguarded_soft = table.kind != _SOFT

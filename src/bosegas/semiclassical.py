@@ -59,8 +59,12 @@ __all__ = [
     "integral_kinetic",
     "integral_pair",
     "assemble_ledger",
+    "IDENTITY_TOL",
     "LHY_RATIO",
 ]
+
+# the largest residual of either scattering identity the ledger accepts
+IDENTITY_TOL = 1.0e-6
 
 # second-order coefficient of (e0 - g0 rho) / (g0^(5/2) rho^(3/2))
 LHY_RATIO = 16.0 / (15.0 * math.pi**2)
@@ -140,7 +144,7 @@ def integral_pair() -> dict:
     return _result(_quad_with_tail(radial, (2.0, -6.0, 20.0)) * _SHELL, 1.0 / math.pi**2)
 
 
-def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> dict:
+def assemble_ledger(solution: ScatteringSolution) -> dict:
     """Fill both coefficient columns from solved norms and telescope them.
 
     Raw sums carry the solved norms and are good to quadrature accuracy;
@@ -148,11 +152,11 @@ def assemble_ledger(solution: ScatteringSolution, *, identity_tol: float) -> dic
     through the two identities, so they test the coefficient algebra alone
     and must hit the closed forms at float precision.
 
-    Refuses to proceed when the scattering identities fail at identity_tol:
+    Refuses to proceed when the scattering identities fail at IDENTITY_TOL:
     the telescoped sums are meaningless without them.
     """
     residuals = check_scattering_identities(solution)
-    if not (residuals["gradient"] <= identity_tol and residuals["length"] <= identity_tol):
+    if not (residuals["gradient"] <= IDENTITY_TOL and residuals["length"] <= IDENTITY_TOL):
         raise IdentityViolation(
             "scattering identities fail: "
             f"gradient {residuals['gradient']:.3e}, length {residuals['length']:.3e}"

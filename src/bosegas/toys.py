@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expectation import coupling_matrix
-from .fock import CLOSURE_BUDGET, WeightedTrialState, generate_M, weight_f
+from .fock import WeightedTrialState, generate_M, weight_f
 from .lattice import ModeSet
 
 __all__ = ["ToyCase", "gaussian_coupling", "builtin_toy_suite", "build_trial", "toy_by_name"]
@@ -344,9 +344,9 @@ def builtin_toy_suite() -> list[ToyCase]:
     return [_case(name, spec) for name, spec in _catalog().items()]
 
 
-def build_trial(toy: ToyCase, *, budget: int = CLOSURE_BUDGET) -> WeightedTrialState:
+def build_trial(toy: ToyCase) -> WeightedTrialState:
     """Generate the closure for a case and attach the closed-form weights."""
-    return weight_f(generate_M(toy.mode_set, toy.n, toy.m_c, budget=budget))
+    return weight_f(generate_M(toy.mode_set, toy.n, toy.m_c))
 
 
 def toy_by_name(name: str) -> ToyCase:

@@ -1,7 +1,7 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
+import ast
 import csv
-import inspect
 import json
 import math
 import re
@@ -13,10 +13,10 @@ import pytest
 import yaml
 
 from bosegas import boundary as bnd
-from bosegas import cli, lattice, scattering
+from bosegas import cli, lattice, scattering, semiclassical
 from bosegas.cli import load_config, main
 from bosegas.expectation import energy_report
-from bosegas.fock import CLOSURE_BUDGET, MAX_PARTICLES, generate_M
+from bosegas.fock import MAX_PARTICLES
 from bosegas.semiclassical import assemble_ledger
 from bosegas.toys import build_trial, toy_by_name
 from conftest import load_report
@@ -75,7 +75,7 @@ def test_scattering_pipeline(tmp_path):
     # the ledger block is the library's return, written as is
     cfg = load_config(None)
     solution = scattering.solve_scattering(scattering.Potential(**cfg["potential"]))
-    ledger = assemble_ledger(solution, identity_tol=cfg["tolerances"]["identity"])
+    ledger = assemble_ledger(solution)
     assert rep["ledger"] == json.loads(json.dumps(ledger))
 
 
@@ -116,7 +116,7 @@ def test_trial_state_energy_block_is_energy_report(tmp_path):
     assert code == 0
     cfg = load_config(None)
     case = toy_by_name(cfg["toy"])
-    trial = build_trial(case, budget=cfg["budgets"]["closure"])
+    trial = build_trial(case)
     energy = energy_report(trial, case.context())
     assert load_report(out / "trial_state.json")["energy"] == json.loads(json.dumps(energy))
 
@@ -361,6 +361,22 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
     assert rep["n_violations"] == len(want)
     assert rep["violations"] == want
 
+
+# values once read as settings, now constants: each is an unknown key
+_CONSTANTS = [
+    "integrals:\n  g0: 1.0e300\n",
+    "integrals:\n  g0: 1.0e-300\n",
+    "boundary:\n  degree: 3000000\n",
+    "boundary:\n  ell: 1.0e-300\n",
+    "boundary:\n  period: 1.0e300\n  ell: 1\n",
+    "tolerances:\n  identity: 1.0e-6\n",
+    "tolerances:\n  identity: -1\n",
+    "tolerances:\n  identity: .inf\n",
+    "budgets:\n  closure: 1000\n",
+    "budgets:\n  closure: 1000.5\n",
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -369,7 +385,6 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
         "schedule:\n  k_c: 4.0\n",          # keys no pipeline reads are unknown
         "tolerances:\n  integral_refined: 1.0e-9\n",
         "toy: no-such-toy\n",              # unknown builtin toy
-        "tolerances:\n  identity: -1\n",   # nonpositive tolerance
         "trial:\n  volume: 0\n",           # nonpositive volume
         ":\n  - [broken\n",                # YAML syntax error
         "potential:\n  amplitude: abc\n",  # non-numeric float
@@ -380,7 +395,6 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
         "trial:\n  m_c: true\n",           # bool for an integer key
         "boundary:\n  degree: 2.5\n",
         "boundary:\n  resolution: true\n",
-        "budgets:\n  closure: 1000.5\n",
         "seed: true\n",
         "seed: 7.5\n",
         "seed: -5\n",                     # numpy's generators take no negative seed
@@ -388,22 +402,19 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
         "trial:\n  n: \"6\"\n",             # string for an integer key
         "potential:\n  amplitude: .inf\n",  # non-finite float keys
         "potential:\n  width: .inf\n",
-        "tolerances:\n  identity: .inf\n",
         "toy_modes: 5\n",                 # a number for the mode-file path
-        # values once read as settings, now constants: each is an unknown key
-        "integrals:\n  g0: 1.0e300\n",
-        "integrals:\n  g0: 1.0e-300\n",
-        "boundary:\n  degree: 3000000\n",
-        "boundary:\n  ell: 1.0e-300\n",
-        "boundary:\n  period: 1.0e300\n  ell: 1\n",
-    ],
+    ]
+    + _CONSTANTS,
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
     cfg = _write_config(tmp_path, text)
     pipeline = "trial-state" if "toy" in text else "integrals"
     code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if text in _CONSTANTS:
+        assert err.startswith("config error: unknown config key")
 
 
 def test_config_parser_is_libyaml_with_the_safe_loaders_dicts():
@@ -479,7 +490,6 @@ def test_failed_report_write_leaves_out_as_it_was(tmp_path, capsys):
         ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
         ("schedule:\n  rho: .inf\n", "schedule.rho"),
         ("trial:\n  volume: .inf\n", "trial.volume"),
-        ("tolerances:\n  identity: \"inf\"\n", "tolerances.identity"),
     ],
 )
 def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
@@ -490,17 +500,17 @@ def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "tol",
     [
         # the default potential's ~4e-11 residuals, against a bound set below them
-        "tolerances: {identity: 1.0e-12}\n",
+        1.0e-12,
     ],
     ids=["tight-identity-key"],
 )
 @pytest.mark.parametrize("pipeline", ["scattering", "check-all"])
-def test_identity_violation_exits_3(tmp_path, capsys, pipeline, text):
-    cfg = _write_config(tmp_path, text)
-    code = main([pipeline, "--config", cfg, "--out", str(tmp_path / "r")])
+def test_identity_violation_exits_3(tmp_path, capsys, monkeypatch, pipeline, tol):
+    monkeypatch.setattr(semiclassical, "IDENTITY_TOL", tol)
+    code = main([pipeline, "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("identity violation: scattering identities fail")
@@ -666,14 +676,18 @@ def test_density_past_shell_reach_refused_before_the_solve(
 
 
 @pytest.mark.parametrize(
-    "pipeline, text",
+    "pipeline, text, where",
     [
-        ("lattice", "schedule: {rho: 0.5}\n"),
-        ("energy-curve", "sweep: {rho_values: [1.0e-8, 0.5]}\n"),
+        ("lattice", "schedule: {rho: 0.5}\n", "rho = 0.5,"),
+        ("energy-curve", "sweep: {rho_values: [1.0e-8, 0.5]}\n", "rho = 0.5,"),
+        # check-all's lattice probe sums rho = 1e-4 and 1e-5 at the config's eta
+        ("check-all", "schedule: {eta: 1.0e-6}\n", "rho = 0.0001, eta = 1e-06"),
     ],
-    ids=["lattice", "energy-curve"],
+    ids=["lattice", "energy-curve", "check-all"],
 )
-def test_empty_low_annulus_refused_before_the_solve(tmp_path, capsys, monkeypatch, pipeline, text):
+def test_empty_low_annulus_refused_before_the_solve(
+    tmp_path, capsys, monkeypatch, pipeline, text, where
+):
     # the shell window is a function of the schedule alone: an empty P_L
     # annulus is refused before the scattering solve or any rho's shell count
     def no_solve(potential):
@@ -688,7 +702,7 @@ def test_empty_low_annulus_refused_before_the_solve(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
-    assert "rho = 0.5," in err and "contains no lattice shells" in err
+    assert where in err and "contains no lattice shells" in err
     assert not any(out.iterdir())
 
 
@@ -806,11 +820,18 @@ def test_unknown_pipeline_rejected(tmp_path):
 
 
 def test_one_closure_budget_default():
-    defaults = [
-        inspect.signature(fn).parameters["budget"].default for fn in (generate_M, build_trial)
+    # the closure budget and the identity tolerance are constants read where
+    # they are spent: no function in the package takes either
+    params = [
+        f"{path.stem}.{node.name}.{arg.arg}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("budget", "identity_tol")
     ]
-    assert defaults == [CLOSURE_BUDGET, CLOSURE_BUDGET]
-    assert load_config(None)["budgets"]["closure"] == CLOSURE_BUDGET
+    assert params == []
+    assert not {"budgets", "tolerances"} & set(load_config(None))
 
 
 _PI_PAIR_MODES = "# volume = 25.0\n0 0 0 P0\n{p} 0 0 PI -0.4\n-{p} 0 0 PI -0.4\n"

@@ -1,10 +1,10 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, every definition in the package has
 a caller in the package, every record field is read in the package, every
-parameter default is overridden by some call in the package, only `cli.main`
-writes files, the CLI imports no more of scipy than it uses: none at
-start, none in trial-state or boundary, and no module takes another
-module's private names."""
+parameter default is overridden by some call in the package, the config
+holds only the keys callers vary, only `cli.main` writes files, the CLI
+imports no more of scipy than it uses: none at start, none in trial-state
+or boundary, and no module takes another module's private names."""
 
 import ast
 import importlib
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import bosegas
+from bosegas.cli import DEFAULT_CONFIG
 from bosegas.fock import generate_M, weight_recursion_report
 from bosegas.lattice import shell_counts
 from bosegas.toys import build_trial, toy_by_name
@@ -264,6 +265,36 @@ def test_every_default_is_set_by_a_call():
     # a default that no caller in the package overrides is a constant in
     # disguise: it belongs in the body, or the parameter goes
     assert _unset_defaults() == set(_DEFAULT_ONLY)
+
+
+# The config's settable values.  A new key needs a caller outside the tests,
+# a workload or a documented run, that sets it to a value other than its
+# default; a setting no input varies is a constant beside its one reader.
+_CONFIG_KEYS = (
+    "potential.amplitude",
+    "potential.width",
+    "schedule.eta",
+    "schedule.rho",
+    "seed",
+    "sweep.rho_values",
+    "toy",
+    "toy_modes",
+    "trial.m_c",
+    "trial.n",
+    "trial.volume",
+)
+
+
+def _leaf_paths(block: dict, prefix: str = "") -> list[str]:
+    paths = []
+    for key, value in block.items():
+        where = f"{prefix}{key}"
+        paths += _leaf_paths(value, f"{where}.") if isinstance(value, dict) else [where]
+    return paths
+
+
+def test_config_keys_are_the_inputs_callers_vary():
+    assert sorted(_leaf_paths(DEFAULT_CONFIG)) == list(_CONFIG_KEYS)
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

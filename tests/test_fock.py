@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bosegas import fock
 from bosegas.errors import BudgetExceeded, RegionUndefined
 from bosegas.fock import (
     _EXPORT_ROWS,
@@ -274,7 +275,7 @@ def _outer_pairs(count):
     return ModeSet([(0.1 * k, 0.0, 0.0) for k in ks], ["P0" if k == 0 else "PI" for k in ks])
 
 
-def test_generation_order_matches_state_by_state_bfs(toy_trials):
+def test_generation_order_matches_state_by_state_bfs(toy_trials, monkeypatch):
     # weights and energies are left-to-right sums over rows: the order counts
     cases = [case for case, _ in toy_trials.values()]
     cases += [replace(toy_by_name("soft-coincidence"), n=30), replace(toy_by_name("line-harmonics"), n=40)]
@@ -287,11 +288,14 @@ def test_generation_order_matches_state_by_state_bfs(toy_trials):
         got = generate_M(case.mode_set, case.n, case.m_c).counts_matrix()
         assert np.array_equal(got, want), case.name
         # a budget of exactly the closure size walks each level in slices
-        tight = generate_M(case.mode_set, case.n, case.m_c, budget=len(want))
+        monkeypatch.setattr(fock, "CLOSURE_BUDGET", len(want))
+        tight = generate_M(case.mode_set, case.n, case.m_c)
         assert np.array_equal(tight.counts_matrix(), want), case.name
         if len(want) > 1:  # the all-condensate row is always kept
+            monkeypatch.setattr(fock, "CLOSURE_BUDGET", len(want) - 1)
             with pytest.raises(BudgetExceeded):
-                generate_M(case.mode_set, case.n, case.m_c, budget=len(want) - 1)
+                generate_M(case.mode_set, case.n, case.m_c)
+        monkeypatch.undo()
 
 
 def _shift_reference(closure, delta):
@@ -375,23 +379,44 @@ def test_radix_past_62_bits_raises_budget_exceeded():
         weight_recursion_report(trial)
 
 
-def test_closure_budget_guard():
+def test_closure_budget_guard(monkeypatch):
     case = toy_by_name("soft-coincidence")
+    monkeypatch.setattr(fock, "CLOSURE_BUDGET", 5)
     with pytest.raises(BudgetExceeded):
-        generate_M(case.mode_set, case.n, case.m_c, budget=5)
+        generate_M(case.mode_set, case.n, case.m_c)
 
 
-def test_closure_budget_bounds_allocation():
+def test_outer_tower_past_the_budget_refused_before_the_walk(monkeypatch):
+    # an outer pair's creation is unguarded: its tower alone holds
+    # floor(N/2) + 1 states, so a tower past the budget is refused at once
+    ms = toy_by_name("pi-pair").mode_set
+    monkeypatch.setattr(fock, "CLOSURE_BUDGET", 10)
+    assert len(generate_M(ms, 19, 2)) == 10
+    with pytest.raises(BudgetExceeded) as info:
+        generate_M(ms, 20, 2)
+    assert str(info.value) == "closure exceeds budget 10: an outer tower alone holds 11 states"
+    # a level-by-level walk of this tower would take 200,000 levels
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded) as info:
+        generate_M(ms, MAX_PARTICLES, 2)
+    assert str(info.value) == (
+        f"closure exceeds budget {fock.CLOSURE_BUDGET}: "
+        f"an outer tower alone holds {MAX_PARTICLES // 2 + 1} states"
+    )
+
+
+def test_closure_budget_bounds_allocation(monkeypatch):
     # 40 outer pairs, N = 20: levels 0-2 hold 861 states, level 3 would add
     # 11480 from 32800 candidate rows; the budget of 1000 must stop the
     # generator at a few budgets' worth of rows, not a whole level's
     ms = _outer_pairs(40)
     budget = 1000
+    monkeypatch.setattr(fock, "CLOSURE_BUDGET", budget)
     row_bytes = 8 * len(ms)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):
-            generate_M(ms, 20, 2, budget=budget)
+            generate_M(ms, 20, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -300,7 +300,7 @@ def test_domain_sweep_solves_or_refuses(width, coupling):
     # solves to both oracles, and the ledger takes it at the same bound
     sol, ok = _passes_both_routes(Potential(coupling / width**2, width))
     assert ok
-    assemble_ledger(sol, identity_tol=1e-6)
+    assemble_ledger(sol)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_integral_closed_forms(func, key):
 
 
 def test_ledger_milestones_with_identities_imposed(gaussian_solution):
-    led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
+    led = assemble_ledger(gaussian_solution)
     g0 = led["g0"]
     milestone = 26.0 * g0**2.5 / (15.0 * math.pi**2)
     final = 16.0 * g0**2.5 / (15.0 * math.pi**2)
@@ -59,7 +59,7 @@ def test_ledger_raw_sums_bounded_by_identity_residuals(gaussian_solution):
     # as good as the two identity residuals that feed them
     from bosegas.scattering import check_scattering_identities
 
-    led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
+    led = assemble_ledger(gaussian_solution)
     rep = check_scattering_identities(gaussian_solution)
     slack = (rep["gradient"] + rep["length"]) / led["g0"]
     assert led["leading_residual"] <= 1.5 * slack + 1e-15
@@ -70,7 +70,7 @@ def test_ledger_raw_sums_bounded_by_identity_residuals(gaussian_solution):
 
 
 def test_ledger_component_tables_telescope(gaussian_solution):
-    led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
+    led = assemble_ledger(gaussian_solution)
     assert set(led["leading"]) == set(led["second_order"]) == {
         "kinetic", "HS1", "HS2", "HS3", "HA1", "HA2",
     }
@@ -83,12 +83,12 @@ def test_ledger_component_tables_telescope(gaussian_solution):
 def test_ledger_refuses_broken_identities(gaussian_solution):
     broken = dataclasses.replace(gaussian_solution, v0=gaussian_solution.v0 * 1.01)
     with pytest.raises(IdentityViolation):
-        assemble_ledger(broken, identity_tol=1e-6)
+        assemble_ledger(broken)
 
 
 def test_condensate_density_band(gaussian_solution):
     # condensate density rho - g0^(3/2) rho^(3/2)/(3 pi^2) at the reference g0
-    led = assemble_ledger(gaussian_solution, identity_tol=1e-6)
+    led = assemble_ledger(gaussian_solution)
     rho = 1e-6
     assert math.isclose(led["depletion_coefficient"], led["g0"]**1.5 / (3.0 * math.pi**2), rel_tol=1e-15)
     rho0 = rho - led["depletion_coefficient"] * rho**1.5
