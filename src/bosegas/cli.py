@@ -86,7 +86,7 @@ DEFAULT_CONFIG = {
     "toy": "soft-coincidence",
     "toy_modes": None,
     # None: the builtin toy's own value, or n = 6 and m_c = 2 for a mode file
-    "trial": {"n": None, "m_c": None, "volume": None},
+    "trial": {"n": None, "m_c": None},
     "sweep": {"rho_values": [1.0e-4, 1.0e-5, 1.0e-6, 1.0e-7, 1.0e-8]},
     "seed": 20260813,
 }
@@ -184,8 +184,6 @@ def load_config(path: str | None) -> dict:
         )
     if trial["m_c"] is not None:
         _require(_cast(trial, "m_c", "trial.m_c", int) >= 1, "trial.m_c must be >= 1")
-    if trial["volume"] is not None:
-        _require(_cast(trial, "volume", "trial.volume") > 0.0, "trial.volume must be > 0")
     rhos = cfg["sweep"]["rho_values"]
     _require(
         isinstance(rhos, (list, tuple)) and len(rhos) > 0,
@@ -291,14 +289,10 @@ def _resolve_toy(cfg: dict) -> ToyCase:
     trial = cfg["trial"]
     if cfg["toy_modes"] is not None:
         path = Path(cfg["toy_modes"])
-        if not path.exists():
-            raise ConfigInvalid(f"toy_modes file {str(path)!r} does not exist")
         try:
-            mode_set = load_toy_modes(path, volume=trial["volume"])
+            mode_set = load_toy_modes(path)
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
-        if mode_set.volume is None:
-            raise ConfigInvalid("toy_modes file carries no volume; set trial.volume")
         n = 6 if trial["n"] is None else trial["n"]
         potential = _potential_from(cfg)
         # with the quartic amplitudes formed as float products, every
@@ -333,10 +327,6 @@ def _resolve_toy(cfg: dict) -> ToyCase:
     except KeyError as exc:
         known = ", ".join(c.name for c in builtin_toy_suite())
         raise ConfigInvalid(f"unknown toy {cfg['toy']!r}; builtin: {known}") from exc
-    if trial["volume"] is not None:
-        raise ConfigInvalid(
-            f"trial.volume does not apply to builtin toy {case.name!r}: its mode set carries its own volume"
-        )
     own = {key: trial[key] for key in ("n", "m_c") if trial[key] is not None}
     return replace(case, **own)
 
@@ -386,12 +376,7 @@ def _trial_battery(case: ToyCase) -> tuple:
 
 
 def run_trial_state(cfg: dict) -> dict:
-    case = _resolve_toy(cfg)
-    try:
-        trial, battery = _trial_battery(case)
-    except RegionUndefined as exc:
-        # only a mode file can leave lambda unset, or zero, on a mode the closure fills
-        raise ConfigInvalid(f"toy {case.name!r}: {exc}") from exc
+    trial, battery = _trial_battery(_resolve_toy(cfg))
     return {"closure.txt": export_closure(trial), "trial_state.json": battery}
 
 
@@ -619,6 +604,8 @@ _EXITS = {
     ConfigInvalid: (2, "config error"),
     EmptyAnnulus: (2, "config error"),
     InvalidPotential: (2, "config error"),
+    # only a mode file can leave lambda unset, or zero, on a mode the closure fills
+    RegionUndefined: (2, "config error"),
     NotConverged: (3, "convergence failure"),
     IdentityViolation: (3, "identity violation"),
     BudgetExceeded: (3, "budget exceeded"),

@@ -276,22 +276,23 @@ class ModeSet:
         return np.stack([m.p for m in self.modes])
 
 
-def load_toy_modes(path, volume: float | None = None) -> ModeSet:
+def load_toy_modes(path) -> ModeSet:
     """Read a toy mode set: one `px py pz label [lambda]` per line.
 
-    Blank lines and `#` comments are skipped.  A `# volume = V` comment sets
-    the box volume unless one is passed explicitly.  A non-finite volume
-    raises ValueError, as `ModeSet` does for a non-finite momentum component.
+    Blank lines and `#` comments are skipped.  The `# volume = V` comment,
+    which every file must carry, is the box volume.  A missing, non-finite or
+    nonpositive volume raises ValueError, as `ModeSet` does for a non-finite
+    momentum component.
     """
     momenta, labels, lams = [], [], []
-    file_volume = None
+    vol = None
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if line.startswith("#"):
                 stripped = line[1:].replace(" ", "")
                 if stripped.lower().startswith("volume="):
-                    file_volume = float(stripped.split("=", 1)[1])
+                    vol = float(stripped.split("=", 1)[1])
                 continue
             if not line:
                 continue
@@ -301,8 +302,9 @@ def load_toy_modes(path, volume: float | None = None) -> ModeSet:
             momenta.append([float(parts[0]), float(parts[1]), float(parts[2])])
             labels.append(Region(parts[3]))
             lams.append(float(parts[4]) if len(parts) == 5 else None)
-    vol = volume if volume is not None else file_volume
-    if vol is not None and not (vol > 0.0 and math.isfinite(vol)):
+    if vol is None:
+        raise ValueError("no '# volume = V' line")
+    if not (vol > 0.0 and math.isfinite(vol)):
         raise ValueError(f"volume must be finite and > 0, got {vol}")
     return ModeSet(momenta, labels, volume=vol, lams=lams)
 

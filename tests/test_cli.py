@@ -14,7 +14,8 @@ import yaml
 
 from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering, semiclassical
-from bosegas.cli import load_config, main
+from bosegas.cli import DEFAULT_CONFIG, load_config, main
+from bosegas.errors import ConfigInvalid
 from bosegas.expectation import energy_report
 from bosegas.fock import MAX_PARTICLES
 from bosegas.semiclassical import assemble_ledger
@@ -162,7 +163,7 @@ def test_trial_state_builtin_toy_refuses_trial_volume(tmp_path, capsys):
     cfg = _write_config(tmp_path, "toy: pi-pair\ntrial: {volume: 25.0}\n")
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 2
-    assert "config error: trial.volume" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: unknown config key 'trial.volume'\n"
     assert not (out / "trial_state.json").exists()
 
 
@@ -362,7 +363,8 @@ def test_check_all_failed_verdicts_exit_1(tmp_path, monkeypatch, capsys, kind):
     assert rep["violations"] == want
 
 
-# values once read as settings, now constants: each is an unknown key
+# values once read as settings, now constants or, for trial.volume, the mode
+# file's own volume line: each is an unknown key
 _CONSTANTS = [
     "integrals:\n  g0: 1.0e300\n",
     "integrals:\n  g0: 1.0e-300\n",
@@ -374,6 +376,7 @@ _CONSTANTS = [
     "tolerances:\n  identity: .inf\n",
     "budgets:\n  closure: 1000\n",
     "budgets:\n  closure: 1000.5\n",
+    "trial:\n  volume: 0\n",
 ]
 
 
@@ -385,7 +388,6 @@ _CONSTANTS = [
         "schedule:\n  k_c: 4.0\n",          # keys no pipeline reads are unknown
         "tolerances:\n  integral_refined: 1.0e-9\n",
         "toy: no-such-toy\n",              # unknown builtin toy
-        "trial:\n  volume: 0\n",           # nonpositive volume
         ":\n  - [broken\n",                # YAML syntax error
         "potential:\n  amplitude: abc\n",  # non-numeric float
         "sweep:\n  rho_values: [x]\n",     # non-numeric list entry
@@ -489,7 +491,6 @@ def test_failed_report_write_leaves_out_as_it_was(tmp_path, capsys):
         ("potential:\n  width: .nan\n", "potential.width"),
         ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
         ("schedule:\n  rho: .inf\n", "schedule.rho"),
-        ("trial:\n  volume: .inf\n", "trial.volume"),
     ],
 )
 def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
@@ -725,14 +726,30 @@ def test_float_keys_take_yaml_exponent_strings(tmp_path):
     cfg = load_config(_write_config(tmp_path, "sweep:\n  rho_values: [1e-06, 1e-08]\n"))
     assert cfg["sweep"]["rho_values"] == [1e-06, 1e-08]
     assert all(type(r) is float for r in cfg["sweep"]["rho_values"])
-    # trial.volume goes on to the mode-file loader, which compares it with 0.0
+    # a mode file's volume line takes the same spelling
     modes = tmp_path / "modes.txt"
-    modes.write_text("0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n")
-    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial: {{n: 4, volume: 2e1}}\n")
-    assert load_config(cfg)["trial"]["volume"] == 20.0
+    modes.write_text("# volume = 2e1\n0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n")
+    assert lattice.load_toy_modes(modes).volume == 20.0
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial: {{n: 4}}\n")
     code, out = _run(tmp_path, "trial-state", "--config", cfg)
     assert code == 0
     assert load_report(out / "trial_state.json")["closure_size"] == 3
+
+
+def test_readme_config_keys_exist(tmp_path):
+    # every `block.key` the README names is a config value, or `block.*`,
+    # except in the exit table's unknown-key row, where each must be refused
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [name for name, value in DEFAULT_CONFIG.items() if isinstance(value, dict)]
+    key = re.compile(rf"`({'|'.join(blocks)})\.(\w+|\*)")
+    (row,) = [line for line in readme.splitlines() if line.startswith("|") and "unknown key" in line]
+    for block, name in key.findall(readme.replace(row, "")):
+        assert name == "*" or name in DEFAULT_CONFIG[block], f"{block}.{name} not a config key"
+    for block, name in key.findall(row):
+        name = "x" if name == "*" else name
+        text = f"{block}:\n  {name}: 1\n"
+        with pytest.raises(ConfigInvalid, match=f"^unknown config key '{block}.{name}'$"):
+            load_config(_write_config(tmp_path, text))
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -782,8 +799,31 @@ def test_zero_lambda_mode_file_exits_2(tmp_path, capsys):
     out = tmp_path / "r"
     code = main(["trial-state", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith("config error: state occupies mode")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("0 0 0 P0\n0.75 0 0 PI -0.4\n-0.75 0 0 PI -0.4\n", "no '# volume = V' line"),
+        (None, "No such file"),
+    ],
+    ids=["no-volume-line", "missing"],
+)
+def test_mode_file_refusal_names_the_file_and_the_cause(tmp_path, capsys, text, cause):
+    # the loader's own ValueError or OSError, under the file's name
+    modes = tmp_path / "modes.txt"
+    if text is not None:
+        modes.write_text(text)
+    cfg = _write_config(tmp_path, f"toy_modes: {modes}\ntrial:\n  n: 4\n")
+    out = tmp_path / "r"
+    code = main(["trial-state", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: toy_modes file '{modes}': ")
+    assert cause in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("extra", ["0.25 0 0 PL\n", "0.5 0 0 PI\n"], ids=["PL", "PI"])

@@ -281,7 +281,6 @@ _CONFIG_KEYS = (
     "toy_modes",
     "trial.m_c",
     "trial.n",
-    "trial.volume",
 )
 
 

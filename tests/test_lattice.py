@@ -287,9 +287,17 @@ def test_load_toy_modes_round_trip(tmp_path):
 
 def test_load_toy_modes_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("0 0 0 P0\n0.1 0 PL\n")
+    path.write_text("# volume = 1.0\n0 0 0 P0\n0.1 0 PL\n")
     with pytest.raises(ValueError):
-        load_toy_modes(path, volume=1.0)
+        load_toy_modes(path)
+
+
+def test_load_toy_modes_requires_a_volume_line(tmp_path):
+    # the file's volume line is the one source of its box volume
+    path = tmp_path / "modes.txt"
+    path.write_text("0 0 0 P0\n0.1 0 0 PL -0.8\n-0.1 0 0 PL -0.8\n")
+    with pytest.raises(ValueError, match="no '# volume = V' line"):
+        load_toy_modes(path)
 
 
 # ---------------------------------------------------------------- sums

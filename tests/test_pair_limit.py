@@ -1,4 +1,5 @@
-"""The exact trial-state energy of one +-k pair against its per-mode limit.
+"""The exact trial-state energy of one or two +-k pairs against its
+per-mode limit.
 
 Take the zero mode and one +-k pair at k = 1.5, N particles in |Lambda| =
 N / rho with rho = 0.2, and lambda = alpha / rho on both pair modes.  With
@@ -10,23 +11,26 @@ energy the pair adds over the condensate alone tends to
 as N grows, with a miss that falls like 1/N: per mode, the first two terms of
 the second-order form with V_k in place of g0.  Past |alpha| = 1 the pair
 tower is not summable, and the pair occupancy per particle tends to
-(1 - 1/|alpha|) / 2 instead.
+(1 - 1/|alpha|) / 2 instead.  A P_L pair holds at most m_c particles per
+mode, and gamma and sigma become the truncated geometric sums gamma_c and
+sigma_c.  Two pairs at once add the cross term HS3, which per volume tends
+to 4 sigma_1 sigma_2 (V_{|k1 - k2|} + V_{|k1 + k2|}).
 """
 
 import math
 
 import pytest
 
-from bosegas.expectation import energy_report, mean_occupancies
+from bosegas.expectation import energy_report, expect_component, mean_occupancies
 from bosegas.lattice import ModeSet
-from bosegas.toys import ToyCase, build_trial
+from bosegas.toys import ToyCase, build_trial, gaussian_coupling
 
 RHO, K = 0.2, 1.5
 # V at every transfer of the three modes: 0, k and 2k
 _V = {0.0: 1.0, K: 0.6, 2.0 * K: 0.25}
 
 
-def _case(n: int, label: str | None, alpha: float = 0.0) -> ToyCase:
+def _case(n: int, label: str | None, alpha: float = 0.0, m_c: int = 2) -> ToyCase:
     """The zero mode alone (label None), or with the +-k pair in `label`."""
     if label is None:
         ms = ModeSet([(0.0, 0.0, 0.0)], ["P0"], volume=n / RHO, lams=[None])
@@ -38,17 +42,24 @@ def _case(n: int, label: str | None, alpha: float = 0.0) -> ToyCase:
             volume=n / RHO,
             lams=[None, lam, lam],
         )
-    return ToyCase(name=f"{label}-pair", mode_set=ms, n=n, m_c=2, v_of=_V.__getitem__)
+    return ToyCase(name=f"{label}-pair", mode_set=ms, n=n, m_c=m_c, v_of=_V.__getitem__)
 
 
-def _pair_energy(n: int, label: str, alpha: float) -> dict:
+def _pair_energy(n: int, label: str, alpha: float, m_c: int = 2) -> dict:
     """The pair's energy over the condensate's at the same N and |Lambda|,
     by the component route (total) and the brute-force route."""
     reports = []
-    for case in (_case(n, label, alpha), _case(n, None)):
+    for case in (_case(n, label, alpha, m_c), _case(n, None)):
         reports.append(energy_report(build_trial(case), case.context()))
     pair, alone = reports
     return {key: pair[key] - alone[key] for key in ("total", "brute_force_total")}
+
+
+def _assert_limit(coarse: float, fine: float, target: float, rel_tol: float, route=None):
+    """Richardson from N and 4N meets target, and the miss shrinks fourfold
+    from N to 4N, as one of order 1/N does."""
+    assert math.isclose((4.0 * fine - coarse) / 3.0, target, rel_tol=rel_tol), route
+    assert 3.5 < (coarse - target) / (fine - target) < 4.5, route
 
 
 @pytest.mark.parametrize("alpha", [-0.1, -0.3, -0.5])
@@ -58,11 +69,51 @@ def test_pair_energy_tends_to_the_per_mode_form(label, alpha):
     target = 2.0 * K**2 * gamma + 4.0 * RHO * _V[K] * (gamma + sigma)
     coarse, fine = _pair_energy(320, label, alpha), _pair_energy(1280, label, alpha)
     for route in ("total", "brute_force_total"):
-        limit = (4.0 * fine[route] - coarse[route]) / 3.0
-        assert math.isclose(limit, target, rel_tol=2e-4), route
-        # a miss of order 1/N shrinks fourfold from N = 320 to 1280
-        ratio = (coarse[route] - target) / (fine[route] - target)
-        assert 3.5 < ratio < 4.5, route
+        _assert_limit(coarse[route], fine[route], target, 2e-4, route)
+
+
+@pytest.mark.parametrize("m_c", [2, 3])
+@pytest.mark.parametrize("alpha", [-0.3, -0.5, -0.8])
+def test_capped_pl_pair_energy_tends_to_the_truncated_form(alpha, m_c):
+    # the uncapped gamma misses the limit by 0.27 % to 150 % here
+    z = sum(alpha ** (2 * m) for m in range(m_c + 1))
+    gamma = sum(m * alpha ** (2 * m) for m in range(m_c + 1)) / z
+    sigma = sum((m + 1) * alpha ** (2 * m + 1) for m in range(m_c)) / z
+    target = 2.0 * K**2 * gamma + 4.0 * RHO * _V[K] * (gamma + sigma)
+    coarse, fine = _pair_energy(320, "PL", alpha, m_c), _pair_energy(1280, "PL", alpha, m_c)
+    for route in ("total", "brute_force_total"):
+        _assert_limit(coarse[route], fine[route], target, 2e-4, route)
+
+
+_K1, _K2 = (1.5, 0.0, 0.0), (0.5, 1.0, 0.0)
+_V_TWO = gaussian_coupling(0.9)
+
+
+def _two_pair_components(n: int, alpha1: float, alpha2: float) -> dict:
+    """|Lambda| HS3, HA1 and HA2 of two P_I pairs at +-k1 and +-k2."""
+    lam1, lam2 = alpha1 / RHO, alpha2 / RHO
+    ms = ModeSet(
+        [(0.0, 0.0, 0.0), _K1, [-x for x in _K1], _K2, [-x for x in _K2]],
+        ["P0", "PI", "PI", "PI", "PI"],
+        volume=n / RHO,
+        lams=[None, lam1, lam1, lam2, lam2],
+    )
+    case = ToyCase(name="two-pairs", mode_set=ms, n=n, m_c=2, v_of=_V_TWO)
+    trial, coupling = build_trial(case), case.context()
+    parts = {c: expect_component(trial, c, coupling).real for c in ("HS3", "HA1", "HA2")}
+    return {**parts, "HS3": parts["HS3"] * ms.volume}
+
+
+@pytest.mark.parametrize("alpha1, alpha2", [(-0.3, -0.2), (-0.5, -0.3), (-0.1, -0.4)])
+def test_two_pair_cross_term_tends_to_its_limit(alpha1, alpha2):
+    # 8 sigma_1 sigma_2 V at either transfer alone misses by more than 40 %
+    sigma1, sigma2 = alpha1 / (1.0 - alpha1**2), alpha2 / (1.0 - alpha2**2)
+    minus, plus = math.dist(_K1, _K2), math.dist(_K1, [-x for x in _K2])
+    target = 4.0 * sigma1 * sigma2 * (_V_TWO(minus) + _V_TWO(plus))
+    coarse, fine = (_two_pair_components(n, alpha1, alpha2) for n in (160, 640))
+    for parts in (coarse, fine):
+        assert parts["HA1"] == parts["HA2"] == 0.0
+    _assert_limit(coarse["HS3"], fine["HS3"], target, 1e-3)
 
 
 @pytest.mark.parametrize("alpha", [-1.1, -1.3])
