@@ -4,8 +4,8 @@ Subcommands: scattering | lattice | trial-state | energy-curve | integrals |
 boundary | check-all, one `run_*(cfg)` each in the table _PIPELINES.
 `run_*(cfg)` returns its files; `main` writes them.  Configuration is YAML
 with nested blocks; every value has a default so all pipelines run without
-a config file, and `--seed` overrides the config's `seed` before any
-pipeline reads it.  The settings no input varies, the boundary window,
+a config file, and the config is the only source of every value a run
+reads, the seed included.  The settings no input varies, the boundary window,
 check-all's bounds, the ledger's identity tolerance
 (`semiclassical.IDENTITY_TOL`) and the closure budget (`fock.CLOSURE_BUDGET`),
 are constants beside their one reader.  Reports are JSON (machine
@@ -193,6 +193,7 @@ def load_config(path: str | None) -> dict:
     for r in rhos:
         _require(0.0 < r < 1.0, "sweep.rho_values entries must lie in (0, 1)")
     _require(type(cfg["seed"]) is int, "seed must be an integer")
+    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -631,14 +632,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("pipeline", choices=list(_PIPELINES))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -14,10 +14,6 @@ class InvalidPotential(BosegasError, ValueError):
 class NotConverged(BosegasError):
     """A solve failed or left a residual above its tolerance."""
 
-    def __init__(self, message: str, last_delta: float | None = None):
-        super().__init__(message)
-        self.last_delta = last_delta
-
 
 class RegionUndefined(BosegasError):
     """A trial state occupies a mode whose lambda is missing, non-finite or zero.

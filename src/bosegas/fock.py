@@ -333,10 +333,9 @@ def _sqrt_signed(x: float) -> complex:
 class WeightedTrialState:
     """A closure set with its normalized complex amplitudes."""
 
-    def __init__(self, closure: ClosureSet, weights: np.ndarray, log_c_n: float):
+    def __init__(self, closure: ClosureSet, weights: np.ndarray):
         self.closure = closure
         self.weights = weights
-        self.log_c_n = log_c_n
 
     @property
     def mode_set(self) -> ModeSet:
@@ -403,8 +402,7 @@ def weight_f(closure: ClosureSet) -> WeightedTrialState:
     phases = 1j ** (i_pow % 4)
     unnorm = mags * phases
     norm = math.sqrt(float(np.sum(mags**2)))
-    # C_N multiplies the closed form, so log C_N = -(shift + log norm)
-    return WeightedTrialState(closure, unnorm / norm, -(shift + math.log(norm)))
+    return WeightedTrialState(closure, unnorm / norm)
 
 
 def weight_recursion_report(state: WeightedTrialState) -> dict:

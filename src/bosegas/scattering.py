@@ -344,8 +344,7 @@ def _solve_on_grid(potential, p):
     if info != 0 or residual > _TOL * scale:
         raise NotConverged(
             f"GMRES: residual {residual:.3e} > tol {_TOL:.3e} * max|V_p| {scale:.3e} "
-            f"after {matvecs} kernel products",
-            last_delta=residual,
+            f"after {matvecs} kernel products"
         )
     return p2w, g, simpson, matvecs, residual
 

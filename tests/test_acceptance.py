@@ -272,7 +272,7 @@ def test_10_check_all_deterministic(announce, tmp_path):
     outs = []
     for sub in ("first", "second"):
         out = tmp_path / sub
-        code = main(["check-all", "--seed", "20260813", "--out", str(out)])
+        code = main(["check-all", "--out", str(out)])
         outs.append((code, (out / "check_all.json").read_bytes()))
     identical = outs[0][1] == outs[1][1]
     n_viol = load_report(tmp_path / "first" / "check_all.json")["n_violations"]

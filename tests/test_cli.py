@@ -269,8 +269,9 @@ def test_boundary_pipeline(tmp_path):
 
 
 def test_check_all_passes_and_is_deterministic(tmp_path):
-    code1, out1 = _run(tmp_path / "first", "check-all", "--seed", "123")
-    code2, out2 = _run(tmp_path / "second", "check-all", "--seed", "123")
+    cfg = _write_config(tmp_path, "seed: 123\n")
+    code1, out1 = _run(tmp_path / "first", "check-all", "--config", cfg)
+    code2, out2 = _run(tmp_path / "second", "check-all", "--config", cfg)
     assert code1 == 0 and code2 == 0
     blob1 = (out1 / "check_all.json").read_bytes()
     blob2 = (out2 / "check_all.json").read_bytes()
@@ -433,10 +434,17 @@ def test_config_parser_is_libyaml_with_the_safe_loaders_dicts():
 
 
 def test_negative_seed_option_exits_2(tmp_path, capsys):
-    code, out = _run(tmp_path, "boundary", "--seed", "-1")
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
-    assert not (out / "boundary.json").exists()
+    # the config is the seed's one source: --seed is no option
+    with pytest.raises(SystemExit) as info:
+        _run(tmp_path, "boundary", "--seed", "-1")
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_load_config_refuses_negative_seed(tmp_path):
+    with pytest.raises(ConfigInvalid, match=r"^seed must be >= 0, got -5$"):
+        load_config(_write_config(tmp_path, "seed: -5\n"))
 
 
 @pytest.mark.parametrize("target", ["afile", "afile/sub"], ids=["file", "below-a-file"])
@@ -750,6 +758,19 @@ def test_readme_config_keys_exist(tmp_path):
         text = f"{block}:\n  {name}: 1\n"
         with pytest.raises(ConfigInvalid, match=f"^unknown config key '{block}.{name}'$"):
             load_config(_write_config(tmp_path, text))
+
+
+def test_readme_cli_options_exist(capsys):
+    # every `--flag` the README names, pip's own aside, is an option of main
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if "pip install" not in line]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
+    assert flags
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    for flag in flags:
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), f"{flag} is not an option of bosegas"
 
 
 def test_readme_example_config_runs(tmp_path):

@@ -536,7 +536,7 @@ def test_p_uv_four_counts_past_int64():
         lams=[None, -0.4, -0.4],
     )
     closure = ClosureSet(ms, 120_000, 2, [(0, 60_000, 60_000), (2, 59_999, 59_999)])
-    trial = WeightedTrialState(closure, np.array([0.6, 0.8], dtype=complex), 0.0)
+    trial = WeightedTrialState(closure, np.array([0.6, 0.8], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert p_uv(trial, 1, 2) == 0.36 * 60_000**2

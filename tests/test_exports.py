@@ -129,29 +129,38 @@ def test_no_library_only_definitions():
 
 
 def _unread_fields() -> set[str]:
-    """module.Class.field of every field of a dataclass or NamedTuple in
-    src/bosegas that no attribute read anywhere in the package names,
+    """module.Class.field of every field of a dataclass or NamedTuple, and of
+    every self.<attr> that a class's __init__ assigns, exceptions included,
+    in src/bosegas that no attribute read anywhere in the package names,
     reads inside the class's own __init__ or __post_init__ aside."""
     fields, reads = [], []
     for path in sorted((_ROOT / "src" / "bosegas").glob("*.py")):
         tree = ast.parse(path.read_text())
         for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef) or not (
-                _is_dataclass(cls) or any(ast.unparse(b).endswith("NamedTuple") for b in cls.bases)
-            ):
+            if not isinstance(cls, ast.ClassDef):
                 continue
-            ctor = {
-                id(node)
-                for sub in cls.body
+            ctors = [
+                sub for sub in cls.body
                 if isinstance(sub, ast.FunctionDef) and sub.name in ("__init__", "__post_init__")
-                for node in ast.walk(sub)
-            }
-            fields.extend(
-                (f"{path.stem}.{cls.name}.{f.target.id}", f.target.id, ctor)
-                for f in cls.body
-                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
-                and "ClassVar" not in ast.unparse(f.annotation)
-            )
+            ]
+            ctor = {id(node) for sub in ctors for node in ast.walk(sub)}
+            names = set()
+            if _is_dataclass(cls) or any(ast.unparse(b).endswith("NamedTuple") for b in cls.bases):
+                names.update(
+                    f.target.id
+                    for f in cls.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(f.annotation)
+                )
+            for init in (sub for sub in ctors if sub.name == "__init__" and sub.args.args):
+                self_name = init.args.args[0].arg
+                names.update(
+                    node.attr
+                    for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == self_name
+                )
+            fields.extend((f"{path.stem}.{cls.name}.{name}", name, ctor) for name in names)
         reads.extend(
             (node.attr, id(node))
             for node in ast.walk(tree)

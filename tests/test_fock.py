@@ -374,7 +374,7 @@ def test_radix_past_62_bits_raises_budget_exceeded():
     clo = ClosureSet(ms, 96, 2, [(3,) * 32])
     with pytest.raises(BudgetExceeded):
         clo.shift({ms.zero_index: -2, 1: 1, ms.neg_index(1): 1})
-    trial = WeightedTrialState(clo, np.ones(1, dtype=complex), 0.0)
+    trial = WeightedTrialState(clo, np.ones(1, dtype=complex))
     with pytest.raises(BudgetExceeded):
         weight_recursion_report(trial)
 
@@ -426,17 +426,6 @@ def test_closure_budget_bounds_allocation(monkeypatch):
 # ---------------------------------------------------------------- weights
 
 
-def test_free_weight_closed_form(toy_trials):
-    # f(free)/C_N = sqrt(|Lambda|^N / N!)
-    for _, trial in toy_trials.values():
-        vol = trial.mode_set.volume
-        n = trial.closure.n
-        expect = 0.5 * (n * math.log(vol) - math.lgamma(n + 1))
-        w_free = trial.weights[0]
-        got = math.log(abs(complex(w_free))) - trial.log_c_n
-        assert math.isclose(got, expect, rel_tol=1e-12)
-
-
 def test_weights_are_normalized_and_real(toy_trials):
     for _, trial in toy_trials.values():
         assert math.isclose(float(np.sum(np.abs(trial.weights) ** 2)), 1.0, rel_tol=1e-12)
@@ -486,7 +475,7 @@ def _weight_f_reference(closure, lams, volume):
     shift = float(np.max(log_mag))
     mags = np.exp(log_mag - shift)
     norm = math.sqrt(float(np.sum(mags**2)))
-    return mags * 1j ** (i_pow % 4) / norm, -(shift + math.log(norm))
+    return mags * 1j ** (i_pow % 4) / norm
 
 
 def _recursion_reference(state, lams):
@@ -569,9 +558,8 @@ def _sqrt_signed(x):
 def test_weights_match_state_by_state_reference(toy_trials):
     for name, (case, trial) in toy_trials.items():
         lams = [m.lam for m in case.mode_set]
-        weights, log_c_n = _weight_f_reference(trial.closure, lams, case.mode_set.volume)
+        weights = _weight_f_reference(trial.closure, lams, case.mode_set.volume)
         assert trial.weights.tobytes() == weights.tobytes(), name
-        assert trial.log_c_n == log_c_n, name
 
 
 def test_recursion_report_matches_state_by_state_reference(toy_trials):
@@ -696,7 +684,7 @@ def test_export_prefix_key_sorts_first():
     )
     rows = [(2, 0, 1), (2, 1, 0), (0, 3, 0), (2, 0, 0), (0, 0, 3)]
     trial = WeightedTrialState(
-        ClosureSet(ms, 3, 2, rows), np.full(5, 1.0 / math.sqrt(5.0), dtype=complex), 0.0
+        ClosureSet(ms, 3, 2, rows), np.full(5, 1.0 / math.sqrt(5.0), dtype=complex)
     )
     text = export_closure(trial)
     assert text == _export_reference(trial)

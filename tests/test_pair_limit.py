@@ -15,6 +15,17 @@ tower is not summable, and the pair occupancy per particle tends to
 mode, and gamma and sigma become the truncated geometric sums gamma_c and
 sigma_c.  Two pairs at once add the cross term HS3, which per volume tends
 to 4 sigma_1 sigma_2 (V_{|k1 - k2|} + V_{|k1 + k2|}).
+
+A soft channel, a P_L pair +-u and two P_H modes with p_i + p_j = u, adds
+the cubic term HA1.  The soft child of B_m = (N - 2m; m, m; 0, 0) has
+weight ratio 2 sqrt((N - 2m) m) / |Lambda| sqrt(lam_i) sqrt(lam_j) to B_m
+(`soft_symmetric`), a+_0 a+_u a_i a_j takes it back to B_m with matrix
+element sqrt((N - 2m) m), and P(B_m) tends to alpha_u^{2m} / Z.  Both
+orderings of (i, j) and their conjugates give
+
+    |Lambda| HA1 -> -8 sqrt(alpha_i alpha_j) (V_{|p_i|} + V_{|p_j|}) gamma_c
+
+for alpha_i, alpha_j < 0, with gamma_c the capped P_L occupancy.
 """
 
 import math
@@ -114,6 +125,68 @@ def test_two_pair_cross_term_tends_to_its_limit(alpha1, alpha2):
     for parts in (coarse, fine):
         assert parts["HA1"] == parts["HA2"] == 0.0
     _assert_limit(coarse["HS3"], fine["HS3"], target, 1e-3)
+
+
+@pytest.mark.parametrize("alpha", [-0.8, -0.9])
+@pytest.mark.parametrize("label", ["PI", "PH"])
+def test_pair_energy_near_unit_alpha_by_three_point_richardson(label, alpha):
+    # at -0.9 the 1/N^2 term still shows at N = 5120: the two-point value
+    # misses by 6.6e-4, the three-point one by 2.0e-4
+    gamma, sigma = alpha**2 / (1.0 - alpha**2), alpha / (1.0 - alpha**2)
+    target = 2.0 * K**2 * gamma + 4.0 * RHO * _V[K] * (gamma + sigma)
+    energies = [_pair_energy(n, label, alpha) for n in (1280, 5120, 20480)]
+    for route in ("total", "brute_force_total"):
+        e1, e4, e16 = (e[route] for e in energies)
+        three = (64.0 * e16 - 20.0 * e4 + e1) / 45.0
+        two = (4.0 * e16 - e4) / 3.0
+        assert math.isclose(three, target, rel_tol=5e-4), route
+        assert abs(three - target) < abs(two - target), route
+
+
+_U, _P_I = (0.25, 0.0, 0.0), (1.25, 0.5, 0.0)
+# p_j = u - p_i opens the soft channel; the other p_j leaves none
+_P_J_SOFT, _P_J_STRICT = (-1.0, -0.5, 0.0), (-1.0, -0.25, 0.0)
+_SOFT_SETS = [
+    # (alpha_u, alpha_i, alpha_j), m_c, V
+    ((-0.5, -0.3, -0.28), 2, gaussian_coupling(1.0)),
+    ((-0.8, -0.1, -0.4), 3, gaussian_coupling(0.7, decay=0.5)),
+    ((-0.3, -0.5, -0.2), 2, gaussian_coupling(1.3, 0.2)),
+    ((-0.9, -0.6, -0.3), 4, gaussian_coupling(1.0)),
+]
+
+
+def _soft_triangle_ha1(n: int, alphas, m_c: int, v_of, p_j) -> tuple[int, float]:
+    """(closure size, |Lambda| HA1) of the zero mode, a P_L pair at +-u, and
+    P_H modes at p_i and p_j, with lambda = alpha / rho on each."""
+    alpha_u, alpha_i, alpha_j = alphas
+    lam_u = alpha_u / RHO
+    ms = ModeSet(
+        [(0.0, 0.0, 0.0), _U, [-x for x in _U], _P_I, p_j],
+        ["P0", "PL", "PL", "PH", "PH"],
+        volume=n / RHO,
+        lams=[None, lam_u, lam_u, alpha_i / RHO, alpha_j / RHO],
+    )
+    case = ToyCase(name="soft-triangle", mode_set=ms, n=n, m_c=m_c, v_of=v_of)
+    trial = build_trial(case)
+    return len(trial), expect_component(trial, "HA1", case.context()).real * ms.volume
+
+
+@pytest.mark.parametrize("alphas, m_c, v_of", _SOFT_SETS)
+def test_soft_channel_cubic_term_tends_to_its_limit(alphas, m_c, v_of):
+    alpha_u, alpha_i, alpha_j = alphas
+    z = sum(alpha_u ** (2 * m) for m in range(m_c + 1))
+    gamma = sum(m * alpha_u ** (2 * m) for m in range(m_c + 1)) / z
+    v_ij = v_of(math.hypot(*_P_I)) + v_of(math.hypot(*_P_J_SOFT))
+    target = -8.0 * math.sqrt(alpha_i * alpha_j) * v_ij * gamma
+    coarse, fine = (_soft_triangle_ha1(n, alphas, m_c, v_of, _P_J_SOFT)[1] for n in (2560, 10240))
+    _assert_limit(coarse, fine, target, 1e-4)
+
+
+@pytest.mark.parametrize("alphas, m_c, v_of", _SOFT_SETS)
+def test_no_soft_channel_no_cubic_term(alphas, m_c, v_of):
+    # without p_i + p_j = u the closure is the P_L tower alone
+    for n in (640, 2560, 10240):
+        assert _soft_triangle_ha1(n, alphas, m_c, v_of, _P_J_STRICT) == (m_c + 1, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [-1.1, -1.3])
