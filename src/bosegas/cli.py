@@ -16,12 +16,13 @@ writes any, so a pipeline that refuses writes none, and it writes them all
 or none: every file goes to a temporary name first, and the renames follow
 only once every write has succeeded.
 
-Exit codes: 0 ok, 1 check violation, 2 config error, 3 convergence failure,
-budget exceeded, a divergent integrand, or an identity violation in a
-numerical step.  One table, _EXITS, maps each error a run refuses with to
-its exit code and stderr label; `main` looks up every refusal there, from
-config loading to the report (a report path it cannot write is a config
-error), and check-all's own verdicts give exit 1.
+Exit codes: 0 ok, 1 check violation, 2 config or usage error, 3
+convergence failure, budget exceeded, a divergent integrand, or an identity
+violation in a numerical step.  One table, _EXITS, maps each error a run
+refuses with to its exit code and stderr label; `main` looks up every
+refusal there, from config loading to the report (a report path it cannot
+write is a config error), and check-all's own verdicts give exit 1.  `main`
+returns argparse's own code for a usage error (2) or `--help` (0).
 """
 
 from __future__ import annotations
@@ -275,15 +276,6 @@ def run_lattice(cfg: dict) -> dict:
     return {"lattice.json": report}
 
 
-# the log of the largest double
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _log(x: float) -> float:
-    """log x, and -inf at x = 0."""
-    return math.log(x) if x > 0.0 else -math.inf
-
-
 def _resolve_toy(cfg: dict) -> ToyCase:
     """The mode file's case, or the builtin toy with trial.n / trial.m_c
     where the config sets them."""
@@ -294,31 +286,11 @@ def _resolve_toy(cfg: dict) -> ToyCase:
             mode_set = load_toy_modes(path)
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"toy_modes file {str(path)!r}: {exc}") from exc
-        n = 6 if trial["n"] is None else trial["n"]
         potential = _potential_from(cfg)
-        # with the quartic amplitudes formed as float products, every
-        # intermediate of the energy report is at most N max|p|^2 (the
-        # kinetic sums) plus C V_0 N^2 max(1, 1/|Lambda|), C = n_modes^3 + 3:
-        # brute force adds up to n_modes^3 terms, each V_u / |Lambda| <=
-        # V_0 / |Lambda| times an element sum of at most N^2, the components
-        # regroup those terms, and _diagonal_interaction's sums reach
-        # 3 V_0 N^2 before the division by |Lambda|.  Test it in logs
-        p2 = max(float(m.p @ m.p) for m in mode_set)
-        terms, vol, v0 = len(mode_set) ** 3 + 3, mode_set.volume, potential.v0
-        log_bound = np.logaddexp(
-            _log(n) + _log(p2),
-            math.log(terms) + _log(v0) + 2.0 * _log(n) + max(0.0, -math.log(vol)),
-        )
-        if log_bound > _LOG_MAX - 1e-6:
-            raise ConfigInvalid(
-                f"toy_modes file {str(path)!r}: N = {n} particles, max|p| = {math.sqrt(p2):.6g}, "
-                f"V_0 = {v0:.6g} and |Lambda| = {vol:.6g} give N max|p|^2 + {terms} V_0 N^2 "
-                "max(1, 1/|Lambda|), a bound on the energy terms, past the largest double"
-            )
         return ToyCase(
             name=path.stem,
             mode_set=mode_set,
-            n=n,
+            n=6 if trial["n"] is None else trial["n"],
             m_c=2 if trial["m_c"] is None else trial["m_c"],
             v_of=lambda mag: fourier_at(potential, mag),
             note="loaded from file",
@@ -376,8 +348,19 @@ def _trial_battery(case: ToyCase) -> tuple:
     }
 
 
+def _worst_recursion(battery: dict) -> tuple[str, float]:
+    """The recursion identity with the largest relative error, and the error."""
+    return max(battery["recursion_max_error"].items(), key=lambda item: item[1])
+
+
 def run_trial_state(cfg: dict) -> dict:
     trial, battery = _trial_battery(_resolve_toy(cfg))
+    identity, error = _worst_recursion(battery)
+    if error > _BOUNDS["recursion"]:
+        raise IdentityViolation(
+            f"weight recursion {identity}: relative error {error:.3e} at "
+            f"N = {battery['particle_count']} is past {_BOUNDS['recursion']:g}"
+        )
     return {"closure.txt": export_closure(trial), "trial_state.json": battery}
 
 
@@ -499,7 +482,8 @@ def run_boundary(cfg: dict) -> dict:
     return {"boundary.json": _boundary_battery(cfg["seed"])}
 
 
-# check-all's bounds, by the name of the checks that use them
+# check-all's bounds, by the name of the checks that use them; trial-state
+# refuses a weight recursion past the "recursion" bound
 _BOUNDS = {
     "shooting": 1.0e-4,
     "decomposition": 1.0e-10,
@@ -546,9 +530,7 @@ def run_check_all(cfg: dict) -> dict:
         energy = battery["energy"]
         check(f"{prefix}.decomposition", energy["decomposition_residual"], _BOUNDS["decomposition"])
         check(f"{prefix}.imag", energy["imag_residue"], _BOUNDS["imag"])
-        rec = battery["recursion_max_error"]
-        worst_rec = max((v for v in rec.values() if v is not None), default=0.0)
-        check(f"{prefix}.recursion", worst_rec, _BOUNDS["recursion"])
+        check(f"{prefix}.recursion", _worst_recursion(battery)[1], _BOUNDS["recursion"])
         check(
             f"{prefix}.occupancy_total",
             abs(battery["occupancy_total"] - case.n) / max(case.n, 1),
@@ -632,7 +614,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("pipeline", choices=list(_PIPELINES))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="reports", help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # a usage error (2) or --help (0), already printed by argparse
+        return exc.code
 
     try:
         cfg = load_config(args.config)

@@ -35,7 +35,7 @@ class IdentityViolation(BosegasError):
 
 
 class ConfigInvalid(BosegasError, ValueError):
-    """A run configuration failed validation."""
+    """A run's inputs lie outside the domain the package computes in."""
 
 
 class EmptyAnnulus(BosegasError, ValueError):

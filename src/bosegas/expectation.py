@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ZeroConditionProbability
+from .errors import ConfigInvalid, ZeroConditionProbability
 from .fock import OccupationState, WeightedTrialState
 from .lattice import ModeSet, Region
 
@@ -358,20 +358,31 @@ def energy_report(state: WeightedTrialState, coupling: np.ndarray) -> dict:
 
     Keys: the `COMPONENTS`, then total, brute_force_total, the relative
     decomposition_residual between the two, and the largest imag_residue.
+    A sum that leaves the doubles raises ConfigInvalid naming N and the sum:
+    numpy's overflow raises inside the sums, and the Python-float sums, which
+    overflow to inf silently, are checked for finiteness after them.
     """
     parts = {}
     imag = 0.0
-    for comp in COMPONENTS:
-        val = expect_component(state, comp, coupling)
-        parts[comp] = float(val.real)
-        imag = max(imag, abs(float(val.imag)))
+    n = state.closure.n
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for summing in COMPONENTS:
+                val = expect_component(state, summing, coupling)
+                parts[summing] = float(val.real)
+                imag = max(imag, abs(float(val.imag)))
+            summing = "brute force"
+            brute = brute_force_energy(state, coupling)
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"N = {n}: the {summing} sum leaves the doubles ({exc})") from exc
     total = sum(parts.values())
-    brute = brute_force_energy(state, coupling)
+    energies = {**parts, "total": total, "brute_force_total": brute}
+    past = [name for name, value in energies.items() if not math.isfinite(value)]
+    if past:
+        raise ConfigInvalid(f"N = {n}: the energy sums {', '.join(past)} leave the doubles")
     scale = max(abs(total), abs(brute), 1e-300)
     return {
-        **parts,
-        "total": total,
-        "brute_force_total": brute,
+        **energies,
         "decomposition_residual": abs(total - brute) / scale,
         "imag_residue": imag,
     }

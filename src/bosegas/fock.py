@@ -66,6 +66,9 @@ CLOSURE_BUDGET = 200_000
 # below 2^62
 MAX_PARTICLES = 2**31 - 1
 
+# the least normal double
+_TINY = np.finfo(float).tiny
+
 # export_closure makes its text this many sorted rows at a time
 _EXPORT_ROWS = 1024
 
@@ -413,6 +416,9 @@ def weight_recursion_report(state: WeightedTrialState) -> dict:
     generator never performs but which can land inside M by coincidence),
     compare the stored weight ratio against the closed-form prediction, with
     lambda_k and |L| read from the state's mode set as `weight_f` reads them.
+    A pair whose source weight lies below the normal doubles, where the
+    prediction from its target also puts it, is the rounding of a weight the
+    doubles cannot hold (0.0 for 1e-400), not a ratio, and is skipped.
     Returns per-identity max relative error and pair counts.
     """
     closure = state.closure
@@ -434,6 +440,8 @@ def weight_recursion_report(state: WeightedTrialState) -> dict:
     cnt = dict.fromkeys(names, 0)
 
     def record(name, expected, src, dst):
+        held = (np.abs(w[src]) >= _TINY) | (np.abs(w[dst]) >= _TINY * np.abs(expected))
+        expected, src, dst = expected[held], src[held], dst[held]
         if len(src) == 0:
             return
         resid = np.abs(w[dst] - expected * w[src])

@@ -16,7 +16,7 @@ from bosegas import boundary as bnd
 from bosegas import cli, lattice, scattering, semiclassical
 from bosegas.cli import DEFAULT_CONFIG, load_config, main
 from bosegas.errors import ConfigInvalid
-from bosegas.expectation import energy_report
+from bosegas.expectation import energy_report, occupancy_distribution, pair_correlator_check
 from bosegas.fock import MAX_PARTICLES
 from bosegas.semiclassical import assemble_ledger
 from bosegas.toys import build_trial, toy_by_name
@@ -434,10 +434,10 @@ def test_config_parser_is_libyaml_with_the_safe_loaders_dicts():
 
 
 def test_negative_seed_option_exits_2(tmp_path, capsys):
-    # the config is the seed's one source: --seed is no option
-    with pytest.raises(SystemExit) as info:
-        _run(tmp_path, "boundary", "--seed", "-1")
-    assert info.value.code == 2
+    # the config is the seed's one source: --seed is no option, and main
+    # returns argparse's usage-error code
+    code, _ = _run(tmp_path, "boundary", "--seed", "-1")
+    assert code == 2
     assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
 
@@ -766,8 +766,7 @@ def test_readme_cli_options_exist(capsys):
     lines = [line for line in readme.splitlines() if "pip install" not in line]
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
     assert flags
-    with pytest.raises(SystemExit):
-        main(["--help"])
+    assert main(["--help"]) == 0
     usage = capsys.readouterr().out
     for flag in flags:
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), f"{flag} is not an option of bosegas"
@@ -875,9 +874,10 @@ def test_trial_state_without_particles_writes_strict_json(tmp_path):
     assert rep["ratio_bounds"] == {str(u): {"holds": True, "worst_ratio": None} for u in (1, 2)}
 
 
-def test_unknown_pipeline_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["no-such-pipeline", "--out", str(tmp_path / "r")])
+def test_unknown_pipeline_rejected(tmp_path, capsys):
+    assert main(["no-such-pipeline", "--out", str(tmp_path / "r")]) == 2
+    assert "invalid choice: 'no-such-pipeline'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_one_closure_budget_default():
@@ -935,10 +935,12 @@ def _pi_pair_config(tmp_path, p, text):
 )
 def test_overflowing_inputs_exit_2(tmp_path, capsys, pipeline, text, modes):
     # width^2 = 1e400 and V_0 = 1.6e351 or 1.6e331 leave the doubles, and so
-    # do |p|^2 = 1e600 and the energy bound N max|p|^2 + 30 V_0 N^2 (at
-    # |Lambda| = 25) through N |p|^2 = 100 * 9e306 or 30 V_0 N^2 = 4.7e311,
-    # and a trial.n past MAX_PARTICLES leaves the int64 count products:
-    # each is refused before any work, with no report
+    # do |p|^2 = 1e600, and a trial.n past MAX_PARTICLES leaves the int64
+    # count products: each is refused before any work.  The energy sums
+    # leave them through N |p|^2 = 100 * 9e306 (kinetic, total and
+    # brute_force_total not finite) or V_0 N^2 = 1.6e310 (HS1 overflows in
+    # numpy): energy_report refuses those once the closure is built.  No
+    # refusal writes a report
     if modes is not None:
         p, n = modes
         config = _pi_pair_config(tmp_path, p, f"{text}trial: {{n: {n}}}\n")
@@ -966,12 +968,13 @@ def test_trial_state_kinetic_bound_inside_the_doubles_runs(tmp_path):
     assert energy["kinetic"] > 1e305
 
 
-@pytest.mark.parametrize("amplitude, code", [("3.5e301", 0), ("4.0e301", 2)])
+@pytest.mark.parametrize("amplitude, code", [("3.5e301", 0), ("4.0e301", 0), ("1.0e304", 2)])
 def test_trial_state_energy_bound_edge(tmp_path, capsys, amplitude, code):
-    # the pi-pair modes with N = 100 at |Lambda| = 25: the bound is
-    # N max|p|^2 + 30 V_0 N^2, 1.65e308 at V_0 = 5.5e302 (amplitude 3.5e301),
-    # which runs with every energy finite and nothing on stderr, and 1.89e308
-    # at V_0 = 6.3e302, which is refused
+    # the pi-pair modes with N = 100 at |Lambda| = 25: at V_0 = 5.5e302 and
+    # 6.3e302 (amplitudes 3.5e301 and 4.0e301) HS1 reads 3.0e305 and 3.4e305,
+    # every energy is finite and nothing is on stderr; the energy sums leave
+    # the doubles between amplitudes 8e302 and 1e303, and at 1e304 the HS1
+    # sum overflows and the run is refused with no report
     config = _pi_pair_config(
         tmp_path, "0.75", f"potential: {{amplitude: {amplitude}, width: 1.0}}\ntrial: {{n: 100}}\n"
     )
@@ -979,7 +982,7 @@ def test_trial_state_energy_bound_edge(tmp_path, capsys, amplitude, code):
     err = capsys.readouterr().err
     assert got == code
     if code:
-        assert err.startswith("config error:") and "V_0 = 6.29984e+302" in err
+        assert err.startswith("config error: N = 100: the HS1 sum leaves the doubles")
         assert not any(out.iterdir())
         return
     assert err == ""
@@ -1036,18 +1039,82 @@ def test_condensate_past_the_int64_four_count_product(tmp_path, capsys, n):
 
 
 def test_pl_pair_shallow_at_max_particles(tmp_path, capsys):
-    # three states with a condensate of 2^31 - 5 .. 2^31 - 1: the two energy
-    # routes agree, the occupancy sums hold, and the one exact pair gap is
-    # finite.  The strict-low recursion identity is off by ~5e-7 here:
-    # weight_f's log magnitudes carry lgamma(N) ~ 4e10 at double precision
+    # three states with a condensate of 2^31 - 5 .. 2^31 - 1.  The
+    # strict-low recursion identity is off by ~5e-7 here (weight_f's log
+    # magnitudes carry lgamma(N) ~ 4e10 at double precision), past the
+    # recursion bound: the run is refused with no report
     config = _write_config(tmp_path, f"toy: pl-pair-shallow\ntrial: {{n: {MAX_PARTICLES}}}\n")
     code, out = _run(tmp_path, "trial-state", "--config", config)
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    report = load_report(out / "trial_state.json")
-    assert (report["particle_count"], report["closure_size"]) == (MAX_PARTICLES, 3)
-    assert report["energy"]["decomposition_residual"] <= 1e-10
-    assert all(abs(s - 1.0) <= 1e-12 for s in report["occupancy_sum_rules"].values())
-    assert report["pair_correlator_gaps"] and all(
-        math.isfinite(gap) for gap in report["pair_correlator_gaps"]
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("identity violation: weight recursion strict_low_symmetric:")
+    assert f"N = {MAX_PARTICLES}" in err
+    assert not any(out.iterdir())
+    # the library still computes the state: the two energy routes agree, the
+    # occupancy sums hold, and the one exact pair gap is finite
+    case = replace(toy_by_name("pl-pair-shallow"), n=MAX_PARTICLES)
+    trial = build_trial(case)
+    ms = case.mode_set
+    assert len(trial) == 3
+    assert energy_report(trial, case.context())["decomposition_residual"] <= 1e-10
+    for idx in (ms.zero_index, ms.nonzero_indices()[0]):
+        assert abs(sum(occupancy_distribution(trial, idx)[1].tolist()) - 1.0) <= 1e-12
+    u = ms.nonzero_indices()[0]
+    gap = pair_correlator_check(trial, u, ms.neg_index(u))
+    assert gap["exact_case"] and math.isfinite(gap["abs_gap"])
+
+
+@pytest.mark.parametrize(
+    "toy, identity, error",
+    [
+        ("pl-pair-shallow", "strict_low_symmetric", "4.880e-12"),
+        ("pi-pair", "strict_outer", "1.645e-12"),
+    ],
+)
+def test_trial_state_refuses_a_recursion_past_its_bound(tmp_path, capsys, toy, identity, error):
+    # at N = 10,000 weight_f's log magnitudes lose the recursion bound of
+    # 1e-12: 4.9e-12 on the low tower and 1.6e-12 on 5,001 pi-pair states
+    config = _write_config(tmp_path, f"toy: {toy}\ntrial: {{n: 10000}}\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"identity violation: weight recursion {identity}: relative error {error} "
+        "at N = 10000 is past 1e-12\n"
     )
+    assert not any(out.iterdir())
+
+
+def _perturbed(monkeypatch):
+    """build_trial with one weight off by one part in 1e6."""
+    build = cli.build_trial
+
+    def perturbed(case):
+        trial = build(case)
+        trial.weights[-1] *= 1.0 + 1e-6
+        return trial
+
+    monkeypatch.setattr(cli, "build_trial", perturbed)
+
+
+def test_trial_state_refuses_a_perturbed_weight(tmp_path, capsys, monkeypatch):
+    _perturbed(monkeypatch)
+    config = _write_config(tmp_path, "toy: pi-pair\n")
+    code, out = _run(tmp_path, "trial-state", "--config", config)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"identity violation: weight recursion \w+: relative error \d\.\d{3}e-\d\d at N = 4 "
+        r"is past 1e-12\n",
+        err,
+    )
+    assert not any(out.iterdir())
+
+
+def test_check_all_records_a_perturbed_weight(tmp_path, capsys, monkeypatch):
+    # check-all records the miss as a violation of each toy, and writes its report
+    _perturbed(monkeypatch)
+    code, out = _run(tmp_path, "check-all")
+    assert code == 1
+    violations = load_report(out / "check_all.json")["violations"]
+    assert "toy.pi-pair.recursion" in {v["check"] for v in violations}

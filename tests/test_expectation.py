@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bosegas.errors import ZeroConditionProbability
+from bosegas.errors import ConfigInvalid, ZeroConditionProbability
 from bosegas.expectation import (
     _SUM_ROWS,
     _left_sum,
@@ -203,6 +203,18 @@ def test_energy_decomposition_vs_brute_force_all_toys(toy_trials):
         rep = energy_report(trial, case.context())
         assert rep["decomposition_residual"] <= 1e-10, name
         assert rep["imag_residue"] <= 1e-12, name
+
+
+def test_energy_report_refuses_sums_past_the_doubles():
+    # V_0 = 1e306 at N = 100 and |Lambda| = 25: HS1's sums overflow, which
+    # numpy would answer with RuntimeWarnings and a NaN total
+    case = replace(toy_by_name("pi-pair"), n=100, v_of=gaussian_coupling(1e306))
+    trial, coupling = build_trial(case), case.context()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigInvalid, match=r"^N = 100: the HS1 sum leaves the doubles \("):
+            energy_report(trial, coupling)
+    assert caught == []
 
 
 def test_frozen_component_tables(toy_trials):

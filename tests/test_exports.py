@@ -1,10 +1,11 @@
 """Every exported name resolves, every function the benchmark traces exists
 and yields the counts its tracer reads, every definition in the package has
 a caller in the package, every record field is read in the package, every
-parameter default is overridden by some call in the package, the config
-holds only the keys callers vary, only `cli.main` writes files, the CLI
-imports no more of scipy than it uses: none at start, none in trial-state
-or boundary, and no module takes another module's private names."""
+parameter default is overridden by some call in the package, every error
+class a run can raise has an exit code, the config holds only the keys
+callers vary, only `cli.main` writes files, the CLI imports no more of
+scipy than it uses: none at start, none in trial-state or boundary, and no
+module takes another module's private names."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import bosegas
+from bosegas import cli, errors
 from bosegas.cli import DEFAULT_CONFIG
 from bosegas.fock import generate_M, weight_recursion_report
 from bosegas.lattice import shell_counts
@@ -343,6 +345,17 @@ def test_reports_are_written_in_main_alone():
     writes = _file_writes()
     assert writes
     assert {w.split(":")[0] for w in writes} == {"cli.main"}, writes
+
+
+def test_every_refusal_has_an_exit_code():
+    # an error class missing from cli._EXITS would leave main as a traceback;
+    # ZeroConditionProbability is raised only by the library-only q_psi_conditional
+    classes = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.BosegasError)
+    }
+    assert classes - {errors.BosegasError} - set(cli._EXITS) == {errors.ZeroConditionProbability}
 
 
 def _source_env() -> dict:

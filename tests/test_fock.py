@@ -495,6 +495,9 @@ def _recursion_reference(state, lams):
     def record(name, expected, s_from, s_to):
         f_from = state.weights[s_from]
         f_to = state.weights[s_to]
+        tiny = np.finfo(float).tiny
+        if abs(f_from) < tiny and abs(f_to) < tiny * abs(expected):
+            return  # a source weight the doubles cannot hold, rounded
         resid = abs(f_to - expected * f_from)
         scale = max(abs(f_to), abs(f_from), 1e-300)
         err[name] = max(err[name], resid / scale)
@@ -566,6 +569,29 @@ def test_recursion_report_matches_state_by_state_reference(toy_trials):
     for name, (_, trial) in toy_trials.items():
         lams = [m.lam for m in trial.mode_set]
         assert weight_recursion_report(trial) == _recursion_reference(trial, lams), name
+
+
+@pytest.mark.parametrize(
+    "volume, lam", [(18.0, -1e200), (1e-300, -0.5)], ids=["lambda", "volume"]
+)
+def test_recursion_skips_a_weight_below_the_doubles(volume, lam):
+    # the pure condensate's weight is ~1e-400 of the top state's, and rounds
+    # to 0.0: its pair is skipped, and the one ratio between normal weights holds
+    ms = ModeSet(
+        [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0), (-0.25, 0.0, 0.0)],
+        ["P0", "PL", "PL"],
+        volume=volume,
+        lams=[None, lam, lam],
+    )
+    trial = weight_f(generate_M(ms, 4, 2))
+    assert trial.weights[0] == 0.0 and abs(trial.weights[1]) > np.finfo(float).tiny
+    rep = weight_recursion_report(trial)
+    assert rep == _recursion_reference(trial, [m.lam for m in ms])
+    assert rep["pairs"]["strict_low_symmetric"] == 1
+    assert max(rep["max_rel_error"].values()) <= 1e-12
+    # a weight zeroed where its ratio puts it among the normal doubles is no rounding
+    trial.weights[1] = 0.0
+    assert weight_recursion_report(trial)["max_rel_error"]["strict_low_symmetric"] == 1.0
 
 
 def test_recursion_identities_all_toys(toy_trials):

@@ -26,10 +26,22 @@ orderings of (i, j) and their conjugates give
     |Lambda| HA1 -> -8 sqrt(alpha_i alpha_j) (V_{|p_i|} + V_{|p_j|}) gamma_c
 
 for alpha_i, alpha_j < 0, with gamma_c the capped P_L occupancy.
+
+On a strict-only mode set (no soft channel) |f|^2 factors over the pairs at
+any N: the state with m_k pairs at +-k, M = sum m_k in all, has
+|f|^2 / |f(all-condensate)|^2 = c_M prod_k lambda_k^(2 m_k), with
+c_M = prod_{i<2M} (N - i) / |Lambda|^(2M).  Each pair's series
+S_k = sum_m lambda_k^(2m) t^m, cut at m <= m_c on P_L, then gives
+
+    Z = sum_M c_M [t^M] prod_k S_k,
+    <m_k> = sum_M c_M [t^M] (t S_k' prod_{j != k} S_j) / Z,
+
+and P(all-condensate) = 1 / Z.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from bosegas.expectation import energy_report, expect_component, mean_occupancies
@@ -195,3 +207,63 @@ def test_ph_pair_occupancy_past_unit_alpha(alpha):
     trial = build_trial(_case(n, "PH", alpha))
     per_particle = float(mean_occupancies(trial)[1]) / n
     assert math.isclose(per_particle, (1.0 - 1.0 / abs(alpha)) / 2.0, rel_tol=1e-3)
+
+
+_VOLUME = 25.0
+_STRICT_A = [
+    ((1.5, 0.0, 0.0), "PH", -0.05),
+    ((0.0, 1.25, 0.0), "PI", -0.03),
+    ((0.0, 0.0, 1.75), "PH", -0.02),
+]
+# a P_L pair beside A's first two: no P_H pair sums to its momentum
+_STRICT_B = [((0.25, 0.0, 0.0), "PL", -0.06), *_STRICT_A[:2]]
+
+
+def _series_statistics(n: int, pairs, m_c: int) -> tuple[float, list[float]]:
+    """Z and each pair's <m_k> from the pairs' power series in t, cut at
+    t^(N/2), where c_M vanishes beyond."""
+    top = n // 2
+    series = [
+        np.array([lam ** (2 * m) if label != "PL" or m <= m_c else 0.0 for m in range(top + 1)])
+        for _, label, lam in pairs
+    ]
+    c = [1.0]
+    for i in range(2, 2 * top + 1, 2):
+        c.append(c[-1] * (n - i + 2) * (n - i + 1) / _VOLUME**2)
+
+    def weighted(polys) -> float:
+        """sum_M c_M [t^M] prod polys."""
+        prod = np.zeros(top + 1)
+        prod[0] = 1.0
+        for poly in polys:
+            prod = np.convolve(prod, poly)[: top + 1]
+        return float(np.dot(c, prod))
+
+    z = weighted(series)
+    t_deriv = np.arange(top + 1)
+    means = [
+        weighted([t_deriv * s, *series[:k], *series[k + 1 :]]) / z for k, s in enumerate(series)
+    ]
+    return z, means
+
+
+@pytest.mark.parametrize("n", [20, 80, 160])
+@pytest.mark.parametrize(
+    "pairs, m_c", [(_STRICT_A, 2), (_STRICT_B, 2), (_STRICT_B, 3)], ids=["A", "B-2", "B-3"]
+)
+def test_strict_pair_statistics_factor_over_pairs(pairs, m_c, n):
+    # measured within 6.0e-14 (means) and 1.2e-14 (condensate); A at N = 160
+    # is the largest closure, 91,881 states
+    momenta, labels, lams = [(0.0, 0.0, 0.0)], ["P0"], [None]
+    for p, label, lam in pairs:
+        momenta += [p, tuple(-x for x in p)]
+        labels += [label, label]
+        lams += [lam, lam]
+    ms = ModeSet(momenta, labels, volume=_VOLUME, lams=lams)
+    trial = build_trial(ToyCase(name="strict-pairs", mode_set=ms, n=n, m_c=m_c, v_of=_V_TWO))
+    z, means = _series_statistics(n, pairs, m_c)
+    got = mean_occupancies(trial)
+    for k, mean in enumerate(means):
+        for idx in (1 + 2 * k, 2 + 2 * k):
+            assert math.isclose(got[idx], mean, rel_tol=1e-12), (k, idx)
+    assert math.isclose(trial.probabilities()[0], 1.0 / z, rel_tol=1e-13)
