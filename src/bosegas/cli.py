@@ -1,7 +1,8 @@
 """Command-line driver: config parsing, pipeline orchestration, reports.
 
-Subcommands: scattering | lattice | trial-state | energy-curve | integrals |
-boundary | check-all, one `run_*(cfg)` each in the table _PIPELINES.
+Subcommands: scattering | trial-state | energy-curve | integrals | boundary |
+check-all, one `run_*(cfg)` each in the table _PIPELINES.  energy-curve is
+the one per-density pipeline: a one-rho run is a sweep of one rho.
 `run_*(cfg)` returns its files; `main` writes them.  Configuration is YAML
 with nested blocks; every value has a default so all pipelines run without
 a config file, and the config is the only source of every value a run
@@ -83,7 +84,7 @@ __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG = {
     "potential": {"amplitude": 0.1, "width": 1.0},
-    "schedule": {"rho": 1.0e-5, "eta": DEFAULT_ETA},
+    "schedule": {"eta": DEFAULT_ETA},
     "toy": "soft-coincidence",
     "toy_modes": None,
     # None: the builtin toy's own value, or n = 6 and m_c = 2 for a mode file
@@ -171,12 +172,8 @@ def load_config(path: str | None) -> dict:
     _require(_cast(pot, "amplitude", "potential.amplitude") > 0.0, "potential.amplitude must be > 0")
     _require(_cast(pot, "width", "potential.width") > 0.0, "potential.width must be > 0")
     sched = cfg["schedule"]
-    _require(0.0 < _cast(sched, "rho", "schedule.rho") < 1.0, "schedule.rho must lie in (0, 1)")
     _require(0.0 < _cast(sched, "eta", "schedule.eta") < 0.25, "schedule.eta must lie in (0, 1/4)")
-    _require(
-        cfg["toy_modes"] is None or isinstance(cfg["toy_modes"], str),
-        "toy_modes must be a file path",
-    )
+    _require(isinstance(cfg["toy_modes"], (str, type(None))), "toy_modes must be a file path")
     trial = cfg["trial"]
     if trial["n"] is not None:
         _require(
@@ -191,8 +188,7 @@ def load_config(path: str | None) -> dict:
         "sweep.rho_values must be a nonempty list",
     )
     rhos = cfg["sweep"]["rho_values"] = [_num(r, "sweep.rho_values entry") for r in rhos]
-    for r in rhos:
-        _require(0.0 < r < 1.0, "sweep.rho_values entries must lie in (0, 1)")
+    _require(all(0.0 < r < 1.0 for r in rhos), "sweep.rho_values entries must lie in (0, 1)")
     _require(type(cfg["seed"]) is int, "seed must be an integer")
     _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
     return cfg
@@ -266,14 +262,6 @@ def _pl_schedules(cfg: dict, rhos) -> list[Schedule]:
     for schedule in schedules:
         shell_window(schedule, schedule.p_gap_top, schedule.p_low_top)
     return schedules
-
-
-def run_lattice(cfg: dict) -> dict:
-    (schedule,) = _pl_schedules(cfg, [cfg["schedule"]["rho"]])
-    solution = _solve(cfg)
-    number_density = pl_number_density_comparison(schedule, solution.g0)
-    report = {"schedule": schedule.as_dict(), "number_density": number_density, "g0": solution.g0}
-    return {"lattice.json": report}
 
 
 def _resolve_toy(cfg: dict) -> ToyCase:
@@ -368,11 +356,11 @@ def run_energy_curve(cfg: dict) -> dict:
     schedules = _pl_schedules(cfg, cfg["sweep"]["rho_values"])
     solution = _solve(cfg)
     g0 = solution.g0
-    eta = cfg["schedule"]["eta"]
-    rows = []
+    rows, densities = [], []
     for schedule in schedules:
         rho = schedule.rho
         comp = pl_number_density_comparison(schedule, g0)
+        densities.append({"schedule": schedule.as_dict(), "number_density": comp})
         leading, second = g0 * rho**2, semi.LHY_RATIO * g0**2.5 * rho**2.5
         rows.append(
             {
@@ -391,9 +379,10 @@ def run_energy_curve(cfg: dict) -> dict:
     meta = {
         "g0": g0,
         "a": solution.a,
-        "eta": eta,
+        "eta": cfg["schedule"]["eta"],
         "rho_values": cfg["sweep"]["rho_values"],
         "gaps_annulus": [row["rel_gap_annulus"] for row in rows],
+        "densities": densities,
     }
     return {"energy_curve.csv": rows, "energy_curve.json": meta}
 
@@ -597,7 +586,6 @@ _EXITS = {
 
 _PIPELINES = {
     "scattering": run_scattering,
-    "lattice": run_lattice,
     "trial-state": run_trial_state,
     "energy-curve": run_energy_curve,
     "integrals": run_integrals,

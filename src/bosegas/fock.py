@@ -264,35 +264,46 @@ def _creations(mode_set: ModeSet) -> _Creations:
     return _Creations(rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 5:7])
 
 
-def generate_M(mode_set: ModeSet, n: int, m_c: int) -> ClosureSet:
-    """Breadth-first closure from the all-condensate state, level by level.
+def _strict_states(table: _Creations, n: int, m_c: int) -> int:
+    """The members strict creations alone make: the ways the P strict rows
+    place c pairs each, c <= m_c on a low row, with sum c <= floor(N/2), by
+    inclusion-exclusion over the low rows past m_c.  Soft creations only
+    add members, so this is |M| on a strict set and below it on any other."""
+    k, cap = n // 2, max(m_c, 0) + 1
+    p, low = int(np.sum(table.kind != _SOFT)), int(np.sum(table.kind == _LOW))
+    return sum(
+        (-1) ** j * math.comb(low, j) * math.comb(k - j * cap + p, p)
+        for j in range(min(low, k // cap) + 1)
+    )
 
-    A closure past CLOSURE_BUDGET members raises BudgetExceeded.  An outer
-    pair's creation is unguarded, so its tower alone holds floor(N/2) + 1
-    states, and a tower past the budget is refused before any walk.  Every
-    creation-table row is tried on a slice of frontier rows at once,
-    slices taken in row order and sized so that their candidates stay
-    within about a budget's worth of rows.  A creation applies when no
-    count goes negative and its low-region guard holds on the parent:
-    max(n(k), n(-k)) < m_c for a strict low pair, n(u) = n(-u) for a soft
-    one.  New rows are kept in (parent, creation) first-seen order, each
-    known by its raw bytes, taken for a whole slice in one call.  The
-    high-region magnitude window for soft products is carried by the region
-    labels themselves (modes beyond the truncation are labeled Truncated,
-    not PH, and are skipped for every creation).
-    """
+
+def generate_M(mode_set: ModeSet, n: int, m_c: int) -> ClosureSet:
+    """The closure of the all-condensate state.  A closure past
+    CLOSURE_BUDGET members raises BudgetExceeded, before the walk where its
+    strict members alone pass the budget."""
     if not 0 <= n <= MAX_PARTICLES:
         raise ValueError(f"need a particle count in 0 .. {MAX_PARTICLES}, got {n}")
-    budget = CLOSURE_BUDGET
     table = _creations(mode_set)
-    if np.any(table.kind == _OUTER) and n // 2 + 1 > budget:
-        raise BudgetExceeded(
-            f"closure exceeds budget {budget}: an outer tower alone holds {n // 2 + 1} states"
-        )
+    budget, strict = CLOSURE_BUDGET, _strict_states(table, n, m_c)
+    if strict > budget:
+        raise BudgetExceeded(f"closure exceeds budget {budget}: strict pairs make {strict} states")
+    return ClosureSet(mode_set, n, m_c, _walk(mode_set, n, m_c, table))
+
+
+def _walk(mode_set: ModeSet, n: int, m_c: int, table: _Creations) -> np.ndarray:
+    """The closure's count matrix, breadth first.  Every creation-table row
+    is tried on a slice of frontier rows at once, the slices sized so that
+    their candidates stay within about a budget's worth of rows, and a
+    member past CLOSURE_BUDGET raises BudgetExceeded.  A creation applies
+    when no count goes negative and its low guard holds on the parent:
+    max(n(k), n(-k)) < m_c for a strict low pair, n(u) = n(-u) for a soft
+    one.  New rows, each known by its raw bytes, are kept in (parent,
+    creation) first-seen order.  Modes past the high-region truncation are
+    labeled Truncated, not PH, so no creation reaches them."""
     need = 1 + (table.take[:, 0] == table.take[:, 1])
     unguarded_low = table.kind != _LOW
     unguarded_soft = table.kind != _SOFT
-    chunk = max(1, budget // max(1, len(table.kind)))
+    chunk = max(1, CLOSURE_BUDGET // max(1, len(table.kind)))
     root = np.zeros((1, len(mode_set)), dtype=np.int64)
     root[0, mode_set.zero_index] = n
     row_key = np.dtype((np.void, root.itemsize * root.shape[1]))
@@ -316,14 +327,14 @@ def generate_M(mode_set: ModeSet, n: int, m_c: int) -> ClosureSet:
             fresh = []
             for r, key in enumerate(cand.view(row_key).ravel().tolist()):
                 if key not in seen:
-                    if size >= budget:
-                        raise BudgetExceeded(f"closure exceeds budget {budget}")
+                    if size >= CLOSURE_BUDGET:
+                        raise BudgetExceeded(f"closure exceeds budget {CLOSURE_BUDGET}")
                     seen.add(key)
                     fresh.append(r)
                     size += 1
             level.append(cand[fresh])
         levels.append(np.concatenate(level))
-    return ClosureSet(mode_set, n, m_c, np.concatenate(levels))
+    return np.concatenate(levels)
 
 
 def _sqrt_signed(x: float) -> complex:

@@ -91,9 +91,11 @@ def test_scattering_pipeline_past_born_radius(tmp_path):
 
 
 def test_lattice_pipeline(tmp_path):
-    code, out = _run(tmp_path, "lattice")
+    # one rho is a sweep of one rho
+    cfg = _write_config(tmp_path, "sweep: {rho_values: [1.0e-5]}\n")
+    code, out = _run(tmp_path, "energy-curve", "--config", cfg)
     assert code == 0
-    rep = load_report(out / "lattice.json")
+    (rep,) = load_report(out / "energy_curve.json")["densities"]
     assert rep["number_density"]["rel_gap_annulus"] < 1e-3
     assert rep["number_density"]["n_modes"] > 0
     assert rep["schedule"]["rho"] == rep["number_density"]["rho"]
@@ -255,6 +257,31 @@ def test_energy_curve_gap_shrinks(tmp_path):
     assert load_report(out / "energy_curve.json")["rho_values"] == [1e-4, 1e-5]
 
 
+def test_energy_curve_densities_are_the_schedules_and_comparisons(tmp_path, gaussian_solution):
+    # one entry per swept rho, in config order: the schedule and the P_L
+    # number-density comparison at the solved g0, as the library returns them
+    rhos = [1.0e-5, 1.0e-4, 1.0e-6]
+    cfg = _write_config(tmp_path, f"sweep: {{rho_values: {rhos}}}\n")
+    code, out = _run(tmp_path, "energy-curve", "--config", cfg)
+    assert code == 0
+    densities = load_report(out / "energy_curve.json")["densities"]
+    assert len(densities) == len(rhos)
+    for rho, got in zip(rhos, densities):
+        schedule = lattice.Schedule(rho, DEFAULT_CONFIG["schedule"]["eta"])
+        comp = lattice.pl_number_density_comparison(schedule, gaussian_solution.g0)
+        want = {"schedule": schedule.as_dict(), "number_density": comp}
+        assert got == json.loads(json.dumps(want)), rho
+
+
+def test_schedule_rho_is_an_unknown_key(tmp_path, capsys):
+    # energy-curve's sweep is the one source of a density
+    cfg = _write_config(tmp_path, "schedule: {rho: 1.0e-5}\n")
+    code, out = _run(tmp_path, "energy-curve", "--config", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'schedule.rho'\n"
+    assert not out.exists()
+
+
 def test_boundary_pipeline(tmp_path):
     code, out = _run(tmp_path, "boundary")
     assert code == 0
@@ -384,7 +411,7 @@ _CONSTANTS = [
 @pytest.mark.parametrize(
     "text",
     [
-        "schedule:\n  rho: 2.0\n",        # domain violation
+        "schedule:\n  rho: 2.0\n",        # a density is a sweep entry, not a schedule key
         "unknown_block:\n  x: 1\n",        # unknown key
         "schedule:\n  k_c: 4.0\n",          # keys no pipeline reads are unknown
         "tolerances:\n  integral_refined: 1.0e-9\n",
@@ -425,7 +452,7 @@ def test_config_parser_is_libyaml_with_the_safe_loaders_dicts():
     if yaml.__with_libyaml__:
         assert cli._YAML_LOADER is yaml.CSafeLoader
     text = (
-        "potential: {amplitude: 0.25, width: 2}\nschedule:\n  rho: 1e-05\n"
+        "potential: {amplitude: 0.25, width: 2}\nschedule:\n  eta: 5e-03\n"
         "sweep:\n  rho_values: [1.0e-4, 1.0e-6]\ntoy: pi-pair\ntrial: {n: 6, m_c: null}\n"
         "seed: 7\nflag: yes\nwhen: 2001-12-14\n"
     )
@@ -498,7 +525,7 @@ def test_failed_report_write_leaves_out_as_it_was(tmp_path, capsys):
         ("potential:\n  amplitude: .inf\n", "potential.amplitude"),
         ("potential:\n  width: .nan\n", "potential.width"),
         ("sweep:\n  rho_values: [1.0e-4, .nan]\n", "sweep.rho_values entry"),
-        ("schedule:\n  rho: .inf\n", "schedule.rho"),
+        ("schedule:\n  eta: .inf\n", "schedule.eta"),
     ],
 )
 def test_non_finite_float_keys_named(tmp_path, text, key, capsys):
@@ -555,7 +582,7 @@ def test_extreme_potential_refused(tmp_path, capsys, text):
     ],
     ids=["wide-shallow", "narrow-deep"],
 )
-@pytest.mark.parametrize("pipeline", ["scattering", "lattice", "energy-curve"])
+@pytest.mark.parametrize("pipeline", ["scattering", "energy-curve"])
 def test_extreme_scales_write_finite_reports(tmp_path, pipeline, text):
     # in-process, so a numpy overflow warning fails the run as an error
     cfg = _write_config(tmp_path, text)
@@ -588,7 +615,7 @@ def test_weak_potentials_pass_the_shooting_oracle(tmp_path, pipeline, report, te
     assert (out / report).is_file()
 
 
-@pytest.mark.parametrize("pipeline", ["lattice", "energy-curve"])
+@pytest.mark.parametrize("pipeline", ["energy-curve"])
 def test_divergent_integrand_exits_3(tmp_path, monkeypatch, capsys, pipeline):
     # no known schedule makes the P_L summand non-finite; an infinite one
     # stands in for it
@@ -603,7 +630,7 @@ def test_divergent_integrand_exits_3(tmp_path, monkeypatch, capsys, pipeline):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("pipeline", ["scattering", "lattice", "energy-curve", "check-all"])
+@pytest.mark.parametrize("pipeline", ["scattering", "energy-curve", "check-all"])
 def test_non_finite_observable_exits_3(tmp_path, monkeypatch, capsys, pipeline):
     # a NaN norm is refused by the solve that made it, never scored as an
     # identity miss nor written by the pipelines that check no identity
@@ -626,12 +653,12 @@ def test_non_finite_observable_exits_3(tmp_path, monkeypatch, capsys, pipeline):
 @pytest.mark.parametrize(
     "pipeline, text, rho",
     [
-        ("lattice", "schedule: {rho: 0.01}\n", "0.01"),
-        ("lattice", "schedule: {rho: 0.1}\n", "0.1"),
-        ("lattice", "schedule: {rho: 0.5}\n", "0.5"),
+        ("energy-curve", "sweep: {rho_values: [0.01]}\n", "0.01"),
+        ("energy-curve", "sweep: {rho_values: [0.1]}\n", "0.1"),
+        ("energy-curve", "sweep: {rho_values: [0.5]}\n", "0.5"),
         ("energy-curve", "sweep: {rho_values: [1.0e-4, 0.5]}\n", "0.5"),
     ],
-    ids=["lattice-0.01", "lattice-0.1", "lattice-0.5", "energy-curve-0.5"],
+    ids=["one-rho-0.01", "one-rho-0.1", "one-rho-0.5", "energy-curve-0.5"],
 )
 def test_empty_low_annulus_exits_2(tmp_path, capsys, pipeline, text, rho):
     # at eta = 1/200 the P_L annulus of these densities holds no lattice shell
@@ -647,8 +674,8 @@ def test_empty_low_annulus_exits_2(tmp_path, capsys, pipeline, text, rho):
 @pytest.mark.parametrize("rho", ["1.0e-99", "1.0e-200", "1.0e-300"])
 @pytest.mark.parametrize(
     "pipeline, text",
-    [("lattice", "schedule: {{rho: {}}}\n"), ("energy-curve", "sweep: {{rho_values: [{}]}}\n")],
-    ids=["lattice", "energy-curve"],
+    [("energy-curve", "sweep: {{rho_values: [{}]}}\n")],
+    ids=["energy-curve"],
 )
 def test_density_past_shell_reach_exits_3(tmp_path, capsys, pipeline, text, rho):
     # far below rho = 2.7e-9 the box volume, the top shell index and the box
@@ -663,10 +690,9 @@ def test_density_past_shell_reach_exits_3(tmp_path, capsys, pipeline, text, rho)
 @pytest.mark.parametrize(
     "pipeline, text",
     [
-        ("lattice", "schedule: {rho: 1.0e-99}\n"),
         ("energy-curve", "sweep: {rho_values: [1.0e-8, 1.0e-99]}\n"),
     ],
-    ids=["lattice", "energy-curve"],
+    ids=["energy-curve"],
 )
 def test_density_past_shell_reach_refused_before_the_solve(
     tmp_path, capsys, monkeypatch, pipeline, text
@@ -687,12 +713,11 @@ def test_density_past_shell_reach_refused_before_the_solve(
 @pytest.mark.parametrize(
     "pipeline, text, where",
     [
-        ("lattice", "schedule: {rho: 0.5}\n", "rho = 0.5,"),
         ("energy-curve", "sweep: {rho_values: [1.0e-8, 0.5]}\n", "rho = 0.5,"),
         # check-all's lattice probe sums rho = 1e-4 and 1e-5 at the config's eta
         ("check-all", "schedule: {eta: 1.0e-6}\n", "rho = 0.0001, eta = 1e-06"),
     ],
-    ids=["lattice", "energy-curve", "check-all"],
+    ids=["energy-curve", "check-all"],
 )
 def test_empty_low_annulus_refused_before_the_solve(
     tmp_path, capsys, monkeypatch, pipeline, text, where
@@ -720,10 +745,12 @@ def test_weak_coupling_lattice_gap_is_finite(tmp_path, amplitude):
     # 4 rho g0 / p^2 falls far below the float epsilon on P_L, where a
     # summand formed from h - 1 would round to 0.  The summand tends to
     # (4 rho g0 / p^2)^2 / 16, so the gap tends to a limit free of g0
-    cfg = _write_config(tmp_path, f"potential: {{amplitude: {amplitude:.1e}}}\n")
-    code, out = _run(tmp_path, "lattice", "--config", cfg)
+    cfg = _write_config(
+        tmp_path, f"potential: {{amplitude: {amplitude:.1e}}}\nsweep: {{rho_values: [1.0e-5]}}\n"
+    )
+    code, out = _run(tmp_path, "energy-curve", "--config", cfg)
     assert code == 0
-    rep = load_report(out / "lattice.json")["number_density"]
+    rep = load_report(out / "energy_curve.json")["densities"][0]["number_density"]
     assert 0.0 < rep["lattice_per_volume"]
     assert math.isclose(rep["rel_gap_annulus"], 2.3091241e-4, rel_tol=1e-6)
 
@@ -770,6 +797,14 @@ def test_readme_cli_options_exist(capsys):
     usage = capsys.readouterr().out
     for flag in flags:
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), f"{flag} is not an option of bosegas"
+
+
+def test_readme_command_line_names_every_pipeline():
+    # the command-line block names each pipeline of main once, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n.*?```sh\n(.*?)```", readme, flags=re.S)
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("bosegas ")]
+    assert sorted(named) == sorted(cli._PIPELINES)
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -875,9 +910,11 @@ def test_trial_state_without_particles_writes_strict_json(tmp_path):
 
 
 def test_unknown_pipeline_rejected(tmp_path, capsys):
-    assert main(["no-such-pipeline", "--out", str(tmp_path / "r")]) == 2
-    assert "invalid choice: 'no-such-pipeline'" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
+    # lattice is gone: one rho is an energy-curve sweep of one rho
+    for name in ("no-such-pipeline", "lattice"):
+        assert main([name, "--out", str(tmp_path / "r")]) == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def test_one_closure_budget_default():
@@ -909,7 +946,7 @@ def _pi_pair_config(tmp_path, p, text):
     [
         *[
             (pipeline, f"potential: {{amplitude: {amp}, width: {width}}}\n", None)
-            for pipeline in ("scattering", "lattice", "energy-curve", "check-all")
+            for pipeline in ("scattering", "energy-curve", "check-all")
             for amp, width in (("1.0", "1.0e200"), ("1.0e200", "1.0e50"))
         ],
         ("trial-state", "potential: {amplitude: 1.0e300, width: 1.0e10}\n", ("0.75", 4)),
@@ -922,7 +959,7 @@ def _pi_pair_config(tmp_path, p, text):
     ids=[
         *[
             f"{pipeline}-{kind}"
-            for pipeline in ("scattering", "lattice", "energy-curve", "check-all")
+            for pipeline in ("scattering", "energy-curve", "check-all")
             for kind in ("width2", "v0")
         ],
         "trial-state-v0",

@@ -285,7 +285,6 @@ _CONFIG_KEYS = (
     "potential.amplitude",
     "potential.width",
     "schedule.eta",
-    "schedule.rho",
     "seed",
     "sweep.rho_values",
     "toy",

@@ -394,14 +394,49 @@ def test_outer_tower_past_the_budget_refused_before_the_walk(monkeypatch):
     assert len(generate_M(ms, 19, 2)) == 10
     with pytest.raises(BudgetExceeded) as info:
         generate_M(ms, 20, 2)
-    assert str(info.value) == "closure exceeds budget 10: an outer tower alone holds 11 states"
+    assert str(info.value) == "closure exceeds budget 10: strict pairs make 11 states"
     # a level-by-level walk of this tower would take 200,000 levels
     monkeypatch.undo()
     with pytest.raises(BudgetExceeded) as info:
         generate_M(ms, MAX_PARTICLES, 2)
     assert str(info.value) == (
         f"closure exceeds budget {fock.CLOSURE_BUDGET}: "
-        f"an outer tower alone holds {MAX_PARTICLES // 2 + 1} states"
+        f"strict pairs make {MAX_PARTICLES // 2 + 1} states"
+    )
+
+
+@pytest.mark.parametrize("m_c", [1, 2, 3])
+def test_strict_states_bound_the_closure(toy_suite, m_c):
+    # exact where every creation is strict, and never above |M|, since soft
+    # creations only add members
+    strict_sets = 0
+    for case in toy_suite:
+        table = fock._creations(case.mode_set)
+        soft = bool(np.any(table.kind == fock._SOFT))
+        strict_sets += not soft
+        for n in (0, 1, 2, 3, 4, 6, 11, 20, 40):
+            size = len(generate_M(case.mode_set, n, m_c))
+            count = fock._strict_states(table, n, m_c)
+            assert count <= size if soft else count == size, (case.name, n)
+    assert 0 < strict_sets < len(toy_suite)
+
+
+def test_strict_product_past_the_budget_refused_before_the_walk(monkeypatch):
+    # three P_I/P_H pairs at N = 240 hold C(123, 3) = 302,621 states, all strict
+    momenta, labels = [(0.0, 0.0, 0.0)], ["P0"]
+    for p, label in [((1.5, 0.0, 0.0), "PH"), ((0.0, 1.25, 0.0), "PI"), ((0.0, 0.0, 1.75), "PH")]:
+        momenta += [p, tuple(-x for x in p)]
+        labels += [label, label]
+    ms = ModeSet(momenta, labels)
+
+    def no_walk(*args):
+        raise AssertionError("the closure was walked before its size was checked")
+
+    monkeypatch.setattr(fock, "_walk", no_walk)
+    with pytest.raises(BudgetExceeded) as info:
+        generate_M(ms, 240, 2)
+    assert str(info.value) == (
+        f"closure exceeds budget {fock.CLOSURE_BUDGET}: strict pairs make 302621 states"
     )
 
 
@@ -412,6 +447,8 @@ def test_closure_budget_bounds_allocation(monkeypatch):
     ms = _outer_pairs(40)
     budget = 1000
     monkeypatch.setattr(fock, "CLOSURE_BUDGET", budget)
+    # its C(50, 10) strict states would refuse it before the walk this tests
+    monkeypatch.setattr(fock, "_strict_states", lambda table, n, m_c: 1)
     row_bytes = 8 * len(ms)
     tracemalloc.start()
     try:
